@@ -34,10 +34,10 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.core.subsumption import (
     SubsumptionPredicate,
     derive_subsumption,
-    expr_to_formula,
+    subsumption_problem,
 )
 from repro.engine import operators as ops
-from repro.errors import PlanVerificationError, QuantifierEliminationError
+from repro.errors import PlanVerificationError
 from repro.logic import formula as fm
 from repro.sql import ast
 from repro.sql.render import render
@@ -251,22 +251,15 @@ def check_subsumption_soundness(
     allegedly-subsuming new binding does not.  Returns ``None`` when
     every seeded trial passes, else a dict describing the triple.
 
-    Variable order mirrors :func:`derive_subsumption` exactly, so the
-    predicate under test can be either freshly derived or the one the
-    optimizer actually installed.
+    Variables come from :func:`subsumption_problem`, as they do for
+    :func:`derive_subsumption`, so the predicate under test can be
+    either freshly derived or the one the optimizer actually installed.
     """
     if predicate is None:
         predicate = derive_subsumption(theta, j_left, j_right)
-    attributes = tuple(dict.fromkeys(j_left))
-    right_attributes = tuple(dict.fromkeys(j_right))
-    new_vars = {a: f"w{i}" for i, a in enumerate(attributes)}
-    cached_vars = {a: f"v{i}" for i, a in enumerate(attributes)}
-    universal = {a: f"r{i}" for i, a in enumerate(right_attributes)}
-    condition = ast.conjoin(tuple(theta))
-    if condition is None:
-        raise QuantifierEliminationError("empty join condition")
-    theta_new = expr_to_formula(condition, {**new_vars, **universal})
-    theta_cached = expr_to_formula(condition, {**cached_vars, **universal})
+    attributes, (theta_cached, theta_new, universal) = subsumption_problem(
+        theta, j_left, j_right
+    )
 
     rng = random.Random(seed)
 
@@ -281,7 +274,7 @@ def check_subsumption_soundness(
             w_prime[i] if rng.random() < 0.5 else draw()
             for i in range(len(attributes))
         ]
-        assignment_r = {variable: draw() for variable in universal.values()}
+        assignment_r = {variable: draw() for variable in universal}
         if not predicate.holds(w, w_prime):
             continue
         cached_assignment = dict(assignment_r)

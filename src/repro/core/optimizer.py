@@ -20,6 +20,7 @@ Every decision — applied or not, and why — is recorded in the
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -68,9 +69,22 @@ from repro.core.iceberg import IcebergBlock, PartitionView
 from repro.core.memo import MemoizationDecision, check_memoization
 from repro.core.nljp import NLJPOperator
 from repro.core.pruning import PruningDecision, check_pruning
+from repro.core.subsumption import (
+    SubsumptionPredicate,
+    SubsumptionProblem,
+    solve_subsumption,
+    subsumption_problem,
+)
+from repro.logic.formula import Formula
+from repro.obs.metrics import REGISTRY
 from repro.storage.catalog import Database
 
 CteInfo = Tuple[Tuple[str, ...], FDSet, FrozenSet[str]]
+
+#: Derived formulas one optimizer keeps.  An engine sees a handful of
+#: join-condition shapes (Q1-Q8 have three); the bound only stops a
+#: stream of ever-new conditions from growing the map without limit.
+_MAX_DERIVED_FORMULAS = 64
 
 
 @dataclass
@@ -248,6 +262,11 @@ class SmartIcebergOptimizer:
         # optimizer-time fault sites ("reducer", "qe").
         self.degradation = self.config.degradation
         self.fault_plan = self.config.fault_plan
+        # p⪰ depends on the join condition alone — not on data, HAVING
+        # constants or aliases — so each condition shape is derived
+        # once per optimizer and reused by every later statement.
+        self._derived: Dict[SubsumptionProblem, Formula] = {}  # guarded-by: self._derived_lock
+        self._derived_lock = threading.Lock()
 
     def _observe_fault(self, site: str) -> None:
         """Forward an optimizer-time fault site to the configured plan.
@@ -258,6 +277,41 @@ class SmartIcebergOptimizer:
         """
         if self.fault_plan is not None:
             self.fault_plan.observe(site)
+
+    def _derive_subsumption(
+        self,
+        theta: Sequence[ast.Expr],
+        j_left: Sequence[str],
+        j_right: Sequence[str],
+    ) -> SubsumptionPredicate:
+        """``derive_subsumption``, reusing this optimizer's formulas.
+
+        The key is the α-renamed problem itself, so the same condition
+        under other aliases, attribute names or thresholds is a hit.
+        The derivation runs outside the lock: two threads meeting a new
+        condition together both derive it (and get equal formulas)
+        instead of one waiting tens of milliseconds on the other.
+        Every call returns a fresh predicate — plans never share the
+        compiled evaluator.
+        """
+        attributes, problem = subsumption_problem(theta, j_left, j_right)
+        with self._derived_lock:
+            formula = self._derived.get(problem)
+        outcome = "reused"
+        if formula is None:
+            outcome = "derived"
+            formula = solve_subsumption(problem)
+            with self._derived_lock:
+                self._derived[problem] = formula
+                if len(self._derived) > _MAX_DERIVED_FORMULAS:
+                    del self._derived[next(iter(self._derived))]  # the oldest
+        REGISTRY.counter(
+            "repro_subsumption_derivations_total",
+            "Subsumption predicates handed to the optimizer, by whether "
+            "the formula was derived (QE/FME) or reused from this engine",
+            ("outcome",),
+        ).inc(outcome=outcome)
+        return SubsumptionPredicate(formula=formula, attributes=attributes)
 
     # ------------------------------------------------------------------
     def optimize(self, statement) -> OptimizedQuery:
@@ -699,7 +753,9 @@ class SmartIcebergOptimizer:
         for candidate in candidates:
             view = block.partition(sorted(candidate))
             self._observe_fault("qe")
-            pruning = check_pruning(view, outer_left=True)
+            pruning = check_pruning(
+                view, outer_left=True, derive=self._derive_subsumption
+            )
             memo = check_memoization(
                 view, outer_left=True, cross_query=self.cross_query_memo
             )

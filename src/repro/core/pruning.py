@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from repro.errors import QuantifierEliminationError
 from repro.core.iceberg import PartitionView
@@ -56,8 +56,20 @@ class PruningDecision:
         return self.predicate.holds(new_binding, cached_binding)
 
 
-def check_pruning(view: PartitionView, outer_left: bool = True) -> PruningDecision:
-    """Theorem 3 safety check with L (= ``outer_left`` side) as driver."""
+#: ``derive_subsumption``'s signature: (Θ conjuncts, J_outer, J_inner) → p⪰.
+Derive = Callable[[Sequence, Sequence[str], Sequence[str]], SubsumptionPredicate]
+
+
+def check_pruning(
+    view: PartitionView,
+    outer_left: bool = True,
+    derive: Derive = derive_subsumption,
+) -> PruningDecision:
+    """Theorem 3 safety check with L (= ``outer_left`` side) as driver.
+
+    ``derive`` turns Θ into p⪰; the optimizer passes its own, which
+    reuses the formulas its engine has already derived.
+    """
     block = view.block
     if block.having is None:
         return PruningDecision(False, "no HAVING condition")
@@ -95,7 +107,7 @@ def check_pruning(view: PartitionView, outer_left: bool = True) -> PruningDecisi
     j_outer = sorted(view.j_left if outer_left else view.j_right)
     j_inner = sorted(view.j_right if outer_left else view.j_left)
     try:
-        predicate = derive_subsumption(list(view.theta), j_outer, j_inner)
+        predicate = derive(list(view.theta), j_outer, j_inner)
     except QuantifierEliminationError as error:
         return PruningDecision(
             False, f"subsumption derivation failed: {error}"

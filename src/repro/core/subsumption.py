@@ -477,19 +477,23 @@ def _constraint_to_sql(
 # ---------------------------------------------------------------------------
 
 
-def derive_subsumption(
+#: A join condition in canonical form: Θ over the cached binding
+#: (``v{i}``), Θ over the new binding (``w{i}``) and the universally
+#: quantified inner-side variables (``r{i}``).  Aliases and attribute
+#: names are gone, so two statements with the same condition shape give
+#: equal (and hashable) problems whatever they call their columns.
+SubsumptionProblem = Tuple[fm.Formula, fm.Formula, Tuple[str, ...]]
+
+
+def subsumption_problem(
     theta: Sequence[ast.Expr],
     j_left: Sequence[str],
     j_right: Sequence[str],
-) -> SubsumptionPredicate:
-    """Derive p⪰ for a join condition.
+) -> Tuple[Tuple[str, ...], SubsumptionProblem]:
+    """The J_L attribute order and the canonical problem for Θ.
 
-    ``theta`` is the list of (qualified) join conjuncts; ``j_left`` and
-    ``j_right`` are the qualified join attributes of the outer and
-    inner sides.  Raises
-    :class:`~repro.errors.QuantifierEliminationError` when Θ is outside
-    the supported fragment — callers treat that as "pruning not
-    applicable", never as a hard failure.
+    Raises :class:`~repro.errors.QuantifierEliminationError` when Θ is
+    outside the linear fragment.
     """
     attributes = tuple(dict.fromkeys(j_left))  # preserve caller order
     right_attributes = tuple(dict.fromkeys(j_right))
@@ -505,12 +509,37 @@ def derive_subsumption(
         raise QuantifierEliminationError("empty join condition")
     theta_new = expr_to_formula(condition, {**new_vars, **universal})
     theta_cached = expr_to_formula(condition, {**cached_vars, **universal})
+    return attributes, (theta_cached, theta_new, tuple(universal.values()))
 
+
+def solve_subsumption(problem: SubsumptionProblem) -> fm.Formula:
+    """UE/DE/EE on ``∀ r : Θ(v, r) ⇒ Θ(w, r)``, then simplification."""
+    theta_cached, theta_new, universal = problem
     derived = forall_implies(
-        premise=theta_cached,
-        conclusion=theta_new,
-        variables=universal.values(),
+        premise=theta_cached, conclusion=theta_new, variables=universal
     )
+    return simplify(derived)
+
+
+def derive_subsumption(
+    theta: Sequence[ast.Expr],
+    j_left: Sequence[str],
+    j_right: Sequence[str],
+) -> SubsumptionPredicate:
+    """Derive p⪰ for a join condition.
+
+    ``theta`` is the list of (qualified) join conjuncts; ``j_left`` and
+    ``j_right`` are the qualified join attributes of the outer and
+    inner sides.  Raises
+    :class:`~repro.errors.QuantifierEliminationError` when Θ is outside
+    the supported fragment — callers treat that as "pruning not
+    applicable", never as a hard failure.
+
+    A pure function: nothing is remembered between calls.  The
+    optimizer keeps derived formulas per engine (see
+    ``SmartIcebergOptimizer._derive_subsumption``).
+    """
+    attributes, problem = subsumption_problem(theta, j_left, j_right)
     return SubsumptionPredicate(
-        formula=simplify(derived), attributes=attributes
+        formula=solve_subsumption(problem), attributes=attributes
     )

@@ -33,6 +33,7 @@ predicate unsatisfiable for a whole chunk without touching its rows.
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import PlanningError
@@ -52,8 +53,12 @@ class Layout:
     """An ordered list of ``(alias, column)`` slots with name resolution."""
 
     def __init__(self, slots: Sequence[Tuple[Optional[str], str]]) -> None:
+        # ``str.lower`` makes a new string every time; interned, the
+        # few dozen distinct names of a schema are shared by every
+        # layout of every cached plan instead of copied into each.
+        intern = sys.intern
         self._slots: Tuple[Tuple[Optional[str], str], ...] = tuple(
-            (alias.lower() if alias else None, column.lower())
+            (intern(alias.lower()) if alias else None, intern(column.lower()))
             for alias, column in slots
         )
         self._qualified: Dict[Tuple[str, str], int] = {}

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import QuantifierEliminationError
-from repro.logic.formula import Constraint
+from repro.logic.formula import Constraint, Or
 from repro.logic.terms import LinearTerm
 
 Conjunction = List[Constraint]
@@ -83,13 +83,15 @@ def eliminate_variable(constraints: Sequence[Constraint], variable: str) -> Opti
 def _fold_constants(constraints: Iterable[Constraint]) -> Optional[Conjunction]:
     """Drop trivially-true constraints; None if any is trivially false."""
     result: Conjunction = []
+    seen = set()
     for constraint in constraints:
         truth = constraint.truth()
         if truth is False:
             return None
         if truth is True:
             continue
-        if constraint not in result:
+        if constraint not in seen:
+            seen.add(constraint)
             result.append(constraint)
     return result
 
@@ -117,7 +119,7 @@ def is_satisfiable(constraints: Sequence[Constraint]) -> bool:
             remaining_variables |= constraint.term.variables()
         if not remaining_variables:
             break
-        variable = sorted(remaining_variables)[0]
+        variable = min(remaining_variables)
         current = eliminate_variable(current, variable)
         if current is None:
             return False
@@ -132,11 +134,9 @@ def implies(premise: Sequence[Constraint], conclusion: Constraint) -> bool:
     case both branches must be unsatisfiable.
     """
     negated = conclusion.negate()
-    from repro.logic.formula import Constraint as _C, Or as _Or
-
-    if isinstance(negated, _C):
+    if isinstance(negated, Constraint):
         branches = [negated]
-    elif isinstance(negated, _Or):
+    elif isinstance(negated, Or):
         branches = list(negated.children)  # type: ignore[arg-type]
     else:  # pragma: no cover - negate() of an atom is atom or Or
         raise QuantifierEliminationError(f"unexpected negation {negated!r}")
@@ -146,15 +146,20 @@ def implies(premise: Sequence[Constraint], conclusion: Constraint) -> bool:
 
 
 def remove_redundant(constraints: Sequence[Constraint]) -> Conjunction:
-    """Remove constraints implied by the rest of the conjunction."""
+    """Remove constraints implied by the rest of the conjunction.
+
+    One pass: after dropping the constraint at ``index`` the scan goes
+    on from the same position.  The constraints before it were each
+    found *not* implied by a larger set of premises, and entailment
+    from fewer premises cannot newly succeed, so checking them again
+    could only repeat the failures.
+    """
     kept = list(constraints)
-    changed = True
-    while changed:
-        changed = False
-        for index, constraint in enumerate(kept):
-            others = kept[:index] + kept[index + 1 :]
-            if implies(others, constraint):
-                kept = others
-                changed = True
-                break
+    index = 0
+    while index < len(kept):
+        others = kept[:index] + kept[index + 1 :]
+        if implies(others, kept[index]):
+            kept = others
+        else:
+            index += 1
     return kept

@@ -133,15 +133,12 @@ def conj(children: Iterable[Formula]) -> Formula:
             flat.extend(child.children)
         else:
             flat.append(child)
-    deduped: List[Formula] = []
-    for child in flat:
-        if child not in deduped:
-            deduped.append(child)
+    deduped = tuple(dict.fromkeys(flat))
     if not deduped:
         return TRUE
     if len(deduped) == 1:
         return deduped[0]
-    return And(tuple(deduped))
+    return And(deduped)
 
 
 def disj(children: Iterable[Formula]) -> Formula:
@@ -156,15 +153,12 @@ def disj(children: Iterable[Formula]) -> Formula:
             flat.extend(child.children)
         else:
             flat.append(child)
-    deduped: List[Formula] = []
-    for child in flat:
-        if child not in deduped:
-            deduped.append(child)
+    deduped = tuple(dict.fromkeys(flat))
     if not deduped:
         return FALSE
     if len(deduped) == 1:
         return deduped[0]
-    return Or(tuple(deduped))
+    return Or(deduped)
 
 
 def negate(formula: Formula) -> Formula:
@@ -193,6 +187,20 @@ def to_nnf(formula: Formula) -> Formula:
     return formula
 
 
+def distinct_conjunctions(
+    conjunctions: Iterable[List[Constraint]],
+) -> List[List[Constraint]]:
+    """The first occurrence of each conjunction, compared as a set of atoms."""
+    seen = set()
+    distinct: List[List[Constraint]] = []
+    for conjunction in conjunctions:
+        key = frozenset(conjunction)
+        if key not in seen:
+            seen.add(key)
+            distinct.append(conjunction)
+    return distinct
+
+
 def to_dnf(formula: Formula) -> List[List[Constraint]]:
     """Disjunctive normal form as a list of constraint conjunctions.
 
@@ -200,6 +208,13 @@ def to_dnf(formula: Formula) -> List[List[Constraint]]:
     means TRUE.  Input is converted to NNF first.  This realizes the
     paper's DE step (disjunction elimination): each disjunct is later
     processed by FME independently.
+
+    Every And-product step keeps each atom once per conjunction and
+    each conjunction once per product.  Negating the k-way strict
+    disjunction of a dominance condition yields k factors that mostly
+    repeat one another's atoms, so the plain product of the pairs
+    condition has 625 disjuncts of which 16 are distinct — and every
+    one of them is a Fourier-Motzkin problem downstream.
     """
     formula = to_nnf(formula)
 
@@ -224,9 +239,11 @@ def to_dnf(formula: Formula) -> List[List[Constraint]]:
                 child_dnf = recurse(child)
                 if not child_dnf:
                     return []
-                product = [
-                    existing + extra for existing in product for extra in child_dnf
-                ]
+                product = distinct_conjunctions(
+                    list(dict.fromkeys(existing + extra))
+                    for existing in product
+                    for extra in child_dnf
+                )
             return product
         raise QuantifierEliminationError(f"unexpected node in NNF: {node!r}")
 

@@ -24,6 +24,7 @@ from repro.logic.formula import (
     Formula,
     conj,
     disj,
+    distinct_conjunctions,
     negate,
     to_dnf,
     to_nnf,
@@ -39,7 +40,7 @@ def eliminate_exists(formula: Formula, variables: Iterable[str]) -> Formula:
     variables = set(variables)
     if not variables:
         return to_nnf(formula)
-    disjuncts: List[Formula] = []
+    disjuncts: List[List[Constraint]] = []
     for conjunction in to_dnf(formula):
         present = set()
         for constraint in conjunction:
@@ -47,8 +48,10 @@ def eliminate_exists(formula: Formula, variables: Iterable[str]) -> Formula:
         reduced = fme.eliminate_all(conjunction, sorted(present & variables))
         if reduced is None:
             continue  # this disjunct is unsatisfiable
-        disjuncts.append(conj(reduced))
-    return disj(disjuncts)
+        disjuncts.append(reduced)
+    # Distinct disjuncts often reduce to the same conjunction once the
+    # quantified variables are gone.
+    return disj(conj(reduced) for reduced in distinct_conjunctions(disjuncts))
 
 
 def eliminate_forall(formula: Formula, variables: Iterable[str]) -> Formula:

@@ -28,7 +28,7 @@ def _fraction(value: Number) -> Fraction:
 class LinearTerm:
     """An immutable linear combination of variables plus a constant."""
 
-    __slots__ = ("coefficients", "constant")
+    __slots__ = ("coefficients", "constant", "_key", "_hash")
 
     def __init__(
         self,
@@ -42,6 +42,13 @@ class LinearTerm:
                 cleaned[variable] = value
         self.coefficients: Dict[str, Fraction] = cleaned
         self.constant: Fraction = _fraction(constant)
+        # Identity key, built once: terms are compared and hashed far
+        # more often than they are made (every de-duplication in the
+        # DNF and FME loops goes through ``==``/``hash``).  The hash
+        # is kept on first use — ``Fraction.__hash__`` is a modular
+        # inverse, not a field read.
+        self._key = (tuple(sorted(cleaned.items())), self.constant)
+        self._hash: int | None = None
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -121,15 +128,18 @@ class LinearTerm:
 
     # -- identity ---------------------------------------------------
     def canonical(self) -> Tuple[Tuple[Tuple[str, Fraction], ...], Fraction]:
-        return (tuple(sorted(self.coefficients.items())), self.constant)
+        return self._key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearTerm):
             return NotImplemented
-        return self.canonical() == other.canonical()
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self.canonical())
+        value = self._hash
+        if value is None:
+            value = self._hash = hash(self._key)
+        return value
 
     def __repr__(self) -> str:
         parts = []

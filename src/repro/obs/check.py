@@ -19,7 +19,8 @@ checks, exit 1 if any fails:
    the required keys) that ``chrome://tracing``/Perfetto consume.
 4. **Prometheus schema** — the registry render must match the text
    exposition format (HELP/TYPE headers, well-formed sample lines)
-   and contain the metrics the executor promises to record.
+   and contain the metrics the executor and the optimizer promise to
+   record (the latter: subsumption derivations by outcome).
 
 With ``--wcoj-baseline BENCH_4.json`` a fifth check validates the
 recorded worst-case-optimal-join section: the AGM gate line chose the
@@ -57,7 +58,12 @@ _PROMETHEUS_EXPECTED = (
     "repro_work_total",
     "repro_work_cost_total",
     "repro_cache_bytes_high_water",
+    "repro_subsumption_derivations_total",
 )
+
+#: Label values ``repro_subsumption_derivations_total`` must show after
+#: one engine has optimized the same statement twice.
+_DERIVATION_OUTCOMES = ("derived", "reused")
 
 
 class CheckFailure(Exception):
@@ -369,10 +375,19 @@ def check_feedback_record(path: str) -> Dict[str, Any]:
     return feedback
 
 
-def check_prometheus_schema() -> int:
-    """Golden exposition-format shape for the process registry."""
+def check_prometheus_schema(db, sql: str) -> int:
+    """Golden exposition-format shape for the process registry.
+
+    The executor's metrics are already there from the earlier checks;
+    the optimizer's derivation counter needs an optimizer to have run,
+    so Q1 is optimized twice on one engine — once cold, once warm.
+    """
+    from repro.core.system import SmartIceberg
     from repro.obs.metrics import REGISTRY
 
+    engine = SmartIceberg(db)
+    engine.optimize(sql)  # derived
+    engine.optimize(sql)  # reused
     text = REGISTRY.render()
     if not text.endswith("\n"):
         raise CheckFailure("prometheus render must end with a newline")
@@ -393,6 +408,13 @@ def check_prometheus_schema() -> int:
     missing = [name for name in _PROMETHEUS_EXPECTED if name not in typed]
     if missing:
         raise CheckFailure(f"expected metrics missing from registry: {missing}")
+    for outcome in _DERIVATION_OUTCOMES:
+        sample = f'repro_subsumption_derivations_total{{outcome="{outcome}"}} '
+        if not any(line.startswith(sample) for line in text.splitlines()):
+            raise CheckFailure(
+                f"no {outcome!r} sample of repro_subsumption_derivations_total "
+                "after optimizing Q1 twice on one engine"
+            )
     return samples
 
 
@@ -444,7 +466,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parity = step("trace-parity", lambda: check_trace_parity(db, sql))
     if parity is not None:
         step("chrome-schema", lambda: check_chrome_schema(parity["profile"]))
-    step("prometheus-schema", check_prometheus_schema)
+    step("prometheus-schema", lambda: check_prometheus_schema(db, sql))
     step("querylog-schema", check_querylog_schema)
     if args.wcoj_baseline:
         step("wcoj-record", lambda: check_wcoj_record(args.wcoj_baseline))

@@ -6,7 +6,10 @@ executor records one sample set per query into the module-level
 always-on without disturbing the <1%% ``trace="off"`` overhead
 budget): query counts and latency, the deterministic work counters,
 NLJP cache hit/prune/miss/eviction totals, governor budget headroom,
-degradation events by site, and the cache-bytes high-water mark.
+degradation events by site, and the cache-bytes high-water mark.  The
+optimizer adds ``repro_subsumption_derivations_total{outcome=derived|
+reused}``: how often a plan's p⪰ cost a QE/FME derivation and how often
+the engine already had the formula.
 
 Export::
 

@@ -22,6 +22,14 @@ parallel.  The cross-query NLJP memo (see
 :meth:`repro.core.nljp.NLJPOperator.enable_shared_cache`) lives under
 this lock too, which is what makes sharing it safe.
 
+**Scan resistance.**  A cache pays only for entries that are asked for
+again (the admission question of Kalinsky et al.'s *Flexible Caching
+in Trie Joins*), and an ad hoc client asks for none of its statements
+twice.  :meth:`PlanCache.store` therefore lets only a small share of
+the cache — the *never-hit allowance* — hold entries that have not yet
+been hit, evicting the oldest of those before it touches a plan that
+has repeated.
+
 **Single-flight optimization.**  Concurrent first-touch misses on the
 same key used to race: every session optimized the statement and the
 last store won.  :meth:`PlanCache.claim` now hands exactly one caller
@@ -57,7 +65,10 @@ class PlanCacheEntry:
 
 
 class PlanCache:
-    """LRU map of ``(sql, techniques)`` → :class:`PlanCacheEntry`."""
+    """LRU map of ``(sql, techniques)`` → :class:`PlanCacheEntry`.
+
+    Scan-resistant: see :meth:`store` for the never-hit allowance.
+    """
 
     def __init__(
         self,
@@ -67,6 +78,12 @@ class PlanCache:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
+        #: How many entries may sit in the cache without ever having
+        #: been hit.  A cached plan pins ~200 KB (NLJP memo, layouts,
+        #: compiled expressions) and pays only if it is asked for
+        #: again, so a stream of one-shot statements gets this much
+        #: room and no more.
+        self.never_hit_allowance = max(8, max_entries // 8)
         # Entry-lock factory: tests inject a wrapping factory (see
         # repro.testing.lockwatch) so every per-plan execution lock is
         # born instrumented — there is no store-then-wrap race window.
@@ -148,7 +165,13 @@ class PlanCache:
         token: Tuple[int, ...],
         optimized: Any,
     ) -> PlanCacheEntry:
-        """Insert (or replace) the plan for this key; LRU-evict on overflow.
+        """Insert (or replace) the plan for this key, evicting on overflow.
+
+        Never-hit entries beyond the allowance go first, oldest first;
+        then plain LRU.  Ad hoc statements therefore cycle through a
+        small probation share of the cache and cannot flush plans that
+        have proven they repeat.  A cache of at most eight entries is
+        all allowance and behaves as plain LRU.
 
         With :meth:`claim`/:meth:`release` only one builder stores per
         in-flight window; if callers bypass single-flight, last store
@@ -166,6 +189,12 @@ class PlanCache:
         with self._lock:
             self._entries[cache_key] = entry
             self._entries.move_to_end(cache_key)
+            never_hit = [
+                key for key, cached in self._entries.items() if cached.hits == 0
+            ]
+            for key in never_hit[: -self.never_hit_allowance]:
+                del self._entries[key]
+                self.evictions += 1
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.evictions += 1

@@ -217,3 +217,57 @@ class TestReflexivityProperty:
         )
         w = tuple(values)
         assert predicate.holds(w, w)
+
+
+class TestDerivationCost:
+    """Counts, not timings: how many FME problems one derivation poses."""
+
+    PAIRS = ("hits1", "hruns1", "hits2", "hruns2")
+
+    def derive_pairs(self):
+        return derive_subsumption(
+            conjuncts(
+                *(f"R.{a} >= L.{a}" for a in self.PAIRS),
+                " OR ".join(f"R.{a} > L.{a}" for a in self.PAIRS),
+            ),
+            [f"l.{a}" for a in self.PAIRS],
+            [f"r.{a}" for a in self.PAIRS],
+        )
+
+    def test_pairs_derivation_stays_within_its_call_budget(self, monkeypatch):
+        """10 406 ``implies`` / 11 031 ``is_satisfiable`` before the DNF
+        product de-duplicated its conjunctions; 240 / 256 after."""
+        from repro.logic import fme
+
+        calls = {"implies": 0, "is_satisfiable": 0}
+        implies, is_satisfiable = fme.implies, fme.is_satisfiable
+
+        def counted_implies(premise, conclusion):
+            calls["implies"] += 1
+            return implies(premise, conclusion)
+
+        def counted_is_satisfiable(constraints):
+            calls["is_satisfiable"] += 1
+            return is_satisfiable(constraints)
+
+        # The same three module attributes ``bench/layers.LogicProbe``
+        # swaps: they must be looked up at call time, or its counters
+        # read zero.
+        monkeypatch.setattr(fme, "implies", counted_implies)
+        monkeypatch.setattr(fme, "is_satisfiable", counted_is_satisfiable)
+        predicate = self.derive_pairs()
+        assert predicate.holds((1, 1, 1, 1), (1, 2, 1, 2))
+        assert not predicate.holds((1, 3, 1, 1), (1, 2, 1, 2))
+        assert 0 < calls["implies"] <= 400
+        assert 0 < calls["is_satisfiable"] <= 400
+
+    def test_simplify_is_resolved_through_the_module(self, monkeypatch):
+        import repro.core.subsumption as subsumption
+
+        seen = []
+        simplify = subsumption.simplify
+        monkeypatch.setattr(
+            subsumption, "simplify", lambda f: seen.append(f) or simplify(f)
+        )
+        self.derive_pairs()
+        assert len(seen) == 1

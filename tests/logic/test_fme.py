@@ -116,6 +116,21 @@ class TestRemoveRedundant:
         assert kept == [lt(x, y)]
 
 
+def remove_redundant_restarting(constraints):
+    """The restart-from-zero scan ``remove_redundant`` used to be."""
+    kept = list(constraints)
+    changed = True
+    while changed:
+        changed = False
+        for index, constraint in enumerate(kept):
+            others = kept[:index] + kept[index + 1 :]
+            if fme.implies(others, constraint):
+                kept = others
+                changed = True
+                break
+    return kept
+
+
 @st.composite
 def random_conjunction(draw):
     """A random small conjunction over x, y, z with integer bounds."""
@@ -162,3 +177,25 @@ def test_unsat_never_has_witness(constraints):
             for v in ("x", "y", "z")
         }
         assert not all(constraint.evaluate(assignment) for constraint in constraints)
+
+
+@given(random_conjunction(), random_conjunction())
+@settings(max_examples=150, deadline=None)
+def test_single_pass_removal_equals_the_restarting_scan(first, second):
+    """Dropping a premise cannot make an earlier constraint implied, so
+    continuing at the same index keeps exactly what restarting kept."""
+    constraints = first + second
+    assert fme.remove_redundant(constraints) == remove_redundant_restarting(
+        constraints
+    )
+
+
+def test_single_pass_removal_makes_no_repeat_checks(monkeypatch):
+    calls = []
+    implies = fme.implies
+    monkeypatch.setattr(
+        fme, "implies", lambda p, c: calls.append(c) or implies(p, c)
+    )
+    constraints = [lt(x, y), lt(y, z), lt(x, z), le(x, z), le(x, y)]
+    assert fme.remove_redundant(constraints) == [lt(x, y), lt(y, z)]
+    assert calls == constraints  # one entailment check per constraint

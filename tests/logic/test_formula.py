@@ -95,6 +95,22 @@ class TestDNF:
         assert fm.to_dnf(true_atom) == [[]]
 
 
+    def test_product_keeps_each_atom_and_each_conjunction_once(self):
+        # (a OR b) AND (a OR b) AND (b OR a): 8 products, 3 distinct
+        # atom sets — and no atom twice inside a conjunction.
+        a, b = fm.lt(x, y), fm.lt(y, x)
+        factor = fm.Or((a, b))
+        dnf = fm.to_dnf(fm.And((factor, factor, fm.Or((b, a)))))
+        assert dnf == [[a, b], [a], [b]]
+
+    def test_distinct_conjunctions_ignores_atom_order(self):
+        a, b = fm.lt(x, y), fm.le(x, y)
+        assert fm.distinct_conjunctions([[a, b], [b, a], [a], [a, b]]) == [
+            [a, b],
+            [a],
+        ]
+
+
 values = st.integers(min_value=-5, max_value=5)
 
 

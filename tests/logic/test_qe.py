@@ -95,6 +95,43 @@ class TestAppendixB:
         assert equivalent(derived, expected)
 
 
+class TestDominanceDuplicates:
+    """Where the duplicates come from: the k-way strict disjunction.
+
+    ¬Θ(w, r) of a k-attribute dominance condition is "some r_i < w_i,
+    or all r_i <= w_i"; conjoined with Θ(v, r) and negated again after
+    elimination, every factor repeats the others' atoms, so the plain
+    And-product of the four-attribute pairs condition has 625
+    conjunctions of which 16 differ.
+    """
+
+    @staticmethod
+    def derived(k):
+        def theta(prefix):
+            pairs = [
+                (LinearTerm.variable(f"{prefix}{i}"), LinearTerm.variable(f"r{i}"))
+                for i in range(k)
+            ]
+            return fm.conj(
+                [fm.le(a, r) for a, r in pairs]
+                + [fm.disj(fm.lt(a, r) for a, r in pairs)]
+            )
+
+        return forall_implies(theta("v"), theta("w"), [f"r{i}" for i in range(k)])
+
+    def test_simplify_sees_each_problem_once(self):
+        for k, plain_product in ((2, 9), (3, 64), (4, 625)):
+            dnf = fm.to_dnf(self.derived(k))
+            assert len(dnf) == len({frozenset(c) for c in dnf}) == 2**k
+            assert len(dnf) < plain_product
+
+    def test_result_is_componentwise_order(self):
+        w = [LinearTerm.variable(f"w{i}") for i in range(4)]
+        v = [LinearTerm.variable(f"v{i}") for i in range(4)]
+        expected = fm.conj(fm.le(a, b) for a, b in zip(w, v))
+        assert simplify(self.derived(4)) == expected
+
+
 class TestSimplify:
     def test_removes_redundant_constraint(self):
         original = fm.conj((fm.lt(x, y), fm.le(x, y)))

@@ -85,6 +85,12 @@ class TestIdentity:
     def test_equality_ignores_representation(self):
         assert x + y == y + x
 
+    def test_identity_key_is_built_once(self):
+        term = LinearTerm({"y": 2, "x": 1, "z": 0}, 3)
+        assert term.canonical() is term.canonical()
+        assert term.canonical() == ((("x", 1), ("y", 2)), 3)
+        assert hash(term) == hash(LinearTerm({"x": 1, "y": 2}, 3))
+
     def test_hashable(self):
         assert len({x + y, y + x}) == 1
 
