@@ -30,7 +30,7 @@ The NLJP cache serves two distinct reads:
 
 * **memoization** — exact-match lookup by binding (``get``), and
 * **pruning** — search for an unpromising cached binding that
-  subsumes/is subsumed by a new binding (``prune_candidates``).
+  subsumes/is subsumed by a new binding (``first_pruner``).
 
 The paper implements the cache as a PostgreSQL table, optionally with
 a primary-key index (the "CI" configuration of Figure 4).  Here the
@@ -43,10 +43,10 @@ benchmarks see the index's effect.
 **Concurrency.**  The serving layer (:mod:`repro.serve`) keeps one
 cache alive across the executions of a prepared statement and may be
 asked for it from many sessions, so every structural operation happens
-under an internal re-entrant lock and :meth:`NLJPCache.prune_candidates`
-returns a *snapshot* of the qualifying entries rather than a live
-generator — an eviction racing the pruning scan can therefore never
-mutate a list mid-iteration.  Single-query executions pay one
+under an internal re-entrant lock and :meth:`NLJPCache.first_pruner`
+holds it for its whole walk — which stops at the first hit, a
+candidate or two on a warm cache — so an eviction racing the pruning
+scan can never mutate a list mid-iteration.  Single-query executions pay one
 uncontended lock acquisition per operation, which profiles as noise
 next to the inner query evaluation each operation guards.
 """
@@ -57,7 +57,7 @@ import bisect
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 Binding = Tuple[Any, ...]
 
@@ -75,6 +75,11 @@ class CacheEntry:
     payload: PayloadRows
     unpromising: bool
     hits: int = 0  # guarded-by: BudgetedBindingCache._lock
+
+
+def _order_key(item: Tuple[Any, int, CacheEntry]) -> Any:
+    """Sort key of one ``NLJPCache._order`` item (for ``bisect``)."""
+    return item[0]
 
 
 def _value_bytes(value: Any) -> int:
@@ -337,6 +342,43 @@ class NLJPCache(BudgetedBindingCache):
         self._order.clear()
 
     # ------------------------------------------------------------------
+    def _candidates(
+        self,
+        binding: Binding,
+        low: Optional[Any],
+        high: Optional[Any],
+        low_strict: bool,
+        high_strict: bool,
+    ) -> Iterator[CacheEntry]:  # requires-lock: self._lock
+        """Unpromising entries that *could* subsume this binding, lazily.
+
+        With the equality index, only the bucket matching the
+        equality-constrained attributes is walked.  With an order
+        index (``order_position``), ``low``/``high`` bound the
+        candidate's value at that position and only the qualifying
+        range is walked.  Otherwise all unpromising entries are
+        candidates.  The caller holds the lock for the whole walk, so
+        no eviction or insert can mutate a list mid-iteration.
+        """
+        if self.use_index:
+            yield from self._unpromising_buckets.get(self._bucket_key(binding), ())
+        elif self.order_position is not None and (
+            low is not None or high is not None
+        ):
+            order = self._order
+            start = 0
+            stop = len(order)
+            if low is not None:
+                cut = bisect.bisect_right if low_strict else bisect.bisect_left
+                start = cut(order, low, key=_order_key)
+            if high is not None:
+                cut = bisect.bisect_left if high_strict else bisect.bisect_right
+                stop = cut(order, high, key=_order_key)
+            for position in range(start, stop):
+                yield order[position][2]
+        else:
+            yield from self._unpromising_all
+
     def prune_candidates(
         self,
         binding: Binding,
@@ -345,39 +387,43 @@ class NLJPCache(BudgetedBindingCache):
         low_strict: bool = False,
         high_strict: bool = False,
     ) -> Tuple[CacheEntry, ...]:
-        """Unpromising entries that *could* subsume this binding.
+        """Every candidate of :meth:`first_pruner`'s walk, in its order.
 
-        With the equality index, only the bucket matching the
-        equality-constrained attributes is scanned.  With an order
-        index (``order_position``), ``low``/``high`` bound the
-        candidate's value at that position and only the qualifying
-        range is scanned.  Otherwise all unpromising entries are
-        candidates.
-
-        Returns an immutable snapshot taken under the cache lock, so a
-        concurrent eviction or insert never mutates the candidate set
-        mid-scan.  Candidate order (and hence ``prune_checks`` counts)
-        is identical to the previous lazy iteration.
+        An immutable snapshot taken under the cache lock — the
+        reference enumeration for tests and tools; the operator itself
+        stops at the first hit and never builds it.
         """
         with self._lock:
-            if self.use_index:
-                return tuple(
-                    self._unpromising_buckets.get(self._bucket_key(binding), ())
-                )
-            if self.order_position is not None and (
-                low is not None or high is not None
+            return tuple(
+                self._candidates(binding, low, high, low_strict, high_strict)
+            )
+
+    def first_pruner(
+        self,
+        binding: Binding,
+        should_prune: Callable[[Binding, Binding], bool],
+        low: Optional[Any] = None,
+        high: Optional[Any] = None,
+        low_strict: bool = False,
+        high_strict: bool = False,
+    ) -> Tuple[int, Optional[CacheEntry]]:
+        """The pruning query Q_C: ``(checks, hit)``.
+
+        Walks the candidates in order under the cache lock, applying
+        ``should_prune(binding, candidate.binding)`` to each, and stops
+        at the first entry that prunes ``binding`` (``hit``; ``None``
+        when none does).  ``checks`` is the number of candidates tested
+        — what the caller charges to ``prune_checks``.
+        """
+        checks = 0
+        with self._lock:
+            for entry in self._candidates(
+                binding, low, high, low_strict, high_strict
             ):
-                order = self._order
-                start = 0
-                stop = len(order)
-                if low is not None:
-                    cut = bisect.bisect_right if low_strict else bisect.bisect_left
-                    start = cut(order, low, key=lambda item: item[0])
-                if high is not None:
-                    cut = bisect.bisect_left if high_strict else bisect.bisect_right
-                    stop = cut(order, high, key=lambda item: item[0])
-                return tuple(entry for _, _, entry in order[start:stop])
-            return tuple(self._unpromising_all)
+                checks += 1
+                if should_prune(binding, entry.binding):
+                    return checks, entry
+        return checks, None
 
 
 # ----------------------------------------------------------------------

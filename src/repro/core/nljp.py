@@ -8,7 +8,11 @@ An NLJP instance is specified by four (generated) queries:
   *binding*;
 * **Q_R(b)** — the inner query: a select-aggregate query over R
   parameterized by a binding, computing every aggregate subexpression
-  of Φ and Λ per 𝔾_R group (plus a support count);
+  of Φ and Λ per 𝔾_R group (plus a support count).  The paper ran it
+  as a prepared statement per binding; here a Q_R over one scan is
+  lowered once per plan to a columnar kernel
+  (:mod:`repro.engine.kernel`) that every execution mode calls, and
+  only a join-shaped Q_R re-enters the operator tree per binding;
 * **Q_C(b')** — the pruning query: a lookup over the cache for an
   unpromising entry whose binding subsumes (or is subsumed by) ``b'``
   under the automatically derived predicate;
@@ -33,6 +37,7 @@ from repro.sql.render import render
 from repro.engine import operators as ops
 from repro.engine.aggregates import is_algebraic
 from repro.engine.expressions import ExpressionCompiler
+from repro.engine.kernel import lower_inner
 from repro.engine.layout import Layout
 from repro.engine.planner import PlanEnv, plan_select
 from repro.core.cache import NLJPCache, PayloadRows
@@ -350,6 +355,10 @@ class NLJPOperator(ops.PhysicalOperator):
             group_by=tuple(_ref(a) for a in self.g_right),
         )
         self.qr_plan, _ = plan_select(self.qr_select, self.env)
+        # A scan-shaped Q_R is lowered once to a columnar kernel that
+        # every execution mode calls in place of the tree; the reason
+        # says why a Q_R kept the operators (EXPLAIN shows either).
+        self.inner_kernel, self.inner_reason = lower_inner(self.qr_plan)
 
     # ------------------------------------------------------------------
     # Q_P / output
@@ -471,8 +480,14 @@ class NLJPOperator(ops.PhysicalOperator):
             governor.check("inner-eval")
         saved = dict(ctx.params)
         ctx.params.update(zip(self.param_names, binding))
+        kernel = self.inner_kernel
         try:
-            raw_rows = ops.materialize(self.qr_plan, ctx)
+            if kernel is None:
+                raw_rows = ops.materialize(self.qr_plan, ctx)
+            elif ctx.tracer is None:
+                raw_rows = kernel.run(ctx)
+            else:
+                raw_rows = ctx.tracer.run_kernel(self, kernel, ctx)
         finally:
             ctx.params.clear()
             ctx.params.update(saved)
@@ -591,15 +606,12 @@ class NLJPOperator(ops.PhysicalOperator):
                     low, low_strict = value, strict
                 else:
                     high, high_strict = value, strict
-            pruned = False
-            for candidate in cache.prune_candidates(
-                binding, low=low, high=high,
+            checks, hit = cache.first_pruner(
+                binding, self.pruning.should_prune, low=low, high=high,
                 low_strict=low_strict, high_strict=high_strict,
-            ):
-                ctx.stats.prune_checks += 1
-                if self.pruning.should_prune(binding, candidate.binding):
-                    pruned = True
-                    break
+            )
+            ctx.stats.prune_checks += checks
+            pruned = hit is not None
             if tracer is not None:
                 tracer.record_cache(self, "prune_scan", hit=pruned)
             if pruned:
@@ -662,7 +674,9 @@ class NLJPOperator(ops.PhysicalOperator):
 
         ``execute_rows`` pulls Q_B through its batch path when the
         context is in batch mode, so the outer-binding loop feeds the
-        cache/prune path from vectorized upstream operators.
+        cache/prune path from vectorized upstream operators.  Bindings
+        are still taken one at a time, in Q_B's order: a binding can be
+        pruned by any earlier one, which batching them would change.
         """
         params = ctx.params
         governor = ctx.governor
@@ -731,6 +745,7 @@ class NLJPOperator(ops.PhysicalOperator):
         ]
         lines += ["  Q_B: " + render(self.qb_select)]
         lines += ["  Q_R: " + render(self.qr_select)]
+        lines += ["  inner: " + self.inner_description()]
         if self.pruning is not None and self.pruning.predicate is not None:
             lines += ["  Q_C: " + render(self.pruning_query_sql())]
         return lines
@@ -744,9 +759,16 @@ class NLJPOperator(ops.PhysicalOperator):
         }
         node["qb_plan"] = self.qb_plan.to_dict()
         node["qr_plan"] = self.qr_plan.to_dict()
+        node["inner"] = self.inner_description()
         if self.pruning is not None and self.pruning.predicate is not None:
             node["pruning_predicate"] = render(self.pruning_query_sql())
         return node
+
+    def inner_description(self) -> str:
+        """Which evaluator runs Q_R, and for the operators, why."""
+        if self.inner_kernel is not None:
+            return f"kernel ({self.inner_kernel.describe()})"
+        return f"operators ({self.inner_reason})"
 
     def pruning_query_sql(self) -> ast.Expr:
         """The Q_C predicate as SQL (over cache columns + parameters)."""

@@ -226,10 +226,12 @@ def vector_fold(spec: AggregateSpec):
     ``None`` at runtime when the argument column's storage kind has no
     *exact* vector form: float and object SUM/AVG stay on the row path
     because ``numpy`` reassociates additions while row mode folds in
-    row order.  ``fold(accumulator, partial)`` then merges a partial
-    into the group's streaming accumulator — both steps are exact
-    algebraic decompositions (:class:`AlgebraicForm`), so the final
-    results match row mode bit for bit.
+    row order, as do integer sums large enough to wrap an ``int64``
+    and float MIN/MAX over NaN or ``-0.0``.  ``fold(accumulator,
+    partial)`` then merges a partial into the group's streaming
+    accumulator — both steps are exact algebraic decompositions
+    (:class:`AlgebraicForm`), so the final results match row mode bit
+    for bit.
 
     DISTINCT aggregates return ``None`` outright: their partial state
     is the unbounded distinct set (see :func:`is_algebraic`).
@@ -243,6 +245,8 @@ def vector_fold(spec: AggregateSpec):
     if factory is _CountStar:
 
         def count_star_partials(column, inverse, n_groups):
+            if n_groups == 1:
+                return [len(inverse)]
             return np.bincount(inverse, minlength=n_groups).tolist()
 
         def count_fold(accumulator, partial):
@@ -274,6 +278,10 @@ def vector_fold(spec: AggregateSpec):
             if validity is not None:
                 inverse = inverse[validity]
                 data = data[validity]
+            if data.size and data.size * max(
+                abs(int(data.min())), abs(int(data.max()))
+            ) >= 2**63:
+                return None  # an int64 total could wrap; Python ints do not
             totals = np.zeros(n_groups, dtype=np.int64)
             np.add.at(totals, inverse, data)
             counts = np.bincount(inverse, minlength=n_groups)
@@ -308,6 +316,10 @@ def vector_fold(spec: AggregateSpec):
                 data = data[validity]
             counts = np.bincount(inverse, minlength=n_groups).tolist()
             if kind == "f8":
+                if np.isnan(data).any() or np.signbit(data[data == 0.0]).any():
+                    # NaN and -0.0 make the streaming result depend on
+                    # comparison order; keep row order.
+                    return None
                 sentinel = np.inf if minimum else -np.inf
                 out = np.full(n_groups, sentinel, dtype=np.float64)
             elif kind == "bool":

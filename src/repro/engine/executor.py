@@ -209,6 +209,7 @@ def run_planned(
 
         probes = FeedbackProbes()
         probes.install(planned.root)
+        ctx.probes = probes
     planned.env.ctx_holder["ctx"] = ctx
     start = time.perf_counter()
     try:

@@ -319,12 +319,16 @@ class Column:
                 self.data = source.data[indices]
                 if source.validity is not None:
                     self.validity = source.validity[indices]
+                if source._values is not None:
+                    self._values = source._values[indices]
         else:
             start = self._start
             stop = start + self.length
             self.data = source.data[start:stop]
             if source.validity is not None:
                 self.validity = source.validity[start:stop]
+            if source._values is not None:
+                self._values = source._values[start:stop]
         self._source = None
         self._indices = None
         return self

@@ -15,7 +15,7 @@ and composes with these.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.aggregates import AggregateSpec, vector_fold
 from repro.engine.expressions import (
@@ -75,18 +75,29 @@ class ExecutionContext:
     batch_size: Optional[int] = None
     governor: Optional[Any] = None
     tracer: Optional[Any] = None
+    #: The :class:`repro.obs.feedback.FeedbackProbes` counting rows on
+    #: this execution's plan (untraced ``feedback != "off"`` runs), or
+    #: ``None``.  Like ``tracer`` it is here for code that stands in
+    #: for plan nodes without calling their ``execute`` (NLJP's inner
+    #: kernel) and must credit them the rows they would have produced.
+    probes: Optional[Any] = None
     #: True under ``EngineConfig.execution_mode="columnar"``.  Nested
-    #: plan executions (NLJP inner queries, CTE materializations) still
-    #: go through ``execute_batches`` — only the top-level tree and
-    #: operators with native ``execute_columnar`` paths carry
-    #: :class:`~repro.engine.layout.ColumnBatch` data.
+    #: CTE materializations still go through ``execute_batches`` —
+    #: only the top-level tree and operators with native
+    #: ``execute_columnar`` paths carry
+    #: :class:`~repro.engine.layout.ColumnBatch` data.  NLJP's inner
+    #: query does not follow the mode at all: a scan-shaped Q_R runs
+    #: as a :class:`repro.engine.kernel.InnerKernel` in every mode.
     columnar: bool = False
-    #: Per-context materialization memo for shared CTE/derived-table
-    #: cells, keyed by cell identity.  Keeping it on the context (not
-    #: the plan) makes a cached plan re-entrant: two executions of the
-    #: same PlannedQuery in different threads each materialize into
-    #: their own context and can never observe each other's rows.
-    materialized: Dict[int, Any] = field(default_factory=dict)
+    #: Per-context memo for what one execution builds once and reads
+    #: many times: the rows (and columnar image) of shared CTE/derived-
+    #: table cells, keyed by cell identity, and the per-execution state
+    #: of an inner kernel (index-ordered columns, bound filter).
+    #: Keeping it on the context (not the plan) makes a cached plan
+    #: re-entrant: two executions of the same PlannedQuery in different
+    #: threads each materialize into their own context and can never
+    #: observe each other's rows.
+    materialized: Dict[Any, Any] = field(default_factory=dict)
 
 
 def chunked(iterable, size: int) -> Iterator[List[Row]]:
@@ -138,10 +149,16 @@ class PhysicalOperator:
 
     #: Planner annotations; ``None`` when the planner had no estimate
     #: (e.g. hand-built NLJP plans).  ``actual_rows`` is filled by
-    #: ``PlannedQuery.explain(analyze=True)``.
+    #: ``PlannedQuery.explain(analyze=True)``, a tracer, or feedback
+    #: probes.  A node executed more than once in one query (NLJP's
+    #: Q_R, once per binding) records rows *per execution* — the
+    #: quantity ``estimated_rows`` predicts — with the number of
+    #: executions in ``actual_loops``, as PostgreSQL's EXPLAIN ANALYZE
+    #: reports ``rows`` and ``loops``.
     estimated_rows: Optional[float] = None
     estimated_cost: Optional[float] = None
-    actual_rows: Optional[int] = None
+    actual_rows: Optional[float] = None
+    actual_loops: Optional[int] = None
 
     #: Conjunct ASTs consumed by this operator's access method itself
     #: (index probe keys, range bounds, hash-join keys) rather than by
@@ -209,6 +226,11 @@ class PhysicalOperator:
         actual = max(float(self.actual_rows), 1.0)
         return max(est / actual, actual / est)
 
+    def stamp_actual(self, rows: int, loops: int) -> None:
+        """Record ``rows`` observed over ``loops`` executions of this node."""
+        self.actual_loops = loops
+        self.actual_rows = rows if loops <= 1 else round(rows / loops, 1)
+
     def annotation(self) -> str:
         """Estimate/actual suffix for the node's describe line."""
         parts = []
@@ -218,6 +240,8 @@ class PhysicalOperator:
             parts.append(f"est_cost={self.estimated_cost:.1f}")
         if self.actual_rows is not None:
             parts.append(f"actual_rows={self.actual_rows}")
+        if self.actual_loops is not None and self.actual_loops > 1:
+            parts.append(f"loops={self.actual_loops}")
         q_error = self.q_error()
         if q_error is not None:
             parts.append(f"q_err={q_error:.2f}")
@@ -256,6 +280,8 @@ class PhysicalOperator:
             node["estimated_cost"] = round(self.estimated_cost, 3)
         if self.actual_rows is not None:
             node["actual_rows"] = self.actual_rows
+        if self.actual_loops is not None and self.actual_loops > 1:
+            node["actual_loops"] = self.actual_loops
         q_error = self.q_error()
         if q_error is not None:
             node["q_error"] = round(q_error, 3)
@@ -367,6 +393,21 @@ def _zone_filtered_mask(
         return None
     ctx.stats.chunks_skipped += skipped
     return np.concatenate(parts) if parts else np.zeros(0, dtype=bool)
+
+
+def index_ordered_columns(
+    store: ColumnStore, index: SortedIndex, positions: Iterable[int]
+) -> Dict[int, Column]:
+    """Stored columns permuted into ``index`` order, by position.
+
+    Every range probe of the index is then a contiguous ``[start,
+    stop)`` slice (:meth:`SortedIndex.range_bounds`) of these columns.
+    Only ``positions`` are permuted: a skyband's inner query reads two
+    of batting's nine columns.  The gathers are lazy, so a caller that
+    asks for every column still pays only for the ones it touches.
+    """
+    row_ids = index.row_id_array()
+    return {position: store.column(position).take(row_ids) for position in positions}
 
 
 def _emit_pairs(
@@ -1114,11 +1155,10 @@ class SortedIndexRangeJoin(PhysicalOperator):
         inner_width = len(self.table.schema.column_names)
         table_rows = self.table.rows
         row_ids = self.index.row_id_array()
-        # Inner columns permuted into index order once, so every probe
-        # is a contiguous [start, stop) slice of positions.
-        sorted_columns = [
-            store.column(position).take(row_ids) for position in range(inner_width)
-        ]
+        # Every inner column: the join's output carries them all.
+        sorted_columns = list(
+            index_ordered_columns(store, self.index, range(inner_width)).values()
+        )
         range_bounds = self.index.range_bounds
         low_values = columnar_values(self.low, ctx) if self.low is not None else None
         high_values = columnar_values(self.high, ctx) if self.high is not None else None
@@ -1249,12 +1289,15 @@ class IndexPointScan(PhysicalOperator):
         self.residual = residual
         self.layout = Layout([(alias, n) for n in table.schema.column_names])
 
+    def key(self, params: Dict[str, Any]) -> Tuple[Any, ...]:
+        """The probe key under ``params``, as the index's key tuple."""
+        key = self.probe_key((), params)
+        return key if isinstance(key, tuple) else (key,)
+
     def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
         params = ctx.params
         stats = ctx.stats
-        key = self.probe_key((), params)
-        if not isinstance(key, tuple):
-            key = (key,)
+        key = self.key(params)
         stats.index_probes += 1
         rows = self.table.rows
         residual = self.residual
@@ -1270,9 +1313,7 @@ class IndexPointScan(PhysicalOperator):
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[List[Row]]:
         params = ctx.params
         stats = ctx.stats
-        key = self.probe_key((), params)
-        if not isinstance(key, tuple):
-            key = (key,)
+        key = self.key(params)
         stats.index_probes += 1
         rows = self.table.rows
         matches = [rows[row_id] for row_id in self.index.lookup(key)]
@@ -1322,22 +1363,31 @@ class IndexRangeScan(PhysicalOperator):
         self.residual = residual
         self.layout = Layout([(alias, n) for n in table.schema.column_names])
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        params = ctx.params
-        stats = ctx.stats
+    def bounds(self, params: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+        """The index range under ``params``, as ``range_scan``/
+        ``range_bounds`` keywords; ``None`` for a NULL bound, which no
+        row can satisfy."""
         low = self.low((), params) if self.low is not None else None
         high = self.high((), params) if self.high is not None else None
         if (self.low is not None and low is None) or (
             self.high is not None and high is None
         ):
-            return  # NULL bound: no row can satisfy the comparison
+            return None
+        return dict(
+            low=low, high=high, low_strict=self.low_strict, high_strict=self.high_strict
+        )
+
+    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
+        params = ctx.params
+        stats = ctx.stats
+        bounds = self.bounds(params)
+        if bounds is None:
+            return
         stats.index_probes += 1
         rows = self.table.rows
         residual = self.residual
         governor = ctx.governor
-        for row_id in self.index.range_scan(
-            low=low, high=high, low_strict=self.low_strict, high_strict=self.high_strict
-        ):
+        for row_id in self.index.range_scan(**bounds):
             stats.rows_scanned += 1
             if governor is not None:
                 governor.check("scan")
@@ -1348,20 +1398,12 @@ class IndexRangeScan(PhysicalOperator):
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[List[Row]]:
         params = ctx.params
         stats = ctx.stats
-        low = self.low((), params) if self.low is not None else None
-        high = self.high((), params) if self.high is not None else None
-        if (self.low is not None and low is None) or (
-            self.high is not None and high is None
-        ):
-            return  # NULL bound: no row can satisfy the comparison
+        bounds = self.bounds(params)
+        if bounds is None:
+            return
         stats.index_probes += 1
         rows = self.table.rows
-        matches = [
-            rows[row_id]
-            for row_id in self.index.range_scan(
-                low=low, high=high, low_strict=self.low_strict, high_strict=self.high_strict
-            )
-        ]
+        matches = [rows[row_id] for row_id in self.index.range_scan(**bounds)]
         stats.rows_scanned += len(matches)
         if ctx.governor is not None:
             ctx.governor.check("scan")
@@ -1416,122 +1458,112 @@ class HashAggregate(PhysicalOperator):
                     accumulator.add(1)
                 else:
                     accumulator.add(spec.argument(row, params))
-        if not groups and not self.key_fns:
-            # Scalar aggregate over an empty input still yields one row.
-            accumulators = [spec.new() for spec in self.aggregate_specs]
-            yield tuple(acc.result() for acc in accumulators)
-            return
-        for key, accumulators in groups.items():
-            yield key + tuple(acc.result() for acc in accumulators)
+        yield from self.result_rows(groups)
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[List[Row]]:
         params = ctx.params
         stats = ctx.stats
-        key_batches = [batch_values(fn) for fn in self.key_fns]
-        arg_batches = [
-            batch_values(spec.argument) if spec.argument is not None else None
-            for spec in self.aggregate_specs
-        ]
-        groups: Dict[Tuple[Any, ...], List[Any]] = {}
-        specs = self.aggregate_specs
         governor = ctx.governor
+        groups: Dict[Tuple[Any, ...], List[Any]] = {}
         for batch in self.child.execute_batches(ctx):
-            n = len(batch)
-            stats.aggregation_inputs += n
+            stats.aggregation_inputs += len(batch)
             if governor is not None:
                 governor.check()
-            if key_batches:
-                keys = list(zip(*(kb(batch, params) for kb in key_batches)))
-            else:
-                keys = [()] * n
-            arg_lists = [
-                ab(batch, params) if ab is not None else None for ab in arg_batches
-            ]
-            for i, key in enumerate(keys):
-                accumulators = groups.get(key)
-                if accumulators is None:
-                    accumulators = [spec.new() for spec in specs]
-                    groups[key] = accumulators
-                for accumulator, args in zip(accumulators, arg_lists):
-                    if args is None:
-                        accumulator.add(1)
-                    else:
-                        accumulator.add(args[i])
-        if not groups and not self.key_fns:
-            yield [tuple(spec.new().result() for spec in specs)]
-            return
-        output = [
-            key + tuple(acc.result() for acc in accumulators)
-            for key, accumulators in groups.items()
-        ]
-        yield from chunked(output, ctx.batch_size or DEFAULT_BATCH_SIZE)
+            self._fold_rows(batch, groups, params)
+        yield from chunked(
+            self.result_rows(groups), ctx.batch_size or DEFAULT_BATCH_SIZE
+        )
 
     def execute_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         np = numpy_or_none()
         if np is None:
             yield from _bridge_columnar(self, ctx)
             return
-        params = ctx.params
         stats = ctx.stats
         governor = ctx.governor
+        fold = self.columnar_fold(np, ctx)
+        groups: Dict[Tuple[Any, ...], List[Any]] = {}
+        for batch in self.child.execute_columnar(ctx):
+            stats.aggregation_inputs += batch.length
+            if governor is not None:
+                governor.check()
+            if batch.length:
+                fold(batch, groups)
+        size = ctx.batch_size or DEFAULT_COLUMNAR_BATCH_SIZE
+        width = len(self.layout)
+        for chunk in chunked(self.result_rows(groups), size):
+            yield ColumnBatch.from_rows(chunk, width)
+
+    def _fold_rows(
+        self,
+        rows: Sequence[Row],
+        groups: Dict[Tuple[Any, ...], List[Any]],
+        params: Dict[str, Any],
+    ) -> None:
+        """Feed ``rows`` to the streaming accumulators, in row order."""
         specs = self.aggregate_specs
+        if self.key_fns:
+            keys = list(
+                zip(*(batch_values(fn)(rows, params) for fn in self.key_fns))
+            )
+        else:
+            keys = [()] * len(rows)
+        arg_lists = [
+            batch_values(spec.argument)(rows, params)
+            if spec.argument is not None
+            else None
+            for spec in specs
+        ]
+        for i, key in enumerate(keys):
+            accumulators = groups.get(key)
+            if accumulators is None:
+                accumulators = [spec.new() for spec in specs]
+                groups[key] = accumulators
+            for accumulator, args in zip(accumulators, arg_lists):
+                if args is None:
+                    accumulator.add(1)
+                else:
+                    accumulator.add(args[i])
+
+    def columnar_fold(self, np: Any, ctx: ExecutionContext):
+        """``fold(batch, groups)`` for one execution: exact, and total.
+
+        Folds one non-empty :class:`ColumnBatch` into ``groups`` (key →
+        accumulators, in first-seen order).  Vectorized where that is
+        exact (:meth:`_fold_columnar`); otherwise the whole batch is
+        decoded and fed to the streaming accumulators in row order —
+        keys with NULLs/objects, DISTINCT, or an argument column
+        without an exact vector form (floats).
+        """
+        params = ctx.params
         key_evals = [columnar_values(fn, ctx) for fn in self.key_fns]
         arg_evals = [
             columnar_values(spec.argument, ctx) if spec.argument is not None else None
-            for spec in specs
+            for spec in self.aggregate_specs
         ]
-        folds = [vector_fold(spec) for spec in specs]
+        folds = [vector_fold(spec) for spec in self.aggregate_specs]
         vectorizable = all(fold is not None for fold in folds)
-        key_batches = [batch_values(fn) for fn in self.key_fns]
-        arg_batches = [
-            batch_values(spec.argument) if spec.argument is not None else None
-            for spec in specs
-        ]
-        groups: Dict[Tuple[Any, ...], List[Any]] = {}
-        for batch in self.child.execute_columnar(ctx):
-            n = batch.length
-            stats.aggregation_inputs += n
-            if governor is not None:
-                governor.check()
-            if not n:
-                continue
-            if vectorizable and self._fold_columnar(
-                np, batch, key_evals, arg_evals, folds, groups, params
+
+        def fold(batch: ColumnBatch, groups: Dict[Tuple[Any, ...], List[Any]]) -> None:
+            if not (
+                vectorizable
+                and self._fold_columnar(
+                    np, batch, key_evals, arg_evals, folds, groups, params
+                )
             ):
-                continue
-            # Whole-batch row fallback: keys with NULLs/objects, or an
-            # argument column without an exact vector form (floats).
-            rows = batch.cached_rows()
-            if key_batches:
-                keys = list(zip(*(kb(rows, params) for kb in key_batches)))
-            else:
-                keys = [()] * n
-            arg_lists = [
-                ab(rows, params) if ab is not None else None for ab in arg_batches
-            ]
-            for i, key in enumerate(keys):
-                accumulators = groups.get(key)
-                if accumulators is None:
-                    accumulators = [spec.new() for spec in specs]
-                    groups[key] = accumulators
-                for accumulator, args in zip(accumulators, arg_lists):
-                    if args is None:
-                        accumulator.add(1)
-                    else:
-                        accumulator.add(args[i])
-        size = ctx.batch_size or DEFAULT_COLUMNAR_BATCH_SIZE
-        width = len(self.layout)
+                self._fold_rows(batch.cached_rows(), groups, params)
+
+        return fold
+
+    def result_rows(self, groups: Dict[Tuple[Any, ...], List[Any]]) -> List[Row]:
+        """Output rows for folded ``groups``, in first-seen group order."""
         if not groups and not self.key_fns:
-            yield ColumnBatch.from_rows(
-                [tuple(spec.new().result() for spec in specs)], width
-            )
-            return
-        output = [
+            # Scalar aggregate over an empty input still yields one row.
+            return [tuple(spec.new().result() for spec in self.aggregate_specs)]
+        return [
             key + tuple(acc.result() for acc in accumulators)
             for key, accumulators in groups.items()
         ]
-        for chunk in chunked(output, size):
-            yield ColumnBatch.from_rows(chunk, width)
 
     def _fold_columnar(
         self,

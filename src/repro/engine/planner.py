@@ -423,40 +423,25 @@ class PlannedQuery:
         }
 
     def _collect_actual_rows(self, params: Dict[str, Any]) -> None:
-        """Run the plan once, recording per-operator output row counts.
+        """Run the plan once under a counting tracer.
 
-        Each node's ``execute`` is temporarily shadowed by a counting
-        wrapper (instance attribute), so internal ``self.child.execute``
-        calls route through it.  Row mode is forced: the default batch
-        path re-enters ``execute`` and would double-count.
+        The tracer reaches every node — CTE cells and NLJP's Q_B/Q_R
+        sub-plans included, and the nodes NLJP's inner kernel stands in
+        for — and stamps ``actual_rows``/``actual_loops`` when it
+        finishes.  Row mode is forced.
         """
-        nodes: List[ops.PhysicalOperator] = []
+        from repro.obs.tracer import Tracer
 
-        def walk(op: ops.PhysicalOperator) -> None:
-            nodes.append(op)
-            for child in op.children():
-                walk(child)
-
-        walk(self.root)
-        for node in nodes:
-            original = node.execute
-
-            def counting(ctx, _original=original, _node=node):
-                _node.actual_rows = 0
-                for row in _original(ctx):
-                    _node.actual_rows += 1
-                    yield row
-
-            node.__dict__["execute"] = counting
-        ctx = ops.ExecutionContext(params=dict(params))
+        tracer = Tracer("counters")
+        tracer.install(self.root)
+        ctx = ops.ExecutionContext(params=dict(params), tracer=tracer)
         self.env.ctx_holder["ctx"] = ctx
         try:
             for _ in self.root.execute(ctx):
                 pass
         finally:
             self.env.ctx_holder.pop("ctx", None)
-            for node in nodes:
-                node.__dict__.pop("execute", None)
+            tracer.finish()
 
 
 @dataclass

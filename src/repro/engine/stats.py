@@ -23,15 +23,21 @@ Columnar execution adds three counters that make its wins observable:
 * ``rows_skipped`` — rows never materialized because their whole chunk
   was proven irrelevant by a zone map,
 * ``chunks_skipped`` — zone-map chunk eliminations,
-* ``fused_compilations`` — fused columnar kernels code-generated for
-  this query's plan (cache misses in the fused-expression cache).
+* ``fused_compilations`` — fused columnar kernels built for this
+  query's plan, charged once per compiled expression on the first
+  execution that uses it.
 
-These three are *mode-variant*: row and batch mode never touch them,
-and a zone-map skip legitimately lowers ``rows_scanned``.  Mode-parity
-checks therefore compare :meth:`parity_dict`, which folds skipped rows
-back into ``rows_scanned`` and drops the mode-variant keys — the
-invariant is ``columnar rows_scanned + rows_skipped == row-mode
-rows_scanned`` with every other counter identical.
+These three are *mode-variant*.  Row and batch mode never skip, so
+``rows_skipped``/``chunks_skipped`` stay 0 there and a zone-map skip
+legitimately lowers ``rows_scanned`` in columnar mode.
+``fused_compilations`` is non-zero in any mode whose plan holds an
+NLJP inner kernel (:mod:`repro.engine.kernel`), which filters through
+the fused columnar compiler whatever the mode — 1 on the first
+execution of a skyband or pairs plan, 0 on a cached plan's later ones.
+Mode-parity checks therefore compare :meth:`parity_dict`, which folds
+skipped rows back into ``rows_scanned`` and drops the mode-variant
+keys — the invariant is ``columnar rows_scanned + rows_skipped ==
+row-mode rows_scanned`` with every other counter identical.
 
 ``cost()`` combines these into a single machine-independent work
 metric used for the shape assertions in benchmarks.  Skipped rows and
@@ -104,7 +110,7 @@ class ExecutionStats:
         skip is work *avoided*, not work *lost*) and drops the
         mode-variant counters, so a columnar run can be compared
         exactly against its row-mode twin.  For row/batch runs this is
-        simply :meth:`as_dict` minus three always-zero keys.
+        simply :meth:`as_dict` minus the three keys.
         """
         counters = self.as_dict()
         counters["rows_scanned"] += counters.pop("rows_skipped")

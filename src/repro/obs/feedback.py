@@ -36,12 +36,14 @@ from repro.obs.tracer import iter_plan_nodes
 
 
 class _Probe:
-    """Row counter for one wrapped node (active = reentrancy depth)."""
+    """Row and execution counter for one wrapped node (active =
+    reentrancy depth)."""
 
-    __slots__ = ("rows", "active")
+    __slots__ = ("rows", "loops", "active")
 
     def __init__(self) -> None:
         self.rows = 0
+        self.loops = 0
         self.active = 0
 
 
@@ -101,6 +103,8 @@ class FeedbackProbes:
     def _counted_iter(self, orig, ctx, probe: _Probe, batched: bool):
         sentinel = self._SENTINEL
         iterator = orig(ctx)
+        if probe.active == 0:
+            probe.loops += 1
         while True:
             # Only the outermost activation counts rows: the default
             # execute_batches path re-enters execute on the same node
@@ -121,6 +125,11 @@ class FeedbackProbes:
                 probe.rows += len(item) if batched else 1
             yield item
 
+    def counter(self, node: PhysicalOperator) -> Optional[_Probe]:
+        """The probe counting ``node``'s ``rows`` and ``loops``, if it
+        has one (see :meth:`repro.obs.tracer.Tracer.counter`)."""
+        return self._probes.get(id(node))
+
     def finish(self) -> None:
         """Restore wrapped nodes and stamp ``actual_rows``.
 
@@ -131,7 +140,8 @@ class FeedbackProbes:
             node.__dict__.pop("execute", None)
             node.__dict__.pop("execute_batches", None)
             node.__dict__.pop("execute_columnar", None)
-            node.actual_rows = self._probes[id(node)].rows
+            probe = self._probes[id(node)]
+            node.stamp_actual(probe.rows, probe.loops)
         self._nodes = []
 
 
@@ -212,7 +222,8 @@ class CardinalityReport:
                     "operator": type(node).__name__,
                     "detail": node.describe()[0].strip(),
                     "est_rows": float(node.estimated_rows),
-                    "actual_rows": int(node.actual_rows),
+                    "actual_rows": node.actual_rows,
+                    "loops": node.actual_loops or 1,
                     "q_error": round(q_error, 3),
                 }
             )
@@ -261,7 +272,7 @@ class CardinalityReport:
         for entry in worst:
             lines.append(
                 f"{entry['q_error']:>9.3f}  {entry['est_rows']:>10.1f}  "
-                f"{entry['actual_rows']:>8d}  {entry['query']:<9}  "
+                f"{entry['actual_rows']:>8}  {entry['query']:<9}  "
                 f"{entry['operator']} [{entry['detail']}]"
             )
         return "\n".join(lines)

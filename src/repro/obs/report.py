@@ -115,9 +115,12 @@ def render(summary: Dict[str, Any]) -> str:
         lines.append("  worst predicates by q-error:")
         for entry in summary["worst_predicates"]:
             label = entry.get("fingerprint") or entry.get("operator") or "?"
+            loops = entry.get("loops") or 1
             lines.append(
                 f"    {float(entry.get('q_error', 0.0)):>8.2f}  "
-                f"est={entry.get('est')} actual={entry.get('actual')}  {label}"
+                f"est={entry.get('est')} actual={entry.get('actual')}"
+                + (f" loops={loops}" if loops > 1 else "")
+                + f"  {label}"
             )
     return "\n".join(lines)
 

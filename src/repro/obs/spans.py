@@ -1,7 +1,8 @@
 """Span trees: the data model of the tracing subsystem.
 
 A :class:`Span` is one traced unit of work — a physical operator, an
-optimizer phase, or an aggregated NLJP cache interaction — carrying an
+optimizer phase, an aggregated NLJP cache interaction, or NLJP's inner
+kernel — carrying an
 activation count, the rows it emitted, wall time (``trace="timing"``
 only), and an *inclusive* :class:`~repro.engine.stats.ExecutionStats`
 delta measured around its ``next()`` calls.  Spans form a tree
@@ -52,6 +53,7 @@ class Span:
         "detail",
         "children",
         "count",
+        "loops",
         "rows",
         "wall_seconds",
         "first_start",
@@ -63,11 +65,12 @@ class Span:
 
     def __init__(self, name: str, kind: str = "operator", detail: str = "") -> None:
         self.name = name
-        self.kind = kind  # 'operator' | 'phase' | 'cache'
+        self.kind = kind  # 'operator' | 'phase' | 'cache' | 'kernel'
         self.detail = detail
         self.children: List[Span] = []
         self.count = 0  # next()/interaction activations
-        self.rows = 0  # rows (or batched rows) this span yielded
+        self.loops = 0  # executions of the node (NLJP's Q_R: one per binding)
+        self.rows = 0  # rows (or batched rows) this span yielded, over all loops
         self.wall_seconds = 0.0  # inclusive; 0.0 under trace="counters"
         self.first_start: Optional[float] = None  # raw perf_counter stamps
         self.last_end: Optional[float] = None
@@ -80,6 +83,13 @@ class Span:
         incl = self._incl
         for index, (b, a) in enumerate(zip(before, after)):
             incl[index] += a - b
+
+    def record_time(self, start: float, end: float) -> None:
+        """Add one measured activation (raw ``perf_counter`` stamps)."""
+        self.wall_seconds += end - start
+        if self.first_start is None:
+            self.first_start = start
+        self.last_end = end
 
     def inclusive_stats(self) -> Dict[str, int]:
         """Counter delta measured around this span's activations."""
@@ -111,6 +121,8 @@ class Span:
             "wall_seconds": round(self.wall_seconds, 6),
             "stats": {k: v for k, v in self.exclusive_stats().items() if v},
         }
+        if self.loops > 1:
+            node["loops"] = self.loops
         if self.detail:
             node["detail"] = self.detail
         if self.attrs:
@@ -236,6 +248,8 @@ class QueryProfile:
             "count": span.count,
             "rows": span.rows,
         }
+        if span.loops > 1:
+            args["loops"] = span.loops
         args.update({k: v for k, v in span.exclusive_stats().items() if v})
         args.update(span.attrs)
         if span.detail:

@@ -27,7 +27,16 @@ Measurement details that keep the accounting exact:
 * the plan walk dedupes nodes by identity, so a shared CTE
   materialization is wrapped (and charged) once;
 * ``trace="counters"`` skips every ``perf_counter`` call — deltas,
-  counts and rows without the timing overhead.
+  counts and rows without the timing overhead;
+* a node executed more than once in one query (NLJP's Q_R: once per
+  binding) counts its executions in ``span.loops``, and ``finish``
+  stamps rows *per execution* beside that loop count — the quantity the
+  planner's estimate predicts;
+* NLJP's inner kernel (:mod:`repro.engine.kernel`) runs in place of
+  Q_R's operators, so their wrappers never fire: :meth:`Tracer.
+  run_kernel` measures each evaluation onto one ``kernel`` child span
+  of the NLJP span, and the kernel credits the nodes it stands for
+  with their rows through :meth:`Tracer.counter`.
 
 Tracers are one-shot: one ``install``/``finish`` pair per execution.
 ``finish`` restores the nodes, stamps ``actual_rows`` (feeding
@@ -112,6 +121,8 @@ class Tracer:
         self.phases: List[Span] = []  # unguarded: one-shot tracer, single executing thread per plan
         self.root_span: Optional[Span] = None  # unguarded: one-shot tracer, single executing thread per plan
         self._span_of: Dict[int, Span] = {}  # unguarded: one-shot tracer, single executing thread per plan
+        # Spans that mirror no plan node, by (owner id, what): NLJP's
+        # cache interactions and its inner kernel.
         self._cache_spans: Dict[Tuple[int, str], Span] = {}  # unguarded: one-shot tracer, single executing thread per plan
         self._nodes: List[PhysicalOperator] = []  # unguarded: one-shot tracer, single executing thread per plan
 
@@ -180,6 +191,8 @@ class Tracer:
         iterator = orig(ctx)
         before: Tuple[int, ...] = ()
         t0 = 0.0
+        if span._active == 0:
+            span.loops += 1
         while True:
             # Only the outermost activation of this span measures: the
             # default execute_batches path re-enters execute on the
@@ -204,11 +217,7 @@ class Tracer:
                     span.count += 1
                     span.accumulate(before, snapshot(stats))
                     if timing:
-                        t1 = perf()
-                        span.wall_seconds += t1 - t0
-                        if span.first_start is None:
-                            span.first_start = t0
-                        span.last_end = t1
+                        span.record_time(t0, perf())
             if item is _SENTINEL:
                 return
             if not reentrant:
@@ -240,6 +249,46 @@ class Tracer:
         if hit:
             span.attrs["hits"] = span.attrs.get("hits", 0) + 1
 
+    # -- NLJP inner kernel ---------------------------------------------
+    def run_kernel(self, node: PhysicalOperator, kernel: Any, ctx: Any) -> Any:
+        """Run one inner-kernel evaluation under the owning NLJP span.
+
+        The kernel stands in for Q_R's operators, so their spans never
+        activate; its work (stats delta, wall time, output rows) lands
+        on one ``kernel`` child span instead of dissolving into NLJP's
+        self time.  The delta is measured inside NLJP's own activation,
+        so the exclusive-sum invariant holds unchanged.
+        """
+        key = (id(node), "kernel")
+        span = self._cache_spans.get(key)
+        if span is None:
+            span = Span("InnerKernel", kind="kernel", detail=kernel.describe())
+            self._cache_spans[key] = span
+            self._span_of[id(node)].children.append(span)
+        stats = ctx.stats
+        before = snapshot(stats)
+        t0 = time.perf_counter() if self.timing else 0.0
+        try:
+            rows = kernel.run(ctx)
+            span.rows += len(rows)
+            return rows
+        finally:
+            span.count += 1
+            span.loops += 1
+            span.accumulate(before, snapshot(stats))
+            if self.timing:
+                span.record_time(t0, time.perf_counter())
+
+    def counter(self, node: PhysicalOperator) -> Optional[Span]:
+        """The span counting ``node``'s ``rows`` and ``loops``, if traced.
+
+        For code that stands in for a plan node without calling its
+        ``execute`` (the inner kernel): it adds the rows the node would
+        have produced and one loop per evaluation, so ``actual_rows``
+        is stamped as if the node had run.
+        """
+        return self._span_of.get(id(node))
+
     # -- teardown ------------------------------------------------------
     def finish(self) -> QueryProfile:
         """Restore nodes, stamp ``actual_rows``, return the profile.
@@ -253,7 +302,7 @@ class Tracer:
             node.__dict__.pop("execute_batches", None)
             node.__dict__.pop("execute_columnar", None)
             span = self._span_of[id(node)]
-            node.actual_rows = span.rows
+            node.stamp_actual(span.rows, span.loops)
             q_error = node.q_error()
             if q_error is not None:
                 span.attrs["q_error"] = round(q_error, 3)

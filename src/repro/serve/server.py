@@ -560,7 +560,8 @@ class IcebergServer:
                         "operator": type(node).__name__,
                         "fingerprint": node.feedback_fingerprint,
                         "est": round(float(node.estimated_rows), 1),
-                        "actual": int(node.actual_rows),
+                        "actual": node.actual_rows,
+                        "loops": node.actual_loops or 1,
                         "q_error": round(q_error, 3),
                     }
                 )

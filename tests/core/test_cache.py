@@ -69,6 +69,54 @@ class TestPruneCandidates:
         assert len(list(cache.prune_candidates((0,)))) == 1
 
 
+class TestFirstPruner:
+    """``first_pruner`` walks ``prune_candidates``' sequence, in its
+    order, and stops at the first hit."""
+
+    CONFIGS = [
+        dict(),
+        dict(equality_positions=(0,), use_index=True),
+        dict(equality_positions=(0,), use_index=False),
+        dict(order_position=1, use_index=True),
+    ]
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_same_sequence_stops_at_first_hit(self, config):
+        cache = NLJPCache(**config)
+        for position, value in enumerate((5, 1, 7, 3, 7, 9)):
+            cache.put(("ab"[position % 2], value, position), payload(), unpromising=True)
+        cache.put(("a", 4, 99), payload(((), (1,))), unpromising=False)
+        binding = ("a", 4, -1)
+        bounds = dict(low=3, high=7, high_strict=True)
+        candidates = cache.prune_candidates(binding, **bounds)
+        assert len(candidates) >= 2
+        seen = []
+
+        def never(new, cached):
+            seen.append(cached)
+            return False
+
+        assert cache.first_pruner(binding, never, **bounds) == (len(candidates), None)
+        assert seen == [entry.binding for entry in candidates]
+        for stop_at, target in enumerate(candidates, start=1):
+            checks, hit = cache.first_pruner(
+                binding,
+                lambda new, cached, wanted=target.binding: cached == wanted,
+                **bounds,
+            )
+            assert (checks, hit) == (stop_at, target)
+
+    def test_empty_cache_checks_nothing(self):
+        assert NLJPCache().first_pruner((1,), lambda new, cached: True) == (0, None)
+
+    def test_test_receives_new_then_cached(self):
+        cache = NLJPCache()
+        cache.put((1,), payload(), unpromising=True)
+        calls = []
+        cache.first_pruner((2,), lambda new, cached: calls.append((new, cached)))
+        assert calls == [((2,), (1,))]
+
+
 class TestReplacement:
     def test_policy_validation(self):
         with pytest.raises(ValueError):

@@ -92,3 +92,39 @@ def test_cardinality_report_skips_unanalyzed(small_db):
         "cardinality report: no estimate-vs-actual observations"
     )
     assert report.to_dict()["max_q_error"] is None
+
+
+@pytest.mark.parametrize("numpy_present", [True, False])
+@pytest.mark.parametrize("knobs", [dict(feedback="observe"), dict(trace="counters")])
+def test_inner_query_nodes_record_rows_per_evaluation(knobs, numpy_present, monkeypatch):
+    """Regression: Q_R's nodes run once per binding but were recorded
+    with the query's total against a per-evaluation estimate — on Q1
+    (n=300) est 18.5 vs actual 2 702, q-error 145.9, topping every
+    report and, under ``feedback="apply"``, inflating the estimate
+    100×.  Per evaluation it is 29.4 rows over 92 loops, q-error 1.6 —
+    from the inner kernel and from the operator tree alike."""
+    import repro.engine.layout as layout
+    from repro import SmartIceberg
+    from repro.obs.tracer import iter_plan_nodes
+
+    if numpy_present:
+        pytest.importorskip("numpy")
+    else:
+        monkeypatch.setattr(layout, "_np", None)
+    db = _batting_db(300)
+    result = SmartIceberg(db, **knobs).execute(QUERIES["Q1"])
+    assert result.stats.inner_evaluations == 92
+    scan = next(
+        node
+        for node in iter_plan_nodes(result.plan.root)
+        if type(node).__name__ == "IndexRangeScan"
+    )
+    assert round(scan.estimated_rows, 1) == 18.5
+    assert (scan.actual_rows, scan.actual_loops) == (29.4, 92)
+    assert round(scan.q_error(), 2) == 1.59
+    assert "actual_rows=29.4 loops=92" in scan.describe()[0]
+    worst = result.report("Q1").worst(1)[0]
+    assert worst["q_error"] < 2.0 and worst["loops"] in (1, 92)
+    if "feedback" in knobs:
+        record = db.feedback.lookup(scan.feedback_fingerprint, db.feedback_token())
+        assert record is not None and round(record.actual_rows, 1) == 29.4

@@ -251,3 +251,31 @@ def test_error_paths_restore_plan(small_db):
     # the registry/tracer state must not have been corrupted).
     ok = execute(small_db, QUERIES["Q1"], EngineConfig(trace="timing"))
     assert ok.profile.total_stats() == ok.stats.as_dict()
+
+
+def test_inner_kernel_work_is_one_child_span_of_nljp(small_db):
+    """The kernel stands in for Q_R's operators; its evaluations, rows,
+    counters and wall time land on one ``kernel`` span under NLJP, not
+    in NLJP's self time, and the span sums still telescope."""
+    pytest.importorskip("numpy")
+    result = SmartIceberg(small_db, trace="timing").execute(QUERIES["Q1"])
+    profile = result.profile
+    nljp = next(s for s in profile.root.walk() if s.name == "NLJPOperator")
+    kernels = [s for s in nljp.children if s.kind == "kernel"]
+    assert [s.name for s in kernels] == ["InnerKernel"]
+    kernel = kernels[0]
+    assert kernel.detail == "IndexRangeScan batting_h_hr"
+    evaluations = result.stats.inner_evaluations
+    assert kernel.count == kernel.loops == evaluations > 0
+    assert kernel.rows == evaluations  # scalar Q_R: one row per binding
+    work = kernel.inclusive_stats()
+    assert work["index_probes"] == result.stats.index_probes
+    assert work["aggregation_inputs"] == result.stats.aggregation_inputs
+    assert 0.0 < kernel.wall_seconds <= nljp.wall_seconds
+    # NLJP's own share no longer holds the inner query's work.
+    assert nljp.exclusive_stats()["aggregation_inputs"] == 0
+    assert profile.total_stats() == result.stats.as_dict()
+    # Q_R's operator spans never activate, but are credited their rows.
+    qr = next(s for s in nljp.children if s.attrs.get("edge") == "qr_plan")
+    assert qr.count == 0 and qr.loops == evaluations and qr.rows == evaluations
+    assert any(event["cat"] == "kernel" for event in profile.to_chrome_trace()["traceEvents"] if event["ph"] == "X")
