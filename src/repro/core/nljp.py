@@ -36,7 +36,6 @@ from repro.sql import ast
 from repro.sql.render import render
 from repro.engine import operators as ops
 from repro.engine.aggregates import is_algebraic
-from repro.engine.expressions import ExpressionCompiler
 from repro.engine.kernel import lower_inner
 from repro.engine.layout import Layout
 from repro.engine.planner import PlanEnv, plan_select
@@ -389,13 +388,9 @@ class NLJPOperator(ops.PhysicalOperator):
 
             return ast.transform(expr, visit)
 
-        combined_compiler = ExpressionCompiler(
-            self.combined_layout, self.env.subquery_executor
-        )
+        combined_compiler = self.env.compiler(self.combined_layout)
         payload_layout = Layout(grp_slots + agg_slots)
-        payload_compiler = ExpressionCompiler(
-            payload_layout, self.env.subquery_executor
-        )
+        payload_compiler = self.env.compiler(payload_layout)
         assert block.having is not None
         self.phi_fn = payload_compiler.compile(rewrite(block.having))
 
@@ -483,7 +478,7 @@ class NLJPOperator(ops.PhysicalOperator):
         kernel = self.inner_kernel
         try:
             if kernel is None:
-                raw_rows = ops.materialize(self.qr_plan, ctx)
+                raw_rows = ops.materialize(self.qr_plan, ctx, columnar=False)
             elif ctx.tracer is None:
                 raw_rows = kernel.run(ctx)
             else:

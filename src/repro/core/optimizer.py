@@ -865,9 +865,7 @@ class SmartIcebergOptimizer:
         """Wrap the NLJP operator with ORDER BY / LIMIT if present."""
         plan: ops.PhysicalOperator = nljp
         if body.order_by:
-            from repro.engine.expressions import ExpressionCompiler
-
-            compiler = ExpressionCompiler(nljp.layout, env.subquery_executor)
+            compiler = env.compiler(nljp.layout)
             key_fns = []
             ascending = []
             for item in body.order_by:

@@ -27,6 +27,39 @@ Compiled = Callable[[Sequence[Any], Dict[str, Any]], Any]
 SubqueryExecutor = Callable[[ast.Select], List[Tuple[Any, ...]]]
 
 
+class SubqueryResult:
+    """The rows of one uncorrelated subquery, and what ``IN`` reads of them.
+
+    Memoized by :class:`ExpressionCompiler` for one ``version``; the row
+    closures and fused kernels it compiled share the object, so the set
+    form is derived once per evaluation of the subquery.
+    """
+
+    __slots__ = ("version", "rows", "_members")
+
+    def __init__(self, version: Any, rows: List[Tuple[Any, ...]]) -> None:
+        self.version = version
+        self.rows = rows
+        self._members: Dict[bool, Tuple[set, bool]] = {}
+
+    def members(self, wrap_single: bool) -> Tuple[set, bool]:
+        """``(values, saw_null)``: the non-NULL keys as a set, and
+        whether any key was (or held) a NULL.  A one-column row is its
+        value when ``wrap_single`` (a scalar needle), else a tuple."""
+        members = self._members.get(wrap_single)
+        if members is None:
+            values = set()
+            saw_null = False
+            for candidate in self.rows:
+                key = candidate[0] if wrap_single and len(candidate) == 1 else candidate
+                if key is None or (isinstance(key, tuple) and None in key):
+                    saw_null = True
+                else:
+                    values.add(key)
+            members = self._members[wrap_single] = (values, saw_null)
+        return members
+
+
 def _arith(op: str) -> Callable[[Any, Any], Any]:
     if op == "+":
         return lambda a, b: a + b
@@ -87,17 +120,23 @@ class ExpressionCompiler:
 
     ``subquery_executor`` evaluates uncorrelated subqueries (IN /
     EXISTS); results are memoized per AST node so a subquery inside a
-    join predicate runs once, not once per probe.
+    join predicate runs once, not once per probe.  ``data_version``
+    says what the results depend on: a memoized result is reused while
+    it returns the same value (a planned query passes the database's
+    version token, so a warm plan keeps its reducers until a write),
+    and for the compiler's lifetime when there is none.
     """
 
     def __init__(
         self,
         layout: Layout,
         subquery_executor: Optional[SubqueryExecutor] = None,
+        data_version: Optional[Callable[[], Any]] = None,
     ) -> None:
         self._layout = layout
         self._subquery_executor = subquery_executor
-        self._subquery_cache: Dict[int, List[Tuple[Any, ...]]] = {}
+        self._data_version = data_version
+        self._subqueries: Dict[int, SubqueryResult] = {}
 
     # ------------------------------------------------------------------
     def compile(self, expr: ast.Expr) -> Compiled:
@@ -260,51 +299,41 @@ class ExpressionCompiler:
 
         return membership
 
-    def _subquery_rows(self, subquery: ast.Select) -> List[Tuple[Any, ...]]:
+    def _subquery(self, subquery: ast.Select) -> SubqueryResult:
         if self._subquery_executor is None:
             raise PlanningError("subqueries are not supported in this context")
-        key = id(subquery)
-        if key not in self._subquery_cache:
-            self._subquery_cache[key] = self._subquery_executor(subquery)
-        return self._subquery_cache[key]
+        version = self._data_version() if self._data_version is not None else None
+        result = self._subqueries.get(id(subquery))
+        if result is None or result.version != version:
+            result = SubqueryResult(version, self._subquery_executor(subquery))
+            self._subqueries[id(subquery)] = result
+        return result
 
     def _compile_in_subquery(self, expr: ast.InSubquery) -> Compiled:
         needle = self.compile(expr.needle)
         negated = expr.negated
         wrap_single = not isinstance(expr.needle, ast.TupleExpr)
-        state: Dict[str, Any] = {}
+        subquery = expr.subquery
 
         def membership(row: Sequence[Any], params: Dict[str, Any]) -> Any:
-            if "values" not in state:
-                rows = self._subquery_rows(expr.subquery)
-                values = set()
-                saw_null = False
-                for candidate in rows:
-                    key = candidate[0] if wrap_single and len(candidate) == 1 else candidate
-                    if key is None or (isinstance(key, tuple) and None in key):
-                        saw_null = True
-                    else:
-                        values.add(key)
-                state["values"] = values
-                state["saw_null"] = saw_null
+            values, saw_null = self._subquery(subquery).members(wrap_single)
             value = needle(row, params)
             if value is None or (isinstance(value, tuple) and None in value):
                 return None
-            if value in state["values"]:
+            if value in values:
                 return sql_not(True) if negated else True
-            result: Optional[bool] = None if state["saw_null"] else False
+            result: Optional[bool] = None if saw_null else False
             return sql_not(result) if negated else result
 
         return membership
 
     def _compile_exists(self, expr: ast.ExistsSubquery) -> Compiled:
         negated = expr.negated
-        state: Dict[str, Any] = {}
+        subquery = expr.subquery
 
         def exists(row: Sequence[Any], params: Dict[str, Any]) -> Any:
-            if "value" not in state:
-                state["value"] = bool(self._subquery_rows(expr.subquery))
-            return (not state["value"]) if negated else state["value"]
+            found = bool(self._subquery(subquery).rows)
+            return (not found) if negated else found
 
         return exists
 
@@ -694,6 +723,68 @@ def _k_nullcol(n: int) -> Column:
     return Column.const(None, n)
 
 
+def _k_distinct(np: Any, column: Column) -> Tuple[List[Any], Any]:
+    """A column as ``(distinct Python values, code per row)``.
+
+    Typed columns sort their array once (NULL slots carry the fill
+    value; callers mask them), a dictionary column decodes only the
+    codes present, and an ``obj`` column — mixed types, no order — is
+    its own list of values, one code per row.
+    """
+    column.materialize()
+    if column.kind == "obj":
+        return column.data.tolist(), np.arange(column.length, dtype=np.int64)
+    distinct, codes = np.unique(column.data, return_inverse=True)
+    if column.kind == "dict":
+        dictionary = column.dictionary or ("",)
+        return [dictionary[code] for code in distinct.tolist()], codes
+    return distinct.tolist(), codes
+
+
+def _k_in_subquery(result: SubqueryResult, columns: Sequence[Column]) -> Tuple[Any, Any]:
+    """``(true, false)`` masks of ``needle IN (subquery)``.
+
+    The set-membership test runs once per *distinct* needle in the
+    batch, in Python — so ``1 == 1.0 == True`` and every other rule of
+    the row closure's ``value in values`` hold — and is spread over the
+    rows through their codes.  The NULL rule is ``membership``'s: a
+    NULL needle (or needle component) is unknown, a needle not found is
+    false only when the subquery returned no NULL.
+    """
+    np = numpy_or_none()
+    values, saw_null = result.members(len(columns) == 1)
+    needles, codes = _k_distinct(np, columns[0])
+    if len(columns) > 1:
+        # A tuple needle: mixed-radix code over the components' codes,
+        # decoded back to tuples for the combinations that occur.
+        parts = [needles]
+        capacity = len(needles)
+        for column in columns[1:]:
+            part, part_codes = _k_distinct(np, column)
+            capacity *= len(part)
+            if capacity > 2**62:
+                raise OverflowError("tuple IN needle beyond int64 codes")
+            parts.append(part)
+            codes = codes * len(part) + part_codes
+        distinct, codes = np.unique(codes, return_inverse=True)
+        needles = []
+        for code in distinct.tolist():
+            needle = []
+            for part in reversed(parts):
+                code, digit = divmod(code, len(part))
+                needle.append(part[digit])
+            needles.append(tuple(reversed(needle)))
+    found = np.fromiter(
+        (needle in values for needle in needles), dtype=bool, count=len(needles)
+    )[codes]
+    valid = _k_andmask(*(column.validity for column in columns))
+    if valid is not None:
+        found = found & valid
+    if saw_null:
+        return found, np.zeros(len(found), dtype=bool)
+    return found, (~found if valid is None else ~found & valid)
+
+
 _VECTOR_KINDS = {"int64": "i8", "float64": "f8", "bool": "bool"}
 
 
@@ -728,6 +819,7 @@ _COLUMNAR_ENV = {
     "ANDM": _k_andmask,
     "NULLCOL": _k_nullcol,
     "VCOL": _k_vcol,
+    "INSUB": _k_in_subquery,
 }
 
 
@@ -747,10 +839,15 @@ class _ColumnarBuilder:
     """
 
     def __init__(self, compiler: "ExpressionCompiler", outer_width: int = 0) -> None:
+        self._compiler = compiler
         self._layout = compiler._layout
         self._outer_width = outer_width
         self.env: Dict[str, Any] = dict(_COLUMNAR_ENV)
         self.prologue: List[str] = []
+        #: False once the kernel reads this compiler's subquery memo:
+        #: it then belongs to one plan, not to every plan over the
+        #: same expression and layout.
+        self.shareable = True
         self._constants = 0
         self._params: Dict[str, str] = {}
         self._columns: Dict[int, str] = {}
@@ -882,11 +979,43 @@ class _ColumnarBuilder:
                 pyguards, masks, f"NOT(ISIN({value}, {members}))"
             )
             return (isfalse, istrue) if expr.negated else (istrue, isfalse)
+        if isinstance(expr, ast.InSubquery):
+            return self._in_subquery(expr)
         # Scalar node in boolean position (e.g. a bool column/literal).
         pyguards, masks, value = self.scalar(expr)
         istrue = self._guarded(pyguards, masks, f"({value} == True)")
         isfalse = self._guarded(pyguards, masks, f"({value} == False)")
         return istrue, isfalse
+
+    def _in_subquery(self, expr: ast.InSubquery) -> Tuple[str, str]:
+        """``needle IN (subquery)`` over stored columns — the shape of
+        an a-priori reducer — as masks computed once in the prologue.
+
+        An empty batch returns before it: like the row closure, the
+        kernel must not run the subquery for a row that never comes.
+        """
+        needle = expr.needle
+        items = needle.items if isinstance(needle, ast.TupleExpr) else (needle,)
+        columns = []
+        for item in items:
+            if not isinstance(item, ast.ColumnRef):
+                raise _Unsupported("computed IN needle")
+            position = self._layout.resolve(item.table, item.column)
+            if position < self._outer_width:
+                raise _Unsupported("IN needle on the outer row")
+            columns.append(f"B.column({position - self._outer_width})")
+        if not columns:
+            raise _Unsupported("empty IN needle")
+        if self.shareable:
+            self.shareable = False
+            self.prologue.insert(0, "    if not n: return ASMASK(False, 0)")
+        compiler, subquery = self._compiler, expr.subquery
+        result = self._const(lambda: compiler._subquery(subquery))
+        hit, miss = f"{result}_true", f"{result}_false"
+        self.prologue.append(
+            f"    {hit}, {miss} = INSUB({result}(), ({', '.join(columns)},))"
+        )
+        return (miss, hit) if expr.negated else (hit, miss)
 
     # -- kernel assembly -----------------------------------------------
     def _build(self, body_lines: List[str], signature: str) -> Callable:
@@ -942,7 +1071,8 @@ def _fused_kernel(
                 kernel = builder.build_values(expr)
         except (_Unsupported, PlanningError):
             kernel = None
-        _FUSED_KERNEL_CACHE[key] = kernel
+        if builder.shareable:
+            _FUSED_KERNEL_CACHE[key] = kernel
     if kernel is not None and ctx is not None:
         ctx.stats.fused_compilations += 1
     return kernel
@@ -1106,40 +1236,60 @@ def columnar_raw_filter(fn: Optional[Compiled], ctx: Any = None) -> Optional[Cal
     return kernel
 
 
-def columnar_key_values(fn: Compiled, ctx: Any = None) -> Callable:
-    """A whole-batch evaluator for join/grouping keys.
+def columnar_key_columns(fn: Compiled, ctx: Any = None) -> Callable:
+    """A whole-batch evaluator for join keys, one column per component.
 
-    Returns ``evaluate(batch, params) -> list`` of per-row key values:
-    tuple expressions decode to tuples (matching the row closure), and
-    everything else to scalars.  Components run through
-    :func:`columnar_values`, so dictionary/typed columns decode exactly
-    once per batch.  Memoized on the closure.
+    Returns ``evaluate(batch, params) -> list`` of :class:`Column`: a
+    tuple expression gives one per item, anything else a single column.
+    Components run through :func:`columnar_values`, so plain column
+    references pass the stored (typed, dictionary-coded) column through.
+    Memoized on the closure.
     """
-    cached = getattr(fn, "_columnar_key_values", None)
+    cached = getattr(fn, "_columnar_key_columns", None)
     if cached is not None:
         return cached
     expr = getattr(fn, "_expr", None)
     compiler = getattr(fn, "_compiler", None)
-    if isinstance(expr, ast.TupleExpr) and compiler is not None:
+    tuple_key = isinstance(expr, ast.TupleExpr) and compiler is not None
+    if tuple_key:
         parts = [
             columnar_values(compiler.compile(item), ctx) for item in expr.items
         ]
-
-        def evaluate(batch: ColumnBatch, params: Dict[str, Any]) -> List[Any]:
-            if not parts:
-                return [()] * batch.length
-            return list(zip(*(part(batch, params).tolist() for part in parts)))
-
     else:
-        single = columnar_values(fn, ctx)
+        parts = [columnar_values(fn, ctx)]
 
-        def evaluate(batch: ColumnBatch, params: Dict[str, Any]) -> List[Any]:
-            return single(batch, params).tolist()
+    def evaluate(batch: ColumnBatch, params: Dict[str, Any]) -> List[Column]:
+        return [part(batch, params) for part in parts]
 
+    evaluate.tuple_key = tuple_key  # type: ignore[attr-defined]
     try:
-        fn._columnar_key_values = evaluate  # type: ignore[attr-defined]
+        fn._columnar_key_columns = evaluate  # type: ignore[attr-defined]
     except (AttributeError, TypeError):  # pragma: no cover - defensive
         pass
+    return evaluate
+
+
+def columnar_key_values(fn: Compiled, ctx: Any = None) -> Callable:
+    """:func:`columnar_key_columns` decoded to per-row Python keys.
+
+    Returns ``evaluate(batch, params) -> list``: tuple expressions
+    decode to tuples (matching the row closure), everything else to
+    scalars; typed columns decode exactly once per batch.
+    """
+    columns = columnar_key_columns(fn, ctx)
+    if columns.tuple_key:
+
+        def evaluate(batch: ColumnBatch, params: Dict[str, Any]) -> List[Any]:
+            parts = columns(batch, params)
+            if not parts:
+                return [()] * batch.length
+            return list(zip(*(part.tolist() for part in parts)))
+
+    else:
+
+        def evaluate(batch: ColumnBatch, params: Dict[str, Any]) -> List[Any]:
+            return columns(batch, params)[0].tolist()
+
     return evaluate
 
 
@@ -1249,12 +1399,21 @@ def zone_pruner(fn: Optional[Compiled]):
     conjunction, so skipping on any one test is sound.  NULL-aware by
     construction: comparisons are only proven false via min/max over
     *non-NULL* values, and NULL rows never satisfy a comparison anyway.
+
+    A predicate holding a subquery is never pruned: row mode runs the
+    subquery at the first row it meets, and a scan that skipped every
+    chunk would not have run (or charged) it at all.
     """
     if fn is None:
         return None
     expr = getattr(fn, "_expr", None)
     compiler = getattr(fn, "_compiler", None)
     if expr is None or compiler is None:
+        return None
+    if any(
+        isinstance(node, (ast.InSubquery, ast.ExistsSubquery))
+        for node in ast.walk(expr, into_subqueries=False)
+    ):
         return None
     conjuncts: List[ast.Expr] = []
     stack = [expr]

@@ -34,7 +34,7 @@ predicate unsatisfiable for a whole chunk without touching its rows.
 from __future__ import annotations
 
 import sys
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import PlanningError
 
@@ -291,6 +291,54 @@ class Column:
         column._thunk = thunk
         return column
 
+    @classmethod
+    def concat(cls, columns: Sequence["Column"]) -> "Column":
+        """``columns`` end to end, as one materialized column.
+
+        Columns of one typed kind join their arrays and dictionary
+        columns merge their dictionaries; any other mix re-encodes the
+        exact values, which is what :meth:`from_values` would have
+        chosen for the whole sequence.
+        """
+        for column in columns:
+            column.materialize()
+        kinds = {column.kind for column in columns}
+        if len(kinds) != 1 or kinds <= {"py", "obj"}:
+            values: List[Any] = []
+            for column in columns:
+                values.extend(column.tolist())
+            return cls.from_values(values)
+        (kind,) = kinds
+        joined = cls(kind, sum(column.length for column in columns))
+        if kind == "dict":
+            dictionary = tuple(
+                sorted(set().union(*(column.dictionary or () for column in columns)))
+            )
+            codes = {value: code for code, value in enumerate(dictionary)}
+            parts = []
+            for column in columns:
+                if column.dictionary == dictionary:
+                    parts.append(column.data)
+                    continue
+                remap = _np.fromiter(
+                    (codes[value] for value in column.dictionary), dtype=_np.int32
+                )
+                parts.append(remap[column.data])
+            joined.dictionary = dictionary
+            joined.data = _np.concatenate(parts)
+        else:
+            joined.data = _np.concatenate([column.data for column in columns])
+        if any(column.validity is not None for column in columns):
+            joined.validity = _np.concatenate(
+                [
+                    column.validity
+                    if column.validity is not None
+                    else _np.ones(column.length, dtype=bool)
+                    for column in columns
+                ]
+            )
+        return joined
+
     # -- materialization -----------------------------------------------
     def materialize(self) -> "Column":
         """Resolve any lazy form in place; returns ``self``."""
@@ -522,16 +570,189 @@ class ColumnBatch:
     def concat(
         cls, batches: Sequence["ColumnBatch"], width: int
     ) -> "ColumnBatch":
-        """Concatenate batches (re-encoding unifies dictionaries)."""
+        """Concatenate batches column by column (:meth:`Column.concat`)."""
         batches = [batch for batch in batches if batch.length]
         if not batches:
             return cls.from_rows((), width)
         if len(batches) == 1:
             return batches[0]
-        rows: List[Tuple[Any, ...]] = []
-        for batch in batches:
-            rows.extend(batch.to_rows())
-        return cls.from_rows(rows, width)
+        return cls(
+            [
+                Column.concat([batch.columns[position] for batch in batches])
+                for position in range(width)
+            ],
+            sum(batch.length for batch in batches),
+        )
+
+
+# ---------------------------------------------------------------------------
+# Equi-key grouping
+# ---------------------------------------------------------------------------
+
+#: Kinds whose array equality is Python's ``==``/``hash`` rule for the
+#: values they hold.  ``obj``/``py`` columns mix types (``1 == 1.0 ==
+#: True``, unbounded ints), so only a Python dict can match them.
+_CODED_KINDS = ("i8", "f8", "bool", "dict")
+
+
+class _DictionarySpace:
+    """A build-side dictionary as a code space for probe columns."""
+
+    __slots__ = ("_dictionary", "_code_of")
+
+    def __init__(self, dictionary: Tuple[Any, ...]) -> None:
+        self._dictionary = dictionary
+        self._code_of = {value: code for code, value in enumerate(dictionary)}
+
+    def __len__(self) -> int:
+        return len(self._dictionary)
+
+    def codes(self, column: Column) -> Any:
+        """``column``'s rows in build codes; -1 where the build side
+        does not have the value.  Slices and gathers of the build
+        column itself carry its dictionary and need no translation."""
+        if column.dictionary is self._dictionary:
+            return column.data.astype(_np.int64)
+        recode = _np.fromiter(
+            (self._code_of.get(value, -1) for value in column.dictionary),
+            dtype=_np.int64,
+            count=len(column.dictionary),
+        )
+        return recode[column.data]
+
+
+class KeyGrouping:
+    """The build side of an equi-join, grouped once by its key columns.
+
+    Every key column becomes dense integer codes (a dictionary column's
+    own codes, the rank among the sorted distinct values otherwise), a
+    composite key the mixed-radix number of its components' codes, and
+    the build rows are stably sorted by that number: a bucket is a run
+    of the sorted rows, in build order.  :meth:`match` puts probe keys
+    into the same code space and yields the ``(probe position, build
+    row)`` pairs a per-key dict lookup would produce, in the same
+    order — probe order, then bucket insertion order.
+
+    Rows with a NULL key component are left out, as SQL equality and
+    :class:`~repro.storage.index.HashIndex` leave them out; a NaN key
+    is a bucket nothing finds, as no decoded key equals it.  Immutable
+    once built, so one grouping serves every session reading the same
+    table version.
+    """
+
+    __slots__ = ("_kinds", "_spaces", "_codes", "_starts", "_counts", "_rows")
+
+    def __init__(self, kinds, spaces, codes, starts, counts, rows) -> None:
+        self._kinds = kinds
+        #: Per column, what its codes index: the dictionary, or the
+        #: sorted distinct values.
+        self._spaces = spaces
+        self._codes = codes  # distinct composite codes, ascending
+        self._starts = starts  # bucket i is _rows[_starts[i]:][:_counts[i]]
+        self._counts = counts
+        self._rows = rows  # build row numbers, bucket by bucket
+
+    @classmethod
+    def build(cls, columns: Sequence[Column]) -> Optional["KeyGrouping"]:
+        """Group ``columns``' rows, or ``None`` for key kinds (or a
+        composite code beyond int64) that keep the per-key loop."""
+        if _np is None or not columns:
+            return None
+        valid = None
+        for column in columns:
+            column.materialize()
+            if column.kind not in _CODED_KINDS:
+                return None
+            if column.validity is not None:
+                valid = column.validity if valid is None else valid & column.validity
+        rows = (
+            _np.arange(columns[0].length, dtype=_np.int64)
+            if valid is None
+            else _np.flatnonzero(valid)
+        )
+        spaces = []
+        combined = _np.zeros(len(rows), dtype=_np.int64)
+        capacity = 1
+        for column in columns:
+            data = column.data if valid is None else column.data[rows]
+            if column.kind == "dict":
+                space = _DictionarySpace(column.dictionary)
+                codes = data.astype(_np.int64)
+            else:
+                space, codes = _np.unique(data, return_inverse=True)
+            capacity *= max(len(space), 1)
+            if capacity > 2**62:
+                return None
+            combined = combined * len(space) + codes
+            spaces.append(space)
+        order = _np.argsort(combined, kind="stable")
+        ordered = combined[order]
+        boundary = _np.ones(len(ordered), dtype=bool)
+        boundary[1:] = ordered[1:] != ordered[:-1]
+        starts = _np.flatnonzero(boundary)
+        counts = _np.diff(_np.append(starts, len(ordered)))
+        return cls(
+            tuple(column.kind for column in columns),
+            spaces,
+            ordered[starts],
+            starts,
+            counts,
+            rows[order],
+        )
+
+    def match(
+        self, columns: Sequence[Column], limit: int
+    ) -> Optional[Iterator[Tuple[Any, Any]]]:
+        """``(probe positions, build rows)`` of every key-equal pair, in
+        runs of at most ``limit`` pairs (more only for a single probe
+        row, whose pairs stay together), so that what a join gathers
+        and filters at once stays bounded.
+
+        ``None`` when a probe column's kind differs from its build
+        column's (an ``i8`` key may equal an ``f8`` one in Python; their
+        arrays are not compared here).
+        """
+        for column in columns:
+            column.materialize()
+        if tuple(column.kind for column in columns) != self._kinds:
+            return None
+        if not len(self._codes):
+            return iter(())
+        found = None
+        combined = None
+        for column, space in zip(columns, self._spaces):
+            if column.kind == "dict":
+                codes = space.codes(column)
+                hit = codes >= 0
+            else:  # there are build rows, so ``space`` is not empty
+                codes = _np.minimum(_np.searchsorted(space, column.data), len(space) - 1)
+                hit = space[codes] == column.data
+            if column.validity is not None:
+                hit = hit & column.validity
+            found = hit if found is None else found & hit
+            combined = codes if combined is None else combined * len(space) + codes
+        bucket = _np.minimum(
+            _np.searchsorted(self._codes, combined), len(self._codes) - 1
+        )
+        probe = _np.flatnonzero(found & (self._codes[bucket] == combined))
+        return self._pairs(probe, bucket[probe], limit)
+
+    def _pairs(self, probe: Any, bucket: Any, limit: int) -> Iterator[Tuple[Any, Any]]:
+        counts = self._counts[bucket]
+        ends = _np.cumsum(counts)
+        start = 0
+        while start < len(probe):
+            done = ends[start - 1] if start else 0
+            stop = max(start + 1, int(_np.searchsorted(ends, done + limit, side="right")))
+            run = counts[start:stop]
+            # Pair j of a probe row whose pairs begin at output position
+            # p reads sorted build row ``bucket start + (j - p)``.
+            source = _np.repeat(
+                self._starts[bucket[start:stop]] - (ends[start:stop] - run - done), run
+            )
+            source += _np.arange(len(source), dtype=_np.int64)
+            yield _np.repeat(probe[start:stop], run), self._rows[source]
+            start = stop
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +811,9 @@ class ColumnStore:
     Built once per table (cached by :class:`repro.storage.table.Table`
     and invalidated on mutation).  ``zone_maps(chunk_size)`` returns,
     for each chunk of rows, a ``{position: ColumnStats}`` map used by
-    columnar scans to skip chunks a predicate provably cannot match.
+    columnar scans to skip chunks a predicate provably cannot match;
+    ``key_grouping(positions)`` is the build side of an index join on
+    those columns.  Both are derived once and dropped with the store.
     """
 
     def __init__(self, columns: Sequence[Column], names: Sequence[str], length: int) -> None:
@@ -598,6 +821,7 @@ class ColumnStore:
         self.names = tuple(names)
         self.length = length
         self._zone_maps: Dict[int, List[Dict[int, Any]]] = {}
+        self._key_groupings: Dict[Tuple[int, ...], Optional[KeyGrouping]] = {}
 
     @classmethod
     def from_rows(
@@ -617,6 +841,18 @@ class ColumnStore:
         return ColumnBatch(
             [column.slice(start, stop) for column in self.columns], stop - start
         )
+
+    def key_grouping(self, positions: Sequence[int]) -> Optional[KeyGrouping]:
+        """The rows grouped by the key at ``positions`` — what a hash
+        index on those columns holds — or ``None`` (see
+        :meth:`KeyGrouping.build`).  Built on first use and kept with
+        the store, so it lives exactly as long as the table version."""
+        positions = tuple(positions)
+        if positions not in self._key_groupings:
+            self._key_groupings[positions] = KeyGrouping.build(
+                [self.columns[position] for position in positions]
+            )
+        return self._key_groupings[positions]
 
     def zone_maps(self, chunk_size: int) -> List[Dict[int, Any]]:
         cached = self._zone_maps.get(chunk_size)

@@ -23,12 +23,20 @@ from repro.engine.expressions import (
     batch_filter,
     batch_values,
     columnar_filter,
+    columnar_key_columns,
     columnar_key_values,
     columnar_raw_filter,
     columnar_values,
     zone_pruner,
 )
-from repro.engine.layout import Column, ColumnBatch, ColumnStore, Layout, numpy_or_none
+from repro.engine.layout import (
+    Column,
+    ColumnBatch,
+    ColumnStore,
+    KeyGrouping,
+    Layout,
+    numpy_or_none,
+)
 from repro.engine.stats import ExecutionStats
 from repro.storage.index import HashIndex, SortedIndex
 from repro.storage.table import Table
@@ -47,6 +55,15 @@ DEFAULT_COLUMNAR_BATCH_SIZE = 4096
 #: batch once this many are pending, bounding peak memory for
 #: high-fanout joins (the skyband join at n=10^4 yields ~5*10^7 pairs).
 COLUMNAR_FLUSH_ROWS = 1 << 18
+
+#: Equi-joins emit the pairs of an outer batch in runs of about this
+#: many.  What is gathered, filtered and grouped from one run is a
+#: dozen arrays of its length alive at once, and at the 2^15-2^17 pairs
+#: an outer batch of the served workloads matches that, not the data,
+#: was the process's peak: 75.0 MB at 2^15, 72.8 at 2^14, 71.9 at 2^13
+#: on ``adhoc_mix`` at equal latency.  A probe row's pairs stay in one
+#: run, so a single hot key can exceed it.
+COLUMNAR_MATCH_ROWS = 1 << 13
 
 
 @dataclass
@@ -81,13 +98,14 @@ class ExecutionContext:
     #: for plan nodes without calling their ``execute`` (NLJP's inner
     #: kernel) and must credit them the rows they would have produced.
     probes: Optional[Any] = None
-    #: True under ``EngineConfig.execution_mode="columnar"``.  Nested
-    #: CTE materializations still go through ``execute_batches`` —
-    #: only the top-level tree and operators with native
-    #: ``execute_columnar`` paths carry
+    #: True under ``EngineConfig.execution_mode="columnar"``: the
+    #: top-level tree and every nested plan evaluated through
+    #: :func:`materialize` / :func:`execute_rows` / :func:`materialize_columns`
+    #: (subqueries, CTE cells, NLJP's binding query) carry
     #: :class:`~repro.engine.layout.ColumnBatch` data.  NLJP's inner
-    #: query does not follow the mode at all: a scan-shaped Q_R runs
-    #: as a :class:`repro.engine.kernel.InnerKernel` in every mode.
+    #: query does not follow the mode: a scan-shaped Q_R runs as a
+    #: :class:`repro.engine.kernel.InnerKernel` in every mode, and the
+    #: per-binding operator tree stays on the batch path.
     columnar: bool = False
     #: Per-context memo for what one execution builds once and reads
     #: many times: the rows (and columnar image) of shared CTE/derived-
@@ -118,17 +136,49 @@ def execute_rows(plan: "PhysicalOperator", ctx: ExecutionContext) -> Iterator[Ro
     """Iterate a plan's rows honouring the context's execution mode."""
     if ctx.batch_size is None:
         return plan.execute(ctx)
+    if ctx.columnar:
+        # A batch can be many times ``batch_size`` (an aggregate's whole
+        # output, a join's run of pairs): decoding it ``batch_size`` rows
+        # at a time keeps no more tuples alive than the batch path does.
+        size = ctx.batch_size
+        return (
+            row
+            for batch in plan.execute_columnar(ctx)
+            for start in range(0, batch.length, size)
+            for row in batch.slice(start, min(start + size, batch.length)).to_rows()
+        )
     return (row for batch in plan.execute_batches(ctx) for row in batch)
 
 
-def materialize(plan: "PhysicalOperator", ctx: ExecutionContext) -> List[Row]:
-    """Fully evaluate a plan in the context's execution mode."""
+def materialize(
+    plan: "PhysicalOperator", ctx: ExecutionContext, columnar: bool = True
+) -> List[Row]:
+    """Fully evaluate a plan in the context's execution mode.
+
+    ``columnar=False`` keeps a columnar context on the batch path: for
+    a plan run thousands of times over a handful of rows each (NLJP's
+    per-binding Q_R tree), setting up column batches costs more than
+    they save.
+    """
     if ctx.batch_size is None:
         return list(plan.execute(ctx))
     rows: List[Row] = []
-    for batch in plan.execute_batches(ctx):
-        rows.extend(batch)
+    if ctx.columnar and columnar:
+        for column_batch in plan.execute_columnar(ctx):
+            rows.extend(column_batch.to_rows())
+    else:
+        for batch in plan.execute_batches(ctx):
+            rows.extend(batch)
     return rows
+
+
+def materialize_columns(plan: "PhysicalOperator", ctx: ExecutionContext) -> ColumnBatch:
+    """:func:`materialize`, as one column batch: a columnar context's
+    batches are joined as they are, rows of the other modes encoded."""
+    width = len(plan.layout)
+    if ctx.columnar:
+        return ColumnBatch.concat(list(plan.execute_columnar(ctx)), width)
+    return ColumnBatch.from_rows(materialize(plan, ctx), width)
 
 
 class PhysicalOperator:
@@ -365,26 +415,22 @@ def _zone_filtered_mask(
     ``chunks_skipped`` moves (row mode charges no scan counters for
     index-probed inner rows, so there is no ``rows_scanned`` /
     ``rows_skipped`` budget to rebalance; the parity fold drops
-    ``chunks_skipped``).  Returns ``None`` when the kernel fails, so
-    callers fall back exactly as if no fused kernel existed — with no
-    skips charged.
+    ``chunks_skipped``).  The kernel runs a chunk at a time with or
+    without a pruner, so its temporaries are a chunk's, not the
+    table's.  Returns ``None`` when the kernel fails, so callers fall
+    back exactly as if no fused kernel existed — with no skips charged.
     """
     params = ctx.params
     pruner = zone_pruner(predicate)
-    if pruner is None:
-        try:
-            return np.asarray(raw(store.batch(), params), dtype=bool)
-        except Exception:
-            return None
     size = ctx.batch_size or DEFAULT_COLUMNAR_BATCH_SIZE
-    zones = store.zone_maps(size)
+    zones = store.zone_maps(size) if pruner is not None else None
     length = store.length
     parts: List[Any] = []
     skipped = 0
     try:
         for chunk_index, start in enumerate(range(0, length, size)):
             stop = min(start + size, length)
-            if pruner(zones[chunk_index], params):
+            if zones is not None and pruner(zones[chunk_index], params):
                 skipped += 1
                 parts.append(np.zeros(stop - start, dtype=bool))
                 continue
@@ -410,6 +456,39 @@ def index_ordered_columns(
     return {position: store.column(position).take(row_ids) for position in positions}
 
 
+def _joined_batch(
+    np: Any,
+    left: Sequence[Column],
+    left_idx: Any,
+    right: Sequence[Column],
+    right_idx: Any,
+    residual_kernel: Optional[Any],
+    params: Dict[str, Any],
+) -> Optional[ColumnBatch]:
+    """``left[left_idx] + right[right_idx]`` where the residual holds,
+    or ``None`` when it holds nowhere.
+
+    The gathers are lazy: over the candidate pairs only the columns the
+    residual reads are built.  The survivors are gathered again from
+    the sources by the narrowed indices, so a column read only above
+    the join is never built at candidate length.
+    """
+
+    def gather(left_idx: Any, right_idx: Any) -> ColumnBatch:
+        return ColumnBatch(
+            [column.take(left_idx) for column in left]
+            + [column.take(right_idx) for column in right],
+            len(left_idx),
+        )
+
+    combined = gather(left_idx, right_idx)
+    if residual_kernel is not None:
+        kept = np.flatnonzero(residual_kernel(combined, params))
+        if len(kept) < combined.length:
+            combined = gather(left_idx[kept], right_idx[kept])
+    return combined if combined.length else None
+
+
 def _emit_pairs(
     np: Any,
     outer_batch: ColumnBatch,
@@ -429,16 +508,36 @@ def _emit_pairs(
     counts = np.asarray(
         [len(array) for array in inner_position_arrays], dtype=np.int64
     )
-    outer_idx = np.repeat(np.asarray(outer_positions, dtype=np.int64), counts)
-    inner_idx = np.concatenate(inner_position_arrays)
-    combined = ColumnBatch(
-        list(outer_batch.take(outer_idx).columns)
-        + [column.take(inner_idx) for column in inner_columns],
-        len(outer_idx),
+    return _joined_batch(
+        np,
+        outer_batch.columns,
+        np.repeat(np.asarray(outer_positions, dtype=np.int64), counts),
+        inner_columns,
+        np.concatenate(inner_position_arrays),
+        residual_kernel,
+        params,
     )
-    if residual_kernel is not None:
-        combined = combined.compress(residual_kernel(combined, params))
-    return combined if combined.length else None
+
+
+def _match_by_key(np: Any, keys: Sequence[Any], bucket_of: Any) -> List[Tuple[Any, Any]]:
+    """``(probe positions, build rows)`` by one lookup per probe key,
+    as the single run (none when nothing matched) of a batch.
+
+    The loop :meth:`KeyGrouping.match` replaces, and its reference:
+    kept for the key kinds the array form declines, where only Python's
+    own ``==``/``hash`` on the decoded values gives the row path's
+    matches.
+    """
+    probe_idx: List[int] = []
+    build_idx: List[int] = []
+    for position, key in enumerate(keys):
+        bucket = bucket_of(key)
+        if bucket:
+            probe_idx.extend([position] * len(bucket))
+            build_idx.extend(bucket)
+    if not probe_idx:
+        return []
+    return [(np.asarray(probe_idx, dtype=np.int64), np.asarray(build_idx, dtype=np.int64))]
 
 
 def _scan_batches(
@@ -826,6 +925,8 @@ class HashJoin(PhysicalOperator):
         probe_plan = self.outer if build_is_inner else self.inner
         build_key_fn = self.inner_key if build_is_inner else self.outer_key
         probe_key_fn = self.outer_key if build_is_inner else self.inner_key
+        build_columns = columnar_key_columns(build_key_fn, ctx)
+        probe_columns = columnar_key_columns(probe_key_fn, ctx)
         build_keys = columnar_key_values(build_key_fn, ctx)
         probe_keys = columnar_key_values(probe_key_fn, ctx)
         residual_kernel = columnar_filter(self.residual, ctx)
@@ -833,39 +934,41 @@ class HashJoin(PhysicalOperator):
         build = ColumnBatch.concat(
             list(build_plan.execute_columnar(ctx)), build_width
         )
+        grouping = KeyGrouping.build(build_columns(build, params))
+        # The per-key loop's table, built when a batch first needs it.
+        buckets: Optional[Dict[Any, List[int]]] = None
         null_key = self._null_key
-        buckets: Dict[Any, List[int]] = {}
-        for position, key in enumerate(build_keys(build, params)):
-            if null_key(key):
-                continue  # NULL keys never match in SQL
-            buckets.setdefault(key, []).append(position)
+
+        def bucket_of(key: Any) -> Optional[List[int]]:
+            return None if null_key(key) else buckets.get(key)
+
         for probe_batch in probe_plan.execute_columnar(ctx):
             if governor is not None:
                 governor.check("join-pair")
-            probe_idx: List[int] = []
-            build_idx: List[int] = []
-            for position, key in enumerate(probe_keys(probe_batch, params)):
-                if null_key(key):
-                    continue
-                bucket = buckets.get(key)
-                if not bucket:
-                    continue
-                stats.join_pairs += len(bucket)
-                probe_idx.extend([position] * len(bucket))
-                build_idx.extend(bucket)
-            if not probe_idx:
-                continue
-            probe_part = probe_batch.take(np.asarray(probe_idx, dtype=np.int64))
-            build_part = build.take(np.asarray(build_idx, dtype=np.int64))
-            if build_is_inner:
-                columns = list(probe_part.columns) + list(build_part.columns)
-            else:
-                columns = list(build_part.columns) + list(probe_part.columns)
-            combined = ColumnBatch(columns, len(probe_idx))
-            if residual_kernel is not None:
-                combined = combined.compress(residual_kernel(combined, params))
-            if combined.length:
-                yield combined
+            runs = None
+            if grouping is not None:
+                runs = grouping.match(
+                    probe_columns(probe_batch, params), COLUMNAR_MATCH_ROWS
+                )
+            if runs is None:
+                if buckets is None:
+                    buckets = {}
+                    for position, key in enumerate(build_keys(build, params)):
+                        if not null_key(key):  # NULL keys never match in SQL
+                            buckets.setdefault(key, []).append(position)
+                runs = _match_by_key(np, probe_keys(probe_batch, params), bucket_of)
+            for probe_idx, build_idx in runs:
+                stats.join_pairs += len(probe_idx)
+                probe_side = (probe_batch.columns, probe_idx)
+                build_side = (build.columns, build_idx)
+                outer_side, inner_side = (
+                    (probe_side, build_side) if build_is_inner else (build_side, probe_side)
+                )
+                combined = _joined_batch(
+                    np, *outer_side, *inner_side, residual_kernel, params
+                )
+                if combined is not None:
+                    yield combined
 
     def describe(self) -> List[str]:
         suffix = " (build=outer)" if self.build == "outer" else ""
@@ -972,59 +1075,73 @@ class IndexNestedLoopJoin(PhysicalOperator):
         stats = ctx.stats
         governor = ctx.governor
         store = self.table.column_store()
-        inner_width = len(self.table.schema.column_names)
         rows = self.table.rows
         lookup = self.index.lookup
+        # What the hash index holds, as arrays: the table's rows grouped
+        # by the index columns, in row order within a key.
+        grouping = store.key_grouping(self.index.column_positions)
+        probe_columns = columnar_key_columns(self.probe_key, ctx)
         probe_keys = columnar_key_values(self.probe_key, ctx)
         residual_kernel = columnar_filter(self.residual, ctx)
         inner_filter = self.inner_filter
-        # Precompute the pushed inner filter over the whole table with
-        # the bare fused kernel, zone-pruning chunks the filter provably
-        # cannot match.  No fallback here: the row closure must only
-        # ever run on rows the index actually returns, or errors could
-        # appear that row mode cannot raise.
+        raw = columnar_raw_filter(inner_filter, ctx)
         mask = None
-        if inner_filter is not None:
-            raw = columnar_raw_filter(inner_filter, ctx)
-            if raw is not None:
-                mask = _zone_filtered_mask(np, store, raw, inner_filter, ctx)
+        mask_pending = raw is not None
+
+        def bucket_of(key: Any) -> Sequence[int]:
+            return lookup(key if isinstance(key, tuple) else (key,))
+
         for outer_batch in self.outer.execute_columnar(ctx):
             if governor is not None:
                 governor.check("join-pair")
-            outer_idx: List[int] = []
-            inner_ids: List[int] = []
-            for position, key in enumerate(probe_keys(outer_batch, params)):
-                if not isinstance(key, tuple):
-                    key = (key,)
-                stats.index_probes += 1
-                row_ids = lookup(key)
-                if mask is not None:
-                    matched = [row_id for row_id in row_ids if mask[row_id]]
-                elif inner_filter is not None:
-                    matched = [
-                        row_id
-                        for row_id in row_ids
-                        if inner_filter(rows[row_id], params) is True
-                    ]
-                else:
-                    matched = list(row_ids)
-                if not matched:
-                    continue
-                stats.join_pairs += len(matched)
-                outer_idx.extend([position] * len(matched))
-                inner_ids.extend(matched)
-            if not outer_idx:
-                continue
-            ids = np.asarray(inner_ids, dtype=np.int64)
-            combined = ColumnBatch(
-                list(outer_batch.take(np.asarray(outer_idx, dtype=np.int64)).columns)
-                + [store.column(p).take(ids) for p in range(inner_width)],
-                len(outer_idx),
-            )
-            if residual_kernel is not None:
-                combined = combined.compress(residual_kernel(combined, params))
-            if combined.length:
-                yield combined
+            stats.index_probes += outer_batch.length
+            runs = None
+            if grouping is not None:
+                runs = grouping.match(
+                    probe_columns(outer_batch, params), COLUMNAR_MATCH_ROWS
+                )
+            if runs is None:
+                runs = _match_by_key(np, probe_keys(outer_batch, params), bucket_of)
+            for outer_idx, inner_ids in runs:
+                if inner_filter is not None:
+                    if mask_pending:
+                        # The pushed inner filter over the whole table
+                        # with the bare fused kernel, zone-pruning chunks
+                        # it provably cannot match; on first need, as
+                        # row mode evaluates it on the first row an
+                        # index returns.
+                        mask = _zone_filtered_mask(np, store, raw, inner_filter, ctx)
+                        mask_pending = False
+                    if mask is not None:
+                        keep = mask[inner_ids]
+                    else:
+                        # No fused form (or it raised): the row closure,
+                        # and only on rows the index returned — on any
+                        # other it could raise errors row mode cannot.
+                        keep = np.fromiter(
+                            (
+                                inner_filter(rows[row_id], params) is True
+                                for row_id in inner_ids.tolist()
+                            ),
+                            dtype=bool,
+                            count=len(inner_ids),
+                        )
+                    outer_idx = outer_idx[keep]
+                    inner_ids = inner_ids[keep]
+                    if not len(outer_idx):
+                        continue
+                stats.join_pairs += len(outer_idx)
+                combined = _joined_batch(
+                    np,
+                    outer_batch.columns,
+                    outer_idx,
+                    store.columns,
+                    inner_ids,
+                    residual_kernel,
+                    params,
+                )
+                if combined is not None:
+                    yield combined
 
     def describe(self) -> List[str]:
         return [

@@ -39,7 +39,7 @@ from repro.engine.cardinality import (
 from repro.engine.cost import CostModel
 from repro.engine.expressions import Compiled, ExpressionCompiler
 from repro.engine.governor import DEGRADATION_MODES, CancelToken
-from repro.engine.layout import Layout
+from repro.engine.layout import ColumnBatch, ColumnStore, Layout, numpy_or_none
 from repro.engine.wcoj import TrieRelationSpec, WCOJTrieJoin
 from repro.obs.spans import TRACE_MODES
 from repro.storage.catalog import Database
@@ -64,6 +64,11 @@ DP_MAX_RELATIONS = 8
 _COST = CostModel()
 
 
+def _default_mode() -> str:
+    """Columnar needs NumPy; an install without it runs row-at-a-time."""
+    return "columnar" if numpy_or_none() is not None else "row"
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Knobs selecting the baseline system behaviour.
@@ -84,9 +89,11 @@ class EngineConfig:
     attributes to Vendor A (4 cores) and PostgreSQL (2 workers).  Work
     counters are never scaled.
 
-    ``execution_mode`` selects row-at-a-time (``"row"``, the default),
-    vectorized batch-at-a-time (``"batch"``), or typed-column
-    (``"columnar"``) execution.  All modes produce identical rows;
+    ``execution_mode`` selects typed-column (``"columnar"``, the
+    default wherever NumPy imports), row-at-a-time (``"row"``, the
+    default where it does not, and the reference the other modes are
+    tested against) or vectorized batch-at-a-time (``"batch"``)
+    execution.  All modes produce identical rows;
     row and batch charge identical work counters, and columnar agrees
     modulo the zone-map split (``rows_scanned + rows_skipped`` is
     invariant; see :meth:`ExecutionStats.parity_dict`).  Columnar mode
@@ -127,7 +134,9 @@ class EngineConfig:
     use_secondary_indexes: bool = True
     parallelism: float = 1.0
     label: str = "postgres"
-    execution_mode: str = "row"  # 'row' | 'batch' | 'columnar'
+    execution_mode: str = field(  # 'row' | 'batch' | 'columnar'
+        default_factory=_default_mode
+    )
     batch_size: Optional[int] = None
     max_rows_scanned: Optional[int] = None
     max_join_pairs: Optional[int] = None
@@ -254,20 +263,32 @@ class _SharedMaterialize:
         key = id(self)
         rows = ctx.materialized.get(key)
         if rows is None:
-            rows = ops.materialize(self.plan, ctx)
+            store = ctx.materialized.get((key, "columns"))
+            if store is not None:
+                rows = store.batch().to_rows()
+            else:
+                rows = ops.materialize(self.plan, ctx)
             ctx.materialized[key] = rows
         return rows
 
     def column_store(self, ctx: ops.ExecutionContext):
-        """Columnar image of the materialized rows, shared per context."""
+        """Columnar image of the materialization, shared per context.
+
+        The plan runs once per context whichever form is asked for
+        first; the other is derived from it.
+        """
         key = (id(self), "columns")
         store = ctx.materialized.get(key)
         if store is None:
-            from repro.engine.layout import ColumnStore
-
-            store = ColumnStore.from_rows(
-                self.rows(ctx),
+            rows = ctx.materialized.get(id(self))
+            if rows is not None:
+                batch = ColumnBatch.from_rows(rows, len(self.plan.layout))
+            else:
+                batch = ops.materialize_columns(self.plan, ctx)
+            store = ColumnStore(
+                batch.columns,
                 [column for _, column in self.plan.layout.slots],
+                batch.length,
             )
             ctx.materialized[key] = store
         return store
@@ -365,6 +386,25 @@ class PlanEnv:
         default_factory=dict
     )
     ctx_holder: "_ThreadLocalCtx" = field(default_factory=lambda: _ThreadLocalCtx())
+
+    def compiler(self, layout: Layout) -> ExpressionCompiler:
+        """An expression compiler whose subqueries run in this
+        environment and stay memoized for one database version."""
+        return ExpressionCompiler(layout, self.subquery_executor, self.data_version)
+
+    def data_version(self) -> Tuple[int, ...]:
+        """``db.version_token()``, read once per execution.
+
+        Compiled ``IN``/``EXISTS`` closures ask before every evaluation
+        — per row, in row mode — so the installed context remembers it.
+        """
+        ctx = self.ctx_holder.get("ctx")
+        if ctx is None:
+            return self.db.version_token()
+        token = ctx.materialized.get("data_version")
+        if token is None:
+            token = ctx.materialized["data_version"] = self.db.version_token()
+        return token
 
     def subquery_executor(self, select: ast.Select) -> List[Tuple[Any, ...]]:
         """Plan and run an uncorrelated scalar/IN subquery lazily.
@@ -1198,7 +1238,7 @@ def _consider_wcoj(
     layout = Layout([(r.alias, name) for r in ordered for name in r.columns])
     residual_pred = ast.conjoin([c.expr for c in residual_cs])
     compiled_residual = (
-        ExpressionCompiler(layout, env.subquery_executor).compile(residual_pred)
+        env.compiler(layout).compile(residual_pred)
         if residual_pred is not None
         else None
     )
@@ -1244,9 +1284,6 @@ def _plan_joins(
 ) -> ops.PhysicalOperator:
     """Left-deep join tree honouring ``join_order`` and the join policy."""
 
-    def compiler_for(layout: Layout) -> ExpressionCompiler:
-        return ExpressionCompiler(layout, env.subquery_executor)
-
     def single_table_exprs(relation: _Relation) -> List[ast.Expr]:
         mine = [
             c
@@ -1264,7 +1301,7 @@ def _plan_joins(
         if predicate is None:
             return None
         layout = Layout([(relation.alias, name) for name in relation.columns])
-        return compiler_for(layout).compile(predicate)
+        return env.compiler(layout).compile(predicate)
 
     orderer = _JoinOrderer(relations, conjuncts, env)
     ordered = orderer.order()
@@ -1351,7 +1388,7 @@ def _scan_relation(
     ``R.b_h >= :b_b_h`` bound an index range re-evaluated per binding.
     """
     layout = Layout([(relation.alias, name) for name in relation.columns])
-    compiler = ExpressionCompiler(layout, env.subquery_executor)
+    compiler = env.compiler(layout)
 
     def full_scan() -> ops.PhysicalOperator:
         predicate = ast.conjoin(exprs)
@@ -1388,7 +1425,7 @@ def _scan_relation(
                     break
         if index is not None:
             empty_layout = Layout([(None, "_dummy")])
-            bound_compiler = ExpressionCompiler(empty_layout, env.subquery_executor)
+            bound_compiler = env.compiler(empty_layout)
             ordered_columns = [
                 relation.table.schema.column_names[p] for p in index.column_positions
             ]
@@ -1401,9 +1438,7 @@ def _scan_relation(
                 [e for e in exprs if e not in used_exprs]
             )
             residual = (
-                ExpressionCompiler(layout, env.subquery_executor).compile(
-                    residual_predicate
-                )
+                env.compiler(layout).compile(residual_predicate)
                 if residual_predicate
                 else None
             )
@@ -1428,7 +1463,7 @@ def _scan_relation(
     index = relation.table.find_sorted_index(column)
     assert index is not None
     empty_layout = Layout([(None, "_dummy")])
-    bound_compiler = ExpressionCompiler(empty_layout, env.subquery_executor)
+    bound_compiler = env.compiler(empty_layout)
     low = high = None
     low_strict = high_strict = False
     used: List[ast.Expr] = []
@@ -1478,8 +1513,8 @@ def _join_one(
     joined_layout = outer.layout.concat(
         Layout([(relation.alias, name) for name in relation.columns])
     )
-    joined_compiler = ExpressionCompiler(joined_layout, env.subquery_executor)
-    outer_compiler = ExpressionCompiler(outer.layout, env.subquery_executor)
+    joined_compiler = env.compiler(joined_layout)
+    outer_compiler = env.compiler(outer.layout)
 
     equi: List[Tuple[_Conjunct, str, ast.Expr]] = []
     ranges: List[Tuple[_Conjunct, str, str, ast.Expr]] = []
@@ -1605,7 +1640,7 @@ def _join_one(
             return None
         inner_scan = inner_scan_plan()
         inner_layout = inner_scan.layout
-        inner_compiler = ExpressionCompiler(inner_layout, env.subquery_executor)
+        inner_compiler = env.compiler(inner_layout)
         outer_key = outer_compiler.compile(
             ast.TupleExpr(tuple(expr for _, _, expr in equi))
         )
@@ -1752,9 +1787,7 @@ def plan_select(
     if unplaced:
         predicate = ast.conjoin([c.expr for c in unplaced])
         assert predicate is not None
-        compiled = ExpressionCompiler(joined.layout, env.subquery_executor).compile(
-            predicate
-        )
+        compiled = env.compiler(joined.layout).compile(predicate)
         joined = ops.Filter(joined, compiled, label="where")
 
     items = _expand_stars(select.items, joined.layout)
@@ -1778,7 +1811,7 @@ def plan_select(
 
     # Project.
     output_layout = Layout([(None, name) for name in output_names])
-    compiler = ExpressionCompiler(plan.layout, env.subquery_executor)
+    compiler = env.compiler(plan.layout)
     output_fns = [compiler.compile(item.expr) for item in rewritten_items]
     projected: ops.PhysicalOperator = ops.Project(plan, output_fns, output_layout)
     if select.distinct:
@@ -1797,7 +1830,7 @@ def plan_select(
                 else _normalize_refs(item.expr, plan.layout)
             )
             rewritten_by_struct.setdefault(key, position)
-        out_compiler = ExpressionCompiler(output_layout, env.subquery_executor)
+        out_compiler = env.compiler(output_layout)
         for order_item in select.order_by:
             expr = order_item.expr
             fn: Optional[Compiled] = None
@@ -1865,7 +1898,7 @@ def _plan_aggregation(
     rewritten to reference aggregate output slots, and the rewrite
     function itself (for ORDER BY).
     """
-    input_compiler = ExpressionCompiler(child.layout, env.subquery_executor)
+    input_compiler = env.compiler(child.layout)
 
     # Resolve GROUP BY entries; an unqualified name that matches a SELECT
     # alias refers to that item's expression (PostgreSQL behaviour).
@@ -1963,7 +1996,7 @@ def _plan_aggregation(
 
         return ast.transform(ast.transform(normalized, visit_aggs), visit_keys)
 
-    post_compiler = ExpressionCompiler(output_layout, env.subquery_executor)
+    post_compiler = env.compiler(output_layout)
     if normalized_having is not None:
         having_rewritten = rewrite(normalized_having)
         _check_no_aggregates(having_rewritten, "HAVING")

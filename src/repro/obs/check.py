@@ -70,6 +70,19 @@ class CheckFailure(Exception):
     pass
 
 
+def _postgres(mode: str, trace: str = "off"):
+    """The baseline configuration in an explicit mode: the committed
+    records, and the untraced runs traced ones are held against, are
+    row mode's — whatever mode ships as the default."""
+    import dataclasses
+
+    from repro.engine.planner import EngineConfig
+
+    return dataclasses.replace(
+        EngineConfig.postgres(), execution_mode=mode, trace=trace
+    )
+
+
 def _find_baseline_record(doc: Dict[str, Any]) -> Dict[str, Any]:
     """The Q1/base/row record; stale system labels fail loudly.
 
@@ -110,7 +123,6 @@ def check_baseline_equality(baseline_path: str) -> Dict[str, Any]:
     from repro.bench.figures import _batting_db
     from repro.bench.record import RECORD_SEED
     from repro.engine.executor import execute
-    from repro.engine.planner import EngineConfig
     from repro.workloads import figure1_queries
 
     with open(baseline_path) as handle:
@@ -121,8 +133,7 @@ def check_baseline_equality(baseline_path: str) -> Dict[str, Any]:
 
     sql = figure1_queries()["Q1"].sql
     db = _batting_db(n_rows, seed=seed)
-    config = EngineConfig.postgres()
-    result = execute(db, sql, config)
+    result = execute(db, sql, _postgres(record["mode"]))
 
     if result.stats.cost() != record["cost"]:
         raise CheckFailure(
@@ -156,19 +167,12 @@ def check_trace_parity(db, sql: str) -> Dict[str, Any]:
     identical to the untraced row-mode run.
     """
     from repro.engine.executor import execute
-    from repro.engine.planner import EngineConfig
 
-    off = execute(db, sql, EngineConfig.postgres())
+    off = execute(db, sql, _postgres("row"))
     spans = None
     profile = None
     for mode in ("row", "columnar"):
-        timed = execute(
-            db, sql, EngineConfig(
-                join_policy="index-first", join_order="syntactic",
-                parallelism=2.0, label="postgres", trace="timing",
-                execution_mode=mode,
-            )
-        )
+        timed = execute(db, sql, _postgres(mode, trace="timing"))
         if off.sorted_rows() != timed.sorted_rows():
             raise CheckFailure(
                 f"trace=timing ({mode}) changed the result rows on Q1"

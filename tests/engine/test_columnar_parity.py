@@ -100,7 +100,7 @@ class TestFigure1Queries:
     def test_smart_systems_columnar_parity(self, name):
         sql = figure1_queries()[name].sql
         for label, toggles in SMART_CONFIGS.items():
-            row = SmartIceberg(BATTING, **toggles).execute(sql)
+            row = SmartIceberg(BATTING, execution_mode="row", **toggles).execute(sql)
             columnar = SmartIceberg(
                 BATTING, execution_mode="columnar", **toggles
             ).execute(sql)

@@ -259,3 +259,43 @@ class TestErrors:
     def test_missing_from(self, db):
         with pytest.raises(PlanningError):
             execute(db, "SELECT 1")
+
+
+class TestDefaultExecutionMode:
+    """The shipped mode is derived, not set: columnar where NumPy
+    imports, row where it does not — the same for the engine, the
+    optimizing executor and the server, and for the baselines."""
+
+    SQL = "SELECT grp, COUNT(*) FROM t GROUP BY grp"
+
+    def _reported(self, db):
+        from repro import IcebergServer, SmartIceberg
+
+        return {
+            "EngineConfig()": EngineConfig().execution_mode,
+            "EngineConfig.postgres()": EngineConfig.postgres().execution_mode,
+            "EngineConfig.vendor()": EngineConfig.vendor().execution_mode,
+            "execute(db, sql)": execute(db, self.SQL).execution_mode,
+            "SmartIceberg(db)": SmartIceberg(db).execution_mode,
+            "SmartIceberg(db).execute": SmartIceberg(db).execute(self.SQL).execution_mode,
+            "IcebergServer(db)": IcebergServer(db)
+            .session()
+            .execute(self.SQL)
+            .execution_mode,
+        }
+
+    def test_columnar_with_numpy(self, db):
+        pytest.importorskip("numpy")
+        assert set(self._reported(db).values()) == {"columnar"}
+
+    def test_row_without_numpy(self, db, monkeypatch):
+        from repro.engine import layout
+
+        monkeypatch.setattr(layout, "_np", None)
+        assert set(self._reported(db).values()) == {"row"}
+
+    def test_explicit_mode_wins(self, db):
+        from repro import SmartIceberg
+
+        assert EngineConfig(execution_mode="row").execution_mode == "row"
+        assert SmartIceberg(db, execution_mode="batch").execution_mode == "batch"

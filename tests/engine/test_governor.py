@@ -149,7 +149,10 @@ class TestDeadline:
         plan = FaultPlan(
             [FaultSpec(site="scan", kind="slow", after=10, delay_seconds=99.0)]
         )
-        config = governed_config(deadline_seconds=5.0, fault_plan=plan)
+        # Row mode observes "scan" once per row; the eleventh is hit.
+        config = governed_config(
+            execution_mode="row", deadline_seconds=5.0, fault_plan=plan
+        )
         with pytest.raises(BudgetExceededError) as info:
             execute(BATTING, Q1, config)
         error = info.value

@@ -439,7 +439,11 @@ Q1 = figure1_queries()["Q1"].sql
 @needs_numpy
 def test_rows_scanned_budget_trips_inside_a_kernel_evaluation():
     with pytest.raises(BudgetExceededError) as info:
-        SmartIceberg(BATTING, max_rows_scanned=700).execute(Q1)
+        # Row mode pulls Q_B a row at a time, so the fifth evaluation
+        # is where the budget runs out.
+        SmartIceberg(
+            BATTING, execution_mode="row", max_rows_scanned=700
+        ).execute(Q1)
     error = info.value
     assert error.budget == "rows_scanned"
     stats = error.stats
@@ -460,7 +464,9 @@ def test_inner_eval_fault_fires_at_the_parents_observation(monkeypatch):
             if tree:
                 patch.setattr(layout, "_np", None)
             with pytest.raises(InjectedFaultError) as info:
-                SmartIceberg(BATTING, fault_plan=plan).execute(Q1)
+                SmartIceberg(
+                    BATTING, execution_mode="row", fault_plan=plan
+                ).execute(Q1)
         assert "hit #11" in str(info.value)
         assert plan.hits("inner-eval") == 11
         counters = info.value.stats.as_dict()

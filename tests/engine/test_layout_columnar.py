@@ -168,7 +168,9 @@ class TestNullThreeValuedLogicParity:
     def test_filter_parity_with_nulls(self, predicate):
         db = _null_db()
         sql = f"SELECT id, v, s FROM t WHERE {predicate}"
-        row = execute(db, sql, EngineConfig.postgres())
+        row = execute(
+            db, sql, dataclasses.replace(EngineConfig.postgres(), execution_mode="row")
+        )
         columnar = execute(
             db,
             sql,
@@ -238,7 +240,7 @@ class TestZoneMapSoundness:
         pytest.importorskip("numpy")  # zone maps only skip under fused kernels
         rng = random.Random(self.SEED)
         db = self._build_db(rng)
-        base = EngineConfig.postgres()
+        base = dataclasses.replace(EngineConfig.postgres(), execution_mode="row")
         columnar_config = dataclasses.replace(
             base, execution_mode="columnar", batch_size=16
         )

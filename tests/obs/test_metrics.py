@@ -96,7 +96,7 @@ def test_render_prometheus_shape():
 
 def test_record_query_populates_registry(small_db):
     registry = MetricsRegistry()
-    result = execute(small_db, QUERIES["Q1"], EngineConfig())
+    result = execute(small_db, QUERIES["Q1"], EngineConfig(execution_mode="row"))
     record_query(result, governor=None, registry=registry)
     assert registry.get("repro_queries_total").value(mode="row") == 1
     work = registry.get("repro_work_total")
@@ -131,7 +131,7 @@ def test_record_query_degradation_sites(small_db):
 def test_executor_records_into_process_registry(small_db):
     queries = REGISTRY.counter("repro_queries_total", "Queries executed", ("mode",))
     before = queries.value(mode="row")
-    execute(small_db, QUERIES["Q2"], EngineConfig())
+    execute(small_db, QUERIES["Q2"], EngineConfig(execution_mode="row"))
     assert queries.value(mode="row") == before + 1
 
 

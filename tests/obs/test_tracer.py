@@ -41,12 +41,15 @@ def test_span_tree_mirrors_plan(small_db, q1_timed):
     assert span_types == plan_types
 
 
-def test_root_span_counts_match_result(q1_timed):
-    root = q1_timed.profile.root
+def test_root_span_counts_match_result(small_db):
+    q1_rows = execute(
+        small_db, QUERIES["Q1"], EngineConfig(execution_mode="row", trace="timing")
+    )
+    root = q1_rows.profile.root
     assert root.name == "CountOutput"
-    assert root.rows == len(q1_timed.rows)
-    # One next() per row plus the exhausting StopIteration call.
-    assert root.count == len(q1_timed.rows) + 1
+    assert root.rows == len(q1_rows.rows)
+    # Row mode: one next() per row plus the exhausting StopIteration call.
+    assert root.count == len(q1_rows.rows) + 1
 
 
 def test_phases_present_and_timed(q1_timed):
