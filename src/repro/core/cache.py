@@ -30,7 +30,9 @@ The NLJP cache serves two distinct reads:
 
 * **memoization** — exact-match lookup by binding (``get``), and
 * **pruning** — search for an unpromising cached binding that
-  subsumes/is subsumed by a new binding (``first_pruner``).
+  subsumes/is subsumed by a new binding (``first_pruner``; for a window
+  of bindings at once, on an array image of the same candidates in the
+  same order, ``prunable``).
 
 The paper implements the cache as a PostgreSQL table, optionally with
 a primary-key index (the "CI" configuration of Figure 4).  Here the
@@ -59,6 +61,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.engine.layout import numpy_or_none
+
 Binding = Tuple[Any, ...]
 
 #: Payload rows: one per 𝔾_R group of the joining R-tuples, as
@@ -80,6 +84,15 @@ class CacheEntry:
 def _order_key(item: Tuple[Any, int, CacheEntry]) -> Any:
     """Sort key of one ``NLJPCache._order`` item (for ``bisect``)."""
     return item[0]
+
+
+def _identity_index(entries: List[CacheEntry], entry: CacheEntry) -> int:
+    return next(i for i, candidate in enumerate(entries) if candidate is entry)
+
+
+#: dtype of the array-image column a binding value of this exact type
+#: can go in (``bool`` and every other type: none).
+_ARRAY_KINDS = {int: "i8", float: "f8"}
 
 
 def _value_bytes(value: Any) -> int:
@@ -156,7 +169,7 @@ class BudgetedBindingCache:
         raise NotImplementedError
 
     def _forget(self, binding: Binding, entry: Any) -> None:  # requires-lock: self._lock
-        """Remove an evicted entry from subclass side structures."""
+        """Remove an evicted or replaced entry from subclass side structures."""
 
     def _reset_side_structures(self) -> None:  # requires-lock: self._lock
         """Drop subclass side structures on :meth:`clear`."""
@@ -175,6 +188,11 @@ class BudgetedBindingCache:
                 self._entries.move_to_end(binding)
             return entry
 
+    def missed(self, count: int) -> None:
+        """Count ``count`` lookups the caller knows :meth:`get` would miss."""
+        with self._lock:
+            self.lookups += count
+
     def _admit(self, binding: Binding, entry: Any) -> None:  # requires-lock: self._lock
         """Insert under the entry-count policy; caller holds the lock."""
         previous = self._entries.get(binding)
@@ -183,6 +201,7 @@ class BudgetedBindingCache:
                 self._evict_one()
         elif previous is not None:
             self.bytes_used -= self._entry_bytes(previous)
+            self._forget(binding, previous)
         self.bytes_used += self._entry_bytes(entry)
         self._entries[binding] = entry
 
@@ -291,6 +310,21 @@ class NLJPCache(BudgetedBindingCache):
         # insertion order) so tuple comparison never reaches the entry.
         self._order: List[Tuple[Any, int, CacheEntry]] = []  # guarded-by: self._lock
         self._order_seq = 0  # guarded-by: self._lock
+        # The array image :meth:`prunable` tests a window of bindings
+        # against, built at its first call (``_imaged``) and kept in
+        # step by ``put``/``_forget`` from then on: one int64/float64
+        # array per binding position holding the bindings of ``_order``
+        # (with an order index) or of ``_unpromising_all`` (without), in
+        # that list's order.  ``None`` = no exact image: not asked for,
+        # NumPy missing, equality buckets, or an entry it cannot hold
+        # (see ``_image_insert``) -- until the next ``clear()``.
+        self._imaged = False  # guarded-by: self._lock
+        self._image: Optional[List[Any]] = None  # guarded-by: self._lock
+        self._image_types: Tuple[type, ...] = ()  # guarded-by: self._lock
+        self._image_rows = 0  # guarded-by: self._lock
+        # Moves whenever the pruning candidates change: a window decided
+        # under one version is void under another.
+        self._version = 0  # guarded-by: self._lock
 
     def _entry_bytes(self, entry: CacheEntry) -> int:
         return entry_bytes(entry)
@@ -306,6 +340,8 @@ class NLJPCache(BudgetedBindingCache):
         with self._lock:
             self._admit(binding, entry)
             if unpromising:
+                self._version += 1
+                at: Optional[int] = len(self._unpromising_all)
                 self._unpromising_all.append(entry)
                 if self.use_index:
                     self._unpromising_buckets.setdefault(
@@ -313,33 +349,80 @@ class NLJPCache(BudgetedBindingCache):
                     ).append(entry)
                 if self.order_position is not None:
                     key = binding[self.order_position]
+                    at = None
                     if key is not None:
                         self._order_seq += 1
-                        bisect.insort(self._order, (key, self._order_seq, entry))
+                        item = (key, self._order_seq, entry)
+                        at = bisect.bisect_right(self._order, item)
+                        self._order.insert(at, item)
+                self._image_insert(at, binding)
             return entry
 
     def _forget(self, victim_binding: Binding, victim: CacheEntry) -> None:  # requires-lock: self._lock
         if not victim.unpromising:
             return
-        self._unpromising_all = [
-            e for e in self._unpromising_all if e is not victim
-        ]
+        self._version += 1
+        at: Optional[int] = _identity_index(self._unpromising_all, victim)
+        del self._unpromising_all[at]
         if self.use_index:
-            key = self._bucket_key(victim_binding)
-            bucket = self._unpromising_buckets.get(key, [])
-            self._unpromising_buckets[key] = [
-                e for e in bucket if e is not victim
-            ]
+            bucket = self._unpromising_buckets[self._bucket_key(victim_binding)]
+            del bucket[_identity_index(bucket, victim)]
         if self.order_position is not None:
+            at = None
             for position, (_, _, entry) in enumerate(self._order):
                 if entry is victim:
                     del self._order[position]
+                    at = position
                     break
+        if self._image is not None and at is not None:
+            rows = self._image_rows
+            for column in self._image:
+                column[at : rows - 1] = column[at + 1 : rows]
+            self._image_rows = rows - 1
 
     def _reset_side_structures(self) -> None:  # requires-lock: self._lock
         self._unpromising_buckets.clear()
         self._unpromising_all.clear()
         self._order.clear()
+        self._version += 1
+        self._imaged, self._image = False, None
+
+    def _image_insert(self, at: Optional[int], binding: Binding) -> None:  # requires-lock: self._lock
+        """Mirror an insertion at ``at`` of the imaged list (``None``:
+        the entry is not in it, its order key being NULL, and no
+        binding with a key walks it).
+
+        The image is given up for an entry whose array comparisons
+        would not be Python's: a NULL or non-numeric attribute, an
+        integer beside floats in one position (``2**53 + 1`` differs
+        from every ``float64``) or outside ``int64``, a NaN (it has no
+        place in a sorted order).
+        """
+        image = self._image
+        if image is None or at is None:
+            return
+        types = tuple(map(type, binding))
+        rows = self._image_rows
+        if not image and set(types) <= _ARRAY_KINDS.keys():
+            np = numpy_or_none()
+            image.extend(np.empty(16, dtype=_ARRAY_KINDS[kind]) for kind in types)
+            self._image_types = types
+        if not image or types != self._image_types or (
+            float in types and any(value != value for value in binding)
+        ):
+            self._image = None
+            return
+        if rows == len(image[0]):
+            image[:] = [numpy_or_none().resize(column, 2 * rows) for column in image]
+        try:
+            for column, value in zip(image, binding):
+                if at < rows:
+                    column[at + 1 : rows + 1] = column[at:rows]
+                column[at] = value
+        except OverflowError:
+            self._image = None
+            return
+        self._image_rows = rows + 1
 
     # ------------------------------------------------------------------
     def _candidates(
@@ -424,6 +507,120 @@ class NLJPCache(BudgetedBindingCache):
                 if should_prune(binding, entry.binding):
                     return checks, entry
         return checks, None
+
+    def version(self) -> int:
+        """Moves whenever the pruning candidates change."""
+        with self._lock:
+            return self._version
+
+    def prunable(
+        self,
+        bindings: Sequence[Binding],
+        columns: Sequence[Any],
+        memo: bool,
+        test: Callable[[Sequence[Any], Sequence[Any]], Any],
+        order_bound: Optional[Tuple[int, bool, bool]] = None,
+    ) -> Optional[Tuple[int, Any, Any]]:
+        """Q_C for a window of bindings at once: ``(version, pruned, checks)``.
+
+        ``columns`` are the ``bindings`` as one int64/float64 array per
+        position, ``test(new, cached)`` is ``should_prune`` over arrays,
+        and ``order_bound`` = ``(position, is_low, strict)`` says which
+        of :meth:`first_pruner`'s ``low``/``high`` a binding's value at
+        the order index sets.  ``pruned[i]`` and ``checks[i]`` are what
+        ``first_pruner`` returns for binding ``i`` against the cache as
+        it stands — as long as :meth:`version` still reads ``version``;
+        a binding ``get`` would hit (only looked at with ``memo``) is
+        never pruned.  Nothing is counted or touched: the caller runs a
+        binding that is not pruned through ``get``/``first_pruner``
+        itself.  ``None`` when the candidates have no exact array image
+        of the columns' dtypes, or there are none.
+        """
+        np = numpy_or_none()
+        with self._lock:
+            if not self._imaged:
+                self._imaged = True
+                self._image = None if self.use_index or np is None else []
+                self._image_rows = 0
+                walked = (
+                    (item[2] for item in self._order)
+                    if self.order_position is not None
+                    else self._unpromising_all
+                )
+                for at, entry in enumerate(walked):
+                    self._image_insert(at, entry.binding)
+            rows = self._image_rows
+            if not self._image or not rows:
+                return None
+            cached = [column[:rows] for column in self._image]
+            indexed = None if order_bound is None else order_bound[0]
+            if indexed != self.order_position or (
+                [c.dtype for c in columns] != [c.dtype for c in cached]
+            ):
+                return None
+            pruned = np.zeros(len(bindings), dtype=bool)
+            checks = np.zeros(len(bindings), dtype=np.int64)
+            if memo:
+                held = np.fromiter(
+                    map(self._entries.__contains__, bindings), bool, len(bindings)
+                )
+                todo = np.flatnonzero(~held)
+                columns = [column[todo] for column in columns]
+            else:
+                todo = slice(None)
+            start = np.zeros(len(columns[0]), dtype=np.int64)
+            stop = np.full(len(start), rows)
+            if order_bound is not None:
+                position, is_low, strict = order_bound
+                cut = np.searchsorted(
+                    cached[position],
+                    columns[position],
+                    side="right" if strict == is_low else "left",
+                )
+                if is_low:
+                    start = cut
+                else:
+                    stop = cut
+            pruned[todo], checks[todo] = _first_hits(
+                np, test, columns, cached, start, stop
+            )
+            return self._version, pruned, checks
+
+
+#: Candidate tests one round of :func:`_first_hits` may evaluate at once
+#: (an upper bound on its scratch memory, ~1 MB per operand).
+_ROUND_TESTS = 1 << 16
+
+
+def _first_hits(np, test, columns, cached, start, stop):
+    """:meth:`NLJPCache.first_pruner`'s walk for many bindings at once.
+
+    Binding ``i`` walks ``cached[start[i]:stop[i]]`` in order; returns
+    ``(pruned, checks)`` arrays — a hit at range offset ``k`` charges
+    ``k + 1`` checks, no hit the range length.  Every round tests the
+    next few candidates of all unresolved bindings together, few at
+    first (on a warm cache the first or second candidate prunes), so
+    the work stays near the number of checks charged.
+    """
+    checks = stop - start
+    pruned = np.zeros(len(start), dtype=bool)
+    todo = np.flatnonzero(checks > 0)
+    offset, width = 0, 4
+    while len(todo):
+        width = max(1, min(width, _ROUND_TESTS // len(todo)))
+        at = (start[todo] + offset)[:, None] + np.arange(width)
+        last = stop[todo, None] - 1
+        hit = test(
+            [column[todo, None] for column in columns],
+            [column[np.minimum(at, last)] for column in cached],
+        ) & (at <= last)
+        found = hit.any(axis=1)
+        pruned[todo[found]] = True
+        checks[todo[found]] = offset + hit[found].argmax(axis=1) + 1
+        offset += width
+        todo = todo[~found & (checks[todo] > offset)]
+        width *= 8
+    return pruned, checks
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,9 @@ An NLJP instance is specified by four (generated) queries:
   only a join-shaped Q_R re-enters the operator tree per binding;
 * **Q_C(b')** — the pruning query: a lookup over the cache for an
   unpromising entry whose binding subsumes (or is subsumed by) ``b'``
-  under the automatically derived predicate;
+  under the automatically derived predicate — asked per binding, and
+  under a columnar context first for a window of upcoming bindings at
+  once, to skip the ones it is sure to prune;
 * **Q_P** — post-processing: assembles final result tuples, filtering
   by Φ; evaluated incrementally when ``𝔾_L → 𝔸_L`` holds (the
   non-blocking case the paper points out), and by combining algebraic
@@ -29,6 +31,7 @@ stats accounting, and post-steps (ORDER BY/LIMIT) compose normally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import OptimizationError
@@ -37,9 +40,9 @@ from repro.sql.render import render
 from repro.engine import operators as ops
 from repro.engine.aggregates import is_algebraic
 from repro.engine.kernel import lower_inner
-from repro.engine.layout import Layout
+from repro.engine.layout import ColumnBatch, Layout, numpy_or_none
 from repro.engine.planner import PlanEnv, plan_select
-from repro.core.cache import NLJPCache, PayloadRows
+from repro.core.cache import CacheEntry, NLJPCache, PayloadRows
 from repro.core.iceberg import PartitionView
 from repro.core.memo import collect_aggregates
 from repro.core.pruning import PruningDecision
@@ -49,6 +52,14 @@ from repro.core.pruning import PruningDecision
 #: distinct from ``()``/``None`` so a first run with empty params still
 #: registers as priming.
 _NO_PARAMS = object()
+
+#: :meth:`NLJPOperator._skip_ahead`'s shortest and longest stretch of
+#: bindings, and the pruned bindings (4-5 microseconds of Python each
+#: when walked) that pay for deciding one window (50-60 microseconds of
+#: array set-up, then a third of a microsecond a binding).
+_MIN_WINDOW = 16
+_MAX_WINDOW = 4096
+_WINDOW_PAYS = 20
 
 
 def _ref(attribute: str) -> ast.ColumnRef:
@@ -240,6 +251,7 @@ class NLJPOperator(ops.PhysicalOperator):
         self._build_binding_query()
         self._build_inner_query()
         self._build_output()
+        self._plan_loop()
 
     # ------------------------------------------------------------------
     # Q_B
@@ -428,6 +440,28 @@ class NLJPOperator(ops.PhysicalOperator):
         self.g_left_positions = tuple(
             self.qb_attributes.index(attribute) for attribute in self.g_left
         )
+
+    def _plan_loop(self) -> None:
+        """Can Q_C be decided a window of bindings at a time?
+
+        ``_prune_test`` is ``should_prune`` over arrays with the
+        positions it compares; ``_loop_reason`` says why there is none.
+        What a Q_B batch turns out to hold can still decline it:
+        ``loop_ran`` is what the last execution did.
+        """
+        self._prune_test = None
+        self.loop_ran: Optional[str] = None  # unguarded: serialized by the plan-cache entry lock
+        if self.pruning is None or self.pruning.predicate is None:
+            self._loop_reason = "no Q_C"
+        elif numpy_or_none() is None:
+            self._loop_reason = "NumPy unavailable"
+        elif self.cache_index and self.pruning.predicate.equality_attributes():
+            self._loop_reason = "equality buckets"
+        else:
+            self._prune_test = self.pruning.array_test()
+            self._loop_reason = (
+                "p⪰ has atoms other than a ⋈ b" if self._prune_test is None else None
+            )
 
     # ------------------------------------------------------------------
     # Execution
@@ -626,8 +660,6 @@ class NLJPOperator(ops.PhysicalOperator):
             if governor is not None:
                 self._enforce_cache_budget(governor, cache, entry)
             return entry
-        from repro.core.cache import CacheEntry
-
         return CacheEntry(binding=binding, payload=payload, unpromising=unpromising)
 
     def _enforce_cache_budget(self, governor, cache: NLJPCache, entry) -> None:
@@ -662,25 +694,164 @@ class NLJPOperator(ops.PhysicalOperator):
                 "memo/pruning lookups disabled",
             )
 
+    def _joined(
+        self, ctx: ops.ExecutionContext, cache: NLJPCache
+    ) -> Iterator[Tuple[Tuple[Any, ...], CacheEntry]]:
+        """Q_B's rows in order, each with its binding's entry; pruned
+        bindings are left out.
+
+        Every binding that is evaluated, looked up or inserted goes
+        through :meth:`_lookup_or_compute`, one at a time in Q_B's
+        order: a binding can be pruned by any earlier one.  Under a
+        columnar context :meth:`_skip_ahead` first drops, a window at a
+        time, the bindings Q_C is already sure to prune.
+        """
+        governor = ctx.governor
+        positions = self.binding_positions
+
+        def per_binding(rows):
+            for qb_row in rows:
+                if governor is not None:
+                    governor.check()
+                binding = tuple(qb_row[p] for p in positions)
+                entry = self._lookup_or_compute(ctx, cache, binding)
+                if entry is not None:
+                    yield qb_row, entry
+
+        reason = self._loop_reason or (None if ctx.columnar else "row/batch mode")
+        if reason is not None:
+            self.loop_ran = f"per binding ({reason})"
+            return per_binding(ops.execute_rows(self.qb_plan, ctx))
+        return chain.from_iterable(
+            self._skip_ahead(ctx, cache, batch, per_binding)
+            for batch in self.qb_plan.execute_columnar(ctx)
+        )
+
+    def _window_columns(self, batch: ColumnBatch):
+        """The binding columns as arrays Q_C can be decided on exactly
+        (see :meth:`SubsumptionPredicate.array_test`), or why not."""
+        if batch.length <= _MIN_WINDOW + _WINDOW_PAYS:
+            return "too few bindings for a window to pay"
+        np = numpy_or_none()
+        arrays = []
+        for position in self.binding_positions:
+            column = batch.column(position).materialize()
+            if column.kind not in ("i8", "f8"):
+                return "text attribute" if column.kind == "dict" else f"{column.kind} attribute"
+            if column.validity is not None and not column.validity.all():
+                return "NULLs in Q_B"
+            arrays.append(column.data)
+        if any(arrays[a].dtype != arrays[b].dtype for a, b in self._prune_test[1]):
+            return "integer beside float"
+        if self._order_bound is not None:
+            keys = arrays[self._order_bound[0]]
+            if keys.dtype.kind == "f" and np.isnan(keys).any():
+                return "NaN at the order index"
+        return arrays
+
+    def _skip_ahead(self, ctx, cache: NLJPCache, batch: ColumnBatch, per_binding):
+        """One Q_B batch: decide Q_C for a window of upcoming bindings
+        against the cache as it stands, charge the pruned ones what the
+        walk would have charged them, and run the others one by one
+        (``per_binding``; of a batch arrays cannot decide, all).
+
+        A binding is skipped only on a decision nothing before it in
+        Q_B's order can change: it is not in the memo (entries are only
+        added for bindings that are *not* pruned, and a duplicate gets
+        the same decision), and the candidates its walk meets are the
+        cache's as long as :meth:`NLJPCache.version` stands — an
+        unpromising insertion, an eviction or a ``clear()`` voids the
+        rest of the window.
+
+        Deciding a window costs as much as walking a dozen bindings one
+        by one, so the next stretch of Q_B is a window, twice as long,
+        only when the last stretch had enough pruned bindings for one
+        that long to pay; otherwise it is walked per binding, for twice
+        as long each time (an empty cache decides nothing).
+        """
+        columns = self._window_columns(batch)
+        if isinstance(columns, str):
+            self.loop_ran = f"per binding ({columns})"
+            yield from per_binding(ops.batch_rows(batch, ctx.batch_size))
+            return
+        kinds = ",".join(array.dtype.str[1:] for array in columns)
+        indexed = (
+            "all unpromising entries"
+            if self._order_bound is None
+            else f"order index on {self.j_left[self._order_bound[0]]}"
+        )
+        self.loop_ran = f"windowed ({kinds}; {indexed})"
+        np = numpy_or_none()
+        test = self._prune_test[0]
+        governor = ctx.governor
+        stats = ctx.stats
+        at = done = skipped = 0
+        walk = _MIN_WINDOW
+        while at < batch.length:
+            # The last stretch had ``skipped`` of ``done`` bindings
+            # pruned: is a window twice as long worth deciding?
+            width = min(2 * done, batch.length - at, _MAX_WINDOW)
+            pruned_before = stats.pruned_bindings
+            decided = None
+            if width and skipped * width >= _WINDOW_PAYS * done and not self._cache_disabled:
+                stop = at + width
+                window = [array[at:stop] for array in columns]
+                bindings = list(zip(*(array.tolist() for array in window)))
+                if governor is not None:
+                    governor.check()
+                decided = cache.prunable(
+                    bindings, window, self.enable_memo, test, self._order_bound
+                )
+            if decided is None:
+                stop = min(batch.length, at + walk)
+                yield from per_binding(batch.slice(at, stop).to_rows())
+                done, walk = stop - at, min(2 * walk, _MAX_WINDOW)
+            else:
+                version, pruned, checks = decided
+                kept = np.flatnonzero(~pruned)
+                charged = [0, *np.cumsum(np.where(pruned, checks, 0)).tolist()]
+                rows = batch.slice(at, stop).take(kept).to_rows()
+                done, walk = 0, _MIN_WINDOW
+                # The closing (width, None) charges the last pruned run.
+                for k, qb_row in zip([*kept.tolist(), width], [*rows, None]):
+                    if k > done:
+                        self._charge_pruned(ctx, cache, k - done, charged[k] - charged[done])
+                    if qb_row is None:
+                        done = k
+                        break
+                    done = k + 1
+                    if governor is not None:
+                        governor.check()
+                    evaluations = stats.inner_evaluations
+                    entry = self._lookup_or_compute(ctx, cache, bindings[k])
+                    if entry is not None:
+                        yield qb_row, entry
+                    # Only an evaluation inserts, evicts or clears.
+                    if stats.inner_evaluations != evaluations and cache.version() != version:
+                        break
+            at += done
+            skipped = stats.pruned_bindings - pruned_before
+
+    def _charge_pruned(self, ctx, cache: NLJPCache, count: int, checks: int) -> None:
+        """What :meth:`_lookup_or_compute` charges ``count`` bindings
+        that miss the memo and are pruned after ``checks`` tests."""
+        ctx.stats.prune_checks += checks
+        ctx.stats.pruned_bindings += count
+        tracer = ctx.tracer
+        if self.enable_memo:
+            cache.missed(count)
+            if tracer is not None:
+                tracer.record_cache(self, "memo_get", count=count)
+        if tracer is not None:
+            tracer.record_cache(self, "prune_scan", hit=True, count=count)
+
     def _execute_direct(
         self, ctx: ops.ExecutionContext, cache: NLJPCache
     ) -> Iterator[Tuple[Any, ...]]:
-        """𝔾_L → 𝔸_L: each binding's groups are complete; stream output.
-
-        ``execute_rows`` pulls Q_B through its batch path when the
-        context is in batch mode, so the outer-binding loop feeds the
-        cache/prune path from vectorized upstream operators.  Bindings
-        are still taken one at a time, in Q_B's order: a binding can be
-        pruned by any earlier one, which batching them would change.
-        """
+        """𝔾_L → 𝔸_L: each binding's groups are complete; stream output."""
         params = ctx.params
-        governor = ctx.governor
-        for qb_row in ops.execute_rows(self.qb_plan, ctx):
-            if governor is not None:
-                governor.check()
-            binding = tuple(qb_row[p] for p in self.binding_positions)
-            entry = self._lookup_or_compute(ctx, cache, binding)
-            if entry is None or entry.unpromising:
+        for qb_row, entry in self._joined(ctx, cache):
+            if entry.unpromising:
                 continue
             for group, states in entry.payload:
                 finalized = self._finalized(group, states)
@@ -694,16 +865,9 @@ class NLJPOperator(ops.PhysicalOperator):
     ) -> Iterator[Tuple[Any, ...]]:
         """General case: combine algebraic partials per (𝔾_L, 𝔾_R) group."""
         params = ctx.params
-        governor = ctx.governor
         groups: Dict[Tuple, List[Any]] = {}
         representative: Dict[Tuple, Tuple[Any, ...]] = {}
-        for qb_row in ops.execute_rows(self.qb_plan, ctx):
-            if governor is not None:
-                governor.check()
-            binding = tuple(qb_row[p] for p in self.binding_positions)
-            entry = self._lookup_or_compute(ctx, cache, binding)
-            if entry is None:
-                continue
+        for qb_row, entry in self._joined(ctx, cache):
             left_key = tuple(qb_row[p] for p in self.g_left_positions)
             for group, states in entry.payload:
                 key = (left_key, group)
@@ -741,6 +905,7 @@ class NLJPOperator(ops.PhysicalOperator):
         lines += ["  Q_B: " + render(self.qb_select)]
         lines += ["  Q_R: " + render(self.qr_select)]
         lines += ["  inner: " + self.inner_description()]
+        lines += ["  loop: " + self.loop_description()]
         if self.pruning is not None and self.pruning.predicate is not None:
             lines += ["  Q_C: " + render(self.pruning_query_sql())]
         return lines
@@ -755,6 +920,7 @@ class NLJPOperator(ops.PhysicalOperator):
         node["qb_plan"] = self.qb_plan.to_dict()
         node["qr_plan"] = self.qr_plan.to_dict()
         node["inner"] = self.inner_description()
+        node["loop"] = self.loop_description()
         if self.pruning is not None and self.pruning.predicate is not None:
             node["pruning_predicate"] = render(self.pruning_query_sql())
         return node
@@ -764,6 +930,15 @@ class NLJPOperator(ops.PhysicalOperator):
         if self.inner_kernel is not None:
             return f"kernel ({self.inner_kernel.describe()})"
         return f"operators ({self.inner_reason})"
+
+    def loop_description(self) -> str:
+        """How the bindings are gone through: what the last execution
+        did, or before one, what the plan allows."""
+        if self.loop_ran is not None:
+            return self.loop_ran
+        if self._loop_reason is not None:
+            return f"per binding ({self._loop_reason})"
+        return "windowed (under a columnar context)"
 
     def pruning_query_sql(self) -> ast.Expr:
         """The Q_C predicate as SQL (over cache columns + parameters)."""

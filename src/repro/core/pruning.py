@@ -55,6 +55,19 @@ class PruningDecision:
             return self.predicate.holds(cached_binding, new_binding)
         return self.predicate.holds(new_binding, cached_binding)
 
+    def array_test(self):
+        """:meth:`should_prune` over column arrays, ``test(new, cached)``,
+        with the positions its atoms compare — or ``None``; see
+        :meth:`SubsumptionPredicate.array_test`."""
+        assert self.predicate is not None and self.direction is not None
+        compiled = self.predicate.array_test()
+        if compiled is None:
+            return None
+        holds, pairs = compiled
+        if self.direction is PruneDirection.NEW_SUBSUMED_BY_CACHED:
+            return (lambda new, cached: holds(cached, new)), pairs
+        return holds, pairs
+
 
 #: ``derive_subsumption``'s signature: (Θ conjuncts, J_outer, J_inner) → p⪰.
 Derive = Callable[[Sequence, Sequence[str], Sequence[str]], SubsumptionPredicate]

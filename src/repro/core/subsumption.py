@@ -27,9 +27,11 @@ is domain-agnostic, and the evaluator compares their values directly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from functools import reduce
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import QuantifierEliminationError
 from repro.sql import ast
@@ -172,6 +174,22 @@ class SubsumptionPredicate:
         """
         return self._evaluator(w, w_prime)
 
+    def array_test(self) -> Optional[Tuple["ArrayEvaluator", Tuple[Tuple[int, int], ...]]]:
+        """``holds`` over column arrays: ``test(w, v)`` takes one array
+        per attribute on each side (any broadcastable shapes) and
+        returns the boolean array of ``holds`` on every pair.
+
+        Comes with the attribute positions each atom compares: the
+        array comparison is Python's only when an atom's operands share
+        one dtype, ``int64`` or ``float64``, and hold no NULL.  ``None``
+        when the formula is not an and/or of ``a ⋈ b`` atoms over two
+        variables (scaled or many-variable atoms keep :meth:`holds`'
+        exact rational arithmetic).
+        """
+        pairs: List[Tuple[int, int]] = []
+        test = _compile_arrays(self.formula, pairs)
+        return None if test is None else (test, tuple(pairs))
+
     # -- introspection ------------------------------------------------
     @property
     def is_trivially_false(self) -> bool:
@@ -198,7 +216,7 @@ class SubsumptionPredicate:
             positions = set()
             for atom in atoms:
                 if isinstance(atom, fm.Constraint) and atom.op == "=":
-                    position = _matched_pair(atom.term, len(self.attributes))
+                    position = _matched_pair(atom.term)
                     if position is not None:
                         positions.add(position)
             common = positions if common is None else (common & positions)
@@ -225,13 +243,10 @@ class SubsumptionPredicate:
         for atom in atoms:
             if not isinstance(atom, fm.Constraint) or atom.op == "=":
                 continue
-            term = atom.term
-            if term.constant != 0 or len(term.coefficients) != 2:
-                continue
-            position = _matched_pair_any(term, len(self.attributes))
+            position = _matched_pair(atom.term)
             if position is None:
                 continue
-            w_coefficient = term.coefficients[f"w{position}"]
+            w_coefficient = atom.term.coefficients[f"w{position}"]
             # term OP 0 with term = w_coeff*w + v_coeff*v, v_coeff = -w_coeff.
             if w_coefficient > 0:
                 op = atom.op  # w - v < / <= 0  ->  w < / <= v
@@ -258,33 +273,12 @@ class SubsumptionPredicate:
         return f"SubsumptionPredicate({self.formula!r} over {self.attributes})"
 
 
-def _matched_pair_any(term: LinearTerm, width: int) -> Optional[int]:
-    """If ``term = c*(w_i - v_i)`` for some i with |c| = 1, return i."""
-    if term.constant != 0 or len(term.coefficients) != 2:
-        return None
-    names = set(term.coefficients)
-    for index in range(width):
-        if names == {f"w{index}", f"v{index}"}:
-            w_coefficient = term.coefficients[f"w{index}"]
-            v_coefficient = term.coefficients[f"v{index}"]
-            if w_coefficient == -v_coefficient and abs(w_coefficient) == 1:
-                return index
-    return None
-
-
-def _matched_pair(term: LinearTerm, width: int) -> Optional[int]:
-    """If ``term = w_i - v_i`` (or negated), return i."""
-    if term.constant != 0 or len(term.coefficients) != 2:
-        return None
-    items = sorted(term.coefficients.items())
-    for index in range(width):
-        expected = {f"w{index}", f"v{index}"}
-        if {name for name, _ in items} == expected:
-            coefficients = dict(items)
-            if coefficients[f"w{index}"] == -coefficients[f"v{index}"] and abs(
-                coefficients[f"w{index}"]
-            ) == 1:
-                return index
+def _matched_pair(term: LinearTerm) -> Optional[int]:
+    """If ``term = w_i - v_i`` (or negated) for some i, return i."""
+    names = _difference(term)
+    if names is not None and {names[0][0], names[1][0]} == {"w", "v"}:
+        if names[0][1:] == names[1][1:]:
+            return int(names[0][1:])
     return None
 
 
@@ -330,30 +324,31 @@ _FAST_COMPARATORS: Dict[str, Callable[[Any, Any], bool]] = {
 }
 
 
-def _compile_constraint_fast(constraint: fm.Constraint) -> PairEvaluator:
-    term = constraint.term
-    compare = _FAST_COMPARATORS[constraint.op]
-    # Fast path: a - b OP 0 -> a OP b (also valid for text equality).
+def _difference(term: LinearTerm) -> Optional[Tuple[str, str]]:
+    """``(a, b)`` when ``term`` is ``a - b`` for two variables."""
     if term.constant == 0 and len(term.coefficients) == 2:
         (name_a, coefficient_a), (name_b, coefficient_b) = sorted(
             term.coefficients.items()
         )
         if coefficient_a == 1 and coefficient_b == -1:
-            get_a = _variable_accessor(name_a)
-            get_b = _variable_accessor(name_b)
-            return lambda w, v: (
-                (a := get_a(w, v)) is not None
-                and (b := get_b(w, v)) is not None
-                and compare(a, b)
-            )
+            return name_a, name_b
         if coefficient_a == -1 and coefficient_b == 1:
-            get_a = _variable_accessor(name_a)
-            get_b = _variable_accessor(name_b)
-            return lambda w, v: (
-                (a := get_a(w, v)) is not None
-                and (b := get_b(w, v)) is not None
-                and compare(b, a)
-            )
+            return name_b, name_a
+    return None
+
+
+def _compile_constraint_fast(constraint: fm.Constraint) -> PairEvaluator:
+    term = constraint.term
+    compare = _FAST_COMPARATORS[constraint.op]
+    # Fast path: a - b OP 0 -> a OP b (also valid for text equality).
+    names = _difference(term)
+    if names is not None:
+        get_a, get_b = map(_variable_accessor, names)
+        return lambda w, v: (
+            (a := get_a(w, v)) is not None
+            and (b := get_b(w, v)) is not None
+            and compare(a, b)
+        )
     # Single variable: c*x + k OP 0.
     if len(term.coefficients) == 1:
         ((name, coefficient),) = term.coefficients.items()
@@ -381,6 +376,33 @@ def _compile_constraint_fast(constraint: fm.Constraint) -> PairEvaluator:
         return compare(total, 0)
 
     return general
+
+
+ArrayEvaluator = Callable[[Sequence[Any], Sequence[Any]], Any]
+
+
+def _compile_arrays(
+    formula: fm.Formula, pairs: List[Tuple[int, int]]
+) -> Optional[ArrayEvaluator]:
+    """:func:`_compile_fast` for arrays; appends each atom's positions."""
+    if isinstance(formula, fm.BoolConst):
+        value = formula.value
+        return lambda w, v: value
+    if isinstance(formula, (fm.And, fm.Or)):
+        children = [_compile_arrays(child, pairs) for child in formula.children]
+        if None in children:
+            return None
+        fold = operator.and_ if isinstance(formula, fm.And) else operator.or_
+        return lambda w, v: reduce(fold, [child(w, v) for child in children])
+    names = (
+        _difference(formula.term) if isinstance(formula, fm.Constraint) else None
+    )
+    if names is None:
+        return None
+    pairs.append((int(names[0][1:]), int(names[1][1:])))
+    compare = _FAST_COMPARATORS[formula.op]
+    get_a, get_b = map(_variable_accessor, names)
+    return lambda w, v: compare(get_a(w, v), get_b(w, v))
 
 
 def _formula_to_sql(
@@ -435,18 +457,12 @@ def _constraint_to_sql(
 ) -> ast.Expr:
     term = constraint.term
     # Special-case the common two-variable shape a - b OP 0 -> a OP b.
-    if term.constant == 0 and len(term.coefficients) == 2:
-        (name_a, coefficient_a), (name_b, coefficient_b) = sorted(
-            term.coefficients.items()
+    names = _difference(term)
+    if names is not None:
+        left, right = (
+            _variable_to_sql(name, new_binding, cached_binding) for name in names
         )
-        if coefficient_a == 1 and coefficient_b == -1:
-            left = _variable_to_sql(name_a, new_binding, cached_binding)
-            right = _variable_to_sql(name_b, new_binding, cached_binding)
-            return ast.BinaryOp(constraint.op, left, right)
-        if coefficient_a == -1 and coefficient_b == 1:
-            left = _variable_to_sql(name_b, new_binding, cached_binding)
-            right = _variable_to_sql(name_a, new_binding, cached_binding)
-            return ast.BinaryOp(constraint.op, left, right)
+        return ast.BinaryOp(constraint.op, left, right)
     # Single variable: c*x + k OP 0 -> x OP' -k/c.
     if len(term.coefficients) == 1:
         ((name, coefficient),) = term.coefficients.items()

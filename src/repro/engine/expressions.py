@@ -1167,49 +1167,6 @@ def columnar_values(fn: Compiled, ctx: Any = None) -> ColumnarValues:
     return evaluate
 
 
-def columnar_probe_filter(
-    fn: Optional[Compiled], outer_width: int, ctx: Any = None
-) -> Optional[Callable]:
-    """A probe-form mask evaluator ``(outer_row, inner_batch, params)``.
-
-    Used by index joins whose outer side is iterated row-wise while the
-    inner side stays columnar: combined-layout positions below
-    ``outer_width`` read outer-row scalars, the rest read inner batch
-    columns.  Total, with the same decode-to-rows fallback (evaluating
-    the closure on ``outer_row + inner_row`` concatenations).
-    """
-    if fn is None:
-        return None
-    attr = "_columnar_probe_filter"
-    cached = getattr(fn, attr, None)
-    if cached is not None and cached[0] == outer_width:
-        return cached[1]
-    np = numpy_or_none()
-
-    def row_mask(orow, batch: ColumnBatch, params: Dict[str, Any]):
-        flags = [fn(orow + row, params) is True for row in batch.cached_rows()]
-        if np is None:
-            return flags
-        return np.fromiter(flags, dtype=bool, count=len(flags))
-
-    kernel = _fused_kernel(fn, "filter", outer_width, ctx)
-    if kernel is None:
-        evaluate = row_mask
-    else:
-
-        def evaluate(orow, batch: ColumnBatch, params: Dict[str, Any]):
-            try:
-                return kernel(orow, batch, params)
-            except Exception:
-                return row_mask(orow, batch, params)
-
-    try:
-        setattr(fn, attr, (outer_width, evaluate))
-    except (AttributeError, TypeError):  # pragma: no cover - defensive
-        pass
-    return evaluate
-
-
 _RAW_MISSING = object()
 
 

@@ -14,6 +14,7 @@ and composes with these.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -132,20 +133,25 @@ def chunked(iterable, size: int) -> Iterator[List[Row]]:
         yield batch
 
 
+def batch_rows(batch: ColumnBatch, size: int) -> Iterator[Row]:
+    """Decode a column batch ``size`` rows at a time.
+
+    A batch can be many times ``batch_size`` (an aggregate's whole
+    output, a join's run of pairs): decoding it in slices keeps no more
+    tuples alive than the batch path does.
+    """
+    for start in range(0, batch.length, size):
+        yield from batch.slice(start, min(start + size, batch.length)).to_rows()
+
+
 def execute_rows(plan: "PhysicalOperator", ctx: ExecutionContext) -> Iterator[Row]:
     """Iterate a plan's rows honouring the context's execution mode."""
     if ctx.batch_size is None:
         return plan.execute(ctx)
     if ctx.columnar:
-        # A batch can be many times ``batch_size`` (an aggregate's whole
-        # output, a join's run of pairs): decoding it ``batch_size`` rows
-        # at a time keeps no more tuples alive than the batch path does.
         size = ctx.batch_size
-        return (
-            row
-            for batch in plan.execute_columnar(ctx)
-            for start in range(0, batch.length, size)
-            for row in batch.slice(start, min(start + size, batch.length)).to_rows()
+        return itertools.chain.from_iterable(
+            batch_rows(batch, size) for batch in plan.execute_columnar(ctx)
         )
     return (row for batch in plan.execute_batches(ctx) for row in batch)
 

@@ -226,9 +226,10 @@ class Tracer:
 
     # -- NLJP cache interactions ---------------------------------------
     def record_cache(
-        self, node: PhysicalOperator, op: str, hit: bool = False
+        self, node: PhysicalOperator, op: str, hit: bool = False, count: int = 1
     ) -> None:
-        """Aggregate one cache interaction under the owning NLJP span.
+        """Aggregate ``count`` alike cache interactions (a window of
+        pruned bindings is reported at once) under the owning NLJP span.
 
         Cache spans are pure counts (``attrs["hits"]`` tracks the
         successful subset); their stats deltas are zero, so they never
@@ -245,9 +246,9 @@ class Tracer:
             span = Span(f"cache:{op}", kind="cache")
             self._cache_spans[key] = span
             owner.children.append(span)
-        span.count += 1
+        span.count += count
         if hit:
-            span.attrs["hits"] = span.attrs.get("hits", 0) + 1
+            span.attrs["hits"] = span.attrs.get("hits", 0) + count
 
     # -- NLJP inner kernel ---------------------------------------------
     def run_kernel(self, node: PhysicalOperator, kernel: Any, ctx: Any) -> Any:

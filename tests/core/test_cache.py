@@ -211,3 +211,38 @@ class TestFootprint:
         assert len(cache) == 0
         assert cache.estimated_bytes() == 0
         assert list(cache.prune_candidates((0,), low=0)) == []
+
+
+class TestReplacedEntries:
+    """``put`` over a cached binding forgets the entry it replaces: the
+    pruning lists hold exactly the dict's unpromising entries."""
+
+    def test_replaced_entries_leave_the_pruning_lists(self):
+        # A pruning-only plan on a pinned cache re-inserts a binding
+        # with a NULL attribute on every execution (p⪰ is false on
+        # NULL, so it never prunes itself).
+        cache = NLJPCache(order_position=0)
+        for _ in range(3):
+            cache.put((None, 5), payload(), unpromising=True)
+            cache.put((1, 5), payload(), unpromising=True)
+        assert len(cache) == 2
+        assert [e.binding for e in cache.prune_candidates((0, 0))] == [
+            (None, 5),
+            (1, 5),
+        ]
+        assert [e.binding for e in cache.prune_candidates((0, 0), low=0)] == [(1, 5)]
+
+    def test_replaced_then_evicted_is_no_candidate(self):
+        cache = NLJPCache(max_entries=1, policy="lru")
+        cache.put((1, 5), payload(), unpromising=True)
+        cache.put((1, 5), payload(), unpromising=True)
+        cache.put((2, 5), payload(), unpromising=True)
+        assert len(cache) == 1
+        assert [e.binding for e in cache.prune_candidates((0, 0))] == [(2, 5)]
+
+    def test_replaced_entries_leave_their_bucket(self):
+        cache = NLJPCache(equality_positions=(0,), use_index=True)
+        cache.put(("a", 1), payload(), unpromising=True)
+        replacement = cache.put(("a", 1), payload(), unpromising=False)
+        assert cache.get(("a", 1)) is replacement
+        assert list(cache.prune_candidates(("a", 9))) == []
