@@ -193,6 +193,13 @@ class BudgetedBindingCache:
         with self._lock:
             self.lookups += count
 
+    def missing(self, bindings: Sequence[Binding]) -> List[Binding]:
+        """The ``bindings`` :meth:`get` would miss as the cache stands,
+        in order; nothing is counted or touched."""
+        with self._lock:
+            held = self._entries
+            return [binding for binding in bindings if binding not in held]
+
     def _admit(self, binding: Binding, entry: Any) -> None:  # requires-lock: self._lock
         """Insert under the entry-count policy; caller holds the lock."""
         previous = self._entries.get(binding)

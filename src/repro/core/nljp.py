@@ -11,8 +11,12 @@ An NLJP instance is specified by four (generated) queries:
   of Φ and Λ per 𝔾_R group (plus a support count).  The paper ran it
   as a prepared statement per binding; here a Q_R over one scan is
   lowered once per plan to a columnar kernel
-  (:mod:`repro.engine.kernel`) that every execution mode calls, and
-  only a join-shaped Q_R re-enters the operator tree per binding;
+  (:mod:`repro.engine.kernel`) that every execution mode calls, a
+  join-shaped Q_R to a kernel that a columnar context has compute it
+  for the next block of bindings at once, ahead of the loop
+  (:class:`_Blocks`), and only what both decline — or any join-shaped
+  Q_R outside a columnar context — re-enters the operator tree per
+  binding;
 * **Q_C(b')** — the pruning query: a lookup over the cache for an
   unpromising entry whose binding subsumes (or is subsumed by) ``b'``
   under the automatically derived predicate — asked per binding, and
@@ -30,6 +34,7 @@ stats accounting, and post-steps (ORDER BY/LIMIT) compose normally.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -39,7 +44,7 @@ from repro.sql import ast
 from repro.sql.render import render
 from repro.engine import operators as ops
 from repro.engine.aggregates import is_algebraic
-from repro.engine.kernel import lower_inner
+from repro.engine.kernel import BlockDeclined, lower_inner
 from repro.engine.layout import ColumnBatch, Layout, numpy_or_none
 from repro.engine.planner import PlanEnv, plan_select
 from repro.core.cache import CacheEntry, NLJPCache, PayloadRows
@@ -60,6 +65,12 @@ _NO_PARAMS = object()
 _MIN_WINDOW = 16
 _MAX_WINDOW = 4096
 _WINDOW_PAYS = 20
+
+#: :class:`_Blocks`' shortest and longest block of bindings: evaluating
+#: a block together costs a few hundred microseconds of array set-up
+#: whatever its size, the tree 35-60 a binding.
+_MIN_BLOCK = 16
+_MAX_BLOCK = 1024
 
 
 def _ref(attribute: str) -> ast.ColumnRef:
@@ -155,6 +166,100 @@ def _algebraic_slot(call: ast.FuncCall) -> AggSlot:
             finalize=lambda state: state,
         )
     raise OptimizationError(f"no algebraic decomposition for {name}")
+
+
+class _Blocks:
+    """One execution's schedule for evaluating Q_R ahead of the loop.
+
+    The loop says which bindings come next (:meth:`begin`) and, before
+    it looks each one up, where it is (:meth:`ahead`); at a block's
+    first binding the block kernel evaluates together those bindings of
+    the block the memo does not hold and Q_C does not prune as the
+    cache stands.  That is speculation -- an evaluation inside the
+    block can insert an unpromising entry that prunes a later binding
+    of it -- and sound: pruning is optional
+    (Theorem 3) and a prefetched result, a pure function of binding and
+    data version, is only ever used for its own binding.  A result
+    whose binding is pruned after all is dropped and counted
+    (:meth:`pruned`).  A block is twice as long as the one before it
+    while the loop pruned nothing, as long while every binding it
+    pruned was foreseen (left out of the block), half as long when a
+    result was dropped, and below ``_MIN_BLOCK`` the next
+    ``_MIN_BLOCK`` bindings are not evaluated ahead at all -- so work
+    that pruning would have saved stays a small share of the work
+    done, with nothing to tune.
+    """
+
+    def __init__(
+        self, nljp: "NLJPOperator", ctx: ops.ExecutionContext, cache: NLJPCache
+    ) -> None:
+        self.nljp = nljp
+        self.ctx = ctx
+        self.cache = cache
+        self.kernel = nljp.inner_kernel
+        self.bindings: Sequence[Tuple[Any, ...]] = ()
+        self.until = 0
+        self.decided = False
+        self.width = _MIN_BLOCK // 2
+        self.setback = False
+        self.pruned_before = ctx.stats.pruned_bindings
+
+    def begin(self, bindings: Sequence[Tuple[Any, ...]], decided: bool = False) -> None:
+        """``bindings`` are what the loop looks up next, in order --
+        ``decided``: those of a window that Q_C does not prune as the
+        cache stands."""
+        self.bindings = bindings
+        self.until = 0
+        self.decided = decided
+
+    def ahead(self, at: int) -> None:
+        """The loop is about to look up ``bindings[at]``."""
+        if at < self.until or self.kernel is None:
+            return
+        pruned = self.ctx.stats.pruned_bindings
+        if self.setback:
+            self.width = max(self.width // 2, _MIN_BLOCK // 2)
+        elif pruned == self.pruned_before:
+            self.width = min(2 * self.width, _MAX_BLOCK)
+        self.setback = False
+        self.pruned_before = pruned
+        self.until = at + max(self.width, _MIN_BLOCK)
+        if self.width < _MIN_BLOCK:
+            return
+        nljp = self.nljp
+        block = self.bindings[at : self.until]
+        if nljp.enable_memo and not nljp._cache_disabled:
+            # A duplicate finds the first one's entry in the memo.
+            wanted = dict.fromkeys(self.cache.missing(block), 1)
+        else:
+            wanted = Counter(block)
+        if nljp.pruning is not None and not nljp._cache_disabled and not self.decided:
+            # What Q_C prunes already is not worth evaluating: the walk
+            # the loop will make, uncounted (a window has made it).
+            wanted = {
+                binding: uses
+                for binding, uses in wanted.items()
+                if nljp._first_pruner(self.cache, binding)[1] is None
+            }
+        tracer = self.ctx.tracer
+        try:
+            if tracer is None:
+                self.kernel.prefetch(self.ctx, wanted)
+            else:
+                tracer.run_prefetch(nljp, self.kernel, self.ctx, wanted)
+        except BlockDeclined as declined:
+            # Data the arrays cannot join exactly: the tree, from here on.
+            self.kernel = None
+            nljp.inner_ran = f"operators ({declined})"
+
+    def pruned(self, bindings: Sequence[Tuple[Any, ...]]) -> None:
+        """The loop pruned ``bindings``: what was evaluated ahead for
+        them is dropped."""
+        take = self.nljp.inner_kernel.take
+        dropped = sum(take(self.ctx, binding, drop=True) is not None for binding in bindings)
+        if dropped:
+            self.ctx.stats.inner_prefetch_discarded += dropped
+            self.setback = True
 
 
 class NLJPOperator(ops.PhysicalOperator):
@@ -367,9 +472,14 @@ class NLJPOperator(ops.PhysicalOperator):
         )
         self.qr_plan, _ = plan_select(self.qr_select, self.env)
         # A scan-shaped Q_R is lowered once to a columnar kernel that
-        # every execution mode calls in place of the tree; the reason
-        # says why a Q_R kept the operators (EXPLAIN shows either).
-        self.inner_kernel, self.inner_reason = lower_inner(self.qr_plan)
+        # every execution mode calls in place of the tree, a join-shaped
+        # one to a kernel a columnar context runs a block of bindings
+        # ahead of the loop; the reason says why a Q_R kept the
+        # operators (EXPLAIN shows which).
+        self.inner_kernel, self.inner_reason = lower_inner(
+            self.qr_plan, self.param_names
+        )
+        self.inner_ran: Optional[str] = None  # unguarded: serialized by the plan-cache entry lock
 
     # ------------------------------------------------------------------
     # Q_P / output
@@ -507,19 +617,35 @@ class NLJPOperator(ops.PhysicalOperator):
         governor = ctx.governor
         if governor is not None:
             governor.check("inner-eval")
-        saved = dict(ctx.params)
-        ctx.params.update(zip(self.param_names, binding))
+        params = ctx.params
+        names = self.param_names
+        # Only the binding's names are set and taken back; a statement
+        # parameter one of them hides (none, outside tests) comes back.
+        hidden = {n: params[n] for n in names if n in params} if params else None
+        params.update(zip(names, binding))
         kernel = self.inner_kernel
         try:
+            # A block kernel runs a binding it has evaluated ahead of
+            # the loop; one it has not (or any, outside a columnar
+            # context) is the tree's.
+            args = ()
+            if kernel is not None and kernel.blockwise:
+                ahead = kernel.take(ctx, binding) if ctx.columnar else None
+                if ahead is None:
+                    kernel = None
+                else:
+                    args = (ahead,)
             if kernel is None:
                 raw_rows = ops.materialize(self.qr_plan, ctx, columnar=False)
             elif ctx.tracer is None:
-                raw_rows = kernel.run(ctx)
+                raw_rows = kernel.run(ctx, *args)
             else:
-                raw_rows = ctx.tracer.run_kernel(self, kernel, ctx)
+                raw_rows = ctx.tracer.run_kernel(self, kernel, ctx, *args)
         finally:
-            ctx.params.clear()
-            ctx.params.update(saved)
+            for name in names:
+                del params[name]
+            if hidden:
+                params.update(hidden)
         n_grp = len(self.g_right)
         payload: List[Tuple[Tuple[Any, ...], Tuple[Any, ...]]] = []
         for row in raw_rows:
@@ -626,19 +752,7 @@ class NLJPOperator(ops.PhysicalOperator):
         if entry is not None:
             return entry
         if self.pruning is not None and use_cache:
-            low = high = None
-            low_strict = high_strict = False
-            if self._order_bound is not None:
-                position, is_low, strict = self._order_bound
-                value = binding[position]
-                if is_low:
-                    low, low_strict = value, strict
-                else:
-                    high, high_strict = value, strict
-            checks, hit = cache.first_pruner(
-                binding, self.pruning.should_prune, low=low, high=high,
-                low_strict=low_strict, high_strict=high_strict,
-            )
+            checks, hit = self._first_pruner(cache, binding)
             ctx.stats.prune_checks += checks
             pruned = hit is not None
             if tracer is not None:
@@ -661,6 +775,23 @@ class NLJPOperator(ops.PhysicalOperator):
                 self._enforce_cache_budget(governor, cache, entry)
             return entry
         return CacheEntry(binding=binding, payload=payload, unpromising=unpromising)
+
+    def _first_pruner(self, cache: NLJPCache, binding):
+        """Q_C for ``binding`` against the cache as it stands: ``(checks,
+        hit)``, nothing counted."""
+        low = high = None
+        low_strict = high_strict = False
+        if self._order_bound is not None:
+            position, is_low, strict = self._order_bound
+            value = binding[position]
+            if is_low:
+                low, low_strict = value, strict
+            else:
+                high, high_strict = value, strict
+        return cache.first_pruner(
+            binding, self.pruning.should_prune, low=low, high=high,
+            low_strict=low_strict, high_strict=high_strict,
+        )
 
     def _enforce_cache_budget(self, governor, cache: NLJPCache, entry) -> None:
         """Apply the ``max_cache_bytes`` ceiling after an insertion.
@@ -708,6 +839,14 @@ class NLJPOperator(ops.PhysicalOperator):
         """
         governor = ctx.governor
         positions = self.binding_positions
+        kernel = self.inner_kernel
+        blocks = None
+        if kernel is not None and kernel.blockwise:
+            if ctx.columnar:
+                blocks = _Blocks(self, ctx, cache)
+                self.inner_ran = f"block kernel ({kernel.describe()})"
+            else:
+                self.inner_ran = "operators (row/batch mode)"
 
         def per_binding(rows):
             for qb_row in rows:
@@ -718,13 +857,37 @@ class NLJPOperator(ops.PhysicalOperator):
                 if entry is not None:
                     yield qb_row, entry
 
+        def per_binding_ahead(rows):
+            """:func:`per_binding` over a list, so that ``blocks`` can
+            evaluate Q_R for the bindings about to be looked up."""
+            bindings = [tuple(qb_row[p] for p in positions) for qb_row in rows]
+            blocks.begin(bindings)
+            for at, qb_row in enumerate(rows):
+                if governor is not None:
+                    governor.check()
+                blocks.ahead(at)
+                entry = self._lookup_or_compute(ctx, cache, bindings[at])
+                if entry is not None:
+                    yield qb_row, entry
+                else:
+                    blocks.pruned(bindings[at : at + 1])
+
+        if blocks is not None:
+            per_binding = per_binding_ahead
+
         reason = self._loop_reason or (None if ctx.columnar else "row/batch mode")
-        if reason is not None:
-            self.loop_ran = f"per binding ({reason})"
+        if reason is None:
+            return chain.from_iterable(
+                self._skip_ahead(ctx, cache, batch, per_binding, blocks)
+                for batch in self.qb_plan.execute_columnar(ctx)
+            )
+        self.loop_ran = f"per binding ({reason})"
+        if blocks is None:
             return per_binding(ops.execute_rows(self.qb_plan, ctx))
         return chain.from_iterable(
-            self._skip_ahead(ctx, cache, batch, per_binding)
+            per_binding(rows)
             for batch in self.qb_plan.execute_columnar(ctx)
+            for rows in ops.batch_row_lists(batch, ctx.batch_size)
         )
 
     def _window_columns(self, batch: ColumnBatch):
@@ -749,7 +912,9 @@ class NLJPOperator(ops.PhysicalOperator):
                 return "NaN at the order index"
         return arrays
 
-    def _skip_ahead(self, ctx, cache: NLJPCache, batch: ColumnBatch, per_binding):
+    def _skip_ahead(
+        self, ctx, cache: NLJPCache, batch: ColumnBatch, per_binding, blocks=None
+    ):
         """One Q_B batch: decide Q_C for a window of upcoming bindings
         against the cache as it stands, charge the pruned ones what the
         walk would have charged them, and run the others one by one
@@ -772,7 +937,8 @@ class NLJPOperator(ops.PhysicalOperator):
         columns = self._window_columns(batch)
         if isinstance(columns, str):
             self.loop_ran = f"per binding ({columns})"
-            yield from per_binding(ops.batch_rows(batch, ctx.batch_size))
+            for rows in ops.batch_row_lists(batch, ctx.batch_size):
+                yield from per_binding(rows)
             return
         kinds = ",".join(array.dtype.str[1:] for array in columns)
         indexed = (
@@ -812,20 +978,29 @@ class NLJPOperator(ops.PhysicalOperator):
                 charged = [0, *np.cumsum(np.where(pruned, checks, 0)).tolist()]
                 rows = batch.slice(at, stop).take(kept).to_rows()
                 done, walk = 0, _MIN_WINDOW
+                kept = kept.tolist()
+                if blocks is not None:
+                    blocks.begin([bindings[k] for k in kept], decided=True)
                 # The closing (width, None) charges the last pruned run.
-                for k, qb_row in zip([*kept.tolist(), width], [*rows, None]):
+                for nth, (k, qb_row) in enumerate(zip([*kept, width], [*rows, None])):
                     if k > done:
                         self._charge_pruned(ctx, cache, k - done, charged[k] - charged[done])
+                        if blocks is not None:
+                            blocks.pruned(bindings[done:k])
                     if qb_row is None:
                         done = k
                         break
                     done = k + 1
                     if governor is not None:
                         governor.check()
+                    if blocks is not None:
+                        blocks.ahead(nth)
                     evaluations = stats.inner_evaluations
                     entry = self._lookup_or_compute(ctx, cache, bindings[k])
                     if entry is not None:
                         yield qb_row, entry
+                    elif blocks is not None:
+                        blocks.pruned((bindings[k],))
                     # Only an evaluation inserts, evicts or clears.
                     if stats.inner_evaluations != evaluations and cache.version() != version:
                         break
@@ -927,9 +1102,13 @@ class NLJPOperator(ops.PhysicalOperator):
 
     def inner_description(self) -> str:
         """Which evaluator runs Q_R, and for the operators, why."""
-        if self.inner_kernel is not None:
-            return f"kernel ({self.inner_kernel.describe()})"
-        return f"operators ({self.inner_reason})"
+        kernel = self.inner_kernel
+        if kernel is None:
+            return f"operators ({self.inner_reason})"
+        if not kernel.blockwise:
+            return f"kernel ({kernel.describe()})"
+        # What the last execution did; before one, what the plan allows.
+        return self.inner_ran or f"block kernel ({kernel.describe()})"
 
     def loop_description(self) -> str:
         """How the bindings are gone through: what the last execution

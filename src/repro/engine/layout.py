@@ -738,21 +738,29 @@ class KeyGrouping:
         return self._pairs(probe, bucket[probe], limit)
 
     def _pairs(self, probe: Any, bucket: Any, limit: int) -> Iterator[Tuple[Any, Any]]:
-        counts = self._counts[bucket]
-        ends = _np.cumsum(counts)
-        start = 0
-        while start < len(probe):
-            done = ends[start - 1] if start else 0
-            stop = max(start + 1, int(_np.searchsorted(ends, done + limit, side="right")))
-            run = counts[start:stop]
-            # Pair j of a probe row whose pairs begin at output position
-            # p reads sorted build row ``bucket start + (j - p)``.
-            source = _np.repeat(
-                self._starts[bucket[start:stop]] - (ends[start:stop] - run - done), run
-            )
-            source += _np.arange(len(source), dtype=_np.int64)
-            yield _np.repeat(probe[start:stop], run), self._rows[source]
-            start = stop
+        spans = span_pairs(probe, self._starts[bucket], self._counts[bucket], limit)
+        for positions, source in spans:
+            yield positions, self._rows[source]
+
+
+def span_pairs(
+    probe: Any, starts: Any, counts: Any, limit: int
+) -> Iterator[Tuple[Any, Any]]:
+    """``(probe[i], p)`` for every ``p`` in ``[starts[i], starts[i] +
+    counts[i])``, row by row of ``probe``, in runs of at most ``limit``
+    pairs -- more only for a single row, whose pairs stay together."""
+    ends = _np.cumsum(counts)
+    start = 0
+    while start < len(probe):
+        done = ends[start - 1] if start else 0
+        stop = max(start + 1, int(_np.searchsorted(ends, done + limit, side="right")))
+        run = counts[start:stop]
+        # Pair j of a row whose pairs begin at output position p reads
+        # position ``span start + (j - p)``.
+        source = _np.repeat(starts[start:stop] - (ends[start:stop] - run - done), run)
+        source += _np.arange(len(source), dtype=_np.int64)
+        yield _np.repeat(probe[start:stop], run), source
+        start = stop
 
 
 # ---------------------------------------------------------------------------

@@ -105,13 +105,16 @@ class ExecutionContext:
     #: (subqueries, CTE cells, NLJP's binding query) carry
     #: :class:`~repro.engine.layout.ColumnBatch` data.  NLJP's inner
     #: query does not follow the mode: a scan-shaped Q_R runs as a
-    #: :class:`repro.engine.kernel.InnerKernel` in every mode, and the
-    #: per-binding operator tree stays on the batch path.
+    #: :class:`repro.engine.kernel.InnerKernel` in every mode, a
+    #: join-shaped one is computed a block of bindings at a time by a
+    #: :class:`repro.engine.kernel.BlockKernel` under this flag only,
+    #: and the per-binding operator tree stays on the batch path.
     columnar: bool = False
     #: Per-context memo for what one execution builds once and reads
     #: many times: the rows (and columnar image) of shared CTE/derived-
     #: table cells, keyed by cell identity, and the per-execution state
-    #: of an inner kernel (index-ordered columns, bound filter).
+    #: of an inner kernel (index-ordered columns, bound filter, what a
+    #: block kernel evaluated ahead).
     #: Keeping it on the context (not the plan) makes a cached plan
     #: re-entrant: two executions of the same PlannedQuery in different
     #: threads each materialize into their own context and can never
@@ -133,7 +136,7 @@ def chunked(iterable, size: int) -> Iterator[List[Row]]:
         yield batch
 
 
-def batch_rows(batch: ColumnBatch, size: int) -> Iterator[Row]:
+def batch_row_lists(batch: ColumnBatch, size: int) -> Iterator[List[Row]]:
     """Decode a column batch ``size`` rows at a time.
 
     A batch can be many times ``batch_size`` (an aggregate's whole
@@ -141,7 +144,12 @@ def batch_rows(batch: ColumnBatch, size: int) -> Iterator[Row]:
     tuples alive than the batch path does.
     """
     for start in range(0, batch.length, size):
-        yield from batch.slice(start, min(start + size, batch.length)).to_rows()
+        yield batch.slice(start, min(start + size, batch.length)).to_rows()
+
+
+def batch_rows(batch: ColumnBatch, size: int) -> Iterator[Row]:
+    """:func:`batch_row_lists`, row by row."""
+    return itertools.chain.from_iterable(batch_row_lists(batch, size))
 
 
 def execute_rows(plan: "PhysicalOperator", ctx: ExecutionContext) -> Iterator[Row]:

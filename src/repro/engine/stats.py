@@ -27,13 +27,22 @@ Columnar execution adds three counters that make its wins observable:
   query's plan, charged once per compiled expression on the first
   execution that uses it.
 
-These three are *mode-variant*.  Row and batch mode never skip, so
+A fourth says how much of NLJP's work was speculative:
+
+* ``inner_prefetch_discarded`` — inner-query results a block kernel
+  (:class:`repro.engine.kernel.BlockKernel`) computed ahead of the
+  binding loop for bindings the loop then pruned.  They are charged to
+  no other counter: work done in vain is time, not cost.
+
+These four are *mode-variant*.  Row and batch mode never skip, so
 ``rows_skipped``/``chunks_skipped`` stay 0 there and a zone-map skip
 legitimately lowers ``rows_scanned`` in columnar mode.
 ``fused_compilations`` is non-zero in any mode whose plan holds an
 NLJP inner kernel (:mod:`repro.engine.kernel`), which filters through
 the fused columnar compiler whatever the mode — 1 on the first
 execution of a skyband or pairs plan, 0 on a cached plan's later ones.
+A block kernel only runs under a columnar context, so
+``inner_prefetch_discarded`` is 0 in the other modes.
 Mode-parity checks therefore compare :meth:`parity_dict`, which folds
 skipped rows back into ``rows_scanned`` and drops the mode-variant
 keys — the invariant is ``columnar rows_scanned + rows_skipped ==
@@ -72,7 +81,6 @@ class ExecutionStats:
     cache_misses: int = 0
     pruned_bindings: int = 0
     prune_checks: int = 0
-    reducer_rows_removed: int = 0
     cache_rows: int = 0
     cache_bytes: int = 0
     cache_evictions: int = 0
@@ -80,6 +88,7 @@ class ExecutionStats:
     rows_skipped: int = 0
     chunks_skipped: int = 0
     fused_compilations: int = 0
+    inner_prefetch_discarded: int = 0
     degradations: List[str] = field(default_factory=list)
 
     def merge(self, other: "ExecutionStats") -> None:
@@ -110,12 +119,13 @@ class ExecutionStats:
         skip is work *avoided*, not work *lost*) and drops the
         mode-variant counters, so a columnar run can be compared
         exactly against its row-mode twin.  For row/batch runs this is
-        simply :meth:`as_dict` minus the three keys.
+        simply :meth:`as_dict` minus the four keys.
         """
         counters = self.as_dict()
         counters["rows_scanned"] += counters.pop("rows_skipped")
         counters.pop("chunks_skipped")
         counters.pop("fused_compilations")
+        counters.pop("inner_prefetch_discarded")
         return counters
 
     def as_dict(self, include_events: bool = False) -> Dict[str, Any]:

@@ -279,6 +279,7 @@ _STAT_COUNTERS = (
     "rows_skipped",
     "chunks_skipped",
     "fused_compilations",
+    "inner_prefetch_discarded",
 )
 
 

@@ -5,7 +5,8 @@ one fixed-schema record to a :class:`QueryLog`: what ran (SQL and
 plan fingerprints, technique mask, join algorithm, execution mode),
 how the serving machinery treated it (admission wait, plan-cache
 hit, breaker states, retry outcome), what it cost (latency, rows,
-rows scanned, degradations), and how well the optimizer predicted it
+rows scanned, inner evaluations and how many of them a block kernel
+made in vain, degradations), and how well the optimizer predicted it
 (feedback mode, applied corrections, worst per-operator q-errors).
 
 The log is the serving layer's flight recorder: bounded in memory
@@ -42,6 +43,8 @@ QUERY_LOG_FIELDS = (
     "latency_seconds",
     "rows",                # result rows (None on error)
     "rows_scanned",        # ExecutionStats.rows_scanned (None on error)
+    "inner_evaluations",   # NLJP inner-query evaluations (None on error)
+    "inner_prefetch_discarded",  # ... evaluated ahead in vain (block kernel)
     "degradations",        # graceful-degradation event strings
     "breaker_states",      # {technique: "closed"|"open"|"half_open"}
     "feedback_corrections",  # planner notes for feedback-adjusted estimates

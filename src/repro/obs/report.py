@@ -3,7 +3,8 @@
 Aggregates :class:`~repro.obs.querylog.QueryLog` records — from a
 live log object or a persisted JSONL file — into the handful of
 numbers an operator actually watches: latency percentiles, outcome
-and rejection counts, plan-cache hit rate, degradation pressure, and
+and rejection counts, plan-cache hit rate, degradation pressure, NLJP
+inner evaluations (and the ones a block kernel made in vain), and
 the estimate→actual health of the optimizer (worst predicates by
 q-error, how many plans carried feedback corrections).
 
@@ -38,6 +39,8 @@ def aggregate(records: List[Dict[str, Any]], top: int = 10) -> Dict[str, Any]:
     cache_hits = 0
     cache_known = 0
     degradations = 0
+    inner_evaluations = 0
+    prefetch_discarded = 0
     corrected_plans = 0
     corrections = 0
     worst: Dict[str, Dict[str, Any]] = {}
@@ -56,6 +59,8 @@ def aggregate(records: List[Dict[str, Any]], top: int = 10) -> Dict[str, Any]:
             if hit:
                 cache_hits += 1
         degradations += len(record.get("degradations") or ())
+        inner_evaluations += record.get("inner_evaluations") or 0
+        prefetch_discarded += record.get("inner_prefetch_discarded") or 0
         notes = record.get("feedback_corrections") or ()
         if notes:
             corrected_plans += 1
@@ -83,6 +88,10 @@ def aggregate(records: List[Dict[str, Any]], top: int = 10) -> Dict[str, Any]:
             round(cache_hits / cache_known, 4) if cache_known else None
         ),
         "degradation_events": degradations,
+        "inner": {
+            "evaluations": inner_evaluations,
+            "prefetch_discarded": prefetch_discarded,
+        },
         "feedback": {
             "corrected_plans": corrected_plans,
             "corrections": corrections,
@@ -106,6 +115,11 @@ def render(summary: Dict[str, Any]) -> str:
     if summary["plan_cache_hit_rate"] is not None:
         lines.append(f"  plan-cache hit rate: {summary['plan_cache_hit_rate']:.0%}")
     lines.append(f"  degradation events: {summary['degradation_events']}")
+    inner = summary["inner"]
+    lines.append(
+        f"  inner evaluations: {inner['evaluations']} "
+        f"(+{inner['prefetch_discarded']} evaluated ahead and discarded)"
+    )
     feedback = summary["feedback"]
     lines.append(
         f"  feedback: {feedback['corrections']} corrections across "

@@ -251,7 +251,16 @@ class Tracer:
             span.attrs["hits"] = span.attrs.get("hits", 0) + count
 
     # -- NLJP inner kernel ---------------------------------------------
-    def run_kernel(self, node: PhysicalOperator, kernel: Any, ctx: Any) -> Any:
+    def _kernel_span(self, node: PhysicalOperator, kernel: Any) -> Span:
+        key = (id(node), "kernel")
+        span = self._cache_spans.get(key)
+        if span is None:
+            span = Span(type(kernel).__name__, kind="kernel", detail=kernel.describe())
+            self._cache_spans[key] = span
+            self._span_of[id(node)].children.append(span)
+        return span
+
+    def run_kernel(self, node: PhysicalOperator, kernel: Any, ctx: Any, *args: Any) -> Any:
         """Run one inner-kernel evaluation under the owning NLJP span.
 
         The kernel stands in for Q_R's operators, so their spans never
@@ -260,23 +269,35 @@ class Tracer:
         self time.  The delta is measured inside NLJP's own activation,
         so the exclusive-sum invariant holds unchanged.
         """
-        key = (id(node), "kernel")
-        span = self._cache_spans.get(key)
-        if span is None:
-            span = Span("InnerKernel", kind="kernel", detail=kernel.describe())
-            self._cache_spans[key] = span
-            self._span_of[id(node)].children.append(span)
+        span = self._kernel_span(node, kernel)
         stats = ctx.stats
         before = snapshot(stats)
         t0 = time.perf_counter() if self.timing else 0.0
         try:
-            rows = kernel.run(ctx)
+            rows = kernel.run(ctx, *args)
             span.rows += len(rows)
             return rows
         finally:
             span.count += 1
             span.loops += 1
             span.accumulate(before, snapshot(stats))
+            if self.timing:
+                span.record_time(t0, time.perf_counter())
+
+    def run_prefetch(self, node: PhysicalOperator, kernel: Any, ctx: Any, wanted: Any) -> None:
+        """A block kernel evaluating ``wanted`` bindings ahead of the
+        loop, on the same ``kernel`` span: its wall time (and the fused
+        compilations of its first call) -- each binding's rows and work
+        come with its own :meth:`run_kernel` -- and how many it took,
+        in ``attrs["prefetched"]``."""
+        span = self._kernel_span(node, kernel)
+        span.attrs["prefetched"] = span.attrs.get("prefetched", 0) + len(wanted)
+        before = snapshot(ctx.stats)
+        t0 = time.perf_counter() if self.timing else 0.0
+        try:
+            kernel.prefetch(ctx, wanted)
+        finally:
+            span.accumulate(before, snapshot(ctx.stats))
             if self.timing:
                 span.record_time(t0, time.perf_counter())
 

@@ -627,6 +627,8 @@ class IcebergServer:
             latency_seconds=round(result.elapsed_seconds, 6),
             rows=len(result.rows),
             rows_scanned=result.stats.rows_scanned,
+            inner_evaluations=result.stats.inner_evaluations,
+            inner_prefetch_discarded=result.stats.inner_prefetch_discarded,
             degradations=list(result.stats.degradations),
             breaker_states={
                 technique: breaker.state
