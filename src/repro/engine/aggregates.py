@@ -16,11 +16,14 @@ yields 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import PlanningError
 from repro.sql import ast
-from repro.engine.expressions import Compiled
+from repro.engine.expressions import Compiled, batch_values, columnar_values
+from repro.engine.layout import Column, ColumnBatch, dense_codes, numpy_or_none
+
+Row = Tuple[Any, ...]
 
 
 class Accumulator:
@@ -213,139 +216,498 @@ def make_spec(call: ast.FuncCall, argument: Optional[Compiled]) -> AggregateSpec
 
 
 # ---------------------------------------------------------------------------
-# Columnar (vectorized) per-batch partials
+# GROUP BY over rows and over column batches
 # ---------------------------------------------------------------------------
 
 
-def vector_fold(spec: AggregateSpec):
-    """A ``(partials, fold)`` pair for vectorized grouping, or ``None``.
-
-    ``partials(column, inverse, n_groups)`` reduces one batch to one
-    bounded partial state per batch-group (plain Python values), where
-    ``inverse`` maps each batch row to its group slot.  It returns
-    ``None`` at runtime when the argument column's storage kind has no
-    *exact* vector form: float and object SUM/AVG stay on the row path
-    because ``numpy`` reassociates additions while row mode folds in
-    row order, as do integer sums large enough to wrap an ``int64``
-    and float MIN/MAX over NaN or ``-0.0``.  ``fold(accumulator,
-    partial)`` then merges a partial into the group's streaming
-    accumulator — both steps are exact algebraic decompositions
-    (:class:`AlgebraicForm`), so the final results match row mode bit
-    for bit.
-
-    DISTINCT aggregates return ``None`` outright: their partial state
-    is the unbounded distinct set (see :func:`is_algebraic`).
-    """
-    from repro.engine.layout import numpy_or_none
-
-    np = numpy_or_none()
-    if np is None:
-        return None
-    factory = spec.factory
-    if factory is _CountStar:
-
-        def count_star_partials(column, inverse, n_groups):
-            if n_groups == 1:
-                return [len(inverse)]
-            return np.bincount(inverse, minlength=n_groups).tolist()
-
-        def count_fold(accumulator, partial):
-            accumulator.count += partial
-
-        return count_star_partials, count_fold
-    if factory is _Count:
-
-        def count_partials(column, inverse, n_groups):
-            column.materialize()
-            if column.kind not in ("i8", "f8", "bool", "dict"):
-                return None  # object columns: NULLs live inline, not in a mask
-            validity = column.validity
-            selected = inverse if validity is None else inverse[validity]
-            return np.bincount(selected, minlength=n_groups).tolist()
-
-        def count_fold(accumulator, partial):
-            accumulator.count += partial
-
-        return count_partials, count_fold
-    if factory in (_Sum, _Avg):
-
-        def sum_partials(column, inverse, n_groups):
-            column.materialize()
-            if column.kind not in ("i8", "bool"):
-                return None  # float addition order matters; keep row order
-            data = column.data
-            validity = column.validity
-            if validity is not None:
-                inverse = inverse[validity]
-                data = data[validity]
-            if data.size and data.size * max(
-                abs(int(data.min())), abs(int(data.max()))
-            ) >= 2**63:
-                return None  # an int64 total could wrap; Python ints do not
-            totals = np.zeros(n_groups, dtype=np.int64)
-            np.add.at(totals, inverse, data)
-            counts = np.bincount(inverse, minlength=n_groups)
-            return list(zip(totals.tolist(), counts.tolist()))
-
-        if factory is _Avg:
-
-            def sum_fold(accumulator, partial):
-                accumulator.total += partial[0]
-                accumulator.count += partial[1]
-
-        else:
-
-            def sum_fold(accumulator, partial):
-                if partial[1]:
-                    accumulator.total += partial[0]
-                    accumulator.seen = True
-
-        return sum_partials, sum_fold
-    if factory in (_Min, _Max):
-        minimum = factory is _Min
-
-        def extremum_partials(column, inverse, n_groups):
-            column.materialize()
-            kind = column.kind
-            if kind not in ("i8", "f8", "bool", "dict"):
-                return None
-            data = column.data
-            validity = column.validity
-            if validity is not None:
-                inverse = inverse[validity]
-                data = data[validity]
-            counts = np.bincount(inverse, minlength=n_groups).tolist()
-            if kind == "f8":
-                if np.isnan(data).any() or np.signbit(data[data == 0.0]).any():
-                    # NaN and -0.0 make the streaming result depend on
-                    # comparison order; keep row order.
-                    return None
-                sentinel = np.inf if minimum else -np.inf
-                out = np.full(n_groups, sentinel, dtype=np.float64)
-            elif kind == "bool":
-                out = np.full(n_groups, minimum, dtype=bool)
+def fold_rows(
+    key_fns: Sequence[Compiled],
+    specs: Sequence[AggregateSpec],
+    rows: Sequence[Row],
+    groups: Dict[Row, List[Accumulator]],
+    params: Dict[str, Any],
+) -> None:
+    """Feed ``rows`` to the streaming accumulators of ``groups`` (key →
+    accumulators, in first-seen order), in row order."""
+    if key_fns:
+        keys = list(zip(*(batch_values(fn)(rows, params) for fn in key_fns)))
+    else:
+        keys = [()] * len(rows)
+    arg_lists = [
+        batch_values(spec.argument)(rows, params) if spec.argument is not None else None
+        for spec in specs
+    ]
+    for i, key in enumerate(keys):
+        accumulators = groups.get(key)
+        if accumulators is None:
+            accumulators = [spec.new() for spec in specs]
+            groups[key] = accumulators
+        for accumulator, args in zip(accumulators, arg_lists):
+            if args is None:
+                accumulator.add(1)
             else:
-                info = np.iinfo(data.dtype)
-                out = np.full(
-                    n_groups, info.max if minimum else info.min, dtype=data.dtype
+                accumulator.add(args[i])
+
+
+def result_rows(
+    specs: Sequence[AggregateSpec], keyed: bool, groups: Dict[Row, List[Accumulator]]
+) -> List[Row]:
+    """Output rows for folded ``groups``, in first-seen group order."""
+    if not groups and not keyed:
+        # Scalar aggregate over an empty input still yields one row.
+        return [tuple(spec.new().result() for spec in specs)]
+    return [
+        key + tuple(accumulator.result() for accumulator in accumulators)
+        for key, accumulators in groups.items()
+    ]
+
+
+#: The accumulators whose partial state per group is a few integers or
+#: one typed value: COUNT a count, SUM/AVG (total, count), MIN/MAX
+#: (extremum, count).  The DISTINCT ones hold a set.
+_IN_CODES = {
+    _CountStar: "COUNT",
+    _Count: "COUNT",
+    _Sum: "SUM",
+    _Avg: "AVG",
+    _Min: "MIN",
+    _Max: "MAX",
+}
+
+#: Pending batch groups are merged once they outnumber twice the groups
+#: of the last merge by this many, so what is pending stays a small
+#: multiple of the output however many batches come.
+_MERGE_SLACK = 1 << 15
+
+
+class _Part:
+    """Groups in first-seen order: per key column the raw data of each
+    group's first row, per aggregate its partial-state arrays."""
+
+    __slots__ = ("keys", "states", "size")
+
+    def __init__(self, keys: List[Any], states: List[Tuple[Any, ...]], size: int) -> None:
+        self.keys = keys
+        self.states = states
+        self.size = size
+
+
+def _first_seen(np: Any, keys: Sequence[Tuple[Any, Optional[int]]]) -> Tuple[Any, Any]:
+    """``(group per row, first row per group)``, groups numbered in the
+    order their first rows come.  ``keys`` holds ``(codes, radix)`` per
+    key column, ``radix`` ``None`` for arbitrary ``int64`` values; the
+    composite is a mixed-radix number, re-ranked before it could
+    overflow."""
+    combined, capacity = keys[0]
+    for codes, radix in keys[1:]:
+        if radix is None:
+            space, codes = np.unique(codes, return_inverse=True)
+            radix = len(space)
+        if capacity is None or capacity * radix > 2**62:
+            space, combined = np.unique(combined, return_inverse=True)
+            capacity = len(space)
+        combined = combined * radix + codes
+        capacity *= radix
+    _, first, inverse = np.unique(combined, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], first[order]
+
+
+def _identity(np: Any, dtype: Any, minimum: bool) -> Any:
+    """The value MIN (or MAX) of nothing starts from, in ``dtype``."""
+    if dtype == bool:
+        return minimum
+    if dtype.kind == "f":
+        return np.inf if minimum else -np.inf
+    info = np.iinfo(dtype)
+    return info.max if minimum else info.min
+
+
+def _counts(np: Any, at: Any, count: int, size: int) -> Any:
+    """Rows per group: ``count`` rows in groups ``at``."""
+    if size == 1:
+        return np.array([count], dtype=np.int64)
+    return np.bincount(at, minlength=size)
+
+
+def _scatter(
+    np: Any, ufunc: Any, at: Any, data: Any, size: int, start: Any, dtype: Any
+) -> Any:
+    """``ufunc`` (``np.add``, ``np.minimum``, ``np.maximum``) over the
+    ``data`` of each of ``size`` groups ``at``, from ``start``."""
+    if size == 1:  # one group: no scatter
+        return np.array([ufunc.reduce(data, dtype=dtype, initial=start)], dtype=dtype)
+    out = np.full(size, start, dtype=dtype)
+    ufunc.at(out, at, data)
+    return out
+
+
+def _column(kind: str, data: Any, valid: Any = None, dictionary: Any = None) -> Column:
+    """An output column; ``valid`` False marks NULL, filled 0."""
+    column = Column(kind, len(data))
+    if valid is not None and not valid.all():
+        data = data.copy()
+        data[~valid] = 0
+        column.validity = valid
+    column.data = data
+    column.dictionary = dictionary
+    return column
+
+
+def _averages(np: Any, totals: Any, counts: Any) -> Any:
+    """``total / count`` per group as Python's ``int / int`` computes it.
+
+    Both divisions round the exact quotient once, so they agree where
+    the operands convert to float exactly: ``|total|, count <= 2^53``.
+    Past that, Python divides.
+    """
+    counts = np.maximum(counts, 1)
+    if len(totals) and max(-int(totals.min()), int(totals.max())) > 2**53:
+        return np.array(
+            [total / count for total, count in zip(totals.tolist(), counts.tolist())],
+            dtype=np.float64,
+        )
+    return totals / counts
+
+
+class GroupFold:
+    """GROUP BY for one execution of an aggregate, over column batches:
+    exact, in first-seen group order, touching each group from Python
+    at most once.
+
+    A batch folds in *code space* where arrays are exact: its key
+    columns become group codes (:func:`dense_codes`), its groups are
+    numbered by first row, and COUNT, integer SUM/AVG and MIN/MAX reduce
+    to per-group arrays (``np.bincount``, ``np.add.at``,
+    ``np.minimum.at``) that stay pending.  Pending batches merge by the
+    keys' values — a dictionary's codes, bools, ``i8`` values, ``f8``
+    bits with ``-0.0`` read as ``0.0`` — which is sound while every
+    pending batch codes its keys alike: same kinds, same dictionaries
+    (the ``signature``).  When every batch folded so, :meth:`batches`
+    emits the output as columns: keys in their input dictionary, COUNT
+    and SUM ``i8``, AVG ``f8``, MIN/MAX in their argument's kind.
+
+    Any other batch — a NULL, NaN or ``obj`` key, DISTINCT, a float
+    SUM/AVG (addition order), a NaN or ``-0.0`` MIN/MAX, an integer sum
+    whose pending bound reaches 2^63, a signature change (``1`` and
+    ``True`` merge as Python merges them only in a dict) — first flushes
+    what is pending into ``_groups`` (key → accumulators) and then feeds
+    its rows to the accumulators in row order, so first-seen order and
+    every result are row mode's.
+
+    Built once per execution; :meth:`rows` ends one evaluation and
+    starts the next, for NLJP's kernels, which fold once per binding.
+    """
+
+    def __init__(
+        self,
+        key_fns: Sequence[Compiled],
+        specs: Sequence[AggregateSpec],
+        ctx: Any,
+    ) -> None:
+        self._np = numpy_or_none()
+        self._params = ctx.params
+        self._key_fns = tuple(key_fns)
+        self._specs = tuple(specs)
+        self._key_evals = [columnar_values(fn, ctx) for fn in key_fns]
+        self._arg_evals = [
+            columnar_values(spec.argument, ctx) if spec.argument is not None else None
+            for spec in specs
+        ]
+        self._names = [_IN_CODES.get(spec.factory) for spec in specs]
+        self._static = "DISTINCT" if None in self._names else None
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget everything folded: the next batch starts a new evaluation."""
+        self._groups: Dict[Row, List[Accumulator]] = {}
+        self._parts: List[_Part] = []
+        self._pending = 0
+        self._merged = 0
+        #: Per key, then per aggregate: (kind, dictionary) of the codes
+        #: pending (``None`` where any integer kind will do).
+        self._signature: List[Any] = []
+        #: Σ over pending batches of their widest n · max |x|: no
+        #: pending integer total can reach it.
+        self._bound = 0
+        self._batches = 0
+        self._coded = 0
+        self._fallback: Optional[Tuple[int, str]] = None
+
+    def add(self, batch: ColumnBatch) -> None:
+        """Fold one non-empty batch."""
+        reason = self._static or self._add_codes(batch)
+        if reason is None:
+            self._coded += 1
+        else:
+            self._flush(self._take())
+            if self._fallback is None:
+                self._fallback = (self._batches, reason)
+            fold_rows(
+                self._key_fns, self._specs, batch.cached_rows(), self._groups, self._params
+            )
+        self._batches += 1
+
+    def describe(self) -> str:
+        """``codes → columns``, ``codes → rows (batch n: why)`` or ``rows (why)``."""
+        if self._fallback is None:
+            return "codes → columns"
+        batch, reason = self._fallback
+        if self._coded:
+            return f"codes → rows (batch {batch}: {reason})"
+        return f"rows ({reason})"
+
+    def batches(self, size: int, width: int) -> Iterator[ColumnBatch]:
+        """The output, ``size`` rows a batch."""
+        done = self._finish()
+        if done is None:
+            rows = result_rows(self._specs, bool(self._key_fns), self._groups)
+            for start in range(0, len(rows), size):
+                yield ColumnBatch.from_rows(rows[start : start + size], width)
+            return
+        whole = ColumnBatch(*done)
+        if whole.length <= size:
+            yield whole
+            return
+        for start in range(0, whole.length, size):
+            yield whole.slice(start, min(start + size, whole.length))
+
+    def rows(self) -> List[Row]:
+        """The output rows; the fold is empty again afterwards."""
+        parts = self._parts
+        if parts and self._fallback is None:
+            # Straight from the arrays: building output columns first
+            # makes the one-group evaluations of NLJP's kernels ~1.5x slower.
+            rows = self._rows(parts[0] if len(parts) == 1 else self._merge(parts))
+        else:
+            self._flush(self._take())
+            rows = result_rows(self._specs, bool(self._key_fns), self._groups)
+        self.reset()
+        return rows
+
+    # -- code space ------------------------------------------------------
+    def _add_codes(self, batch: ColumnBatch) -> Optional[str]:
+        """Fold ``batch`` into the pending parts, or say why not (and
+        change nothing)."""
+        np = self._np
+        params = self._params
+        signature: List[Any] = []
+        keys = []
+        codes = []
+        for evaluate in self._key_evals:
+            column = evaluate(batch, params)
+            coded = dense_codes(column)
+            if coded is None:
+                return f"{column.kind} key"
+            if column.validity is not None and not column.validity.all():
+                return "NULL key"
+            if column.kind == "f8" and np.isnan(coded[1][-1]):
+                return "NaN key"
+            signature.append((column.kind, column.dictionary))
+            keys.append(column.data)
+            codes.append((coded[0], len(coded[1])))
+        if codes:
+            slots, first = _first_seen(np, codes)
+            keys = [data[first] for data in keys]
+            size = len(first)
+        else:
+            slots = None
+            size = 1
+        states = []
+        widest = 0  # the largest n · max |x| of this batch's integer sums
+        for name, evaluate in zip(self._names, self._arg_evals):
+            if evaluate is None:  # COUNT(*)
+                signature.append(None)
+                states.append((_counts(np, slots, batch.length, size),))
+                continue
+            column = evaluate(batch, params).materialize()
+            kind = column.kind
+            if kind in ("obj", "py"):
+                return f"{kind} argument"
+            data = column.data
+            at = slots
+            if column.validity is not None:
+                data = data[column.validity]
+                if at is not None:
+                    at = at[column.validity]
+            counts = _counts(np, at, len(data), size)
+            if name == "COUNT":
+                signature.append(None)
+                states.append((counts,))
+            elif name in ("SUM", "AVG"):
+                if kind not in ("i8", "bool"):
+                    return f"float {name}" if kind == "f8" else f"{kind} {name}"
+                if len(data):
+                    widest = max(widest, len(data) * max(-int(data.min()), int(data.max())))
+                totals = _scatter(np, np.add, at, data, size, 0, np.int64)
+                signature.append(None)
+                states.append((totals, counts))
+            else:
+                if kind == "f8" and (
+                    np.isnan(data).any() or np.signbit(data[data == 0.0]).any()
+                ):
+                    # The streaming result depends on comparison order.
+                    return f"NaN or -0.0 {name}"
+                minimum = name == "MIN"
+                extremes = _scatter(
+                    np,
+                    np.minimum if minimum else np.maximum,
+                    at,
+                    data,
+                    size,
+                    _identity(np, data.dtype, minimum),
+                    data.dtype,
                 )
-            (np.minimum if minimum else np.maximum).at(out, inverse, data)
-            values = out.tolist()
-            if kind == "dict":
-                dictionary = column.dictionary or ("",)
-                return [
-                    dictionary[value] if count else None
-                    for value, count in zip(values, counts)
-                ]
-            return [
-                value if count else None for value, count in zip(values, counts)
-            ]
+                signature.append((kind, column.dictionary))
+                states.append((extremes, counts))
+        if self._bound + widest >= 2**63:
+            return "int64 bound"  # a total could wrap; Python ints do not
+        if self._parts and signature != self._signature:
+            width = len(self._key_evals)
+            changed = signature[:width] != self._signature[:width]
+            return "key kind changed" if changed else "argument kind changed"
+        self._signature = signature
+        self._bound += widest
+        self._parts.append(_Part(keys, states, size))
+        self._pending += size
+        if self._pending > 2 * self._merged + _MERGE_SLACK:
+            merged = self._merge(self._parts)
+            self._parts = [merged]
+            self._pending = self._merged = merged.size
+        return None
 
-        def extremum_fold(accumulator, partial):
-            accumulator.add(partial)  # None partials are ignored, like NULLs
+    def _merge(self, parts: List[_Part]) -> _Part:
+        """``parts`` as one, their groups merged by key value."""
+        np = self._np
+        if len(parts) == 1:
+            return parts[0]
+        keys = [np.concatenate(raw) for raw in zip(*(part.keys for part in parts))]
+        if keys:
+            stable = []
+            for (kind, _), raw in zip(self._signature, keys):
+                if kind == "f8":  # -0.0 + 0.0 is 0.0; NaN keys never get here
+                    stable.append(((raw + 0.0).view(np.int64), None))
+                else:
+                    stable.append((raw.astype(np.int64, copy=False), None))
+            slots, first = _first_seen(np, stable)
+            keys = [raw[first] for raw in keys]
+            size = len(first)
+        else:
+            slots = np.zeros(len(parts), dtype=np.int64)
+            size = 1
+        states = []
+        for name, pieces in zip(self._names, zip(*(part.states for part in parts))):
+            merged = []
+            for position, arrays in enumerate(zip(*pieces)):
+                joined = np.concatenate(arrays)
+                if position == 0 and name in ("MIN", "MAX"):
+                    minimum = name == "MIN"
+                    ufunc = np.minimum if minimum else np.maximum
+                    start = _identity(np, joined.dtype, minimum)
+                    merged.append(_scatter(np, ufunc, slots, joined, size, start, joined.dtype))
+                else:
+                    merged.append(_scatter(np, np.add, slots, joined, size, 0, np.int64))
+            states.append(tuple(merged))
+        return _Part(keys, states, size)
 
-        return extremum_partials, extremum_fold
-    return None
+    def _take(self) -> Optional[_Part]:
+        """What is pending, merged; nothing is pending afterwards."""
+        if not self._parts:
+            return None
+        part = self._merge(self._parts)
+        self._parts = []
+        self._pending = self._merged = self._bound = 0
+        return part
+
+    def _finish(self) -> Optional[Tuple[List[Column], int]]:
+        """The output as ``(columns, length)`` when every batch folded in
+        code space; otherwise ``None``, with everything in ``_groups``."""
+        part = self._take()
+        if part is not None and self._fallback is None:
+            return self._columns(part), part.size
+        self._flush(part)
+        return None
+
+    def _columns(self, part: _Part) -> List[Column]:
+        np = self._np
+        width = len(self._key_evals)
+        columns = [
+            _column(kind, raw, dictionary=dictionary)
+            for raw, (kind, dictionary) in zip(part.keys, self._signature)
+        ]
+        for name, state, signature in zip(
+            self._names, part.states, self._signature[width:]
+        ):
+            counts = state[-1]
+            if name == "COUNT":
+                columns.append(_column("i8", counts))
+            elif name == "SUM":
+                columns.append(_column("i8", state[0], counts > 0))
+            elif name == "AVG":
+                columns.append(_column("f8", _averages(np, *state), counts > 0))
+            else:
+                kind, dictionary = signature
+                columns.append(_column(kind, state[0], counts > 0, dictionary))
+        return columns
+
+    def _decode(self, part: _Part) -> Tuple[List[Any], List[Tuple[List[Any], List[Any]]]]:
+        """``part`` in Python values: per key column its keys, per
+        aggregate ``(values, counts)`` (MIN/MAX decoded; COUNT's values
+        are its counts)."""
+        signature = self._signature
+        keys = []
+        for raw, (kind, dictionary) in zip(part.keys, signature):
+            keys.append(_column(kind, raw, dictionary=dictionary).tolist())
+        states = []
+        for extent, state in zip(signature[len(keys) :], part.states):
+            counts = state[-1].tolist()
+            if extent is None:  # COUNT's state is its count alone
+                states.append((state[0].tolist() if len(state) > 1 else counts, counts))
+                continue
+            kind, dictionary = extent  # MIN / MAX; a group with no value is NULL
+            extremes = _column(kind, state[0], state[-1] > 0, dictionary)
+            states.append((extremes.tolist(), counts))
+        return keys, states
+
+    def _rows(self, part: _Part) -> List[Row]:
+        """Output rows straight from a part (no accumulators)."""
+        columns, states = self._decode(part)
+        for name, (values, counts) in zip(self._names, states):
+            if name == "COUNT":
+                columns.append(counts)
+            elif name == "AVG":
+                columns.append([t / c if c else None for t, c in zip(values, counts)])
+            else:
+                columns.append([v if c else None for v, c in zip(values, counts)])
+        return list(zip(*columns)) if columns else [()] * part.size
+
+    def _flush(self, part: Optional[_Part]) -> None:
+        """Fold a merged part into ``_groups``, one visit per group."""
+        if part is None:
+            return
+        keys, states = self._decode(part)
+        groups = self._groups
+        specs = self._specs
+        for group, key in enumerate(zip(*keys) if keys else [()]):
+            accumulators = groups.get(key)
+            if accumulators is None:
+                accumulators = groups[key] = [spec.new() for spec in specs]
+            for name, accumulator, state in zip(self._names, accumulators, states):
+                count = state[-1][group]
+                if name == "COUNT":
+                    accumulator.count += count
+                elif not count:
+                    continue
+                elif name == "SUM":
+                    accumulator.total += state[0][group]
+                    accumulator.seen = True
+                elif name == "AVG":
+                    accumulator.total += state[0][group]
+                    accumulator.count += count
+                else:
+                    accumulator.add(state[0][group])
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,12 @@ cost uses the *same unit costs* so estimated and measured cost live on
 one scale: an estimated plan cost of X predicts ``stats.cost() ≈ X``
 when the cardinality estimates are right.
 
-:func:`fit_unit_costs` recovers the unit weights from recorded bench
-measurements (``BENCH_*.json`` record rows) by ordinary least squares —
-the calibration step the tentpole asks for.  On any healthy BENCH file
-it reproduces :data:`DEFAULT_UNIT_COSTS` (the weights baked into
-``ExecutionStats.cost``), and it will flag drift if a future PR changes
-the counter weighting without recalibrating the planner.
+:func:`fit_unit_costs` recovers the unit weights from measured
+executions (``{"counters", "cost"}`` rows) by ordinary least squares.
+On rows whose cost is ``ExecutionStats.cost`` it reproduces
+:data:`DEFAULT_UNIT_COSTS` (the weights baked into that method), and it
+flags drift if the counter weighting changes without the planner's
+unit costs following.
 """
 
 from __future__ import annotations
@@ -82,10 +82,10 @@ def _solve(matrix: List[List[float]], rhs: List[float]) -> List[float]:
 
 
 def fit_unit_costs(records: Sequence[Mapping]) -> UnitCosts:
-    """Least-squares fit of unit costs from bench record rows.
+    """Least-squares fit of unit costs from measured rows.
 
-    Each record needs a ``cost`` field and a ``counters`` mapping (the
-    shape ``repro.bench.record`` writes).  Solves the normal equations
+    Each record needs a ``cost`` field and a ``counters`` mapping
+    (``ExecutionStats.as_dict()``).  Solves the normal equations
     ``(X'X) w = X'y``; directions with no variance in the sample keep
     their default coefficient, so a degenerate sample cannot produce a
     wild model.

@@ -18,7 +18,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError, PlanningError
 from repro.sql import ast
-from repro.engine.layout import Column, ColumnBatch, Layout, numpy_or_none
+from repro.engine.layout import Column, ColumnBatch, Layout, dense_codes, numpy_or_none
 from repro.storage.types import sql_and, sql_not, sql_or
 
 Compiled = Callable[[Sequence[Any], Dict[str, Any]], Any]
@@ -726,19 +726,19 @@ def _k_nullcol(n: int) -> Column:
 def _k_distinct(np: Any, column: Column) -> Tuple[List[Any], Any]:
     """A column as ``(distinct Python values, code per row)``.
 
-    Typed columns sort their array once (NULL slots carry the fill
-    value; callers mask them), a dictionary column decodes only the
-    codes present, and an ``obj`` column — mixed types, no order — is
-    its own list of values, one code per row.
+    Typed columns take :func:`dense_codes` (NULL slots carry the fill
+    value; callers mask them), a dictionary decoding only the codes
+    present, and an ``obj`` column — mixed types, no order — is its
+    own list of values, one code per row.
     """
-    column.materialize()
-    if column.kind == "obj":
+    coded = dense_codes(column)
+    if coded is None:
         return column.data.tolist(), np.arange(column.length, dtype=np.int64)
-    distinct, codes = np.unique(column.data, return_inverse=True)
-    if column.kind == "dict":
-        dictionary = column.dictionary or ("",)
-        return [dictionary[code] for code in distinct.tolist()], codes
-    return distinct.tolist(), codes
+    codes, space = coded
+    if isinstance(space, tuple):  # a dictionary
+        present, codes = np.unique(codes, return_inverse=True)
+        return [space[code] for code in present.tolist()], codes
+    return space.tolist(), codes
 
 
 def _k_in_subquery(result: SubqueryResult, columns: Sequence[Column]) -> Tuple[Any, Any]:

@@ -22,9 +22,10 @@ builds an :class:`InnerKernel` that evaluates one binding as
 2. the scan's predicate through the existing fused columnar filter
    (:func:`repro.engine.expressions.columnar_filter`: parameters are
    hoisted scalars, NULLs are validity masks);
-3. the aggregate through :meth:`HashAggregate.columnar_fold` — NumPy
-   reductions where they are exact, the operator's own accumulators in
-   row order where they are not — and the projection through the
+3. the aggregate through the operator's own
+   :class:`~repro.engine.aggregates.GroupFold` — NumPy reductions where
+   they are exact, its accumulators in row order where they are not —
+   and the projection through the
    :class:`Project`'s closures over the one or few output rows.
 
 The kernel is used identically in every execution mode and charges
@@ -198,7 +199,7 @@ class InnerKernel:
             columns,
             batch,
             columnar_filter(self.predicate, ctx),
-            self.aggregate.columnar_fold(np, ctx),
+            self.aggregate.columnar_fold(ctx),
             counters(scan),
             counters(self.aggregate, self.project),
         )
@@ -251,7 +252,6 @@ class InnerKernel:
             execution = ctx.materialized[self] = self._bind(ctx)
         params = ctx.params
         access = self._access(execution, ctx)
-        groups: Dict[Tuple[Any, ...], List[Any]] = {}
         passing = 0
         if access is not None:
             if ctx.governor is not None:
@@ -272,12 +272,11 @@ class InnerKernel:
             if passing:
                 if batch is None:
                     batch = _sparse_batch(self.width, columns, passing)
-                execution.fold(batch, groups)
+                execution.fold.add(batch)
         output_fns = self.project.output_fns
-        rows = [
-            tuple(fn(row, params) for fn in output_fns)
-            for row in self.aggregate.result_rows(groups)
-        ]
+        fold = execution.fold
+        self.aggregate.fold_ran = fold.describe()
+        rows = [tuple(fn(row, params) for fn in output_fns) for row in fold.rows()]
         for counter in execution.scan_counters:
             counter.loops += 1
             counter.rows += passing
@@ -389,7 +388,6 @@ class _BlockExecution:
 
     np: Any
     stores: List[Any]  # per relation of the chain
-    fold: Any
     #: Per node (work-table order): the tracer's spans / feedback
     #: probes' counters.
     counters: List[List[Any]]
@@ -640,7 +638,6 @@ class BlockKernel:
         execution = ctx.materialized[self] = _BlockExecution(
             np,
             stores,
-            self._aggregate.columnar_fold(np, ctx),
             [
                 [c for c in (r.counter(node) for r in recorders) if c is not None]
                 for node in self.nodes
@@ -846,17 +843,16 @@ class BlockKernel:
                     execution, ctx, step, runs, bindings, block, work
                 )
             runs = self._residual_runs(execution, ctx, step, block, work, pairs)
-        groups: Dict[Tuple[Any, ...], List[Any]] = {}
+        fold = self._aggregate.columnar_fold(ctx)
         for numbers, rows in runs:
-            execution.fold(
-                self._batch(execution.stores, rows, block, numbers, self._fold_positions),
-                groups,
+            fold.add(
+                self._batch(execution.stores, rows, block, numbers, self._fold_positions)
             )
+        # EXPLAIN shows the plan's own aggregate, which this one stands in for.
+        self.aggregate.fold_ran = fold.describe()
         found: Dict[int, List[Tuple[Any, ...]]] = {}
-        for key, accumulators in groups.items():
-            found.setdefault(key[0], []).append(
-                key[1:] + tuple(accumulator.result() for accumulator in accumulators)
-            )
+        for row in fold.rows():
+            found.setdefault(row[0], []).append(row[1:])
         # A binding that joined nothing is the aggregate over no input.
         nothing = self.aggregate.result_rows({})
         evaluations = []

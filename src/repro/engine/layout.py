@@ -586,13 +586,34 @@ class ColumnBatch:
 
 
 # ---------------------------------------------------------------------------
-# Equi-key grouping
+# Dense codes and equi-key grouping
 # ---------------------------------------------------------------------------
 
-#: Kinds whose array equality is Python's ``==``/``hash`` rule for the
-#: values they hold.  ``obj``/``py`` columns mix types (``1 == 1.0 ==
-#: True``, unbounded ints), so only a Python dict can match them.
-_CODED_KINDS = ("i8", "f8", "bool", "dict")
+
+def dense_codes(column: Column) -> Optional[Tuple[Any, Any]]:
+    """``column``'s rows as ``(codes, space)``: ``int64`` codes that
+    index ``space``, equal exactly where Python's ``==``/``hash`` call
+    the values equal -- or ``None`` for ``obj``/``py`` columns, whose
+    mixed types (``1 == 1.0 == True``, unbounded ints) only a Python
+    dict can compare.
+
+    A dictionary column codes into its own dictionary (the codes as
+    stored, so two columns sharing a dictionary share codes), a bool
+    column into ``[False, True]``, an ``i8``/``f8`` column into its
+    sorted distinct values (``-0.0`` and ``0.0`` share a code; NaNs
+    share the last one, though Python equates no two).  NULL slots
+    carry their fill value's code: callers read ``validity``.
+    """
+    column.materialize()
+    kind = column.kind
+    if kind == "dict":
+        return column.data.astype(_np.int64), column.dictionary or ("",)
+    if kind == "bool":
+        return column.data.astype(_np.int64), _np.array((False, True))
+    if kind in ("i8", "f8"):
+        space, codes = _np.unique(column.data, return_inverse=True)
+        return codes.astype(_np.int64, copy=False), space
+    return None
 
 
 class _DictionarySpace:
@@ -624,9 +645,8 @@ class _DictionarySpace:
 class KeyGrouping:
     """The build side of an equi-join, grouped once by its key columns.
 
-    Every key column becomes dense integer codes (a dictionary column's
-    own codes, the rank among the sorted distinct values otherwise), a
-    composite key the mixed-radix number of its components' codes, and
+    Every key column becomes dense integer codes (:func:`dense_codes`),
+    a composite key the mixed-radix number of its components' codes, and
     the build rows are stably sorted by that number: a bucket is a run
     of the sorted rows, in build order.  :meth:`match` puts probe keys
     into the same code space and yields the ``(probe position, build
@@ -660,11 +680,9 @@ class KeyGrouping:
             return None
         valid = None
         for column in columns:
-            column.materialize()
-            if column.kind not in _CODED_KINDS:
-                return None
-            if column.validity is not None:
-                valid = column.validity if valid is None else valid & column.validity
+            validity = column.mask()
+            if validity is not None:
+                valid = validity if valid is None else valid & validity
         rows = (
             _np.arange(columns[0].length, dtype=_np.int64)
             if valid is None
@@ -674,12 +692,12 @@ class KeyGrouping:
         combined = _np.zeros(len(rows), dtype=_np.int64)
         capacity = 1
         for column in columns:
-            data = column.data if valid is None else column.data[rows]
+            coded = dense_codes(column if valid is None else column.take(rows))
+            if coded is None:
+                return None
+            codes, space = coded
             if column.kind == "dict":
-                space = _DictionarySpace(column.dictionary)
-                codes = data.astype(_np.int64)
-            else:
-                space, codes = _np.unique(data, return_inverse=True)
+                space = _DictionarySpace(space)
             capacity *= max(len(space), 1)
             if capacity > 2**62:
                 return None

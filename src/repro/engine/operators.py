@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.engine.aggregates import AggregateSpec, vector_fold
+from repro.engine.aggregates import AggregateSpec, GroupFold, fold_rows, result_rows
 from repro.engine.expressions import (
     Compiled,
     batch_filter,
@@ -1558,6 +1558,11 @@ class HashAggregate(PhysicalOperator):
     expressions to reference these slots.
     """
 
+    #: What the last columnar execution's :class:`GroupFold` did
+    #: (:meth:`GroupFold.describe`), for EXPLAIN; ``None`` before one.
+    #: NLJP's kernels set it for the Q_R aggregate they evaluate.
+    fold_ran: Optional[str] = None
+
     def __init__(
         self,
         child: PhysicalOperator,
@@ -1600,186 +1605,51 @@ class HashAggregate(PhysicalOperator):
             stats.aggregation_inputs += len(batch)
             if governor is not None:
                 governor.check()
-            self._fold_rows(batch, groups, params)
+            fold_rows(self.key_fns, self.aggregate_specs, batch, groups, params)
         yield from chunked(
             self.result_rows(groups), ctx.batch_size or DEFAULT_BATCH_SIZE
         )
 
     def execute_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        np = numpy_or_none()
-        if np is None:
+        if numpy_or_none() is None:
             yield from _bridge_columnar(self, ctx)
             return
         stats = ctx.stats
         governor = ctx.governor
-        fold = self.columnar_fold(np, ctx)
-        groups: Dict[Tuple[Any, ...], List[Any]] = {}
+        fold = self.columnar_fold(ctx)
         for batch in self.child.execute_columnar(ctx):
             stats.aggregation_inputs += batch.length
             if governor is not None:
                 governor.check()
             if batch.length:
-                fold(batch, groups)
-        size = ctx.batch_size or DEFAULT_COLUMNAR_BATCH_SIZE
-        width = len(self.layout)
-        for chunk in chunked(self.result_rows(groups), size):
-            yield ColumnBatch.from_rows(chunk, width)
+                fold.add(batch)
+        self.fold_ran = fold.describe()
+        yield from fold.batches(
+            ctx.batch_size or DEFAULT_COLUMNAR_BATCH_SIZE, len(self.layout)
+        )
 
-    def _fold_rows(
-        self,
-        rows: Sequence[Row],
-        groups: Dict[Tuple[Any, ...], List[Any]],
-        params: Dict[str, Any],
-    ) -> None:
-        """Feed ``rows`` to the streaming accumulators, in row order."""
-        specs = self.aggregate_specs
-        if self.key_fns:
-            keys = list(
-                zip(*(batch_values(fn)(rows, params) for fn in self.key_fns))
-            )
-        else:
-            keys = [()] * len(rows)
-        arg_lists = [
-            batch_values(spec.argument)(rows, params)
-            if spec.argument is not None
-            else None
-            for spec in specs
-        ]
-        for i, key in enumerate(keys):
-            accumulators = groups.get(key)
-            if accumulators is None:
-                accumulators = [spec.new() for spec in specs]
-                groups[key] = accumulators
-            for accumulator, args in zip(accumulators, arg_lists):
-                if args is None:
-                    accumulator.add(1)
-                else:
-                    accumulator.add(args[i])
-
-    def columnar_fold(self, np: Any, ctx: ExecutionContext):
-        """``fold(batch, groups)`` for one execution: exact, and total.
-
-        Folds one non-empty :class:`ColumnBatch` into ``groups`` (key →
-        accumulators, in first-seen order).  Vectorized where that is
-        exact (:meth:`_fold_columnar`); otherwise the whole batch is
-        decoded and fed to the streaming accumulators in row order —
-        keys with NULLs/objects, DISTINCT, or an argument column
-        without an exact vector form (floats).
-        """
-        params = ctx.params
-        key_evals = [columnar_values(fn, ctx) for fn in self.key_fns]
-        arg_evals = [
-            columnar_values(spec.argument, ctx) if spec.argument is not None else None
-            for spec in self.aggregate_specs
-        ]
-        folds = [vector_fold(spec) for spec in self.aggregate_specs]
-        vectorizable = all(fold is not None for fold in folds)
-
-        def fold(batch: ColumnBatch, groups: Dict[Tuple[Any, ...], List[Any]]) -> None:
-            if not (
-                vectorizable
-                and self._fold_columnar(
-                    np, batch, key_evals, arg_evals, folds, groups, params
-                )
-            ):
-                self._fold_rows(batch.cached_rows(), groups, params)
-
-        return fold
+    def columnar_fold(self, ctx: ExecutionContext) -> GroupFold:
+        """A :class:`GroupFold` of this aggregate for one execution."""
+        return GroupFold(self.key_fns, self.aggregate_specs, ctx)
 
     def result_rows(self, groups: Dict[Tuple[Any, ...], List[Any]]) -> List[Row]:
         """Output rows for folded ``groups``, in first-seen group order."""
-        if not groups and not self.key_fns:
-            # Scalar aggregate over an empty input still yields one row.
-            return [tuple(spec.new().result() for spec in self.aggregate_specs)]
-        return [
-            key + tuple(acc.result() for acc in accumulators)
-            for key, accumulators in groups.items()
-        ]
-
-    def _fold_columnar(
-        self,
-        np: Any,
-        batch: ColumnBatch,
-        key_evals: List[Any],
-        arg_evals: List[Any],
-        folds: List[Any],
-        groups: Dict[Tuple[Any, ...], List[Any]],
-        params: Dict[str, Any],
-    ) -> bool:
-        """Try the vectorized path for one batch; False means fall back.
-
-        Group slots are assigned in first-occurrence order, so new keys
-        enter ``groups`` exactly when row mode would insert them — the
-        output order (dict insertion order) is preserved bit for bit.
-        All partials are computed before ``groups`` is touched, keeping
-        the fallback decision atomic per batch.
-        """
-        n = batch.length
-        if key_evals:
-            key_columns = [evaluate(batch, params) for evaluate in key_evals]
-            combined = np.zeros(n, dtype=np.int64)
-            capacity = 1
-            for column in key_columns:
-                column.materialize()
-                kind = column.kind
-                if column.validity is not None or kind in ("obj", "py"):
-                    return False  # NULL grouping keys: row path handles 3VL
-                if kind == "dict":
-                    codes = column.data.astype(np.int64)
-                    cardinality = len(column.dictionary or ("",))
-                elif kind == "bool":
-                    codes = column.data.astype(np.int64)
-                    cardinality = 2
-                else:  # i8 / f8
-                    if kind == "f8" and np.isnan(column.data).any():
-                        return False  # NaN: dict-key identity semantics
-                    uniques, codes = np.unique(column.data, return_inverse=True)
-                    codes = codes.astype(np.int64)
-                    cardinality = len(uniques)
-                capacity *= max(cardinality, 1)
-                if capacity > 2**62:
-                    return False  # mixed-radix code would overflow int64
-                combined = combined * cardinality + codes
-            _, first_idx, inverse = np.unique(
-                combined, return_index=True, return_inverse=True
-            )
-            order = np.argsort(first_idx, kind="stable")
-            rank = np.empty(len(order), dtype=np.int64)
-            rank[order] = np.arange(len(order))
-            slots = rank[inverse]
-            first_rows = first_idx[order]
-            n_groups = len(order)
-        else:
-            key_columns = []
-            slots = np.zeros(n, dtype=np.int64)
-            first_rows = [0]
-            n_groups = 1
-        partial_lists = []
-        for (partials_fn, _), arg_eval in zip(folds, arg_evals):
-            column = arg_eval(batch, params) if arg_eval is not None else None
-            partials = partials_fn(column, slots, n_groups)
-            if partials is None:
-                return False
-            partial_lists.append(partials)
-        specs = self.aggregate_specs
-        for group in range(n_groups):
-            row_index = int(first_rows[group])
-            key = tuple(column.value_at(row_index) for column in key_columns)
-            accumulators = groups.get(key)
-            if accumulators is None:
-                accumulators = [spec.new() for spec in specs]
-                groups[key] = accumulators
-            for (_, fold), accumulator, partials in zip(
-                folds, accumulators, partial_lists
-            ):
-                fold(accumulator, partials[group])
-        return True
+        return result_rows(self.aggregate_specs, bool(self.key_fns), groups)
 
     def describe(self) -> List[str]:
-        return [
+        lines = [
             f"HashAggregate keys={len(self.key_fns)} "
             f"aggs={len(self.aggregate_specs)}{self.annotation()}"
-        ] + _indent(self.child.describe())
+        ]
+        if self.fold_ran is not None:
+            lines.append(f"  fold: {self.fold_ran}")
+        return lines + _indent(self.child.describe())
+
+    def to_dict(self) -> Dict[str, Any]:
+        node = super().to_dict()
+        if self.fold_ran is not None:
+            node["fold"] = self.fold_ran
+        return node
 
 
 class Project(PhysicalOperator):

@@ -133,9 +133,9 @@ class ExecutionStats:
 
         ``include_events=True`` additionally serializes the
         ``degradations`` event list (as a fresh list), matching what
-        :meth:`__repr__` shows — callers like the bench recorder use it
-        to persist the full stats bundle, while mode-parity checks keep
-        the default pure-int mapping.
+        :meth:`__repr__` shows — for callers that persist the full stats
+        bundle, while mode-parity checks keep the default pure-int
+        mapping.
         """
         counters: Dict[str, Any] = {
             name: getattr(self, name)

@@ -371,7 +371,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     from repro.bench.figures import _batting_db
     from repro.bench.harness import make_systems, run_comparison
-    from repro.bench.record import RECORD_SEED
+    from repro.testing import RECORD_SEED
     from repro.workloads import figure1_queries
 
     # Under ``python -m repro.obs.metrics`` this file runs as

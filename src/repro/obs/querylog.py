@@ -6,8 +6,9 @@ plan fingerprints, technique mask, join algorithm, execution mode),
 how the serving machinery treated it (admission wait, plan-cache
 hit, breaker states, retry outcome), what it cost (latency, rows,
 rows scanned, inner evaluations and how many of them a block kernel
-made in vain, degradations), and how well the optimizer predicted it
-(feedback mode, applied corrections, worst per-operator q-errors).
+made in vain, degradations), which fold each aggregate ran (code space
+or a row-path fallback, and why), and how well the optimizer predicted
+it (feedback mode, applied corrections, worst per-operator q-errors).
 
 The log is the serving layer's flight recorder: bounded in memory
 (a deque), optionally persisted as JSON Lines with periodic
@@ -49,6 +50,7 @@ QUERY_LOG_FIELDS = (
     "breaker_states",      # {technique: "closed"|"open"|"half_open"}
     "feedback_corrections",  # planner notes for feedback-adjusted estimates
     "worst_q_errors",      # top per-operator mis-estimates of this plan
+    "aggregate_folds",     # per HashAggregate, the fold its last execution ran
 )
 
 _FIELD_SET = frozenset(QUERY_LOG_FIELDS)

@@ -4,7 +4,8 @@ Aggregates :class:`~repro.obs.querylog.QueryLog` records — from a
 live log object or a persisted JSONL file — into the handful of
 numbers an operator actually watches: latency percentiles, outcome
 and rejection counts, plan-cache hit rate, degradation pressure, NLJP
-inner evaluations (and the ones a block kernel made in vain), and
+inner evaluations (and the ones a block kernel made in vain), which
+fold each GROUP BY ran (so a silent fall-back off code space shows), and
 the estimate→actual health of the optimizer (worst predicates by
 q-error, how many plans carried feedback corrections).
 
@@ -43,6 +44,7 @@ def aggregate(records: List[Dict[str, Any]], top: int = 10) -> Dict[str, Any]:
     prefetch_discarded = 0
     corrected_plans = 0
     corrections = 0
+    folds: Dict[str, int] = {}
     worst: Dict[str, Dict[str, Any]] = {}
     for record in records:
         outcome = record.get("outcome") or "unknown"
@@ -61,6 +63,8 @@ def aggregate(records: List[Dict[str, Any]], top: int = 10) -> Dict[str, Any]:
         degradations += len(record.get("degradations") or ())
         inner_evaluations += record.get("inner_evaluations") or 0
         prefetch_discarded += record.get("inner_prefetch_discarded") or 0
+        for fold in record.get("aggregate_folds") or ():
+            folds[fold] = folds.get(fold, 0) + 1
         notes = record.get("feedback_corrections") or ()
         if notes:
             corrected_plans += 1
@@ -96,6 +100,7 @@ def aggregate(records: List[Dict[str, Any]], top: int = 10) -> Dict[str, Any]:
             "corrected_plans": corrected_plans,
             "corrections": corrections,
         },
+        "aggregate_folds": dict(sorted(folds.items())),
         "worst_predicates": ranked,
     }
 
@@ -125,6 +130,10 @@ def render(summary: Dict[str, Any]) -> str:
         f"  feedback: {feedback['corrections']} corrections across "
         f"{feedback['corrected_plans']} plans"
     )
+    if summary["aggregate_folds"]:
+        lines.append("  aggregate folds:")
+        for fold, count in summary["aggregate_folds"].items():
+            lines.append(f"    {count:>6}  {fold}")
     if summary["worst_predicates"]:
         lines.append("  worst predicates by q-error:")
         for entry in summary["worst_predicates"]:

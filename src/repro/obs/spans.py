@@ -271,9 +271,8 @@ def merge_chrome_traces(
 ) -> Dict[str, Any]:
     """Merge several profiles into one Chrome trace, one pid each.
 
-    Used by ``python -m repro.bench.record --trace`` and the lint CLI's
-    workload runner so a whole benchmark run lands in a single
-    flame-graph artifact.
+    Used by the lint CLI's workload runner and the server's session
+    trace export, so a whole run lands in a single flame-graph artifact.
     """
     events: List[Dict[str, Any]] = []
     for pid, (label, profile) in enumerate(named_profiles, start=1):

@@ -41,6 +41,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.system import SmartIceberg
 from repro.engine.executor import Result
+from repro.engine.operators import HashAggregate
 from repro.engine.wcoj import WCOJTrieJoin
 from repro.errors import CircuitOpenError, SessionClosedError
 from repro.obs.metrics import REGISTRY, MetricsRegistry
@@ -550,7 +551,10 @@ class IcebergServer:
         config = planned.env.config
         corrections: List[str] = []
         mis_estimates: List[Dict[str, Any]] = []
+        folds: List[str] = []
         for node in iter_plan_nodes(planned.root):
+            if isinstance(node, HashAggregate) and node.fold_ran is not None:
+                folds.append(node.fold_ran)
             if node.feedback_note is not None:
                 corrections.append(node.feedback_note)
             q_error = node.q_error()
@@ -572,6 +576,7 @@ class IcebergServer:
             "feedback_mode": config.feedback,
             "feedback_corrections": corrections[:5],
             "worst_q_errors": mis_estimates[:3],
+            "aggregate_folds": folds,
         }
 
     def _after_execution(

@@ -13,7 +13,7 @@ whose ``kind`` column has one dominant value, joined to a small
 Run the query once under ``feedback="observe"`` and the harvested
 (fingerprint, est, actual) observations let a ``feedback="apply"``
 re-plan correct the estimate, flip the join order, and collapse the
-q-error — the scenario the feedback tests and ``BENCH_5`` record.
+q-error — the scenario the feedback tests exercise.
 
 Everything is deterministic given ``seed``.
 """

@@ -14,7 +14,9 @@ from repro.engine.cost import (
 )
 from repro.engine.stats import ExecutionStats
 
-BENCH_FILE = pathlib.Path(__file__).resolve().parents[2] / "BENCH_1.json"
+GOLDEN_COUNTERS = (
+    pathlib.Path(__file__).resolve().parents[1] / "core" / "golden" / "nljp_counters.json"
+)
 
 
 class TestUnitCosts:
@@ -76,12 +78,17 @@ class TestFit:
         assert fit_unit_costs([]) == DEFAULT_UNIT_COSTS
 
     def test_fit_against_recorded_bench_file(self):
-        # The repo's BENCH file was measured by ExecutionStats.cost();
-        # calibration against it must reproduce the default weights
-        # (this is the drift alarm the tentpole asks for).
-        if not BENCH_FILE.exists():  # pragma: no cover
-            pytest.skip("no BENCH_1.json in repo")
-        records = json.loads(BENCH_FILE.read_text())["records"]
+        # The golden file records the counters of every query, system
+        # and mode; priced by ExecutionStats.cost(), calibration against
+        # them must reproduce the default weights (the drift alarm
+        # between the measured cost and the model).
+        golden = json.loads(GOLDEN_COUNTERS.read_text())
+        records = []
+        for entry in golden.values():
+            for counters in entry["stats"].values():
+                stats = ExecutionStats(**counters)
+                records.append({"counters": stats.as_dict(), "cost": stats.cost()})
+        assert len(records) > len(COUNTER_NAMES)
         fitted = fit_unit_costs(records)
         for name in COUNTER_NAMES:
             assert getattr(fitted, name) == pytest.approx(

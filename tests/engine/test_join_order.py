@@ -14,7 +14,7 @@ import re
 import pytest
 
 from repro.bench.figures import _batting_db
-from repro.bench.record import RECORD_SEED
+from repro.testing import RECORD_SEED
 from repro.engine import EngineConfig, execute
 from repro.engine.planner import plan_query
 from repro.sql.parser import parse

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.figures import _batting_db
-from repro.bench.record import RECORD_SEED
+from repro.testing import RECORD_SEED
 from repro.engine import EngineConfig, execute
 from repro.engine.operators import PhysicalOperator
 from repro.obs import CardinalityReport

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from repro.bench.figures import _batting_db
-from repro.bench.record import RECORD_SEED
+from repro.testing import RECORD_SEED
 from repro.engine import EngineConfig, execute
 from repro.engine.cardinality import blend_estimate
 from repro.engine.planner import FEEDBACK_MODES, plan_query

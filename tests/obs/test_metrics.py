@@ -4,7 +4,7 @@ import pytest
 
 from repro import SmartIceberg
 from repro.bench.figures import _batting_db
-from repro.bench.record import RECORD_SEED
+from repro.testing import RECORD_SEED
 from repro.engine import EngineConfig, execute
 from repro.engine.governor import Governor
 from repro.engine.stats import ExecutionStats
@@ -224,15 +224,15 @@ def test_subsumption_merges_counter():
 
 def test_bench_record_includes_new_counters_and_events(small_db):
     from repro.bench.harness import make_systems, run_comparison
-    from repro.bench.record import _measurement_record
 
     systems = make_systems(("all",))
     measurement = run_comparison(small_db, {"Q1": QUERIES["Q1"]}, systems)[0]
-    record = _measurement_record(measurement)
-    assert "cache_evictions" in record["counters"]
-    assert "subsumption_merges" in record["counters"]
-    assert "degradations" not in record["counters"]
-    assert isinstance(record["degradations"], list)
+    counters = measurement.stats.as_dict()
+    assert "cache_evictions" in counters
+    assert "subsumption_merges" in counters
+    assert "degradations" not in counters
+    events = measurement.stats.as_dict(include_events=True)
+    assert isinstance(events["degradations"], list)
 
 
 # ---------------------------------------------------------------------------

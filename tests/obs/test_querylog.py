@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.bench.figures import _batting_db
-from repro.bench.record import RECORD_SEED
+from repro.testing import RECORD_SEED
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.querylog import (
     QUERY_LOG_FIELDS,

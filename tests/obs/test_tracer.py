@@ -6,7 +6,7 @@ import pytest
 
 from repro import SmartIceberg
 from repro.bench.figures import _batting_db
-from repro.bench.record import RECORD_SEED
+from repro.testing import RECORD_SEED
 from repro.engine import EngineConfig, execute
 from repro.obs import (
     QueryProfile,
