@@ -26,10 +26,11 @@ Quick start::
         GROUP BY i1.item, i2.item HAVING COUNT(*) >= 20
     ''')
 
-Execution is row-at-a-time by default; pass
-``SmartIceberg(db, execution_mode="batch")`` (or set the mode on an
-``EngineConfig``) for vectorized batch execution — identical rows and
-identical work counters, less interpreter overhead.
+Execution is columnar (NumPy column batches, fused kernels) wherever
+NumPy imports and row-at-a-time where it does not; pass
+``SmartIceberg(db, execution_mode="row")`` (or set the mode on an
+``EngineConfig``) for the row-at-a-time reference — identical rows,
+the same work counters modulo zone-map skipping.
 """
 
 from repro.engine import (
@@ -40,7 +41,6 @@ from repro.engine import (
     execute,
     explain,
 )
-from repro.engine.operators import DEFAULT_BATCH_SIZE
 from repro.core import (
     Monotonicity,
     OptimizedQuery,
@@ -55,7 +55,6 @@ __version__ = "1.3.0"
 __all__ = [
     "CancelToken",
     "Column",
-    "DEFAULT_BATCH_SIZE",
     "Database",
     "EngineConfig",
     "ExecutionStats",

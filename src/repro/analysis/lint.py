@@ -15,8 +15,8 @@ Named targets resolve to (schema, SQL) pairs: ``Q1``..``Q8`` are the
 Figure 1 suite over the batting schema; ``complex``, ``market_basket``
 and ``discount`` are the paper's example queries over their own
 schemas; ``triangle``, ``square`` and ``triangle_hub`` are the cyclic
-WCOJ workload over the edge graph.  Free-form targets are SQL text (or a path to a ``.sql``
-file) analyzed against ``--db``.
+workload over the edge graph.  Free-form targets are SQL text (or a
+path to a ``.sql`` file) analyzed against ``--db``.
 
 ``--trace PATH`` additionally *executes* every linted named target
 under the Smart-Iceberg optimizer with ``trace="timing"`` and writes

@@ -36,8 +36,8 @@ class Measurement:
 
     ``optimize_seconds`` and ``seconds`` are separate phases (rewrite
     vs. execute), both measured with ``time.perf_counter``;
-    ``execution_mode`` records how the engine ran (``row``/``batch``)
-    and appears in every emitted report row.
+    ``execution_mode`` records how the engine ran and appears in every
+    emitted report row.
     """
 
     system: str
@@ -83,19 +83,24 @@ def _measure(
     )
 
 
+#: Every system runs row at a time: the figures' shapes are asserted on
+#: ``ExecutionStats.cost()``, and row mode charges every stored row a
+#: scan reads, as the paper's systems did, where columnar mode leaves
+#: out the chunks its zone maps skip.
+EXECUTION_MODE = "row"
+
+
 def make_systems(
     which: Sequence[str] = ("base", "vendor", "pruning", "memo", "apriori", "all"),
-    execution_mode: str = "row",
     analyze: Optional[str] = None,
     trace: Optional[str] = None,
 ) -> Dict[str, SystemRunner]:
     """Build the named system runners used across all figures.
 
-    ``execution_mode`` selects row or batch execution for every system;
-    work counters (and hence every shape assertion) are identical
-    either way.  ``analyze`` sets the Smart-Iceberg static-analysis
-    mode (baselines have no analyzer); its wall time lands in each
-    measurement's ``analyze_seconds``.  ``trace`` sets the tracing mode
+    Every system runs in :data:`EXECUTION_MODE`.  ``analyze`` sets the
+    Smart-Iceberg static-analysis mode (baselines have no analyzer);
+    its wall time lands in each measurement's ``analyze_seconds``.
+    ``trace`` sets the tracing mode
     for every system (``None`` inherits the config's ``"off"``); traced
     measurements carry a ``QueryProfile`` on ``measurement.result``.
     """
@@ -104,7 +109,7 @@ def make_systems(
     def baseline(config: EngineConfig) -> SystemRunner:
         config = dataclasses.replace(
             config,
-            execution_mode=execution_mode,
+            execution_mode=EXECUTION_MODE,
             **({"trace": trace} if trace is not None else {}),
         )
 
@@ -122,7 +127,7 @@ def make_systems(
         def run(db: Database, sql: str, query_name: str = "") -> Measurement:
             system = SmartIceberg(
                 db,
-                execution_mode=execution_mode,
+                execution_mode=EXECUTION_MODE,
                 analyze=analyze,
                 trace=trace,
                 **toggles,

@@ -1,29 +1,18 @@
-"""Binding-keyed caches: NLJP's memo/pruning cache and the trie-join cache.
+"""Binding-keyed caches: NLJP's memo/pruning cache.
 
-Two operators in this engine cache *sub-binding outcomes*:
+:class:`NLJPCache` is the NLJP operator's cache (Section 5.1, Section
+6, Section 7).  It maps a *binding* (the tuple of 𝕁_L values) to the
+memoized inner-query results for that binding, plus an *unpromising*
+flag (Definition 5: Φ fails for every 𝔾_R-partition of the joining
+R-tuples).
 
-* :class:`NLJPCache` — the NLJP operator's cache (Section 5.1, Section
-  6, Section 7).  It maps a *binding* (the tuple of 𝕁_L values) to the
-  memoized inner-query results for that binding, plus an *unpromising*
-  flag (Definition 5: Φ fails for every 𝔾_R-partition of the joining
-  R-tuples).
-* :class:`TrieCache` — the leapfrog trie join's cache-across-bindings
-  (:mod:`repro.engine.wcoj`, after *Flexible Caching in Trie Joins*,
-  Kalinsky et al.).  It maps the *projection* of a variable-binding
-  prefix onto the variables the remaining relations still reference to
-  the set of suffix assignments enumerated below that point — two
-  prefixes that agree on the projection share one subtree.
-
-Both are policies over the same mechanism, so both derive from
-:class:`BudgetedBindingCache`: an OrderedDict of entries under a
-re-entrant lock, with replacement policies ``"none"`` (unbounded),
-``"lru"``, and ``"utility"`` (evict the entry with the fewest hits),
-incremental ``bytes_used`` accounting, and the governor's
-graceful-degradation contract (``evict_until`` under memory pressure,
-``clear`` when eviction cannot satisfy the budget).  The governor's
-``max_cache_bytes`` ceiling therefore charges and degrades trie-join
-caching exactly like NLJP caching, and either cache can be pinned
-across executions of a prepared statement (the PR 7
+Its policy layer is :class:`BudgetedBindingCache`: an OrderedDict of
+entries under a re-entrant lock, with replacement policies ``"none"``
+(unbounded), ``"lru"``, and ``"utility"`` (evict the entry with the
+fewest hits), incremental ``bytes_used`` accounting, and the
+governor's graceful-degradation contract (``evict_until`` under memory
+pressure, ``clear`` when eviction cannot satisfy the budget).  The
+cache can be pinned across executions of a prepared statement (the
 ``cross_query_memo`` path).
 
 The NLJP cache serves two distinct reads:
@@ -139,7 +128,7 @@ class BudgetedBindingCache:
     when ``max_cache_bytes`` trips with ``degradation="fallback"`` the
     operator calls :meth:`evict_until` (never evicting the entry just
     inserted), and :meth:`clear` when eviction alone cannot satisfy the
-    budget — identically for NLJP and trie-join caches.
+    budget.
     """
 
     def __init__(
@@ -628,58 +617,3 @@ def _first_hits(np, test, columns, cached, start, stop):
         todo = todo[~found & (checks[todo] > offset)]
         width *= 8
     return pruned, checks
-
-
-# ----------------------------------------------------------------------
-# Trie-join cache (Kalinsky et al., "Flexible Caching in Trie Joins")
-
-
-@dataclass(slots=True)
-class TrieEntry:
-    """One cached subtree of the leapfrog enumeration.
-
-    ``binding`` is the cache key: the enumeration level tagged with the
-    values of the already-bound variables that the relations still
-    active at or below that level reference.  ``payload`` is the tuple
-    of suffix assignments (values of the remaining variables, in
-    variable order) enumerated below the cache point — replaying them
-    reproduces the subtree without touching the tries again.
-    """
-
-    binding: Binding
-    payload: Tuple[Tuple[Any, ...], ...]
-    hits: int = 0  # guarded-by: BudgetedBindingCache._lock
-
-
-def trie_entry_bytes(entry: TrieEntry) -> int:
-    """Footprint of one trie-cache entry, in :func:`entry_bytes` units."""
-    per_row_overhead = 24
-    total = per_row_overhead
-    total += sum(_value_bytes(v) for v in entry.binding)
-    for suffix in entry.payload:
-        total += sum(_value_bytes(v) for v in suffix)
-    return total
-
-
-class TrieCache(BudgetedBindingCache):
-    """Cache-across-bindings for the leapfrog trie join.
-
-    Keys are *projected* binding prefixes (see :class:`TrieEntry`), so
-    any two enumeration paths that agree on the variables the remaining
-    relations reference share one cached subtree — the Kalinsky et al.
-    observation that makes caching profitable on cycles longer than a
-    triangle.  Policy, byte accounting, governor degradation, and
-    cross-query pinning are inherited unchanged from
-    :class:`BudgetedBindingCache`, i.e. identical to the NLJP cache.
-    """
-
-    def _entry_bytes(self, entry: TrieEntry) -> int:
-        return trie_entry_bytes(entry)
-
-    def put(
-        self, binding: Binding, payload: Tuple[Tuple[Any, ...], ...]
-    ) -> TrieEntry:
-        entry = TrieEntry(binding=binding, payload=payload)
-        with self._lock:
-            self._admit(binding, entry)
-            return entry

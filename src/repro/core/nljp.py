@@ -15,8 +15,8 @@ An NLJP instance is specified by four (generated) queries:
   join-shaped Q_R to a kernel that a columnar context has compute it
   for the next block of bindings at once, ahead of the loop
   (:class:`_Blocks`), and only what both decline — or any join-shaped
-  Q_R outside a columnar context — re-enters the operator tree per
-  binding;
+  Q_R outside a columnar context — re-enters the operator tree, row at
+  a time, per binding;
 * **Q_C(b')** — the pruning query: a lookup over the cache for an
   unpromising entry whose binding subsumes (or is subsumed by) ``b'``
   under the automatically derived predicate — asked per binding, and
@@ -636,7 +636,10 @@ class NLJPOperator(ops.PhysicalOperator):
                 else:
                     args = (ahead,)
             if kernel is None:
-                raw_rows = ops.materialize(self.qr_plan, ctx, columnar=False)
+                # The reference tree, row at a time in either mode: for
+                # a plan run per binding over a handful of rows, column
+                # batches would cost more than they save.
+                raw_rows = list(self.qr_plan.execute(ctx))
             elif ctx.tracer is None:
                 raw_rows = kernel.run(ctx, *args)
             else:
@@ -846,7 +849,7 @@ class NLJPOperator(ops.PhysicalOperator):
                 blocks = _Blocks(self, ctx, cache)
                 self.inner_ran = f"block kernel ({kernel.describe()})"
             else:
-                self.inner_ran = "operators (row/batch mode)"
+                self.inner_ran = "operators (row mode)"
 
         def per_binding(rows):
             for qb_row in rows:
@@ -875,7 +878,7 @@ class NLJPOperator(ops.PhysicalOperator):
         if blocks is not None:
             per_binding = per_binding_ahead
 
-        reason = self._loop_reason or (None if ctx.columnar else "row/batch mode")
+        reason = self._loop_reason or (None if ctx.columnar else "row mode")
         if reason is None:
             return chain.from_iterable(
                 self._skip_ahead(ctx, cache, batch, per_binding, blocks)

@@ -51,7 +51,6 @@ class SmartIceberg:
         binding_order: str = "none",
         execution_mode: Optional[str] = None,
         batch_size: Optional[int] = None,
-        join_algo: Optional[str] = None,
         max_rows_scanned: Optional[int] = None,
         max_join_pairs: Optional[int] = None,
         max_cache_bytes: Optional[int] = None,
@@ -67,23 +66,15 @@ class SmartIceberg:
         self.db = db
         self.config = config or EngineConfig.smart()
         # Mode and governor knobs override the config; None inherits
-        # its settings.  Batch mode is a pure wall-clock optimization:
-        # rows and work counters are identical to row mode.  Governor
-        # budgets bound the work one execution may do (see
+        # its settings, and EngineConfig validates them.  Columnar mode
+        # is a wall-clock optimization: its rows are row mode's.
+        # Governor budgets bound the work one execution may do (see
         # repro.engine.governor); ``degradation="fallback"`` trades
         # the paper's techniques for survival instead of aborting.
         overrides: Dict[str, object] = {}
-        if execution_mode is not None:
-            if execution_mode not in ("row", "batch", "columnar"):
-                raise ValueError(f"unknown execution_mode {execution_mode!r}")
-            overrides["execution_mode"] = execution_mode
-        if batch_size is not None:
-            overrides["batch_size"] = batch_size
         for name, value in (
-            # Join algorithm per cluster: "auto" (AGM-gated), "pairwise"
-            # (always left-deep), or "wcoj" (force the leapfrog trie
-            # join when eligible); validated by EngineConfig.
-            ("join_algo", join_algo),
+            ("execution_mode", execution_mode),
+            ("batch_size", batch_size),
             ("max_rows_scanned", max_rows_scanned),
             ("max_join_pairs", max_join_pairs),
             ("max_cache_bytes", max_cache_bytes),

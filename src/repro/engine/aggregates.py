@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from repro.errors import PlanningError
 from repro.sql import ast
-from repro.engine.expressions import Compiled, batch_values, columnar_values
+from repro.engine.expressions import Compiled, columnar_values
 from repro.engine.layout import Column, ColumnBatch, dense_codes, numpy_or_none
 
 Row = Tuple[Any, ...]
@@ -229,24 +229,17 @@ def fold_rows(
 ) -> None:
     """Feed ``rows`` to the streaming accumulators of ``groups`` (key →
     accumulators, in first-seen order), in row order."""
-    if key_fns:
-        keys = list(zip(*(batch_values(fn)(rows, params) for fn in key_fns)))
-    else:
-        keys = [()] * len(rows)
-    arg_lists = [
-        batch_values(spec.argument)(rows, params) if spec.argument is not None else None
-        for spec in specs
-    ]
-    for i, key in enumerate(keys):
+    for row in rows:
+        key = tuple(fn(row, params) for fn in key_fns)
         accumulators = groups.get(key)
         if accumulators is None:
             accumulators = [spec.new() for spec in specs]
             groups[key] = accumulators
-        for accumulator, args in zip(accumulators, arg_lists):
-            if args is None:
+        for spec, accumulator in zip(specs, accumulators):
+            if spec.argument is None:
                 accumulator.add(1)
             else:
-                accumulator.add(args[i])
+                accumulator.add(spec.argument(row, params))
 
 
 def result_rows(

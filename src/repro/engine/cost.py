@@ -148,23 +148,3 @@ class CostModel:
 
     def aggregate(self, input_rows: float) -> float:
         return self.units.aggregation_inputs * input_rows
-
-    def wcoj(
-        self, trie_rows: float, seek_probes: float, output_pairs: float
-    ) -> float:
-        """Leapfrog trie join over a whole join cluster.
-
-        ``trie_rows`` — every participating row is scanned once while
-        the sorted trie views are built.  ``seek_probes`` — leapfrog
-        ``seek()``/``next()`` calls, charged like index probes.
-        ``output_pairs`` — tuples the join emits: unlike a pairwise
-        plan it never materializes intermediates, so the planner
-        charges the estimated *output* capped by the AGM
-        fractional-edge-cover bound (the reason WCOJ wins on cyclic
-        clusters).
-        """
-        return (
-            self.units.rows_scanned * trie_rows
-            + self.units.index_probes * seek_probes
-            + self.units.join_pairs * output_pairs
-        )

@@ -10,12 +10,13 @@ from repro.errors import ReproError, TypeCheckError
 from repro.sql import ast
 from repro.sql.parser import parse
 from repro.engine.governor import Governor
-from repro.engine.operators import (
-    DEFAULT_BATCH_SIZE,
-    DEFAULT_COLUMNAR_BATCH_SIZE,
-    ExecutionContext,
+from repro.engine.operators import DEFAULT_COLUMNAR_BATCH_SIZE, ExecutionContext
+from repro.engine.planner import (
+    EngineConfig,
+    PlannedQuery,
+    check_execution_mode,
+    plan_query,
 )
-from repro.engine.planner import EngineConfig, PlannedQuery, plan_query
 from repro.engine.stats import ExecutionStats
 from repro.obs.metrics import record_query
 from repro.storage.catalog import Database
@@ -129,10 +130,9 @@ def run_planned(
     PostgreSQL's prepared statements for.
 
     ``execution_mode``/``batch_size`` override the planned config's
-    settings; ``None`` inherits them.  Batch mode produces identical
-    rows and identical work counters, only faster.  Columnar mode also
-    produces identical rows; its counters agree modulo the zone-map
-    split (see :meth:`ExecutionStats.parity_dict`).
+    settings; ``None`` inherits them.  Columnar mode produces the rows
+    of row mode; its counters agree modulo the zone-map split (see
+    :meth:`ExecutionStats.parity_dict`).
 
     When the config sets any governor knob (budgets, deadline, cancel
     token, fault plan), a :class:`~repro.engine.governor.Governor` is
@@ -172,23 +172,19 @@ def run_planned(
         if deadline_seconds is not None:
             overrides["deadline_seconds"] = deadline_seconds
         config = dataclasses.replace(config, **overrides)
-    mode = execution_mode if execution_mode is not None else config.execution_mode
-    if mode not in ("row", "batch", "columnar"):
-        raise ValueError(f"unknown execution_mode {mode!r}")
+    if execution_mode is None:
+        mode = config.execution_mode
+    else:
+        mode = check_execution_mode(execution_mode)
     if batch_size is None:
         batch_size = config.batch_size
     if batch_size is not None and batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if mode == "row":
-        effective_batch_size = None
-    elif mode == "batch":
-        effective_batch_size = batch_size or DEFAULT_BATCH_SIZE
-    else:
-        effective_batch_size = batch_size or DEFAULT_COLUMNAR_BATCH_SIZE
+    columnar = mode == "columnar"
     ctx = ExecutionContext(
         params=dict(params or {}),
-        batch_size=effective_batch_size,
-        columnar=mode == "columnar",
+        batch_size=(batch_size or DEFAULT_COLUMNAR_BATCH_SIZE) if columnar else None,
+        columnar=columnar,
     )
     ctx.governor = Governor.from_config(config, ctx.stats)
     if tracer is None and config.trace != "off":
@@ -213,11 +209,7 @@ def run_planned(
     planned.env.ctx_holder["ctx"] = ctx
     start = time.perf_counter()
     try:
-        if mode == "batch":
-            rows = []
-            for batch in planned.root.execute_batches(ctx):
-                rows.extend(batch)
-        elif mode == "columnar":
+        if columnar:
             rows = []
             for column_batch in planned.root.execute_columnar(ctx):
                 rows.extend(column_batch.to_rows())

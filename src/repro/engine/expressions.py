@@ -143,9 +143,9 @@ class ExpressionCompiler:
         """Compile ``expr`` to a closure; aggregates are rejected here.
 
         The returned closure is tagged with the source AST and this
-        compiler (``_expr`` / ``_compiler``) so the batch layer
-        (:func:`batch_values` / :func:`batch_filter`) can build fused
-        whole-batch kernels for it on demand.
+        compiler (``_expr`` / ``_compiler``) so the columnar layer
+        (:func:`columnar_filter` / :func:`columnar_values`) can build
+        fused whole-batch kernels for it on demand.
         """
         fn = self._compile_node(expr)
         try:
@@ -382,29 +382,43 @@ def compile_predicate(
 
 
 # ---------------------------------------------------------------------------
-# Batch (vectorized) evaluation
+# Columnar (fused whole-column) evaluation
 # ---------------------------------------------------------------------------
 #
-# Batch mode evaluates an expression over a whole chunk of rows in one
-# call, amortizing Python dispatch.  For a supported structural subset
-# — column references, literals, parameters, +/-/* arithmetic, the six
-# comparators, AND/OR/NOT, BETWEEN, IS [NOT] NULL, and IN over literal
-# lists — a *fused kernel* is generated as one Python list
-# comprehension with SQL's three-valued logic folded into plain
-# short-circuit tests (a NULL operand can never make a comparison
-# true, so a filter keeps a row iff every operand is non-NULL and the
-# comparison holds).  Everything else falls back to calling the
-# row-mode closure per element, which still amortizes the per-operator
-# generator dispatch.
+# Columnar mode evaluates expressions over :class:`ColumnBatch` inputs.
+# For a supported structural subset — column references, literals,
+# parameters, +/-/* arithmetic, the six comparators, AND/OR/NOT,
+# BETWEEN, IS [NOT] NULL, IN over literal lists and over stored-column
+# subqueries — ONE fused vectorized function is generated per
+# predicate/projection conjunction (via ``compile()`` of synthesized
+# source) operating on whole NumPy columns; generated functions are
+# cached in a module-level table keyed on (expression fingerprint,
+# layout), so repeated plans over the same schema skip codegen entirely.
 #
-# Both paths produce results *identical* to row mode: kernels are only
-# used where the fused form is semantically exact.
+# Three-valued logic becomes mask algebra: every column access yields a
+# (values, validity) pair, a comparison is true only where all operand
+# validity masks hold AND the vector comparison holds, and false only
+# where the masks hold and it does not — exactly the row-mode Kleene
+# split.  NULL-able *scalars* (parameters, probe-side outer values) are
+# guarded by plain Python conditions hoisted out of the vector code, so
+# a NULL scalar never reaches a NumPy operation.
+#
+# Every public entry point is total: when an expression has no fused
+# form (statically) or a fused kernel raises (dynamically, e.g. a
+# mixed-type comparison on an object column), evaluation falls back to
+# decoding the batch to rows and calling the row closure per row —
+# same values, same errors, bit-identical results.  One caveat is
+# inherent to fixed-width encodings: fused integer arithmetic computes
+# in int64, so intermediates beyond 2^63 would wrap where row mode's
+# unbounded ints do not (column *values* that large already degrade to
+# exact object columns at encode time; only computed intermediates can
+# overflow).
 
-#: Batch evaluator: list of per-row values, aligned with ``rows``.
-BatchCompiled = Callable[[Sequence[Sequence[Any]], Dict[str, Any]], List[Any]]
+#: Columnar filter: boolean selection mask over a batch.
+ColumnarFilter = Callable[[ColumnBatch, Dict[str, Any]], Any]
 
-#: Batch filter: the sub-list of ``rows`` whose predicate is ``True``.
-BatchFilter = Callable[[Sequence[Sequence[Any]], Dict[str, Any]], List[Any]]
+#: Columnar evaluator: one output Column per batch.
+ColumnarValues = Callable[[ColumnBatch, Dict[str, Any]], Column]
 
 
 class _Unsupported(Exception):
@@ -422,260 +436,6 @@ def _merge_guards(*guard_lists: Sequence[str]) -> List[str]:
 
 _PY_COMPARE = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _PY_ARITH = {"+": "+", "-": "-", "*": "*"}
-
-
-class _KernelBuilder:
-    """Generates fused batch kernels from expression ASTs.
-
-    Scalar nodes compile to ``(guards, value)`` — ``value`` is a Python
-    expression over the loop variable ``r`` that is valid whenever all
-    ``guards`` (non-NULL tests) hold; a failed guard means SQL NULL.
-    Boolean nodes compile to ``(istrue, isfalse)`` Python expressions
-    implementing Kleene logic exactly as the row-mode closures do.
-    """
-
-    def __init__(self, compiler: "ExpressionCompiler") -> None:
-        self._compiler = compiler
-        self._layout = compiler._layout
-        self.env: Dict[str, Any] = {}
-        self.prologue: List[str] = []
-        self._constants = 0
-        self._params: Dict[str, str] = {}
-
-    # -- helpers -------------------------------------------------------
-    def _const(self, value: Any) -> str:
-        name = f"c{self._constants}"
-        self._constants += 1
-        self.env[name] = value
-        return name
-
-    def _param(self, name: str) -> str:
-        if name not in self._params:
-            var = f"p{len(self._params)}"
-            self._params[name] = var
-            self.prologue.append(f"    {var} = params[{name!r}]")
-        return self._params[name]
-
-    # -- scalar nodes --------------------------------------------------
-    def scalar(self, expr: ast.Expr) -> Tuple[List[str], str]:
-        if isinstance(expr, ast.Literal):
-            if expr.value is None:
-                return ["False"], "None"
-            return [], self._const(expr.value)
-        if isinstance(expr, ast.ColumnRef):
-            position = self._layout.resolve(expr.table, expr.column)
-            return [f"r[{position}] is not None"], f"r[{position}]"
-        if isinstance(expr, ast.Parameter):
-            var = self._param(expr.name)
-            return [f"{var} is not None"], var
-        if isinstance(expr, ast.UnaryOp) and expr.op == "-":
-            guards, value = self.scalar(expr.operand)
-            return guards, f"(-{value})"
-        if isinstance(expr, ast.BinaryOp) and expr.op in _PY_ARITH:
-            lg, lv = self.scalar(expr.left)
-            rg, rv = self.scalar(expr.right)
-            return _merge_guards(lg, rg), f"({lv} {_PY_ARITH[expr.op]} {rv})"
-        # Boolean-valued nodes used as scalars: three-valued result.
-        if self._is_boolean_node(expr):
-            istrue, isfalse = self.boolean(expr)
-            return [], f"(True if {istrue} else (False if {isfalse} else None))"
-        raise _Unsupported(type(expr).__name__)
-
-    @staticmethod
-    def _is_boolean_node(expr: ast.Expr) -> bool:
-        if isinstance(expr, ast.BinaryOp):
-            return expr.op in ("AND", "OR") or expr.op in _PY_COMPARE
-        if isinstance(expr, ast.UnaryOp):
-            return expr.op == "NOT"
-        return isinstance(expr, (ast.IsNull, ast.Between, ast.InList))
-
-    # -- boolean nodes -------------------------------------------------
-    def boolean(self, expr: ast.Expr) -> Tuple[str, str]:
-        if isinstance(expr, ast.BinaryOp):
-            if expr.op == "AND":
-                lt, lf = self.boolean(expr.left)
-                rt, rf = self.boolean(expr.right)
-                return f"({lt} and {rt})", f"({lf} or {rf})"
-            if expr.op == "OR":
-                lt, lf = self.boolean(expr.left)
-                rt, rf = self.boolean(expr.right)
-                return f"({lt} or {rt})", f"({lf} and {rf})"
-            if expr.op in _PY_COMPARE:
-                lg, lv = self.scalar(expr.left)
-                rg, rv = self.scalar(expr.right)
-                guards = _merge_guards(lg, rg)
-                compare = f"({lv} {_PY_COMPARE[expr.op]} {rv})"
-                istrue = " and ".join(guards + [compare])
-                isfalse = " and ".join(guards + [f"(not {compare})"])
-                return f"({istrue})", f"({isfalse})"
-            raise _Unsupported(expr.op)
-        if isinstance(expr, ast.UnaryOp) and expr.op == "NOT":
-            istrue, isfalse = self.boolean(expr.operand)
-            return isfalse, istrue
-        if isinstance(expr, ast.IsNull):
-            guards, _ = self.scalar(expr.operand)
-            non_null = "(" + (" and ".join(guards) or "True") + ")"
-            is_null = f"(not {non_null})"
-            return (non_null, is_null) if expr.negated else (is_null, non_null)
-        if isinstance(expr, ast.Between):
-            ng, nv = self.scalar(expr.needle)
-            lg, lv = self.scalar(expr.low)
-            hg, hv = self.scalar(expr.high)
-            guards = _merge_guards(ng, lg, hg)
-            inside = f"({lv} <= {nv} <= {hv})"
-            istrue = "(" + " and ".join(guards + [inside]) + ")"
-            isfalse = "(" + " and ".join(guards + [f"(not {inside})"]) + ")"
-            return (isfalse, istrue) if expr.negated else (istrue, isfalse)
-        if isinstance(expr, ast.InList):
-            values = []
-            for item in expr.items:
-                if not isinstance(item, ast.Literal) or item.value is None:
-                    raise _Unsupported("non-literal IN list")
-                values.append(item.value)
-            try:
-                members = self._const(frozenset(values))
-            except TypeError as error:  # unhashable literal
-                raise _Unsupported(str(error)) from error
-            guards, value = self.scalar(expr.needle)
-            istrue = "(" + " and ".join(guards + [f"({value} in {members})"]) + ")"
-            isfalse = (
-                "(" + " and ".join(guards + [f"({value} not in {members})"]) + ")"
-            )
-            return (isfalse, istrue) if expr.negated else (istrue, isfalse)
-        # Scalar-capable nodes in boolean position (e.g. literal TRUE).
-        if self._is_boolean_node(expr):  # pragma: no cover - defensive
-            raise _Unsupported(type(expr).__name__)
-        guards, value = self.scalar(expr)
-        istrue = "(" + " and ".join(guards + [f"({value} is True)"]) + ")"
-        isfalse = "(" + " and ".join(guards + [f"({value} is False)"]) + ")"
-        return istrue, isfalse
-
-    # -- kernel assembly -----------------------------------------------
-    def _build(self, body: str) -> Callable:
-        source = (
-            "def kernel(rows, params):\n"
-            + "".join(line + "\n" for line in self.prologue)
-            + f"    return {body}\n"
-        )
-        namespace = dict(self.env)
-        exec(compile(source, "<batch-kernel>", "exec"), namespace)
-        return namespace["kernel"]
-
-    def build_filter(self, expr: ast.Expr) -> BatchFilter:
-        istrue, _ = self.boolean(expr)
-        return self._build(f"[r for r in rows if {istrue}]")
-
-    def build_values(self, expr: ast.Expr) -> BatchCompiled:
-        if isinstance(expr, ast.TupleExpr):
-            elements = []
-            for item in expr.items:
-                guards, value = self.scalar(item)
-                if guards:
-                    condition = " and ".join(guards)
-                    elements.append(f"(({value}) if ({condition}) else None)")
-                else:
-                    elements.append(f"({value})")
-            body = "(" + ", ".join(elements) + ("," if len(elements) == 1 else "") + ")"
-            return self._build(f"[{body} for r in rows]")
-        guards, value = self.scalar(expr)
-        if guards:
-            condition = " and ".join(guards)
-            return self._build(f"[({value}) if ({condition}) else None for r in rows]")
-        return self._build(f"[{value} for r in rows]")
-
-
-def batch_values(fn: Compiled) -> BatchCompiled:
-    """A whole-batch evaluator for a row-compiled expression.
-
-    Returns a fused kernel when the expression's structure supports it,
-    else a per-row fallback over the original closure.  The result is
-    memoized on the closure, so repeated executions pay codegen once.
-    """
-    cached = getattr(fn, "_batch_values", None)
-    if cached is not None:
-        return cached
-    kernel: Optional[BatchCompiled] = None
-    expr = getattr(fn, "_expr", None)
-    compiler = getattr(fn, "_compiler", None)
-    if expr is not None and compiler is not None:
-        try:
-            kernel = _KernelBuilder(compiler).build_values(expr)
-        except (_Unsupported, PlanningError):
-            kernel = None
-    if kernel is None:
-        kernel = lambda rows, params: [fn(r, params) for r in rows]
-    try:
-        fn._batch_values = kernel  # type: ignore[attr-defined]
-    except (AttributeError, TypeError):  # pragma: no cover - defensive
-        pass
-    return kernel
-
-
-def batch_filter(fn: Optional[Compiled]) -> Optional[BatchFilter]:
-    """A whole-batch *selection* kernel: rows where ``fn`` is ``True``.
-
-    ``None`` predicates pass through as ``None`` (no filtering).  Like
-    :func:`batch_values`, fused kernels are generated for the supported
-    subset and memoized on the closure.
-    """
-    if fn is None:
-        return None
-    cached = getattr(fn, "_batch_filter", None)
-    if cached is not None:
-        return cached
-    kernel: Optional[BatchFilter] = None
-    expr = getattr(fn, "_expr", None)
-    compiler = getattr(fn, "_compiler", None)
-    if expr is not None and compiler is not None:
-        try:
-            kernel = _KernelBuilder(compiler).build_filter(expr)
-        except (_Unsupported, PlanningError):
-            kernel = None
-    if kernel is None:
-        kernel = lambda rows, params: [r for r in rows if fn(r, params) is True]
-    try:
-        fn._batch_filter = kernel  # type: ignore[attr-defined]
-    except (AttributeError, TypeError):  # pragma: no cover - defensive
-        pass
-    return kernel
-
-
-# ---------------------------------------------------------------------------
-# Columnar (fused whole-column) evaluation
-# ---------------------------------------------------------------------------
-#
-# Columnar mode evaluates expressions over :class:`ColumnBatch` inputs.
-# For the same structural subset the batch kernels support, ONE fused
-# vectorized function is generated per predicate/projection conjunction
-# (via ``compile()`` of synthesized source) operating on whole NumPy
-# columns; generated functions are cached in a module-level table keyed
-# on (expression fingerprint, layout), so repeated plans over the same
-# schema skip codegen entirely.
-#
-# Three-valued logic becomes mask algebra: every column access yields a
-# (values, validity) pair, a comparison is true only where all operand
-# validity masks hold AND the vector comparison holds, and false only
-# where the masks hold and it does not — exactly the row-mode Kleene
-# split.  NULL-able *scalars* (parameters, probe-side outer values) are
-# guarded by plain Python conditions hoisted out of the vector code, so
-# a NULL scalar never reaches a NumPy operation.
-#
-# Every public entry point is total: when an expression has no fused
-# form (statically) or a fused kernel raises (dynamically, e.g. a
-# mixed-type comparison on an object column), evaluation falls back to
-# decoding the batch to rows and running the proven batch/row path —
-# same values, same errors, bit-identical results.  One caveat is
-# inherent to fixed-width encodings: fused integer arithmetic computes
-# in int64, so intermediates beyond 2^63 would wrap where row mode's
-# unbounded ints do not (column *values* that large already degrade to
-# exact object columns at encode time; only computed intermediates can
-# overflow).
-
-#: Columnar filter: boolean selection mask over a batch.
-ColumnarFilter = Callable[[ColumnBatch, Dict[str, Any]], Any]
-
-#: Columnar evaluator: one output Column per batch.
-ColumnarValues = Callable[[ColumnBatch, Dict[str, Any]], Column]
 
 _FUSED_KERNEL_CACHE: Dict[Any, Callable] = {}
 
@@ -1127,8 +887,8 @@ def columnar_values(fn: Compiled, ctx: Any = None) -> ColumnarValues:
     Plain column references pass the stored column through untouched
     (keeping dictionary encoding alive for group-bys and join keys);
     fusable computations run as one generated kernel; everything else —
-    or a kernel that raises — decodes to rows and evaluates via the
-    proven batch path, re-encoding the exact row-mode values.
+    or a kernel that raises — decodes to rows and calls the row closure
+    per row, re-encoding the exact row-mode values.
     """
     cached = getattr(fn, "_columnar_values", None)
     if cached is not None:
@@ -1146,8 +906,7 @@ def columnar_values(fn: Compiled, ctx: Any = None) -> ColumnarValues:
     if evaluate is None:
 
         def row_eval(batch: ColumnBatch, params: Dict[str, Any]) -> Column:
-            values = batch_values(fn)(batch.cached_rows(), params)
-            return Column.from_values(values)
+            return Column.from_values([fn(row, params) for row in batch.cached_rows()])
 
         kernel = _fused_kernel(fn, "values", 0, ctx)
         if kernel is None:

@@ -4,8 +4,7 @@ NLJP (:mod:`repro.core.nljp`) evaluates its inner query Q_R(b) once per
 binding — hundreds to tens of thousands of times per statement.  The
 paper ran Q_R as a PostgreSQL prepared statement; re-entering the
 operator tree per binding copies that literally and pays closure-tree
-predicates per inner row (row mode) or generator dispatch per operator
-(batch mode) every time.  One binding's Q_R is a select-aggregate over
+predicates and generator dispatch per inner row every time.  One binding's Q_R is a select-aggregate over
 one relation, and the slice of the relation it reads has the same shape
 for every binding, so when the planned Q_R is
 
@@ -245,7 +244,8 @@ class InnerKernel:
         ``index_probes`` += 1 and ``rows_scanned`` += the range or
         bucket length for an index scan, the relation length for a full
         scan; ``aggregation_inputs`` += rows passing the predicate; one
-        ``governor.check("scan")``, as the batch path makes.
+        ``governor.check("scan")`` per evaluation, where the tree checks
+        once per scanned row.
         """
         execution = ctx.materialized.get(self)
         if execution is None:
@@ -433,9 +433,9 @@ class BlockKernel:
             [(_BLOCK, _ROW)] + [(_BLOCK, ":" + name) for name in self.names]
         )
         #: The plan's nodes in work-table order, and for each but the
-        #: projection what its batch path asks the governor: ``(site,
-        #: slot of the node whose rows it is handed a batch at a time)``
-        #: -- no slot for a scan, no site for the aggregate.
+        #: projection what it asks the governor: ``(site, slot of the
+        #: node whose rows it is handed a batch at a time)`` -- no slot
+        #: for a scan, no site for the aggregate.
         self.nodes: List[ops.PhysicalOperator] = []
         self._checks: List[Tuple[Optional[str], Optional[int]]] = []
         self._leaf = self._lower_scan(chain[0], 0)
@@ -594,7 +594,7 @@ class BlockKernel:
         if not isinstance(join.inner, _FULL_SCANS + _INDEX_SCANS):
             raise BlockDeclined(f"hash join with {type(join.inner).__name__} inside")
         scan = self._lower_scan(join.inner, relation)
-        # The batch path checks once per batch of its probe side.
+        # One check per batch of its probe side.
         probe_side = fed if join.build == "inner" else scan.slot
         return _HashJoin(
             join,
@@ -889,14 +889,16 @@ class BlockKernel:
     def run(self, ctx: ops.ExecutionContext, evaluation: _Evaluation) -> List[Tuple[Any, ...]]:
         """Q_R's rows for the binding in ``ctx.params`` from its
         prefetched ``evaluation``, charged now, node by node in plan
-        order: the node's counters, then the checks its batch path
-        makes (a scan one, the others one per ``batch_size`` rows they
-        are handed)."""
+        order: the node's counters, then its governor checks, as a
+        batch-at-a-time operator makes them (a scan one, the others one
+        per ``batch_size`` rows they are handed).  The per-binding tree
+        checks once per row instead, so a budget or fault trips at the
+        same site, but after a different number of checks."""
         execution = self._execution(ctx)
         stats = ctx.stats
         governor = ctx.governor
         work = evaluation.work.tolist()
-        size = ctx.batch_size or ops.DEFAULT_BATCH_SIZE
+        size = ctx.batch_size or ops.DEFAULT_COLUMNAR_BATCH_SIZE
         for node, (site, fed), (probes, scanned, pairs, _) in zip(
             self.nodes, self._checks, work
         ):

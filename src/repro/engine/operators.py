@@ -18,11 +18,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.engine.aggregates import AggregateSpec, GroupFold, fold_rows, result_rows
+from repro.engine.aggregates import AggregateSpec, GroupFold, result_rows
 from repro.engine.expressions import (
     Compiled,
-    batch_filter,
-    batch_values,
     columnar_filter,
     columnar_key_columns,
     columnar_key_values,
@@ -44,10 +42,7 @@ from repro.storage.table import Table
 
 Row = Tuple[Any, ...]
 
-#: Default chunk size for batch (vectorized) execution.
-DEFAULT_BATCH_SIZE = 1024
-
-#: Default chunk size for columnar execution; larger than batch mode so
+#: Default chunk size for columnar execution: large enough that
 #: per-chunk kernel dispatch amortizes, small enough that zone maps
 #: still prune selectively.
 DEFAULT_COLUMNAR_BATCH_SIZE = 4096
@@ -71,9 +66,9 @@ COLUMNAR_MATCH_ROWS = 1 << 13
 class ExecutionContext:
     """Per-execution state threaded through the operator tree.
 
-    ``batch_size`` is ``None`` in row-at-a-time mode; in batch mode it
-    carries the configured chunk size so nested plan executions (NLJP
-    inner queries, CTE materializations) pick the same mode.
+    ``batch_size`` is ``None`` in row-at-a-time mode; in columnar mode
+    it carries the configured chunk size so nested plan executions
+    (subqueries, CTE materializations) cut their batches alike.
 
     ``governor`` is the execution governor
     (:class:`repro.engine.governor.Governor`) enforcing resource
@@ -108,7 +103,7 @@ class ExecutionContext:
     #: :class:`repro.engine.kernel.InnerKernel` in every mode, a
     #: join-shaped one is computed a block of bindings at a time by a
     #: :class:`repro.engine.kernel.BlockKernel` under this flag only,
-    #: and the per-binding operator tree stays on the batch path.
+    #: and the per-binding operator tree runs row at a time.
     columnar: bool = False
     #: Per-context memo for what one execution builds once and reads
     #: many times: the rows (and columnar image) of shared CTE/derived-
@@ -141,7 +136,7 @@ def batch_row_lists(batch: ColumnBatch, size: int) -> Iterator[List[Row]]:
 
     A batch can be many times ``batch_size`` (an aggregate's whole
     output, a join's run of pairs): decoding it in slices keeps no more
-    tuples alive than the batch path does.
+    than ``size`` tuples alive at once.
     """
     for start in range(0, batch.length, size):
         yield batch.slice(start, min(start + size, batch.length)).to_rows()
@@ -154,41 +149,27 @@ def batch_rows(batch: ColumnBatch, size: int) -> Iterator[Row]:
 
 def execute_rows(plan: "PhysicalOperator", ctx: ExecutionContext) -> Iterator[Row]:
     """Iterate a plan's rows honouring the context's execution mode."""
-    if ctx.batch_size is None:
+    if not ctx.columnar:
         return plan.execute(ctx)
-    if ctx.columnar:
-        size = ctx.batch_size
-        return itertools.chain.from_iterable(
-            batch_rows(batch, size) for batch in plan.execute_columnar(ctx)
-        )
-    return (row for batch in plan.execute_batches(ctx) for row in batch)
+    size = ctx.batch_size or DEFAULT_COLUMNAR_BATCH_SIZE
+    return itertools.chain.from_iterable(
+        batch_rows(batch, size) for batch in plan.execute_columnar(ctx)
+    )
 
 
-def materialize(
-    plan: "PhysicalOperator", ctx: ExecutionContext, columnar: bool = True
-) -> List[Row]:
-    """Fully evaluate a plan in the context's execution mode.
-
-    ``columnar=False`` keeps a columnar context on the batch path: for
-    a plan run thousands of times over a handful of rows each (NLJP's
-    per-binding Q_R tree), setting up column batches costs more than
-    they save.
-    """
-    if ctx.batch_size is None:
+def materialize(plan: "PhysicalOperator", ctx: ExecutionContext) -> List[Row]:
+    """Fully evaluate a plan in the context's execution mode."""
+    if not ctx.columnar:
         return list(plan.execute(ctx))
     rows: List[Row] = []
-    if ctx.columnar and columnar:
-        for column_batch in plan.execute_columnar(ctx):
-            rows.extend(column_batch.to_rows())
-    else:
-        for batch in plan.execute_batches(ctx):
-            rows.extend(batch)
+    for column_batch in plan.execute_columnar(ctx):
+        rows.extend(column_batch.to_rows())
     return rows
 
 
 def materialize_columns(plan: "PhysicalOperator", ctx: ExecutionContext) -> ColumnBatch:
     """:func:`materialize`, as one column batch: a columnar context's
-    batches are joined as they are, rows of the other modes encoded."""
+    batches are joined as they are, row mode's rows encoded."""
     width = len(plan.layout)
     if ctx.columnar:
         return ColumnBatch.concat(list(plan.execute_columnar(ctx)), width)
@@ -198,15 +179,13 @@ def materialize_columns(plan: "PhysicalOperator", ctx: ExecutionContext) -> Colu
 class PhysicalOperator:
     """Base class for physical operators.
 
-    Operators implement ``execute`` (row-at-a-time) and may override
-    ``execute_batches`` (batch-at-a-time, yielding lists of rows).  The
-    default batch implementation runs the whole subtree row-at-a-time
-    and re-chunks — always correct, used by operators whose laziness
-    semantics (e.g. ``Limit``) or rarity make a native batch path not
-    worth it.  Native batch paths MUST charge exactly the same
-    ``ctx.stats`` counters as their row paths: the paper's shape
-    assertions compare work counts, so vectorization may only change
-    wall-clock, never work.
+    Operators implement ``execute`` (row-at-a-time, the reference) and
+    may override ``execute_columnar`` (:class:`ColumnBatch` chunks).
+    Native columnar paths MUST charge the same ``ctx.stats`` counters
+    as their row paths (modulo the zone-map split, see
+    :meth:`ExecutionStats.parity_dict`): the paper's shape assertions
+    compare work counts, so vectorization may only change wall-clock,
+    never work.
     """
 
     layout: Layout
@@ -230,13 +209,6 @@ class PhysicalOperator:
     #: this to prove every logical conjunct is enforced exactly once.
     enforced: Tuple[Any, ...] = ()
 
-    #: AGM-bound gate note set by the planner on every multi-relation
-    #: join-cluster root: how the pairwise-vs-WCOJ choice was made
-    #: (estimated AGM candidate tuples, both plan costs, cyclicity).
-    #: Rendered by ``annotation()``/``to_dict()`` so EXPLAIN surfaces
-    #: the decision for chosen *and* rejected WCOJ candidates.
-    wcoj_gate: Optional[str] = None
-
     #: Predicate fingerprint stamped by the planner under
     #: ``EngineConfig.feedback != "off"``: the key under which this
     #: node's (est_rows, actual_rows) pair is harvested into
@@ -251,19 +223,16 @@ class PhysicalOperator:
     def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
         raise NotImplementedError
 
-    def execute_batches(self, ctx: ExecutionContext) -> Iterator[List[Row]]:
-        yield from chunked(self.execute(ctx), ctx.batch_size or DEFAULT_BATCH_SIZE)
-
     def execute_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         """Columnar execution, yielding :class:`ColumnBatch` chunks.
 
-        The default bridges through ``execute_batches`` and encodes —
-        always correct, used by operators whose laziness semantics
-        (``Limit``) or output shapes make a native columnar path not
-        worth it.  Native overrides must charge the same counters as
-        the row path except ``rows_skipped``/``chunks_skipped`` (zone
-        pruning) and ``fused_compilations``; see
-        :meth:`ExecutionStats.parity_dict`.
+        The default runs ``execute`` and encodes its rows a batch at a
+        time — always correct, used by operators whose laziness
+        semantics (``Limit``) or output shapes make a native columnar
+        path not worth it.  Native overrides must charge the same
+        counters as the row path except ``rows_skipped``/
+        ``chunks_skipped`` (zone pruning) and ``fused_compilations``;
+        see :meth:`ExecutionStats.parity_dict`.
         """
         yield from _bridge_columnar(self, ctx)
 
@@ -310,8 +279,6 @@ class PhysicalOperator:
         if q_error is not None:
             parts.append(f"q_err={q_error:.2f}")
         text = ("  [" + " ".join(parts) + "]") if parts else ""
-        if self.wcoj_gate is not None:
-            text += f"  [{self.wcoj_gate}]"
         if self.feedback_note is not None:
             text += f"  [{self.feedback_note}]"
         return text
@@ -349,8 +316,6 @@ class PhysicalOperator:
         q_error = self.q_error()
         if q_error is not None:
             node["q_error"] = round(q_error, 3)
-        if self.wcoj_gate is not None:
-            node["wcoj_gate"] = self.wcoj_gate
         if self.feedback_fingerprint is not None:
             node["feedback_fingerprint"] = self.feedback_fingerprint
         if self.feedback_note is not None:
@@ -368,9 +333,10 @@ def _indent(lines: List[str]) -> List[str]:
 def _bridge_columnar(
     plan: "PhysicalOperator", ctx: ExecutionContext
 ) -> Iterator[ColumnBatch]:
-    """Run a subtree batch-at-a-time and encode each batch."""
+    """Run a subtree row-at-a-time and encode its rows a batch at a time."""
     width = len(plan.layout)
-    for batch in plan.execute_batches(ctx):
+    size = ctx.batch_size or DEFAULT_COLUMNAR_BATCH_SIZE
+    for batch in chunked(plan.execute(ctx), size):
         yield ColumnBatch.from_rows(batch, width)
 
 
@@ -554,26 +520,6 @@ def _match_by_key(np: Any, keys: Sequence[Any], bucket_of: Any) -> List[Tuple[An
     return [(np.asarray(probe_idx, dtype=np.int64), np.asarray(build_idx, dtype=np.int64))]
 
 
-def _scan_batches(
-    rows: Sequence[Row], predicate: Optional[Compiled], ctx: ExecutionContext
-) -> Iterator[List[Row]]:
-    """Shared batch path for base/materialized scans with pushed filter."""
-    size = ctx.batch_size or DEFAULT_BATCH_SIZE
-    stats = ctx.stats
-    params = ctx.params
-    governor = ctx.governor
-    kernel = batch_filter(predicate)
-    for start in range(0, len(rows), size):
-        chunk = list(rows[start : start + size])
-        stats.rows_scanned += len(chunk)
-        if governor is not None:
-            governor.check("scan")
-        if kernel is not None:
-            chunk = kernel(chunk, params)
-        if chunk:
-            yield chunk
-
-
 class TableScan(PhysicalOperator):
     """Sequential scan of a base table, with an optional pushed filter."""
 
@@ -596,9 +542,6 @@ class TableScan(PhysicalOperator):
                 governor.check("scan")
             if predicate is None or predicate(row, params) is True:
                 yield row
-
-    def execute_batches(self, ctx: ExecutionContext) -> Iterator[List[Row]]:
-        yield from _scan_batches(self.table.rows, self.predicate, ctx)
 
     def execute_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         yield from _columnar_scan(self.table.column_store(), self.predicate, ctx)
@@ -637,9 +580,6 @@ class RowsSource(PhysicalOperator):
             if predicate is None or predicate(row, params) is True:
                 yield row
 
-    def execute_batches(self, ctx: ExecutionContext) -> Iterator[List[Row]]:
-        yield from _scan_batches(self.rows, self.predicate, ctx)
-
     def execute_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         store = ColumnStore.from_rows(
             self.rows, [column for _, column in self.layout.slots]
@@ -668,15 +608,6 @@ class Filter(PhysicalOperator):
         for row in self.child.execute(ctx):
             if predicate(row, params) is True:
                 yield row
-
-    def execute_batches(self, ctx: ExecutionContext) -> Iterator[List[Row]]:
-        kernel = batch_filter(self.predicate)
-        assert kernel is not None
-        params = ctx.params
-        for batch in self.child.execute_batches(ctx):
-            kept = kernel(batch, params)
-            if kept:
-                yield kept
 
     def execute_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         kernel = columnar_filter(self.predicate, ctx)
@@ -720,30 +651,6 @@ class NestedLoopJoin(PhysicalOperator):
                 combined = outer_row + inner_row
                 if predicate is None or predicate(combined, params) is True:
                     yield combined
-
-    def execute_batches(self, ctx: ExecutionContext) -> Iterator[List[Row]]:
-        inner_rows = materialize(self.inner, ctx)
-        size = ctx.batch_size or DEFAULT_BATCH_SIZE
-        kernel = batch_filter(self.predicate)
-        params = ctx.params
-        stats = ctx.stats
-        governor = ctx.governor
-        n_inner = len(inner_rows)
-        buf: List[Row] = []
-        for batch in self.outer.execute_batches(ctx):
-            if governor is not None:
-                governor.check("join-pair")
-            for outer_row in batch:
-                stats.join_pairs += n_inner
-                combined = [outer_row + inner_row for inner_row in inner_rows]
-                if kernel is not None:
-                    combined = kernel(combined, params)
-                buf.extend(combined)
-                if len(buf) >= size:
-                    yield buf
-                    buf = []
-        if buf:
-            yield buf
 
     def execute_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         np = numpy_or_none()
@@ -866,66 +773,6 @@ class HashJoin(PhysicalOperator):
                     if residual is None or residual(combined, params) is True:
                         yield combined
 
-    def execute_batches(self, ctx: ExecutionContext) -> Iterator[List[Row]]:
-        params = ctx.params
-        stats = ctx.stats
-        size = ctx.batch_size or DEFAULT_BATCH_SIZE
-        inner_keys = batch_values(self.inner_key)
-        outer_keys = batch_values(self.outer_key)
-        residual_kernel = batch_filter(self.residual)
-        empty: Tuple[Row, ...] = ()
-        governor = ctx.governor
-        buckets: Dict[Any, List[Row]] = {}
-        buf: List[Row] = []
-        if self.build == "inner":
-            for batch in self.inner.execute_batches(ctx):
-                for inner_row, key in zip(batch, inner_keys(batch, params)):
-                    if self._null_key(key):
-                        continue  # NULL keys never match in SQL
-                    buckets.setdefault(key, []).append(inner_row)
-            for batch in self.outer.execute_batches(ctx):
-                if governor is not None:
-                    governor.check("join-pair")
-                for outer_row, key in zip(batch, outer_keys(batch, params)):
-                    if self._null_key(key):
-                        continue
-                    bucket = buckets.get(key, empty)
-                    if not bucket:
-                        continue
-                    stats.join_pairs += len(bucket)
-                    combined = [outer_row + inner_row for inner_row in bucket]
-                    if residual_kernel is not None:
-                        combined = residual_kernel(combined, params)
-                    buf.extend(combined)
-                    if len(buf) >= size:
-                        yield buf
-                        buf = []
-        else:
-            for batch in self.outer.execute_batches(ctx):
-                for outer_row, key in zip(batch, outer_keys(batch, params)):
-                    if self._null_key(key):
-                        continue  # NULL keys never match in SQL
-                    buckets.setdefault(key, []).append(outer_row)
-            for batch in self.inner.execute_batches(ctx):
-                if governor is not None:
-                    governor.check("join-pair")
-                for inner_row, key in zip(batch, inner_keys(batch, params)):
-                    if self._null_key(key):
-                        continue
-                    bucket = buckets.get(key, empty)
-                    if not bucket:
-                        continue
-                    stats.join_pairs += len(bucket)
-                    combined = [outer_row + inner_row for outer_row in bucket]
-                    if residual_kernel is not None:
-                        combined = residual_kernel(combined, params)
-                    buf.extend(combined)
-                    if len(buf) >= size:
-                        yield buf
-                        buf = []
-        if buf:
-            yield buf
-
     def execute_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         np = numpy_or_none()
         if np is None:
@@ -1045,40 +892,6 @@ class IndexNestedLoopJoin(PhysicalOperator):
                 combined = outer_row + inner_row
                 if residual is None or residual(combined, params) is True:
                     yield combined
-
-    def execute_batches(self, ctx: ExecutionContext) -> Iterator[List[Row]]:
-        params = ctx.params
-        stats = ctx.stats
-        size = ctx.batch_size or DEFAULT_BATCH_SIZE
-        rows = self.table.rows
-        lookup = self.index.lookup
-        probe_keys = batch_values(self.probe_key)
-        filter_kernel = batch_filter(self.inner_filter)
-        residual_kernel = batch_filter(self.residual)
-        governor = ctx.governor
-        buf: List[Row] = []
-        for batch in self.outer.execute_batches(ctx):
-            if governor is not None:
-                governor.check("join-pair")
-            for outer_row, key in zip(batch, probe_keys(batch, params)):
-                if not isinstance(key, tuple):
-                    key = (key,)
-                stats.index_probes += 1
-                inner_rows = [rows[row_id] for row_id in lookup(key)]
-                if filter_kernel is not None:
-                    inner_rows = filter_kernel(inner_rows, params)
-                if not inner_rows:
-                    continue
-                stats.join_pairs += len(inner_rows)
-                combined = [outer_row + inner_row for inner_row in inner_rows]
-                if residual_kernel is not None:
-                    combined = residual_kernel(combined, params)
-                buf.extend(combined)
-                if len(buf) >= size:
-                    yield buf
-                    buf = []
-        if buf:
-            yield buf
 
     def execute_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         np = numpy_or_none()
@@ -1226,53 +1039,6 @@ class SortedIndexRangeJoin(PhysicalOperator):
                 combined = outer_row + inner_row
                 if residual is None or residual(combined, params) is True:
                     yield combined
-
-    def execute_batches(self, ctx: ExecutionContext) -> Iterator[List[Row]]:
-        params = ctx.params
-        stats = ctx.stats
-        size = ctx.batch_size or DEFAULT_BATCH_SIZE
-        rows = self.table.rows
-        range_scan = self.index.range_scan
-        low_keys = batch_values(self.low) if self.low is not None else None
-        high_keys = batch_values(self.high) if self.high is not None else None
-        filter_kernel = batch_filter(self.inner_filter)
-        residual_kernel = batch_filter(self.residual)
-        governor = ctx.governor
-        buf: List[Row] = []
-        for batch in self.outer.execute_batches(ctx):
-            if governor is not None:
-                governor.check("join-pair")
-            lows = low_keys(batch, params) if low_keys is not None else [None] * len(batch)
-            highs = high_keys(batch, params) if high_keys is not None else [None] * len(batch)
-            for outer_row, low, high in zip(batch, lows, highs):
-                if (low_keys is not None and low is None) or (
-                    high_keys is not None and high is None
-                ):
-                    continue  # NULL bound: comparison can never be true
-                stats.index_probes += 1
-                inner_rows = [
-                    rows[row_id]
-                    for row_id in range_scan(
-                        low=low,
-                        high=high,
-                        low_strict=self.low_strict,
-                        high_strict=self.high_strict,
-                    )
-                ]
-                if filter_kernel is not None:
-                    inner_rows = filter_kernel(inner_rows, params)
-                if not inner_rows:
-                    continue
-                stats.join_pairs += len(inner_rows)
-                combined = [outer_row + inner_row for inner_row in inner_rows]
-                if residual_kernel is not None:
-                    combined = residual_kernel(combined, params)
-                buf.extend(combined)
-                if len(buf) >= size:
-                    yield buf
-                    buf = []
-        if buf:
-            yield buf
 
     def execute_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         np = numpy_or_none()
@@ -1441,21 +1207,6 @@ class IndexPointScan(PhysicalOperator):
             if residual is None or residual(row, params) is True:
                 yield row
 
-    def execute_batches(self, ctx: ExecutionContext) -> Iterator[List[Row]]:
-        params = ctx.params
-        stats = ctx.stats
-        key = self.key(params)
-        stats.index_probes += 1
-        rows = self.table.rows
-        matches = [rows[row_id] for row_id in self.index.lookup(key)]
-        stats.rows_scanned += len(matches)
-        if ctx.governor is not None:
-            ctx.governor.check("scan")
-        kernel = batch_filter(self.residual)
-        if kernel is not None:
-            matches = kernel(matches, params)
-        yield from chunked(matches, ctx.batch_size or DEFAULT_BATCH_SIZE)
-
     def describe(self) -> List[str]:
         return [
             f"IndexPointScan {self.table.name} AS {self.alias} "
@@ -1526,23 +1277,6 @@ class IndexRangeScan(PhysicalOperator):
             if residual is None or residual(row, params) is True:
                 yield row
 
-    def execute_batches(self, ctx: ExecutionContext) -> Iterator[List[Row]]:
-        params = ctx.params
-        stats = ctx.stats
-        bounds = self.bounds(params)
-        if bounds is None:
-            return
-        stats.index_probes += 1
-        rows = self.table.rows
-        matches = [rows[row_id] for row_id in self.index.range_scan(**bounds)]
-        stats.rows_scanned += len(matches)
-        if ctx.governor is not None:
-            ctx.governor.check("scan")
-        kernel = batch_filter(self.residual)
-        if kernel is not None:
-            matches = kernel(matches, params)
-        yield from chunked(matches, ctx.batch_size or DEFAULT_BATCH_SIZE)
-
     def describe(self) -> List[str]:
         return [
             f"IndexRangeScan {self.table.name} AS {self.alias} "
@@ -1595,20 +1329,6 @@ class HashAggregate(PhysicalOperator):
                 else:
                     accumulator.add(spec.argument(row, params))
         yield from self.result_rows(groups)
-
-    def execute_batches(self, ctx: ExecutionContext) -> Iterator[List[Row]]:
-        params = ctx.params
-        stats = ctx.stats
-        governor = ctx.governor
-        groups: Dict[Tuple[Any, ...], List[Any]] = {}
-        for batch in self.child.execute_batches(ctx):
-            stats.aggregation_inputs += len(batch)
-            if governor is not None:
-                governor.check()
-            fold_rows(self.key_fns, self.aggregate_specs, batch, groups, params)
-        yield from chunked(
-            self.result_rows(groups), ctx.batch_size or DEFAULT_BATCH_SIZE
-        )
 
     def execute_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         if numpy_or_none() is None:
@@ -1670,15 +1390,6 @@ class Project(PhysicalOperator):
         for row in self.child.execute(ctx):
             yield tuple(fn(row, params) for fn in self.output_fns)
 
-    def execute_batches(self, ctx: ExecutionContext) -> Iterator[List[Row]]:
-        params = ctx.params
-        kernels = [batch_values(fn) for fn in self.output_fns]
-        for batch in self.child.execute_batches(ctx):
-            if not kernels:
-                yield [()] * len(batch)
-                continue
-            yield list(zip(*(kernel(batch, params) for kernel in kernels)))
-
     def execute_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         params = ctx.params
         kernels = [columnar_values(fn, ctx) for fn in self.output_fns]
@@ -1709,18 +1420,6 @@ class Distinct(PhysicalOperator):
             if row not in seen:
                 seen.add(row)
                 yield row
-
-    def execute_batches(self, ctx: ExecutionContext) -> Iterator[List[Row]]:
-        seen: set = set()
-        add = seen.add
-        for batch in self.child.execute_batches(ctx):
-            fresh = []
-            for row in batch:
-                if row not in seen:
-                    add(row)
-                    fresh.append(row)
-            if fresh:
-                yield fresh
 
     def execute_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         # Dedup needs hashable whole rows: decode, filter, re-encode.
@@ -1771,11 +1470,6 @@ class Sort(PhysicalOperator):
         self._sort_in_place(rows, ctx.params)
         yield from rows
 
-    def execute_batches(self, ctx: ExecutionContext) -> Iterator[List[Row]]:
-        rows = materialize(self.child, ctx)
-        self._sort_in_place(rows, ctx.params)
-        yield from chunked(rows, ctx.batch_size or DEFAULT_BATCH_SIZE)
-
     def execute_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         # Sorting compares exact Python values: decode, sort, re-encode.
         rows: List[Row] = []
@@ -1796,9 +1490,9 @@ class Sort(PhysicalOperator):
 class Limit(PhysicalOperator):
     """Stop after ``limit`` rows.
 
-    Deliberately keeps the inherited row-mode ``execute_batches``
-    fallback: a native batch path would pull whole upstream batches and
-    charge more work than row mode's early stop, breaking the
+    Deliberately keeps the inherited row-at-a-time ``execute_columnar``
+    fallback: a native columnar path would pull whole upstream batches
+    and charge more work than row mode's early stop, breaking the
     counters-are-invariant guarantee.
     """
 
@@ -1834,12 +1528,6 @@ class CountOutput(PhysicalOperator):
         for row in self.child.execute(ctx):
             ctx.stats.rows_output += 1
             yield row
-
-    def execute_batches(self, ctx: ExecutionContext) -> Iterator[List[Row]]:
-        stats = ctx.stats
-        for batch in self.child.execute_batches(ctx):
-            stats.rows_output += len(batch)
-            yield batch
 
     def execute_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         stats = ctx.stats

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import PlanningError
@@ -40,19 +40,18 @@ from repro.engine.cost import CostModel
 from repro.engine.expressions import Compiled, ExpressionCompiler
 from repro.engine.governor import DEGRADATION_MODES, CancelToken
 from repro.engine.layout import ColumnBatch, ColumnStore, Layout, numpy_or_none
-from repro.engine.wcoj import TrieRelationSpec, WCOJTrieJoin
 from repro.obs.spans import TRACE_MODES
 from repro.storage.catalog import Database
 from repro.storage.table import Table
+
+#: Valid settings for ``EngineConfig.execution_mode``.
+EXECUTION_MODES = ("row", "columnar")
 
 #: Valid settings for ``EngineConfig.join_order``.
 JOIN_ORDERS = ("dp", "greedy", "syntactic")
 
 #: Valid settings for ``EngineConfig.analyze``.
 ANALYZE_MODES = ("off", "warn", "strict")
-
-#: Valid settings for ``EngineConfig.join_algo``.
-JOIN_ALGOS = ("auto", "pairwise", "wcoj")
 
 #: Valid settings for ``EngineConfig.feedback``.
 FEEDBACK_MODES = ("off", "observe", "apply")
@@ -67,6 +66,15 @@ _COST = CostModel()
 def _default_mode() -> str:
     """Columnar needs NumPy; an install without it runs row-at-a-time."""
     return "columnar" if numpy_or_none() is not None else "row"
+
+
+def check_execution_mode(mode: str) -> str:
+    """``mode`` if it is one of :data:`EXECUTION_MODES`, else ValueError."""
+    if mode not in EXECUTION_MODES:
+        raise ValueError(
+            f"execution_mode must be one of {EXECUTION_MODES}, got {mode!r}"
+        )
+    return mode
 
 
 @dataclass(frozen=True)
@@ -90,18 +98,17 @@ class EngineConfig:
     counters are never scaled.
 
     ``execution_mode`` selects typed-column (``"columnar"``, the
-    default wherever NumPy imports), row-at-a-time (``"row"``, the
-    default where it does not, and the reference the other modes are
-    tested against) or vectorized batch-at-a-time (``"batch"``)
-    execution.  All modes produce identical rows;
-    row and batch charge identical work counters, and columnar agrees
-    modulo the zone-map split (``rows_scanned + rows_skipped`` is
-    invariant; see :meth:`ExecutionStats.parity_dict`).  Columnar mode
-    carries :class:`~repro.engine.layout.ColumnBatch` data through the
+    default wherever NumPy imports) or row-at-a-time (``"row"``, the
+    default where it does not, and the reference columnar is tested
+    against) execution; see :data:`EXECUTION_MODES`.  Both produce
+    identical rows, and their work counters agree modulo the zone-map
+    split (``rows_scanned + rows_skipped`` is invariant; see
+    :meth:`ExecutionStats.parity_dict`).  Columnar mode carries
+    :class:`~repro.engine.layout.ColumnBatch` data through the
     operators, runs fused NumPy kernels for predicates/projections, and
     skips chunks that zone maps prove unmatchable.  ``batch_size``
-    overrides the chunk size (``None`` uses
-    ``operators.DEFAULT_BATCH_SIZE`` / ``DEFAULT_COLUMNAR_BATCH_SIZE``).
+    overrides its chunk size (``None`` uses
+    ``operators.DEFAULT_COLUMNAR_BATCH_SIZE``).
 
     The governor knobs bound one execution (see
     :mod:`repro.engine.governor`): ``max_rows_scanned`` and
@@ -121,20 +128,11 @@ class EngineConfig:
 
     join_policy: str = "index-first"  # 'index-first' | 'hash-first' | 'nlj-only'
     join_order: str = "dp"  # 'dp' | 'greedy' | 'syntactic'
-    #: Multiway join algorithm for each join cluster: ``"pairwise"``
-    #: always builds the left-deep tree, ``"wcoj"`` forces the leapfrog
-    #: trie join (:mod:`repro.engine.wcoj`) whenever the cluster is
-    #: eligible (connected simple-equi join graph), and ``"auto"`` (the
-    #: default) picks WCOJ only when the cluster's hypergraph is cyclic
-    #: (GYO reduction) *and* the AGM-bound cost estimate beats the
-    #: pairwise plan.  The decision is surfaced as an ``[wcoj: ...]``
-    #: gate annotation on the cluster root in ``explain()``/``to_dict``.
-    join_algo: str = "auto"  # 'auto' | 'pairwise' | 'wcoj'
     allow_hash_join: bool = True
     use_secondary_indexes: bool = True
     parallelism: float = 1.0
     label: str = "postgres"
-    execution_mode: str = field(  # 'row' | 'batch' | 'columnar'
+    execution_mode: str = field(  # 'row' | 'columnar'
         default_factory=_default_mode
     )
     batch_size: Optional[int] = None
@@ -163,18 +161,15 @@ class EngineConfig:
     #: never changes an estimate — the safe serving default.  "apply"
     #: additionally blends live observations over the model estimates
     #: (and falls back to online sketch statistics for never-ANALYZEd
-    #: tables), which can change join orders and the WCOJ gate; all
-    #: modes return identical result rows.
+    #: tables), which can change join orders; all modes return
+    #: identical result rows.
     feedback: str = "off"  # 'off' | 'observe' | 'apply'
 
     def __post_init__(self) -> None:
+        check_execution_mode(self.execution_mode)
         if self.join_order not in JOIN_ORDERS:
             raise ValueError(
                 f"join_order must be one of {JOIN_ORDERS}, got {self.join_order!r}"
-            )
-        if self.join_algo not in JOIN_ALGOS:
-            raise ValueError(
-                f"join_algo must be one of {JOIN_ALGOS}, got {self.join_algo!r}"
             )
         if self.analyze not in ANALYZE_MODES:
             raise ValueError(
@@ -212,7 +207,6 @@ class EngineConfig:
         return cls(
             join_policy="index-first",
             join_order="syntactic",
-            join_algo="pairwise",
             parallelism=2.0,
             label="postgres",
         )
@@ -223,7 +217,6 @@ class EngineConfig:
         return cls(
             join_policy="hash-first",
             join_order="syntactic",
-            join_algo="pairwise",
             parallelism=4.0,
             label="vendor",
         )
@@ -320,9 +313,6 @@ class _MaterializedScan(ops.PhysicalOperator):
                 governor.check("scan")
             if predicate is None or predicate(row, params) is True:
                 yield row
-
-    def execute_batches(self, ctx: ops.ExecutionContext):
-        yield from ops._scan_batches(self.cell.rows(ctx), self.predicate, ctx)
 
     def execute_columnar(self, ctx: ops.ExecutionContext):
         yield from ops._columnar_scan(self.cell.column_store(ctx), self.predicate, ctx)
@@ -1015,268 +1005,6 @@ class _JoinOrderer:
         return tuple(order)
 
 
-def _consider_wcoj(
-    ordered: List[_Relation],
-    conjuncts: List[_Conjunct],
-    orderer: "_JoinOrderer",
-    env: PlanEnv,
-    single_table_exprs,
-) -> Tuple[Optional[ops.PhysicalOperator], Optional[str]]:
-    """Cost-gate the cluster between pairwise and the leapfrog trie join.
-
-    Returns ``(plan, gate)``: a built :class:`WCOJTrieJoin` when WCOJ
-    wins (conjunct placement committed), else ``None`` plus the gate
-    text for the pairwise root.  The gate records the AGM-bound
-    estimate, both plan costs, and the GYO cyclicity verdict, so every
-    multi-relation cluster decision is visible in ``explain()``.
-
-    Eligibility requires a *connected simple-equi* join graph: every
-    cross-relation conjunct class is derived from ``a.x = b.y``
-    column-pair equalities (anything else becomes the residual), no
-    relation binds the same join variable twice, and the classes link
-    all relations.  The ``"auto"`` gate additionally requires the
-    cluster hypergraph to be cyclic under GYO reduction — on acyclic
-    clusters a well-ordered pairwise plan is already worst-case optimal
-    — and the WCOJ cost estimate (AGM fractional edge cover, minimized
-    over half-integral weights) to beat the mirrored pairwise cost.
-    """
-    config = env.config
-    algo = config.join_algo
-    if algo == "pairwise":
-        return None, "wcoj: algo=pairwise (not considered)"
-
-    # --- classify cross-relation conjuncts (no placement mutations) ---
-    join_cs = [c for c in conjuncts if not c.placed and len(c.aliases) >= 2]
-    parent: Dict[Tuple[str, str], Tuple[str, str]] = {}
-
-    def find(node: Tuple[str, str]) -> Tuple[str, str]:
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
-
-    equi: List[_Conjunct] = []
-    residual_cs: List[_Conjunct] = []
-    for c in join_cs:
-        expr = c.expr
-        picked = False
-        if (
-            isinstance(expr, ast.BinaryOp)
-            and expr.op == "="
-            and isinstance(expr.left, ast.ColumnRef)
-            and isinstance(expr.right, ast.ColumnRef)
-        ):
-            left_aliases = _aliases_of(expr.left, ordered)
-            right_aliases = _aliases_of(expr.right, ordered)
-            if (
-                len(left_aliases) == 1
-                and len(right_aliases) == 1
-                and left_aliases != right_aliases
-            ):
-                left = (next(iter(left_aliases)), expr.left.column.lower())
-                right = (next(iter(right_aliases)), expr.right.column.lower())
-                parent.setdefault(left, left)
-                parent.setdefault(right, right)
-                root_l, root_r = find(left), find(right)
-                if root_l != root_r:
-                    parent[root_l] = root_r
-                equi.append(c)
-                picked = True
-        if not picked:
-            residual_cs.append(c)
-
-    ineligible: Optional[str] = None
-    if not equi:
-        ineligible = "no simple equi-join conjuncts"
-    elif len(ordered) > DP_MAX_RELATIONS:
-        ineligible = f"more than {DP_MAX_RELATIONS} relations"
-
-    # --- join-variable classes, in first-appearance order ---
-    level_of_root: Dict[Tuple[str, str], int] = {}
-    rel_vars: Dict[str, List[Tuple[int, int]]] = {}
-    if ineligible is None:
-        for relation in ordered:
-            seen_levels: Dict[int, int] = {}
-            for position, column in enumerate(relation.columns):
-                node = (relation.alias, column)
-                if node not in parent:
-                    continue
-                root = find(node)
-                level = level_of_root.setdefault(root, len(level_of_root))
-                if level in seen_levels:
-                    ineligible = (
-                        f"relation {relation.alias} repeats a join variable"
-                    )
-                    break
-                seen_levels[level] = position
-            if ineligible is not None:
-                break
-            if not seen_levels:
-                ineligible = f"relation {relation.alias} joins no variable"
-                break
-            rel_vars[relation.alias] = sorted(seen_levels.items())
-    if ineligible is None:
-        by_level: Dict[int, List[str]] = {}
-        for alias, pairs in rel_vars.items():
-            for level, _ in pairs:
-                by_level.setdefault(level, []).append(alias)
-        component = {ordered[0].alias}
-        frontier = [ordered[0].alias]
-        while frontier:
-            alias = frontier.pop()
-            for level, _ in rel_vars[alias]:
-                for other in by_level[level]:
-                    if other not in component:
-                        component.add(other)
-                        frontier.append(other)
-        if len(component) != len(ordered):
-            ineligible = "equi-join graph is disconnected"
-    if ineligible is not None:
-        return None, f"wcoj: algo={algo} ineligible ({ineligible}) -> pairwise"
-
-    # --- GYO reduction: acyclic iff the hypergraph reduces away ---
-    edges = {alias: {level for level, _ in pairs} for alias, pairs in rel_vars.items()}
-    while True:
-        changed = False
-        counts: Dict[int, int] = {}
-        for variables in edges.values():
-            for level in variables:
-                counts[level] = counts.get(level, 0) + 1
-        for variables in edges.values():
-            lone = {level for level in variables if counts[level] == 1}
-            if lone:
-                variables -= lone
-                changed = True
-        for alias in list(edges):
-            if any(
-                other != alias and edges[alias] <= edges[other]
-                for other in edges
-            ):
-                del edges[alias]
-                changed = True
-                break
-        if not changed:
-            break
-    cyclic = len(edges) > 1
-
-    # --- AGM bound via half-integral fractional edge covers ---
-    var_count = len(level_of_root)
-    logs = [math.log2(max(orderer.filtered[r.alias], 1.0)) for r in ordered]
-    var_sets = [
-        frozenset(level for level, _ in rel_vars[r.alias]) for r in ordered
-    ]
-    best: Optional[float] = None
-    for weights in product((0.0, 0.5, 1.0), repeat=len(ordered)):
-        if all(
-            sum(w for w, vs in zip(weights, var_sets) if level in vs) >= 1.0
-            for level in range(var_count)
-        ):
-            objective = sum(w * lg for w, lg in zip(weights, logs))
-            if best is None or objective < best:
-                best = objective
-    if best is None:
-        return None, f"wcoj: algo={algo} ineligible (no edge cover) -> pairwise"
-    agm_pairs = 2.0 ** best
-
-    pairwise_cost = orderer.scan_cost(ordered[0].alias)
-    bound = frozenset([ordered[0].alias])
-    for relation in ordered[1:]:
-        pairwise_cost += orderer.step_cost(bound, relation.alias)
-        bound |= frozenset([relation.alias])
-    trie_rows = sum(orderer.filtered[r.alias] for r in ordered)
-    seek_probes = sum(
-        orderer.filtered[r.alias] * len(rel_vars[r.alias]) for r in ordered
-    )
-    # Leapfrog emits only result tuples, so its pair charge is the
-    # estimated output — capped by the AGM bound, which is the hard
-    # worst case no pairwise plan can promise.  The pairwise side
-    # keeps its (optimistic, ndv-based) intermediate estimates, so
-    # when even those lose, the trie join wins with a guarantee.
-    est_output = orderer.rows(frozenset(r.alias for r in ordered))
-    wcoj_pairs = min(agm_pairs, est_output)
-    wcoj_cost = _COST.wcoj(trie_rows, seek_probes, wcoj_pairs)
-
-    if algo == "wcoj":
-        chosen, why = True, "forced"
-    elif not cyclic:
-        chosen, why = False, "acyclic"
-    elif wcoj_cost < pairwise_cost:
-        chosen, why = True, "agm-capped cost wins"
-    else:
-        chosen, why = False, "pairwise cheaper"
-    gate = (
-        f"wcoj: algo={algo} cyclic={'yes' if cyclic else 'no'} "
-        f"agm_pairs={agm_pairs:.4g} wcoj_cost={wcoj_cost:.4g} "
-        f"pairwise_cost={pairwise_cost:.4g} -> "
-        f"{'wcoj' if chosen else 'pairwise'} ({why})"
-    )
-    if not chosen:
-        return None, gate
-
-    # --- build: scans with pushed filters, residual, cache level ---
-    specs: List[TrieRelationSpec] = []
-    for relation in ordered:
-        exprs = single_table_exprs(relation)
-        scan = _scan_relation(relation, exprs, env)
-        scan.estimated_rows = orderer.filtered[relation.alias]
-        scan.estimated_cost = orderer.scan_cost(relation.alias)
-        if orderer.capture:
-            orderer.stamp(scan, orderer.scan_fp(relation.alias))
-        pairs = rel_vars[relation.alias]
-        specs.append(
-            TrieRelationSpec(
-                alias=relation.alias,
-                plan=scan,
-                table=relation.table,
-                filtered=bool(exprs),
-                var_levels=tuple(level for level, _ in pairs),
-                key_positions=tuple(position for _, position in pairs),
-            )
-        )
-    for c in equi:
-        c.placed = True
-    layout = Layout([(r.alias, name) for r in ordered for name in r.columns])
-    residual_pred = ast.conjoin([c.expr for c in residual_cs])
-    compiled_residual = (
-        env.compiler(layout).compile(residual_pred)
-        if residual_pred is not None
-        else None
-    )
-    for c in residual_cs:
-        c.placed = True
-    # Kalinsky et al.: cache at the shallowest level whose still-active
-    # relations reference a proper subset of the bound prefix (the
-    # projection merges distinct prefixes into one cached subtree).
-    cache_spec: Optional[Tuple[int, Tuple[int, ...]]] = None
-    for level in range(1, var_count):
-        key_vars = sorted(
-            {
-                v
-                for spec in specs
-                if spec.var_levels[-1] >= level
-                for v in spec.var_levels
-                if v < level
-            }
-        )
-        if key_vars and len(key_vars) < level:
-            cache_spec = (level, tuple(key_vars))
-            break
-    node = WCOJTrieJoin(
-        relations=specs,
-        var_count=var_count,
-        layout=layout,
-        residual=compiled_residual,
-        cache_spec=cache_spec,
-    )
-    node.enforced = tuple(c.expr for c in equi)
-    node.estimated_rows = orderer.rows(frozenset(r.alias for r in ordered))
-    node.estimated_cost = wcoj_cost
-    node.wcoj_gate = gate
-    if orderer.capture:
-        orderer.stamp(node, orderer.join_fp(frozenset(r.alias for r in ordered)))
-    return node, gate
-
-
 def _plan_joins(
     relations: List[_Relation],
     conjuncts: List[_Conjunct],
@@ -1305,14 +1033,6 @@ def _plan_joins(
 
     orderer = _JoinOrderer(relations, conjuncts, env)
     ordered = orderer.order()
-
-    gate: Optional[str] = None
-    if len(ordered) >= 2:
-        wcoj_plan, gate = _consider_wcoj(
-            ordered, conjuncts, orderer, env, single_table_exprs
-        )
-        if wcoj_plan is not None:
-            return wcoj_plan
 
     first = ordered[0]
     first_exprs = single_table_exprs(first)
@@ -1354,8 +1074,6 @@ def _plan_joins(
         for c in available:
             c.placed = True
         bound = new_bound
-    if gate is not None:
-        current.wcoj_gate = gate
     return current
 
 

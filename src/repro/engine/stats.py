@@ -34,7 +34,7 @@ A fourth says how much of NLJP's work was speculative:
   binding loop for bindings the loop then pruned.  They are charged to
   no other counter: work done in vain is time, not cost.
 
-These four are *mode-variant*.  Row and batch mode never skip, so
+These four are *mode-variant*.  Row mode never skips, so
 ``rows_skipped``/``chunks_skipped`` stay 0 there and a zone-map skip
 legitimately lowers ``rows_scanned`` in columnar mode.
 ``fused_compilations`` is non-zero in any mode whose plan holds an
@@ -42,7 +42,7 @@ NLJP inner kernel (:mod:`repro.engine.kernel`), which filters through
 the fused columnar compiler whatever the mode — 1 on the first
 execution of a skyband or pairs plan, 0 on a cached plan's later ones.
 A block kernel only runs under a columnar context, so
-``inner_prefetch_discarded`` is 0 in the other modes.
+``inner_prefetch_discarded`` is 0 in row mode.
 Mode-parity checks therefore compare :meth:`parity_dict`, which folds
 skipped rows back into ``rows_scanned`` and drops the mode-variant
 keys — the invariant is ``columnar rows_scanned + rows_skipped ==
@@ -118,7 +118,7 @@ class ExecutionStats:
         Folds ``rows_skipped`` back into ``rows_scanned`` (a zone-map
         skip is work *avoided*, not work *lost*) and drops the
         mode-variant counters, so a columnar run can be compared
-        exactly against its row-mode twin.  For row/batch runs this is
+        exactly against its row-mode twin.  For row runs this is
         simply :meth:`as_dict` minus the four keys.
         """
         counters = self.as_dict()

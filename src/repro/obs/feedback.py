@@ -82,22 +82,17 @@ class FeedbackProbes:
 
     def _wrap(self, node: PhysicalOperator, probe: _Probe) -> None:
         original_execute = node.execute
-        original_batches = node.execute_batches
         original_columnar = node.execute_columnar
         probes = self
 
         def counted_execute(ctx, _orig=original_execute, _probe=probe):
             return probes._counted_iter(_orig, ctx, _probe, batched=False)
 
-        def counted_batches(ctx, _orig=original_batches, _probe=probe):
-            return probes._counted_iter(_orig, ctx, _probe, batched=True)
-
         def counted_columnar(ctx, _orig=original_columnar, _probe=probe):
             # ColumnBatch defines __len__, so the batched count works.
             return probes._counted_iter(_orig, ctx, _probe, batched=True)
 
         node.__dict__["execute"] = counted_execute
-        node.__dict__["execute_batches"] = counted_batches
         node.__dict__["execute_columnar"] = counted_columnar
 
     def _counted_iter(self, orig, ctx, probe: _Probe, batched: bool):
@@ -107,7 +102,7 @@ class FeedbackProbes:
             probe.loops += 1
         while True:
             # Only the outermost activation counts rows: the default
-            # execute_batches path re-enters execute on the same node
+            # execute_columnar path re-enters execute on the same node
             # (see Tracer._traced_iter for the same guard).
             reentrant = probe.active > 0
             probe.active += 1
@@ -138,7 +133,6 @@ class FeedbackProbes:
         """
         for node in self._nodes:
             node.__dict__.pop("execute", None)
-            node.__dict__.pop("execute_batches", None)
             node.__dict__.pop("execute_columnar", None)
             probe = self._probes[id(node)]
             node.stamp_actual(probe.rows, probe.loops)

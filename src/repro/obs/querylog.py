@@ -2,9 +2,9 @@
 
 Every server-side execution (and every server-side failure) appends
 one fixed-schema record to a :class:`QueryLog`: what ran (SQL and
-plan fingerprints, technique mask, join algorithm, execution mode),
-how the serving machinery treated it (admission wait, plan-cache
-hit, breaker states, retry outcome), what it cost (latency, rows,
+plan fingerprints, technique mask, execution mode), how the serving
+machinery treated it (admission wait, plan-cache hit, breaker
+states, retry outcome), what it cost (latency, rows,
 rows scanned, inner evaluations and how many of them a block kernel
 made in vain, degradations), which fold each aggregate ran (code space
 or a row-path fallback, and why), and how well the optimizer predicted
@@ -35,8 +35,7 @@ QUERY_LOG_FIELDS = (
     "sql_fingerprint",     # stable short hash of the statement text
     "plan_fingerprint",    # stable short hash of the explain tree
     "technique_mask",      # sorted enabled techniques, e.g. ["apriori", ...]
-    "join_algo",           # EngineConfig.join_algo of the serving engine
-    "execution_mode",      # "row" | "batch" | "columnar"
+    "execution_mode",      # "row" | "columnar"
     "feedback_mode",       # "off" | "observe" | "apply"
     "outcome",             # "ok" | "error:<ErrorClass>"
     "plan_cache_hit",      # True on a shared-plan-cache hit

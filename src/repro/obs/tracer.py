@@ -10,7 +10,7 @@ When tracing is on, :meth:`Tracer.install` walks the physical plan —
 including materialized CTE/derived-table sub-plans and NLJP's Q_B/Q_R
 pipelines, which ``children()`` does not expose — builds a mirroring
 :class:`~repro.obs.spans.Span` tree, and shadows each node's
-``execute``/``execute_batches`` with a measuring wrapper via the
+``execute``/``execute_columnar`` with a measuring wrapper via the
 instance ``__dict__`` (the same shadowing trick
 ``PlannedQuery.explain(analyze=True)`` uses), so internal
 ``self.child.execute`` calls route through the wrappers too.
@@ -22,7 +22,7 @@ Measurement details that keep the accounting exact:
   span's inclusive delta, so exclusive = inclusive − Σ children and
   the sum over the whole tree telescopes to the query totals;
 * a per-span reentrancy depth guard makes the default
-  ``execute_batches`` → ``execute`` fallback (``Limit`` et al.) count
+  ``execute_columnar`` → ``execute`` fallback (``Limit`` et al.) count
   work and rows exactly once;
 * the plan walk dedupes nodes by identity, so a shared CTE
   materialization is wrapped (and charged) once;
@@ -166,22 +166,17 @@ class Tracer:
 
     def _wrap(self, node: PhysicalOperator, span: Span) -> None:
         original_execute = node.execute
-        original_batches = node.execute_batches
         original_columnar = node.execute_columnar
         tracer = self
 
         def traced_execute(ctx, _orig=original_execute, _span=span):
             return tracer._traced_iter(_orig, ctx, _span, batched=False)
 
-        def traced_batches(ctx, _orig=original_batches, _span=span):
-            return tracer._traced_iter(_orig, ctx, _span, batched=True)
-
         def traced_columnar(ctx, _orig=original_columnar, _span=span):
             # ColumnBatch defines __len__, so the batched row count works.
             return tracer._traced_iter(_orig, ctx, _span, batched=True)
 
         node.__dict__["execute"] = traced_execute
-        node.__dict__["execute_batches"] = traced_batches
         node.__dict__["execute_columnar"] = traced_columnar
 
     def _traced_iter(self, orig, ctx, span: Span, batched: bool):
@@ -195,7 +190,7 @@ class Tracer:
             span.loops += 1
         while True:
             # Only the outermost activation of this span measures: the
-            # default execute_batches path re-enters execute on the
+            # default execute_columnar path re-enters execute on the
             # same node, and double-counting would break the sum.
             reentrant = span._active > 0
             if not reentrant:
@@ -321,7 +316,6 @@ class Tracer:
         """
         for node in self._nodes:
             node.__dict__.pop("execute", None)
-            node.__dict__.pop("execute_batches", None)
             node.__dict__.pop("execute_columnar", None)
             span = self._span_of[id(node)]
             node.stamp_actual(span.rows, span.loops)

@@ -42,7 +42,6 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 from repro.core.system import SmartIceberg
 from repro.engine.executor import Result
 from repro.engine.operators import HashAggregate
-from repro.engine.wcoj import WCOJTrieJoin
 from repro.errors import CircuitOpenError, SessionClosedError
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.querylog import QueryLog, stable_fingerprint
@@ -59,15 +58,6 @@ from repro.storage.catalog import Database
 TECHNIQUES = ("apriori", "memprune")
 
 FULL_MASK: FrozenSet[str] = frozenset(TECHNIQUES)
-
-
-def _walk_plan(root):
-    """Every operator in a plan tree, via ``children()`` (pre-order)."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(node.children())
 
 
 def _breaker_for_degradation(event: str) -> Optional[str]:
@@ -497,13 +487,6 @@ class IcebergServer:
                     # token).
                     if optimized.nljp.enable_memo:
                         optimized.nljp.enable_shared_cache()
-                if self.shared_nljp_cache:
-                    # Same contract for WCOJ trie caches anywhere in the
-                    # planned tree: cached subtrees survive across
-                    # executions of this prepared statement.
-                    for node in _walk_plan(optimized.planned.root):
-                        if isinstance(node, WCOJTrieJoin):
-                            node.enable_shared_cache()
                 entry = self.plan_cache.store(sql, mask, live_token, optimized)
             finally:
                 self.plan_cache.release(sql, mask)
@@ -572,7 +555,6 @@ class IcebergServer:
         mis_estimates.sort(key=lambda entry: -entry["q_error"])
         return {
             "plan_fingerprint": stable_fingerprint(planned.explain()),
-            "join_algo": config.join_algo,
             "feedback_mode": config.feedback,
             "feedback_corrections": corrections[:5],
             "worst_q_errors": mis_estimates[:3],

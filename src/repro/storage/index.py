@@ -144,17 +144,6 @@ class SortedIndex:
         self._flush()
         return self._row_ids[position]
 
-    def sorted_entries(self) -> Tuple[List[Key], List[int]]:
-        """The parallel ``(keys, row_ids)`` arrays in key order.
-
-        Callers must treat both lists as read-only; they are the index's
-        live backing arrays (valid until the next insert), exposed so
-        trie views (:mod:`repro.engine.wcoj`) can be built by slicing
-        the already-sorted data instead of re-sorting the table.
-        """
-        self._flush()
-        return self._keys, self._row_ids
-
     def row_id_array(self) -> Any:
         """Row ids in index order, as an ``int64`` ndarray when NumPy is
         available (else a plain list).  Cached until the next flush."""

@@ -1,13 +1,14 @@
-"""Cyclic-join workload: a skewed directed graph for WCOJ benchmarks.
+"""Cyclic-join workload: a skewed directed graph.
 
 Pairwise join plans are asymptotically suboptimal on cyclic join
 graphs: a triangle query over a graph with ``m`` edges can produce
 ``Θ(m²)`` intermediate pairs under any join order, while the AGM bound
-caps the output (and a worst-case-optimal join's work) at ``O(m^1.5)``
-(Ngo, Porat, Ré, Rudra 2012; Veldhuizen's Leapfrog Triejoin 2014).
-This module builds the graph that makes the gap visible: a directed
-edge table with a power-law hub skew, so high-degree vertices inflate
-pairwise intermediates far past the final triangle count.
+caps the output at ``O(m^1.5)`` (Ngo, Porat, Ré, Rudra 2012).  This
+module builds a graph where that gap shows in the work counters: a
+directed edge table with a power-law hub skew, so high-degree vertices
+inflate pairwise intermediates far past the final triangle count.
+The ``triangle_hub`` iceberg query over it is one of the served
+benchmark's templates.
 
 Everything is deterministic given ``seed``.
 """
@@ -73,10 +74,9 @@ def load_edges(
 ) -> None:
     """Create and populate the edge table.
 
-    The sorted (src, dst) index is the one the trie join walks for
-    free (``sorted_entries`` *is* the trie); the hash indexes serve
-    the pairwise baseline's index nested-loop probes so the two sides
-    of the benchmark each get their natural access path.
+    Besides the (src, dst) primary key: a sorted (src, dst) index and
+    hash indexes on each endpoint, which the planner's index
+    nested-loop joins probe.
     """
     config = config if config is not None else CyclicConfig()
     table = db.create_table(table_name, EDGE_SCHEMA, primary_key=("src", "dst"))
@@ -107,13 +107,8 @@ def triangle_query(table: str = "edge") -> str:
 
 
 def square_query(table: str = "edge") -> str:
-    """Directed 4-cycles.
-
-    Unlike the triangle (whose trie levels all interleave), the square
-    has a variable whose relations' key prefix is a *proper subset* of
-    the earlier levels, so the trie join's subtree cache (Kalinsky,
-    Kimelfeld, Sagiv 2016) gets hits here.
-    """
+    """Directed 4-cycles: a longer cycle, whose pairwise intermediates
+    grow faster than the triangle's."""
     return (
         "SELECT e1.src, e2.src, e3.src, e4.src\n"
         f"FROM {table} e1, {table} e2, {table} e3, {table} e4\n"

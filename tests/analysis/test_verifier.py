@@ -24,7 +24,7 @@ from repro.workloads import BaseballConfig, figure1_queries, make_batting_db
 DB = make_batting_db(BaseballConfig(n_rows=300, seed=21))
 
 JOIN_ORDERS = ("syntactic", "greedy", "dp")
-MODES = ("row", "batch")
+MODES = ("row", "columnar")
 
 
 def smart_config(join_order):

@@ -401,7 +401,7 @@ class TestLoopDescription:
         operator = _operator(object_db, QUERIES["skyband"])
         assert "  loop: windowed (under a columnar context)" in operator.describe()
         list(operator.execute(ExecutionContext()))
-        assert operator.to_dict()["loop"] == "per binding (row/batch mode)"
+        assert operator.to_dict()["loop"] == "per binding (row mode)"
         list(operator.execute(ExecutionContext(batch_size=64, columnar=True)))
         assert operator.to_dict()["loop"] == "windowed (i8,i8; order index on l.x)"
         assert "  loop: windowed (i8,i8; order index on l.x)" in operator.describe()

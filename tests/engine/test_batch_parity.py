@@ -1,14 +1,18 @@
-"""Differential tests: batch (vectorized) mode vs. row mode.
+"""Differential tests: batch-at-a-time execution vs. row mode.
 
-The vectorized engine's contract is strict: for every query, on every
-system configuration, batch mode must produce *identical result rows*
-and *identical deterministic work counters* (`ExecutionStats`) — the
-paper's shape claims are asserted on those counters, so vectorization
-may only change wall-clock, never work.
+Columnar execution cuts every input into batches; how it cuts them must
+not matter.  For every query, on every system configuration, columnar
+execution in batches far smaller than the tables (so every operator
+sees several, and their boundaries) must produce *identical result
+rows* and *identical folded work counters*
+(:meth:`ExecutionStats.parity_dict`) to the row-at-a-time reference —
+the paper's shape claims are asserted on those counters, so
+vectorization may only change wall-clock, never work.
+``test_columnar_parity.py`` holds columnar at its shipped batch size to
+the same contract.
 
 This suite runs every workload query (Q1-Q8, L1-L4, Ex. 7) plus
-randomized property-based queries in both modes and asserts exactly
-that.
+randomized property-based queries and asserts exactly that.
 """
 
 import dataclasses
@@ -33,6 +37,7 @@ from repro.workloads import (
     skyband_query,
 )
 from repro.workloads.baseball import load_unpivoted
+from tests.modes import SMALL_BATCH, mode_kwargs
 
 
 BATTING = make_batting_db(BaseballConfig(n_rows=400, seed=21))
@@ -55,27 +60,27 @@ SMART_CONFIGS = {
 }
 
 
-def assert_modes_agree(db, sql, batch_size=None):
-    """Row and batch execution agree on rows AND on every counter."""
+def assert_modes_agree(db, sql, batch_size=SMALL_BATCH):
+    """Row execution and columnar execution in ``batch_size``-row
+    batches agree on rows AND on every folded counter."""
     for config in BASELINE_CONFIGS:
         row = execute(db, sql, config)
         batch_config = dataclasses.replace(
-            config, execution_mode="batch", batch_size=batch_size
+            config, execution_mode="columnar", batch_size=batch_size
         )
         batch = execute(db, sql, batch_config)
-        assert batch.execution_mode == "batch"
+        assert batch.execution_mode == "columnar"
         assert batch.rows == row.rows, f"{config.label}: result rows differ"
-        assert batch.stats.as_dict() == row.stats.as_dict(), (
+        assert batch.stats.parity_dict() == row.stats.parity_dict(), (
             f"{config.label}: counters differ"
         )
     for label, toggles in SMART_CONFIGS.items():
         row = SmartIceberg(db, execution_mode="row", **toggles).execute(sql)
         batch = SmartIceberg(
-            db, execution_mode="batch", batch_size=batch_size, **toggles
+            db, execution_mode="columnar", batch_size=batch_size, **toggles
         ).execute(sql)
-        assert batch.execution_mode == "batch"
         assert batch.rows == row.rows, f"smart[{label}]: result rows differ"
-        assert batch.stats.as_dict() == row.stats.as_dict(), (
+        assert batch.stats.parity_dict() == row.stats.parity_dict(), (
             f"smart[{label}]: counters differ"
         )
 
@@ -89,8 +94,9 @@ class TestFigure1Queries:
     @pytest.mark.parametrize("name", ["Q1", "Q4", "Q7"])
     def test_governed_execution_is_bit_identical(self, name):
         """A governor whose budgets never trip must not change a thing:
-        same rows, same value for EVERY ExecutionStats counter, in both
-        modes — the governor's zero-overhead contract."""
+        same rows, same value for EVERY ExecutionStats counter, row at
+        a time and in small columnar batches — the governor's
+        zero-overhead contract."""
         from repro import CancelToken
 
         sql = figure1_queries()[name].sql
@@ -103,9 +109,9 @@ class TestFigure1Queries:
             degradation="fallback",
         )
         for mode in ("row", "batch"):
-            plain = SmartIceberg(BATTING, execution_mode=mode).execute(sql)
+            plain = SmartIceberg(BATTING, **mode_kwargs(mode)).execute(sql)
             governed = SmartIceberg(
-                BATTING, execution_mode=mode, **governor_knobs
+                BATTING, **mode_kwargs(mode), **governor_knobs
             ).execute(sql)
             assert governed.rows == plain.rows, f"{mode}: rows differ"
             assert governed.stats.as_dict() == plain.stats.as_dict(), (
@@ -148,7 +154,7 @@ class TestWorkloadQueries:
 
     @pytest.mark.parametrize("batch_size", [1, 7, 64])
     def test_odd_batch_sizes(self, batch_size):
-        """Chunk size must never affect results or counters."""
+        """Batch size must never affect results or counters."""
         query = figure1_queries()["Q1"]
         assert_modes_agree(BATTING, query.sql, batch_size=batch_size)
 
@@ -243,14 +249,14 @@ def test_random_iceberg_query_mode_parity(
             db,
             sql,
             dataclasses.replace(
-                config, execution_mode="batch", batch_size=batch_size
+                config, execution_mode="columnar", batch_size=batch_size
             ),
         )
         assert batch.rows == row.rows, sql
-        assert batch.stats.as_dict() == row.stats.as_dict(), sql
+        assert batch.stats.parity_dict() == row.stats.parity_dict(), sql
     row = SmartIceberg(db, execution_mode="row").execute(sql)
     batch = SmartIceberg(
-        db, execution_mode="batch", batch_size=batch_size
+        db, execution_mode="columnar", batch_size=batch_size
     ).execute(sql)
     assert batch.rows == row.rows, sql
-    assert batch.stats.as_dict() == row.stats.as_dict(), sql
+    assert batch.stats.parity_dict() == row.stats.parity_dict(), sql

@@ -298,4 +298,38 @@ class TestDefaultExecutionMode:
         from repro import SmartIceberg
 
         assert EngineConfig(execution_mode="row").execution_mode == "row"
-        assert SmartIceberg(db, execution_mode="batch").execution_mode == "batch"
+        assert SmartIceberg(db, execution_mode="columnar").execution_mode == "columnar"
+
+
+class TestExecutionModeValidation:
+    """``execution_mode`` is checked in one place, ``EngineConfig``, and
+    a per-call override goes through the same check: there is no
+    ``"batch"`` mode."""
+
+    SQL = "SELECT grp, COUNT(*) FROM t GROUP BY grp"
+
+    def test_engine_config_rejects_batch(self):
+        with pytest.raises(ValueError, match="execution_mode"):
+            EngineConfig(execution_mode="batch")
+
+    def test_smart_iceberg_rejects_batch(self, db):
+        from repro import SmartIceberg
+
+        with pytest.raises(ValueError, match="execution_mode"):
+            SmartIceberg(db, execution_mode="batch")
+
+    def test_session_override_rejects_batch(self, db):
+        from repro import IcebergServer
+
+        session = IcebergServer(db).session()
+        with pytest.raises(ValueError, match="execution_mode"):
+            session.execute(self.SQL, execution_mode="batch")
+        assert session.execute(self.SQL, execution_mode="row").rows
+
+    def test_run_planned_override_rejects_batch(self, db):
+        from repro.engine import plan_query, run_planned
+        from repro.sql.parser import parse
+
+        planned = plan_query(db, parse(self.SQL))
+        with pytest.raises(ValueError, match="execution_mode"):
+            run_planned(planned, execution_mode="batch")

@@ -23,6 +23,7 @@ from repro.errors import (
 )
 from repro.testing import FaultPlan, FaultSpec
 from repro.workloads import BaseballConfig, figure1_queries, make_batting_db
+from tests.modes import mode_kwargs
 
 BATTING = make_batting_db(BaseballConfig(n_rows=200, seed=21))
 Q1 = figure1_queries()["Q1"].sql
@@ -87,7 +88,7 @@ class TestUngoverned:
 class TestBudgets:
     @pytest.mark.parametrize("mode", ["row", "batch"])
     def test_rows_scanned(self, mode):
-        config = governed_config(max_rows_scanned=25, execution_mode=mode)
+        config = governed_config(max_rows_scanned=25, **mode_kwargs(mode))
         with pytest.raises(BudgetExceededError) as info:
             execute(BATTING, Q1, config)
         error = info.value
@@ -99,7 +100,7 @@ class TestBudgets:
 
     @pytest.mark.parametrize("mode", ["row", "batch"])
     def test_join_pairs(self, mode):
-        config = governed_config(max_join_pairs=10, execution_mode=mode)
+        config = governed_config(max_join_pairs=10, **mode_kwargs(mode))
         with pytest.raises(BudgetExceededError) as info:
             execute(BATTING, Q1, config)
         error = info.value
@@ -178,10 +179,10 @@ class TestCacheBudget:
 
     @pytest.mark.parametrize("mode", ["row", "batch"])
     def test_fallback_evicts_and_stays_correct(self, mode):
-        baseline = SmartIceberg(BATTING, execution_mode=mode).execute(Q1)
+        baseline = SmartIceberg(BATTING, **mode_kwargs(mode)).execute(Q1)
         governed = SmartIceberg(
             BATTING,
-            execution_mode=mode,
+            **mode_kwargs(mode),
             max_cache_bytes=300,
             degradation="fallback",
         ).execute(Q1)
@@ -194,10 +195,10 @@ class TestCacheBudget:
         """A budget below one entry forces the cache fully off — the
         join must still return exactly the right rows (degraded "all"
         behaves like the baseline, never like a wrong answer)."""
-        baseline = SmartIceberg(BATTING, execution_mode=mode).execute(Q1)
+        baseline = SmartIceberg(BATTING, **mode_kwargs(mode)).execute(Q1)
         governed = SmartIceberg(
             BATTING,
-            execution_mode=mode,
+            **mode_kwargs(mode),
             max_cache_bytes=1,
             degradation="fallback",
         ).execute(Q1)

@@ -147,8 +147,8 @@ def _select(leaf, join, third, aggregates, group) -> str:
     return sql + (f" GROUP BY {group}" if group else "")
 
 
-def _tree(plan, bindings, batch_size):
-    ctx = ops.ExecutionContext(batch_size=batch_size)
+def _tree(plan, bindings):
+    ctx = ops.ExecutionContext()
     rows = []
     for binding in bindings:
         ctx.params.update(binding)
@@ -157,7 +157,7 @@ def _tree(plan, bindings, batch_size):
 
 
 def _block(kernel, bindings, batch_size):
-    ctx = ops.ExecutionContext(batch_size=batch_size)
+    ctx = ops.ExecutionContext(batch_size=batch_size, columnar=True)
     evaluations = kernel.evaluate(ctx, [(b["p"], b["q"]) for b in bindings])
     assert _counters(ctx.stats) == _counters(ops.ExecutionContext().stats)
     rows = []
@@ -204,7 +204,7 @@ def test_block_equals_tree_on_random_joins(
         assert "SortedIndexRangeJoin" in why, why
         return
     assert isinstance(kernel, BlockKernel)
-    expected = _tree(plan, bindings, batch_size)
+    expected = _tree(plan, bindings)
     with pytest.MonkeyPatch.context() as patch:
         # Runs of one and three pairs: every run boundary, in every join.
         patch.setattr(ops, "COLUMNAR_MATCH_ROWS", run_limit)
@@ -524,7 +524,7 @@ def test_only_the_bindings_names_are_set_and_they_are_taken_back(columnar):
     operator = _operator(schema(random.Random(3), 60), sql, left)
     hidden = operator.param_names[0]
     for fault in (None, FaultPlan([FaultSpec(site="scan", after=4)])):
-        ctx = ops.ExecutionContext(batch_size=64, columnar=columnar)
+        ctx = ops.ExecutionContext(batch_size=64 if columnar else None, columnar=columnar)
         ctx.params.update({hidden: "the statement's", "k": 1})
         ctx.governor = Governor(ctx.stats, fault_plan=fault)
         seen = []
@@ -645,7 +645,7 @@ def test_prefetch_state_is_per_execution():
     nljp = _nljp_of(SmartIceberg(db, cross_query_memo=True).optimize(triangle_hub_query(2)))
     kernel = nljp.inner_kernel
     assert isinstance(kernel, BlockKernel)
-    first, second = ops.ExecutionContext(batch_size=64), ops.ExecutionContext(batch_size=64)
+    first, second = (ops.ExecutionContext(batch_size=64, columnar=True) for _ in range(2))
     bindings = [(src, dst) for src, dst, _ in db.table("edge").rows[:20]]
     kernel.prefetch(first, dict.fromkeys(bindings, 1))
     assert kernel.take(second, bindings[0]) is None
@@ -665,7 +665,7 @@ def test_describe_and_to_dict_say_which_path_ran_and_why():
     block = "block kernel (IndexPointScan edge_src → IndexNestedLoopJoin edge_pkey)"
     assert f"  inner: {block}" in nljp.describe()
     optimized.execute(execution_mode="row")
-    assert nljp.to_dict()["inner"] == "operators (row/batch mode)"
+    assert nljp.to_dict()["inner"] == "operators (row mode)"
     optimized.execute()
     assert nljp.to_dict()["inner"] == block
     assert f"  inner: {block}" in nljp.describe()

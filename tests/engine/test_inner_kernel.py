@@ -10,7 +10,7 @@ Two differentials, both seeded:
 * *plan level* — random single-relation select-aggregates over a table
   with NULLs, duplicate keys and every access path; the kernel's rows
   and counters for each binding against ``ops.materialize`` of the very
-  plan it was lowered from, in row and batch mode;
+  plan it was lowered from, row at a time and in columnar batches;
 * *statement level* — iceberg statements through ``SmartIceberg``, the
   tree forced through the seam the rest of the suite already uses,
   ``repro.engine.layout._np = None``.
@@ -39,6 +39,7 @@ from repro.obs.tracer import iter_plan_nodes
 from repro.sql.parser import parse
 from repro.testing.faults import FaultPlan, FaultSpec
 from repro.workloads import BaseballConfig, figure1_queries, make_batting_db
+from tests.modes import mode_kwargs
 
 needs_numpy = pytest.mark.skipif(
     layout.numpy_or_none() is None, reason="the inner kernel needs NumPy"
@@ -154,13 +155,13 @@ def _counters(ctx: ops.ExecutionContext):
     return counters
 
 
-def _tree(plan, bindings, batch_size):
-    ctx = ops.ExecutionContext(batch_size=batch_size)
+def _tree(plan, bindings, columnar):
+    ctx = ops.ExecutionContext(batch_size=7 if columnar else None, columnar=columnar)
     rows = []
     for binding in bindings:
         ctx.params.update(binding)
         rows.append(ops.materialize(plan, ctx))
-    return rows, _counters(ctx)
+    return rows, ctx
 
 
 def _kernel(plan, bindings):
@@ -171,7 +172,7 @@ def _kernel(plan, bindings):
     for binding in bindings:
         ctx.params.update(binding)
         rows.append(kernel.run(ctx))
-    return rows, _counters(ctx)
+    return rows, ctx
 
 
 @needs_numpy
@@ -199,12 +200,13 @@ def test_kernel_equals_tree_on_random_inners(
 ):
     db = _database(rows)
     plan = _inner_plan(db, _select(source, predicate, aggregates, group))
-    expected_rows, expected_counters = _tree(plan, bindings, None)
-    batch_rows, batch_counters = _tree(plan, bindings, 1024)
-    got_rows, got_counters = _kernel(plan, bindings)
+    expected_rows, expected = _tree(plan, bindings, columnar=False)
+    columnar_rows, columnar = _tree(plan, bindings, columnar=True)
+    got_rows, got = _kernel(plan, bindings)
     # repr: 0.0 and -0.0 are equal and must still not be confused.
-    assert repr(got_rows) == repr(expected_rows) == repr(batch_rows)
-    assert got_counters == expected_counters == batch_counters
+    assert repr(got_rows) == repr(expected_rows) == repr(columnar_rows)
+    assert _counters(got) == _counters(expected)
+    assert got.stats.parity_dict() == columnar.stats.parity_dict()
 
 
 @needs_numpy
@@ -349,9 +351,9 @@ def _execute(db, sql, monkeypatch, tree: bool, **knobs):
 def test_statement_kernel_equals_tree(name, mode, monkeypatch):
     db = _points_db()
     sql = STATEMENTS[name]
-    rows, counters, nljp = _execute(db, sql, monkeypatch, False, execution_mode=mode)
+    rows, counters, nljp = _execute(db, sql, monkeypatch, False, **mode_kwargs(mode))
     tree_rows, tree_counters, tree_nljp = _execute(
-        db, sql, monkeypatch, True, execution_mode="row" if mode == "columnar" else mode
+        db, sql, monkeypatch, True, execution_mode="row"
     )
     assert nljp is not None and nljp.inner_kernel is not None, (
         nljp and nljp.inner_description()
@@ -362,7 +364,7 @@ def test_statement_kernel_equals_tree(name, mode, monkeypatch):
     # Unsorted: NLJP's output order follows binding and payload group
     # order, and both must survive the kernel.
     assert rows == tree_rows
-    if mode != "columnar":
+    if mode == "row":
         assert counters == tree_counters
     else:  # zone maps may split Q_B's rows_scanned; Q_R's never
         assert counters["aggregation_inputs"] == tree_counters["aggregation_inputs"]
@@ -448,7 +450,7 @@ def test_rows_scanned_budget_trips_inside_a_kernel_evaluation():
     assert error.budget == "rows_scanned"
     stats = error.stats
     # The evaluation that crossed the limit charged its whole index
-    # range before the check, as the batch path does.
+    # range before its one scan check.
     assert stats.rows_scanned == error.used > 700
     assert stats.inner_evaluations == 5 and stats.index_probes == 5
     assert stats.aggregation_inputs < stats.rows_scanned

@@ -2,13 +2,17 @@
 
 The tentpole's contract: every ``join_order`` setting — ``syntactic``
 (the literal FROM order), ``greedy``, and ``dp`` — produces the
-identical multiset of result rows in both execution modes; the
+identical multiset of result rows in every execution mode; the
 cost-based orders differ only in *work* (``join_pairs``,
 ``rows_scanned``).  The adversarial tests pin the headline win: on
 multiway iceberg queries with a pathologically permuted FROM clause,
-``dp`` cuts ``join_pairs`` by at least 5x at the BENCH seed.
+``dp`` cuts ``join_pairs`` by at least 5x at the BENCH seed.  Cyclic
+joins (triangles, 4-cycles) are checked against brute force and across
+modes.
 """
 
+import itertools
+import random
 import re
 
 import pytest
@@ -21,7 +25,15 @@ from repro.sql.parser import parse
 from repro.storage.catalog import Database
 from repro.storage.schema import TableSchema
 from repro.storage.types import SqlType
-from repro.workloads import figure1_queries
+from repro.workloads import (
+    CyclicConfig,
+    figure1_queries,
+    make_cyclic_db,
+    square_query,
+    triangle_hub_query,
+    triangle_query,
+)
+from tests.modes import MODES, mode_kwargs
 
 JOIN_ORDERS = ("syntactic", "greedy", "dp")
 
@@ -38,10 +50,8 @@ def permute_from(sql: str) -> str:
     return re.sub(r"(?m)^(\s*FROM )(.+)$", reverse, sql)
 
 
-def run(db, sql, join_order, execution_mode="row"):
-    return execute(
-        db, sql, EngineConfig(join_order=join_order, execution_mode=execution_mode)
-    )
+def run(db, sql, join_order, mode="row"):
+    return execute(db, sql, EngineConfig(join_order=join_order, **mode_kwargs(mode)))
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +65,7 @@ def bench_db():
 
 
 class TestQSuiteParity:
-    """Identical rows for Q1-Q8 across all orders and both modes."""
+    """Identical rows for Q1-Q8 across all orders and modes."""
 
     @pytest.mark.parametrize("name", sorted(QUERIES))
     def test_rows_identical_across_orders_and_modes(self, small_db, name):
@@ -63,7 +73,7 @@ class TestQSuiteParity:
         reference = run(small_db, sql, "syntactic")
         expected = reference.sorted_rows()
         for join_order in JOIN_ORDERS:
-            for mode in ("row", "batch"):
+            for mode in MODES:
                 result = run(small_db, sql, join_order, mode)
                 assert result.sorted_rows() == expected, (join_order, mode)
                 assert result.stats.rows_output == reference.stats.rows_output, (
@@ -133,7 +143,7 @@ class TestAdversarialMultiway:
         row = run(bench_db, sql, "dp", "row")
         batch = run(bench_db, sql, "dp", "batch")
         assert row.sorted_rows() == batch.sorted_rows()
-        assert row.stats.as_dict() == batch.stats.as_dict()
+        assert row.stats.parity_dict() == batch.stats.parity_dict()
 
 
 class TestExplain:
@@ -209,13 +219,71 @@ class TestHashBuildSide:
         sql = "SELECT s.name, b.v FROM small s, big b WHERE s.k = b.k"
         reference = None
         for join_order in JOIN_ORDERS:
-            for mode in ("row", "batch"):
+            for mode in MODES:
                 config = EngineConfig(
                     join_policy="hash-first",
                     join_order=join_order,
-                    execution_mode=mode,
+                    **mode_kwargs(mode),
                 )
                 rows = execute(db, sql, config).sorted_rows()
                 if reference is None:
                     reference = rows
                 assert rows == reference, (join_order, mode)
+
+
+def _edge_db(edges):
+    db = Database()
+    schema = TableSchema.of(("src", SqlType.INTEGER), ("dst", SqlType.INTEGER))
+    db.create_table("edge", schema).insert_many(edges)
+    return db
+
+
+class TestCyclicJoins:
+    """Cyclic join graphs, where every pairwise order builds
+    intermediates larger than the answer."""
+
+    CYCLIC = make_cyclic_db(CyclicConfig(n_edges=400, seed=7))
+
+    @pytest.mark.parametrize(
+        "sql",
+        [triangle_query(), square_query(), triangle_hub_query()],
+        ids=["triangle", "square", "hub"],
+    )
+    def test_cyclic_queries_all_modes(self, sql):
+        for join_order in ("syntactic", "dp"):
+            row = run(self.CYCLIC, sql, join_order)
+            for mode in MODES:
+                result = run(self.CYCLIC, sql, join_order, mode)
+                assert result.rows == row.rows, (join_order, mode)
+                assert result.stats.parity_dict() == row.stats.parity_dict(), (
+                    join_order,
+                    mode,
+                )
+
+    def test_null_join_keys_never_match(self):
+        db = _edge_db([(1, 2), (2, 3), (3, 1), (None, 1), (1, None), (None, None)])
+        for mode in MODES:
+            result = execute(db, triangle_query(), EngineConfig(**mode_kwargs(mode)))
+            assert len(result.rows) == 3, mode  # the one triangle, from each corner
+
+    def test_randomized_triangles_match_brute_force(self):
+        rng = random.Random(99)
+        edges = set()
+        while len(edges) < 120:
+            a, b = rng.randrange(18), rng.randrange(18)
+            if a != b:
+                edges.add((a, b))
+        expected = sorted(
+            e1 + e2 + e3
+            for e1, e2, e3 in itertools.product(sorted(edges), repeat=3)
+            if e1[1] == e2[0] and e2[1] == e3[0] and e3[1] == e1[0]
+        )
+        db = _edge_db(sorted(edges))
+        for mode in MODES:
+            result = execute(
+                db,
+                "SELECT * FROM edge e1, edge e2, edge e3 "
+                "WHERE e1.dst = e2.src AND e2.dst = e3.src AND e3.dst = e1.src",
+                EngineConfig(**mode_kwargs(mode)),
+            )
+            assert sorted(result.rows) == expected, mode

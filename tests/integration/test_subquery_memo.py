@@ -16,8 +16,8 @@ from repro.engine.executor import run_planned
 from repro.sql.parser import parse
 from repro.storage import Database, SqlType, TableSchema
 from repro.workloads import BasketConfig, load_baskets, market_basket_query
+from tests.modes import MODES, mode_kwargs
 
-MODES = ("row", "batch", "columnar")
 SUPPORT = 12
 NEW_PAIR = ("zz_new_a", "zz_new_b")
 
@@ -41,13 +41,13 @@ def insert_new_frequent_pair(db: Database) -> None:
 def test_optimized_query_rereads_its_reducers_after_a_write(mode):
     db = basket_db()
     sql = market_basket_query(SUPPORT)
-    optimized = SmartIceberg(db, execution_mode=mode).optimize(sql)
+    optimized = SmartIceberg(db, **mode_kwargs(mode)).optimize(sql)
     before = optimized.execute()
     assert NEW_PAIR + (30,) not in before.rows
 
     insert_new_frequent_pair(db)
     after = optimized.execute()
-    fresh = SmartIceberg(db, execution_mode=mode).execute(sql)
+    fresh = SmartIceberg(db, **mode_kwargs(mode)).execute(sql)
     baseline = execute(db, sql, EngineConfig.postgres())
     assert NEW_PAIR + (30,) in after.rows
     assert len(after.rows) == len(before.rows) + 1
@@ -60,7 +60,7 @@ def test_optimized_query_rereads_its_reducers_after_a_write(mode):
 def test_warm_plan_keeps_its_reducers_between_writes(mode):
     """No write, no re-run: the second execution scans only the join."""
     db = basket_db()
-    optimized = SmartIceberg(db, execution_mode=mode).optimize(
+    optimized = SmartIceberg(db, **mode_kwargs(mode)).optimize(
         market_basket_query(SUPPORT)
     )
     cold = optimized.execute()
@@ -84,7 +84,7 @@ def test_exists_is_reevaluated_after_a_write(mode):
         "SELECT id FROM orders "
         "WHERE total >= 20 AND EXISTS (SELECT name FROM flags WHERE name = 'open')"
     )
-    planned = plan_query(db, parse(sql), EngineConfig(execution_mode=mode))
+    planned = plan_query(db, parse(sql), EngineConfig(**mode_kwargs(mode)))
     assert run_planned(planned).rows == []
     flags.insert(("open",))
     assert run_planned(planned).rows == [(2,), (3,)]

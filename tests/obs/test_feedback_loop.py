@@ -13,9 +13,9 @@ from repro.engine.planner import FEEDBACK_MODES, plan_query
 from repro.sql.parser import parse
 from repro.storage.statistics import FeedbackStatistics, sketch_table
 from repro.workloads import figure1_queries, make_skewed_db, skewed_query
+from tests.modes import MODES, mode_kwargs
 
 QUERIES = {name: q.sql for name, q in figure1_queries().items()}
-MODES = ("row", "batch", "columnar")
 
 
 def _plan_shape(explain_text):
@@ -143,7 +143,7 @@ def test_feedback_parity(name):
     for feedback in FEEDBACK_MODES:
         for mode in MODES:
             config = dataclasses.replace(
-                base, feedback=feedback, execution_mode=mode
+                base, feedback=feedback, **mode_kwargs(mode)
             )
             result = execute(PARITY_DB, sql, config)
             assert result.sorted_rows() == baseline.sorted_rows(), (

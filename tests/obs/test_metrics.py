@@ -29,9 +29,9 @@ def test_counter_accumulates_by_labels():
     counter = registry.counter("hits", "cache hits", ("mode",))
     counter.inc(mode="row")
     counter.inc(2, mode="row")
-    counter.inc(mode="batch")
+    counter.inc(mode="columnar")
     assert counter.value(mode="row") == 3
-    assert counter.value(mode="batch") == 1
+    assert counter.value(mode="columnar") == 1
     assert counter.value(mode="absent") == 0
 
 
@@ -189,7 +189,7 @@ def test_cache_evictions_counter_surfaces(small_db):
 
 def test_subsumption_merges_counter():
     """Combining-mode NLJP counts merged partial-aggregation states,
-    identically in row and batch mode."""
+    identically row at a time and in columnar batches."""
     from repro.core.iceberg import IcebergBlock
     from repro.core.nljp import NLJPOperator
     from repro.core.pruning import check_pruning
@@ -211,7 +211,7 @@ def test_subsumption_merges_counter():
         env = PlanEnv(db=db, config=EngineConfig.smart())
         nljp = NLJPOperator(view, env, pruning=check_pruning(view))
         assert not nljp.direct_mode
-        ctx = ExecutionContext(batch_size=batch_size)
+        ctx = ExecutionContext(batch_size=batch_size, columnar=batch_size is not None)
         rows = sorted(nljp.execute(ctx))
         return rows, ctx.stats
 

@@ -1,7 +1,8 @@
 """Trace parity: tracing observes execution, never changes it.
 
-The acceptance bar from the observability tentpole: Q1-Q8 across both
-execution modes and both interesting join orders are *bit-identical*
+The acceptance bar from the observability tentpole: Q1-Q8 row at a
+time and in small columnar batches (``tests/modes.py``), under both
+interesting join orders, are *bit-identical*
 (rows and every work counter) between ``trace="off"`` and
 ``trace="timing"``, and the span tree's per-span ExecutionStats deltas
 sum exactly to the query-global totals — attribution neither invents
@@ -15,6 +16,7 @@ from repro.bench.figures import _batting_db
 from repro.testing import RECORD_SEED
 from repro.engine import EngineConfig, execute
 from repro.workloads import figure1_queries
+from tests.modes import mode_kwargs
 
 QUERIES = {name: q.sql for name, q in figure1_queries().items()}
 
@@ -28,9 +30,7 @@ def run(db, sql, join_order, execution_mode, trace):
     return execute(
         db,
         sql,
-        EngineConfig(
-            join_order=join_order, execution_mode=execution_mode, trace=trace
-        ),
+        EngineConfig(join_order=join_order, trace=trace, **mode_kwargs(execution_mode)),
     )
 
 

@@ -17,6 +17,7 @@ from repro.obs import (
     merge_chrome_traces,
 )
 from repro.workloads import figure1_queries
+from tests.modes import mode_kwargs
 
 QUERIES = {name: q.sql for name, q in figure1_queries().items()}
 
@@ -68,12 +69,12 @@ def test_timing_spans_have_envelopes(q1_timed):
 
 
 def test_reentrancy_guard_limit_in_batch_mode(small_db):
-    """Limit's default execute_batches re-enters execute on the same
+    """Limit's default execute_columnar re-enters execute on the same
     node; the depth guard must keep rows and deltas single-counted."""
     sql = "SELECT playerid, year, b_h FROM batting LIMIT 5"
-    off = execute(small_db, sql, EngineConfig(execution_mode="batch"))
+    off = execute(small_db, sql, EngineConfig(**mode_kwargs("batch")))
     timed = execute(
-        small_db, sql, EngineConfig(execution_mode="batch", trace="timing")
+        small_db, sql, EngineConfig(trace="timing", **mode_kwargs("batch"))
     )
     assert off.sorted_rows() == timed.sorted_rows()
     assert off.stats.as_dict() == timed.stats.as_dict()

@@ -1,7 +1,7 @@
 """The acceptance soak: 8 concurrent sessions, faults on, bit-identical.
 
-Eight sessions run the full Figure-1 workload (Q1–Q8) in every
-execution mode (row, batch, columnar) concurrently against one server,
+Eight sessions run the full Figure-1 workload (Q1–Q8) in both
+execution modes (row, columnar) concurrently against one server,
 each session with its own deterministic fault plan injecting transient
 errors into the serving layer (admission, plan-cache) and the engine
 (scan).  The claim:
@@ -25,7 +25,7 @@ from repro.serve.retry import FATAL, RETRYABLE, classify_error
 from repro.testing import FaultPlan, FaultSpec
 from repro.workloads import BaseballConfig, figure1_queries, make_batting_db
 
-MODES = ("row", "batch", "columnar")
+MODES = ("row", "columnar")
 N_SESSIONS = 8
 
 
@@ -105,7 +105,7 @@ def test_soak_concurrent_sessions_bit_identical(db, serial_baselines):
         assert classify_error(error) in (RETRYABLE, FATAL)
     assert errors == []
 
-    # Bit-identical to the serial un-faulted reference, all 192 cells.
+    # Bit-identical to the serial un-faulted reference, all 128 cells.
     assert len(outcomes) == N_SESSIONS * len(queries) * len(MODES)
     for (index, name, mode), rows in outcomes.items():
         assert rows == serial_baselines[(name, mode)], (index, name, mode)

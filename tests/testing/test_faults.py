@@ -1,7 +1,8 @@
 """The deterministic fault-injection harness, unit and end-to-end.
 
-The end-to-end matrix is the PR's robustness claim: for every workload
-query and every injection site, in both execution modes, a faulted run
+The end-to-end matrix is the robustness claim: for every workload
+query and every injection site, row at a time and in small columnar
+batches (``tests/modes.py``), a faulted run
 either recovers with exactly the un-faulted rows or fails with a typed
 :class:`ReproError` carrying accurate partial stats — never a bare
 ``KeyError``/``RecursionError``/``TypeError``.
@@ -17,6 +18,7 @@ from repro.errors import (
 )
 from repro.testing import FAULT_SITES, FaultPlan, FaultSpec
 from repro.workloads import BaseballConfig, figure1_queries, make_batting_db
+from tests.modes import mode_kwargs
 
 BATTING = make_batting_db(BaseballConfig(n_rows=120, seed=7))
 QUERIES = {name: q.sql for name, q in figure1_queries().items()}
@@ -38,7 +40,7 @@ _baselines = {}
 def baseline(name, mode):
     key = (name, mode)
     if key not in _baselines:
-        result = SmartIceberg(BATTING, execution_mode=mode).execute(QUERIES[name])
+        result = SmartIceberg(BATTING, **mode_kwargs(mode)).execute(QUERIES[name])
         _baselines[key] = result.sorted_rows()
     return _baselines[key]
 
@@ -167,7 +169,7 @@ class TestFaultMatrix:
         plan = FaultPlan(
             [FaultSpec(site=site, kind="error", after=TRIGGER_AFTER[site])]
         )
-        system = SmartIceberg(BATTING, execution_mode=mode, fault_plan=plan)
+        system = SmartIceberg(BATTING, fault_plan=plan, **mode_kwargs(mode))
         try:
             result = system.execute(QUERIES[name])
         except ReproError as error:
