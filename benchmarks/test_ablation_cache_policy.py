@@ -11,7 +11,7 @@ from conftest import run_figure
 from repro.engine import EngineConfig, execute
 from repro.core.system import SmartIceberg
 from repro.bench.figures import FigureReport, _batting_db, bench_scale
-from repro.bench.harness import format_table
+from repro.bench.harness import FIGURE_CHOICE, format_table
 from repro.workloads.queries import skyband_query
 
 
@@ -30,7 +30,9 @@ def run_cache_policy_ablation(n_rows=None, k=40):
     rows = []
     series = {}
     for label, options in setups.items():
-        system = SmartIceberg(db, apriori=False, **options)
+        system = SmartIceberg(
+            db, apriori=False, technique_choice=FIGURE_CHOICE, **options
+        )
         optimized = system.optimize(sql)
         result = optimized.execute()
         assert sorted(result.rows) == baseline, label

@@ -13,7 +13,7 @@ from conftest import run_figure
 from repro.engine import EngineConfig, execute
 from repro.core.system import SmartIceberg
 from repro.bench.figures import FigureReport, _perf_db, bench_scale
-from repro.bench.harness import format_table
+from repro.bench.harness import FIGURE_CHOICE, format_table
 from repro.workloads.queries import complex_query
 
 
@@ -33,7 +33,9 @@ def run_combination_ablation(n_rows=None, threshold=40):
     rows = [("postgres baseline", baseline.stats.cost(), "-", "-")]
     series = {"postgres": baseline.stats.cost()}
     for label, toggles in setups.items():
-        result = SmartIceberg(db, **toggles).execute(sql)
+        result = SmartIceberg(
+            db, technique_choice=FIGURE_CHOICE, **toggles
+        ).execute(sql)
         assert result.sorted_rows() == reference, label
         rows.append(
             (

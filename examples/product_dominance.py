@@ -6,6 +6,9 @@ the Appendix D composition: a-priori reducers on S1 and S2 *plus* an
 NLJP over the {S1, S2} driver with pruning — the combination the
 paper's own implementation could not yet apply automatically
 (Section 7 notes the limitation is not inherent; here it is removed).
+The example forces Listing 9's rule to show that composition; by
+default the optimizer weighs the NLJP against the reduced join and
+runs whichever it estimates faster (its ``technique:`` line says which).
 
 Run:  python examples/product_dominance.py
 """
@@ -21,7 +24,11 @@ def main() -> None:
     print(sql)
     print()
 
-    system = SmartIceberg(db)
+    print("Default technique choice:")
+    print(SmartIceberg(db).optimize(sql).report.technique.render())
+    print()
+
+    system = SmartIceberg(db, technique_choice="first-applicable")
     optimized = system.optimize(sql)
     print("Optimizer decisions:")
     print(optimized.report.summary())

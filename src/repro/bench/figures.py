@@ -27,6 +27,7 @@ from repro.workloads.baseball import (
 )
 from repro.workloads.queries import complex_query, figure1_queries, skyband_query
 from repro.bench.harness import (
+    FIGURE_CHOICE,
     Measurement,
     comparison_table,
     format_table,
@@ -177,7 +178,7 @@ def figure_3(n_rows: Optional[int] = None) -> FigureReport:
     series: Dict[str, object] = {}
     input_bytes = db.table("batting").estimated_bytes()
     for name, paper_query in figure1_queries().items():
-        system = SmartIceberg(db)
+        system = SmartIceberg(db, technique_choice=FIGURE_CHOICE)
         optimized = system.optimize(paper_query.sql)
         result = optimized.execute()
         cache_rows = result.stats.cache_rows
@@ -218,7 +219,8 @@ def figure_4(n_rows: Optional[int] = None, k: int = 50) -> FigureReport:
         db = _batting_db(n_rows, with_indexes=with_bt)
         if smart:
             system = SmartIceberg(
-                db, apriori=False, cache_index=cache_index
+                db, apriori=False, cache_index=cache_index,
+                technique_choice=FIGURE_CHOICE,
             )
             result = system.execute(sql)
         else:

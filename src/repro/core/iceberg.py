@@ -109,6 +109,8 @@ class IcebergBlock:
         self.select = select
         self.db = db
         self._cte_infos = cte_infos or {}
+        # attributes_of memo; a block lives inside one optimize call.
+        self._attributes: Dict[int, Tuple[ast.Expr, FrozenSet[str]]] = {}
         self.relations = self._collect_relations()
         self._by_alias = {relation.alias: relation for relation in self.relations}
         conjuncts, extra = self._collect_conjuncts()
@@ -280,12 +282,21 @@ class IcebergBlock:
         return self._by_alias[alias.lower()]
 
     def attributes_of(self, expr: ast.Expr) -> FrozenSet[str]:
-        """Qualified attributes referenced by an (already qualified) expr."""
-        return frozenset(
-            f"{ref.table}.{ref.column}"
-            for ref in ast.column_refs(expr)
-            if ref.table is not None
-        )
+        """Qualified attributes referenced by an (already qualified) expr.
+
+        Memoized per expression object: the reducer search and the
+        technique choice partition the same block's conjuncts many
+        times over.
+        """
+        cached = self._attributes.get(id(expr))
+        if cached is None or cached[0] is not expr:
+            cached = (expr, frozenset(
+                f"{ref.table}.{ref.column}"
+                for ref in ast.column_refs(expr)
+                if ref.table is not None
+            ))
+            self._attributes[id(expr)] = cached
+        return cached[1]
 
     def aliases_of(self, expr: ast.Expr) -> FrozenSet[str]:
         return frozenset(

@@ -43,6 +43,7 @@ from repro.sql import ast
 from repro.sql.parser import parse
 from repro.sql.render import render
 from repro.engine import operators as ops
+from repro.engine.cost import TIME_COSTS, Decision
 from repro.engine.cardinality import (
     DEFAULT_RELATION_ROWS,
     CardinalityEstimator,
@@ -80,6 +81,11 @@ from repro.obs.metrics import REGISTRY
 from repro.storage.catalog import Database
 
 CteInfo = Tuple[Tuple[str, ...], FDSet, FrozenSet[str]]
+#: An admissible NLJP: its name, the operator, its checks, its driver.
+Option = Tuple[str, NLJPOperator, PruningDecision, MemoizationDecision, FrozenSet[str]]
+#: What the memo/pruning phase hands on: the NLJP to run, or the join
+#: it planned in the NLJP's place (``None, None``: plan the join later).
+Choice = Tuple[Optional[NLJPOperator], Optional[Tuple[ops.PhysicalOperator, Tuple[str, ...]]]]
 
 #: Derived formulas one optimizer keeps.  An engine sees a handful of
 #: join-condition shapes (Q1-Q8 have three); the bound only stops a
@@ -109,6 +115,9 @@ class OptimizationReport:
     #: each entry says which phase failed and what plan shape replaced
     #: it.  Propagated into ``ExecutionStats.degradations`` at run time.
     degradations: List[str] = field(default_factory=list)
+    #: Which plan the memo/pruning phase ran on the main block — an NLJP
+    #: partition or the join — and what it weighed that against.
+    technique: Optional[Decision] = None
 
     def summary(self) -> str:
         lines: List[str] = []
@@ -121,6 +130,8 @@ class OptimizationReport:
             )
         for scope, reason in self.apriori_rejected:
             lines.append(f"a-priori[{scope}] not applied: {reason}")
+        if self.technique is not None:
+            lines.append(self.technique.render())
         if self.nljp_partition:
             lines.append(f"NLJP driver: {','.join(self.nljp_partition)}")
         if self.pruning is not None:
@@ -204,7 +215,12 @@ class SmartIcebergOptimizer:
     """The paper's optimizer: a pre-compiler over SQL statements.
 
     Feature toggles mirror the paper's Figure 1 configurations:
-    ``enable_apriori``, ``enable_pruning``, ``enable_memo``.
+    ``enable_apriori``, ``enable_pruning``, ``enable_memo``.  They say
+    which techniques are *allowed*.  ``technique_choice="cost"`` runs
+    an NLJP over an a-priori-reduced statement only when it is
+    estimated faster than the reduced join; ``"first-applicable"`` is
+    Listing 9's rule (the first admissible partition runs), which the
+    paper's figures measure.
     """
 
     def __init__(
@@ -220,7 +236,13 @@ class SmartIcebergOptimizer:
         max_partition_size: int = 3,
         binding_order: str = "none",
         cross_query_memo: bool = False,
+        technique_choice: str = "cost",
     ) -> None:
+        if technique_choice not in ("cost", "first-applicable"):
+            raise OptimizationError(
+                "technique_choice must be 'cost' or 'first-applicable', "
+                f"got {technique_choice!r}"
+            )
         if binding_order not in ("none", "auto"):
             raise OptimizationError(
                 f"binding_order must be 'none' or 'auto', got {binding_order!r}"
@@ -251,6 +273,7 @@ class SmartIcebergOptimizer:
         self.cache_policy = cache_policy
         self.max_partition_size = max_partition_size
         self.binding_order = binding_order
+        self.technique_choice = technique_choice
         # Serving-layer mode: the NLJP cache outlives one execution
         # (see repro.serve.plan_cache), so the "all bindings distinct,
         # cache would never hit" cost demotion no longer applies —
@@ -359,17 +382,18 @@ class SmartIcebergOptimizer:
                 tuple(columns),
             )
 
-        nljp = None
+        nljp = join = None
         if self.enable_pruning or self.enable_memo:
             try:
-                nljp = self._memprune_phase(body, cte_infos, env, report)
+                nljp, join = self._memprune_phase(body, cte_infos, env, report)
             except ReproError as error:
                 if self.degradation != "fallback":
                     raise
-                nljp = None
+                nljp = join = None
                 report.pruning = None
                 report.memoization = None
                 report.nljp_partition = None
+                report.technique = None
                 report.degradations.append(
                     f"memprune: {error} — falling back to the baseline join plan"
                 )
@@ -380,10 +404,12 @@ class SmartIcebergOptimizer:
         if nljp is not None:
             planned = self._finalize_nljp_plan(body, nljp, env)
         else:
-            plan, columns = plan_select(body, env)
+            plan, columns = join or plan_select(body, env)
             planned = PlannedQuery(
                 root=ops.CountOutput(plan), columns=tuple(columns), env=env
             )
+        if report.technique is not None:
+            planned.decisions = (report.technique,)
         report.phases.append(("finalize", perf() - started))
 
         started = perf()
@@ -699,15 +725,16 @@ class SmartIcebergOptimizer:
         cte_infos: Dict[str, CteInfo],
         env: PlanEnv,
         report: OptimizationReport,
-    ) -> Optional[NLJPOperator]:
-        """Listing 9's pick_memprune: choose an NLJP partition."""
+    ) -> Choice:
+        """Listing 9's pick_memprune: choose an NLJP partition, or the
+        reduced join when the technique choice prices it lower."""
         block = self._analyze(body, cte_infos)
         if block is None:
             report.notes.append("NLJP not applicable: block is not an iceberg join")
-            return None
+            return None, None
         if body.distinct:
             report.notes.append("NLJP not applicable: SELECT DISTINCT")
-            return None
+            return None, None
 
         try:
             group_aliases = frozenset(
@@ -716,7 +743,7 @@ class SmartIcebergOptimizer:
             )
         except OptimizationError as error:
             report.notes.append(f"NLJP not applicable: {error}")
-            return None
+            return None, None
         having_aliases = block.aliases_of(block.having) if block.having is not None else frozenset()
         all_aliases = frozenset(block.aliases)
 
@@ -749,7 +776,21 @@ class SmartIcebergOptimizer:
             key=lambda c: (len(c), outer_size(c), tuple(sorted(c)))
         )
 
-        best: Optional[NLJPOperator] = None
+        # Listing 9 runs the first admissible partition.  A statement
+        # a-priori has reduced already has a plan of its own, the reduced
+        # join, which an NLJP must beat: then every admissible partition
+        # is priced in ms, cold (no prune/memo credit), and the fastest
+        # option runs.  A partition whose bindings alone cost more than
+        # the best option so far cannot win; it is priced by that floor
+        # and never built.
+        costed = self.technique_choice == "cost" and bool(report.apriori)
+        columnar = self.config.execution_mode == "columnar"
+        join = plan_select(body, env) if costed else None
+        options: List[Tuple[str, float, Optional[Option]]] = []
+        if join is not None:
+            join_ms = TIME_COSTS.plan_ms(join[0].estimated_cost or 0.0, columnar)
+            options.append(("a-priori join", join_ms, None))
+        floors: List[str] = []
         for candidate in candidates:
             view = block.partition(sorted(candidate))
             self._observe_fault("qe")
@@ -763,6 +804,18 @@ class SmartIcebergOptimizer:
             use_memo = self.enable_memo and bool(memo)
             if not use_pruning and not use_memo:
                 continue
+            name = f"NLJP on {','.join(sorted(candidate))}"
+            if costed:
+                # Q_R runs once per outer binding, estimated over the
+                # conjuncts the statement states: the equalities the
+                # block's closure adds to Q_B filter no row.
+                stated = [c for c in view.left_internal if c in block.conjuncts]
+                bindings = outer_size(candidate) * estimator.conjunction(stated)
+                floor = TIME_COSTS.binding_floor_ms(bindings)
+                if floor >= min(ms for _, ms, _ in options):
+                    options.append((name, floor, None))
+                    floors.append(name)
+                    continue
             binding_order = ()
             if (
                 self.binding_order == "auto"
@@ -789,16 +842,56 @@ class SmartIcebergOptimizer:
                     f"NLJP on {sorted(candidate)} rejected: {error}"
                 )
                 continue
-            report.pruning = pruning
-            report.memoization = memo
-            report.nljp_partition = tuple(sorted(candidate))
-            best = nljp
-            break
-        if best is None:
-            report.notes.append(
-                "NLJP not applied: no partition passed the memo/pruning checks"
+            option = (name, nljp, pruning, memo, candidate)
+            if not costed:
+                report.technique = Decision(
+                    "technique", "main", name,
+                    reason="first admissible partition (Listing 9)" + (
+                        "" if report.apriori else
+                        "; no a-priori join to weigh it against"
+                    ),
+                )
+                return self._take(option, report), None
+            options.append((name, self._nljp_ms(nljp, bindings, columnar), option))
+        if len(options) <= 1:
+            report.technique = Decision(
+                "technique", "main", "a-priori join" if report.apriori else "join",
+                reason="no NLJP partition passed the memo/pruning checks",
             )
-        return best
+            return None, join
+        best = min(range(len(options)), key=lambda i: options[i][1])
+        report.technique = Decision(
+            "technique", "main", options[best][0],
+            alternatives=tuple(o[0] for i, o in enumerate(options) if i != best),
+            estimates=tuple((o[0], round(o[1], 4)) for o in options),
+            floors=tuple(floors),
+            reason="fastest estimate over the a-priori-reduced statement",
+        )
+        option = options[best][2]
+        if option is None:
+            return None, join
+        return self._take(option, report), None
+
+    @staticmethod
+    def _take(option: Option, report: OptimizationReport) -> NLJPOperator:
+        """Record the chosen partition's checks; hand on its NLJP."""
+        _, nljp, report.pruning, report.memoization, candidate = option
+        report.nljp_partition = tuple(sorted(candidate))
+        return nljp
+
+    @staticmethod
+    def _nljp_ms(nljp: NLJPOperator, bindings: float, columnar: bool) -> float:
+        """Q_B, then Q_R and the per-binding price of the path Q_R runs
+        on, for each of ``bindings`` (:data:`TIME_COSTS`)."""
+        kernel = nljp.inner_kernel
+        if kernel is None or (kernel.blockwise and not columnar):
+            path = "operators"
+        else:
+            path = "block kernel" if kernel.blockwise else "kernel"
+        return TIME_COSTS.nljp_ms(
+            nljp.qb_plan.estimated_cost or 0.0, bindings,
+            nljp.qr_plan.estimated_cost or 0.0, path, columnar,
+        )
 
     @staticmethod
     def _auto_binding_order(pruning: PruningDecision) -> Tuple[ast.OrderItem, ...]:

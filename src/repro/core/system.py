@@ -16,6 +16,12 @@ Feature toggles reproduce the paper's Figure 1 configurations::
     SmartIceberg(db, pruning=False, apriori=False)          # "memo"
     SmartIceberg(db, pruning=False, memo=False)             # "apriori"
 
+The toggles say which techniques are *allowed*: by default an NLJP
+runs over an a-priori-reduced statement only when it is estimated to
+beat the reduced join.  ``technique_choice="first-applicable"`` forces
+Listing 9's rule instead (the first admissible NLJP partition runs),
+which is what the paper's figures measure.
+
 Baseline systems (no Smart-Iceberg rewrites) are plain engine configs:
 ``EngineConfig.postgres()`` and ``EngineConfig.vendor()``.
 """
@@ -62,6 +68,7 @@ class SmartIceberg:
         trace: Optional[str] = None,
         feedback: Optional[str] = None,
         cross_query_memo: bool = False,
+        technique_choice: str = "cost",
     ) -> None:
         self.db = db
         self.config = config or EngineConfig.smart()
@@ -113,6 +120,7 @@ class SmartIceberg:
             cache_policy=cache_policy,
             binding_order=binding_order,
             cross_query_memo=cross_query_memo,
+            technique_choice=technique_choice,
         )
 
     def optimize(self, statement: Statement) -> OptimizedQuery:

@@ -36,7 +36,7 @@ from repro.engine.cardinality import (
     CardinalityEstimator,
     RelationProfile,
 )
-from repro.engine.cost import CostModel
+from repro.engine.cost import CostModel, Decision
 from repro.engine.expressions import Compiled, ExpressionCompiler
 from repro.engine.governor import DEGRADATION_MODES, CancelToken
 from repro.engine.layout import ColumnBatch, ColumnStore, Layout, numpy_or_none
@@ -417,6 +417,9 @@ class PlannedQuery:
     root: ops.PhysicalOperator
     columns: Tuple[str, ...]
     env: PlanEnv
+    #: Plan-time choices made above the operator tree (the optimizer's
+    #: technique choice), with what each rejected.
+    decisions: Tuple[Decision, ...] = ()
 
     def explain(self, analyze: bool = False, params: Optional[Dict[str, Any]] = None) -> str:
         """EXPLAIN text with per-operator estimates.
@@ -449,6 +452,7 @@ class PlannedQuery:
         return {
             "columns": list(self.columns),
             "estimated_cost": None if estimated is None else round(estimated, 3),
+            "decisions": [decision.to_dict() for decision in self.decisions],
             "root": self.root.to_dict(),
         }
 
@@ -877,6 +881,15 @@ class _JoinOrderer:
     def scan_cost(self, alias: str) -> float:
         return _COST.scan(self.raw[alias])
 
+    def access_cost(self, scan: ops.PhysicalOperator, alias: str) -> float:
+        """Cost of the access path ``_scan_relation`` picked: an index
+        scan reads one probe and the rows its key or range enforces,
+        not the whole table."""
+        if isinstance(scan, (ops.IndexPointScan, ops.IndexRangeScan)):
+            matching = self.estimator.scan_rows(alias, list(scan.enforced))
+            return _COST.index_point_scan(matching)
+        return self.scan_cost(alias)
+
     def step_cost(self, bound: FrozenSet[str], alias: str) -> float:
         """Cost of joining ``alias`` onto the ``bound`` subtree.
 
@@ -1038,7 +1051,7 @@ def _plan_joins(
     first_exprs = single_table_exprs(first)
     current = _scan_relation(first, first_exprs, env)
     current.estimated_rows = orderer.filtered[first.alias]
-    current.estimated_cost = orderer.scan_cost(first.alias)
+    current.estimated_cost = orderer.access_cost(current, first.alias)
     if orderer.capture:
         orderer.stamp(current, orderer.scan_fp(first.alias))
     bound = frozenset([first.alias])

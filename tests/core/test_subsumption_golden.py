@@ -8,9 +8,10 @@ logic layer may make the derivation cheaper, never different.
 
 Three kinds of case:
 
-* **statements** are optimized by a fresh ``SmartIceberg`` while a spy
-  on the optimizer's ``check_pruning`` records the Theorem 3 decision
-  for every NLJP partition candidate it tries — accepted or not;
+* **statements** are optimized by a fresh ``SmartIceberg`` under
+  Listing 9's first-applicable rule while a spy on the optimizer's
+  ``check_pruning`` records the Theorem 3 decision for every NLJP
+  partition candidate it tries — accepted or not;
 * **partitions** take one L/R split of a statement's block and derive
   from its Θ directly, which reaches the join conditions Theorem 3
   rejects before deriving (basket, triangle, skewed);
@@ -260,7 +261,7 @@ def _statement_record(db: Database, sql: str) -> List[Dict[str, Any]]:
 
     optimizer_module.check_pruning = spy
     try:
-        SmartIceberg(db).optimize(sql)
+        SmartIceberg(db, technique_choice="first-applicable").optimize(sql)
     finally:
         optimizer_module.check_pruning = real
     return decisions

@@ -6,17 +6,19 @@ import pathlib
 import pytest
 
 from repro.engine.cost import (
+    BINDING_PATHS,
     COUNTER_NAMES,
     DEFAULT_UNIT_COSTS,
+    TIME_COSTS,
     CostModel,
+    Decision,
+    TimeCosts,
     UnitCosts,
     fit_unit_costs,
 )
 from repro.engine.stats import ExecutionStats
 
-GOLDEN_COUNTERS = (
-    pathlib.Path(__file__).resolve().parents[1] / "core" / "golden" / "nljp_counters.json"
-)
+TIME_SAMPLE = pathlib.Path(__file__).parent / "golden" / "time_costs_sample.json"
 
 
 class TestUnitCosts:
@@ -40,60 +42,87 @@ class TestUnitCosts:
 
 
 class TestFit:
-    def test_fit_recovers_default_weights(self):
-        # Synthesize records whose cost is exactly the default model:
-        # least squares must recover the coefficients.
+    """``fit_unit_costs`` fits the technique choice's time prices."""
+
+    @staticmethod
+    def _synthetic(prices):
+        # Runs whose time is exactly the priced model: linearly
+        # independent mixes of units and bindings, in both modes.
         records = []
-        for i in range(1, 20):
-            # Linearly independent counter trajectories (a collinear
-            # design matrix would make the fit underdetermined).
-            counters = {
-                "rows_scanned": (i * i * 13) % 101,
-                "join_pairs": (i * 37) % 97,
-                "index_probes": (i * i * 7) % 89,
-                "aggregation_inputs": (i * 53) % 83,
-                "prune_checks": (i * i * 29) % 79,
-                "cache_hits": (i * 71) % 73,
+        for i in range(1, 16):
+            bindings = {
+                "kernel": (i * 37) % 97,
+                "block kernel": (i * i * 7) % 89,
+                "operators": (i * 53) % 83,
             }
-            records.append(
-                {"counters": counters, "cost": DEFAULT_UNIT_COSTS.cost_of(counters)}
-            )
-        fitted = fit_unit_costs(records)
-        for name in COUNTER_NAMES:
-            assert getattr(fitted, name) == pytest.approx(
-                getattr(DEFAULT_UNIT_COSTS, name), abs=1e-6
-            )
+            for mode in ("columnar", "row"):
+                record = {
+                    "mode": mode,
+                    "units": ((i * i * 13) % 101 + 1) * 10_000,
+                    "bindings": bindings,
+                }
+                record["ms"] = prices.plan_ms(
+                    record["units"], mode == "columnar"
+                ) + sum(
+                    n * prices.binding_us(path) / 1e3 for path, n in bindings.items()
+                )
+                records.append(record)
+        return records
+
+    def test_fit_recovers_default_weights(self):
+        fitted = fit_unit_costs(self._synthetic(TIME_COSTS))
+        assert fitted == TIME_COSTS
 
     def test_fit_pins_degenerate_directions_to_defaults(self):
-        # A counter that never varies cannot be fit; its coefficient
-        # stays at the default instead of going wild.
+        # A path the sample never runs cannot be fit; its price stays
+        # the committed one instead of going wild.
         records = [
-            {"counters": {"rows_scanned": n}, "cost": float(n)} for n in (10, 20, 30)
+            {"mode": "columnar", "units": u, "bindings": {}, "ms": u * 5e-5}
+            for u in (10_000, 20_000, 40_000)
         ]
         fitted = fit_unit_costs(records)
-        assert fitted.rows_scanned == pytest.approx(1.0)
-        assert fitted.join_pairs == DEFAULT_UNIT_COSTS.join_pairs
+        assert fitted.ns_per_unit == pytest.approx(50.0)
+        assert fitted.us_kernel == TIME_COSTS.us_kernel
+        assert fitted.ns_per_row_unit == TIME_COSTS.ns_per_row_unit
 
     def test_fit_empty_returns_defaults(self):
-        assert fit_unit_costs([]) == DEFAULT_UNIT_COSTS
+        assert fit_unit_costs([]) == TIME_COSTS
 
     def test_fit_against_recorded_bench_file(self):
-        # The golden file records the counters of every query, system
-        # and mode; priced by ExecutionStats.cost(), calibration against
-        # them must reproduce the default weights (the drift alarm
-        # between the measured cost and the model).
-        golden = json.loads(GOLDEN_COUNTERS.read_text())
-        records = []
-        for entry in golden.values():
-            for counters in entry["stats"].values():
-                stats = ExecutionStats(**counters)
-                records.append({"counters": stats.as_dict(), "cost": stats.cost()})
-        assert len(records) > len(COUNTER_NAMES)
-        fitted = fit_unit_costs(records)
-        for name in COUNTER_NAMES:
-            assert getattr(fitted, name) == pytest.approx(
-                getattr(DEFAULT_UNIT_COSTS, name), abs=1e-6
-            ), name
+        # ``python -m repro.bench.calibrate`` wrote this sample and
+        # printed TIME_COSTS from it: refitting it gives them back.
+        records = json.loads(TIME_SAMPLE.read_text())
+        assert {r["mode"] for r in records} == {"columnar", "row"}
+        assert {p for r in records for p in r["bindings"]} == set(BINDING_PATHS)
+        assert fit_unit_costs(records) == TIME_COSTS
+
+
+class TestDecision:
+    def test_render_and_to_dict_name_every_option(self):
+        decision = Decision(
+            "technique", "main", "a-priori join",
+            alternatives=("NLJP on l", "NLJP on l,r"),
+            estimates=(("a-priori join", 0.5), ("NLJP on l", 12.0), ("NLJP on l,r", 40.0)),
+            floors=("NLJP on l,r",),
+            reason="fastest estimate",
+        )
+        assert decision.render() == (
+            "technique: a-priori join (est 0.5 ms); rejected NLJP on l "
+            "(est 12 ms), NLJP on l,r (est ≥ 40 ms) — fastest estimate"
+        )
+        assert decision.to_dict()["alternatives"] == [
+            {"option": "NLJP on l", "est_ms": 12.0, "floor": False},
+            {"option": "NLJP on l,r", "est_ms": 40.0, "floor": True},
+        ]
+
+    def test_nljp_prices_every_binding_on_its_path(self):
+        prices = TimeCosts(10.0, 100.0, 1.0, 2.0, 5.0)
+        assert prices.plan_ms(1e6, columnar=True) == pytest.approx(10.0)
+        assert prices.plan_ms(1e6, columnar=False) == pytest.approx(100.0)
+        # Q_B of 1e5 units, then 1 000 bindings of 100 units and 2 us.
+        assert prices.nljp_ms(1e5, 1000, 100, "block kernel", True) == (
+            pytest.approx(1.0 + 1.0 + 2.0)
+        )
 
 
 class TestCostModel:

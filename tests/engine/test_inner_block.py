@@ -611,6 +611,13 @@ def test_speculation_backs_off_while_it_is_wasted():
 # ---------------------------------------------------------------------------
 
 
+#: These statements run faster, by estimate, as the a-priori join alone;
+#: Listing 9's rule makes them run the NLJP these tests are about.
+FORCED = dict(technique_choice="first-applicable")
+#: ``triangle_hub``'s NLJP with a join-shaped Q_R is the server's.
+BLOCK_NLJP = dict(cross_query_memo=True, **FORCED)
+
+
 def _nljp_of(optimized):
     return next(
         node for node in iter_plan_nodes(optimized.planned.root) if hasattr(node, "qr_plan")
@@ -642,7 +649,7 @@ def test_prefetch_state_is_per_execution():
     """Two contexts running one kernel keep their own results: what one
     evaluated ahead the other neither sees nor pays for."""
     db = make_cyclic_db(CyclicConfig(n_edges=300, seed=7))
-    nljp = _nljp_of(SmartIceberg(db, cross_query_memo=True).optimize(triangle_hub_query(2)))
+    nljp = _nljp_of(SmartIceberg(db, **BLOCK_NLJP).optimize(triangle_hub_query(2)))
     kernel = nljp.inner_kernel
     assert isinstance(kernel, BlockKernel)
     first, second = (ops.ExecutionContext(batch_size=64, columnar=True) for _ in range(2))
@@ -660,7 +667,7 @@ def test_prefetch_state_is_per_execution():
 @needs_numpy
 def test_describe_and_to_dict_say_which_path_ran_and_why():
     db = make_cyclic_db(CyclicConfig(n_edges=300, seed=7))
-    optimized = SmartIceberg(db, cross_query_memo=True).optimize(triangle_hub_query(2))
+    optimized = SmartIceberg(db, **BLOCK_NLJP).optimize(triangle_hub_query(2))
     nljp = _nljp_of(optimized)
     block = "block kernel (IndexPointScan edge_src → IndexNestedLoopJoin edge_pkey)"
     assert f"  inner: {block}" in nljp.describe()
@@ -684,7 +691,7 @@ def test_observers_see_the_trees_rows_and_loops(knobs):
     load_unpivoted(db, _dense_config(240, 2017), n_categories=4)
     seen = {}
     for tree in (False, True):
-        optimized = SmartIceberg(db, **knobs).optimize(complex_query(4))
+        optimized = SmartIceberg(db, **FORCED, **knobs).optimize(complex_query(4))
         nljp = _nljp_of(optimized)
         if tree:
             nljp.inner_kernel = None
@@ -715,7 +722,7 @@ def test_the_tree_is_the_fallback_without_numpy(monkeypatch):
     """What the tier-1 CI job (no NumPy) runs."""
     monkeypatch.setattr(layout, "_np", None)
     db = make_cyclic_db(CyclicConfig(n_edges=300, seed=7))
-    engine = SmartIceberg(db, cross_query_memo=True)
+    engine = SmartIceberg(db, **BLOCK_NLJP)
     optimized = engine.optimize(triangle_hub_query(2))
     nljp = _nljp_of(optimized)
     assert nljp.inner_kernel is None
@@ -733,7 +740,7 @@ def test_the_query_log_and_report_carry_the_speculation_counters():
 
     db = Database()
     load_unpivoted(db, _dense_config(240, 2017), n_categories=4)
-    server = IcebergServer(db)
+    server = IcebergServer(db, **FORCED)
     result = server.session().execute(complex_query(4))
     record = server.query_log.to_list()[-1]
     assert record["inner_evaluations"] == result.stats.inner_evaluations > 0

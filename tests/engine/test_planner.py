@@ -130,6 +130,29 @@ class TestScanChoice:
         slow = execute(db, sql, EngineConfig(use_secondary_indexes=False))
         assert sorted(fast.rows) == sorted(slow.rows)
 
+    @pytest.mark.parametrize(
+        "where, kind",
+        [("teamid = 2", "IndexPointScan"), ("h >= 30", "IndexRangeScan")],
+    )
+    def test_index_scan_costed_by_matching_rows(self, db, where, kind):
+        # An index scan reads one probe plus the rows its key or range
+        # enforces; it is not charged the full scan of the table.
+        from repro.engine import plan_query
+        from repro.engine.cost import CostModel
+        from repro.sql import parse
+
+        planned = plan_query(
+            db, parse(f"SELECT playerid FROM perf WHERE {where}"), EngineConfig()
+        )
+        scan = planned.root
+        while scan.children():
+            scan = scan.children()[0]
+        assert type(scan).__name__ == kind
+        assert scan.estimated_cost == pytest.approx(
+            CostModel().index_point_scan(scan.estimated_rows)
+        )
+        assert scan.estimated_cost < CostModel().scan(40)
+
 
 class TestCtePlans:
     def test_cte_materialized_once(self, db):
