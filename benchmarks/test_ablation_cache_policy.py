@@ -10,14 +10,15 @@ from conftest import run_figure
 
 from repro.engine import EngineConfig, execute
 from repro.core.system import SmartIceberg
-from repro.bench.figures import FigureReport, _batting_db, bench_scale
+from repro.bench.figures import FigureReport, bench_scale
+from repro.workloads.baseball import batting_db
 from repro.bench.harness import FIGURE_CHOICE, format_table
 from repro.workloads.queries import skyband_query
 
 
 def run_cache_policy_ablation(n_rows=None, k=40):
     n_rows = n_rows or int(1000 * bench_scale())
-    db = _batting_db(n_rows)
+    db = batting_db(n_rows)
     sql = skyband_query("b_h", "b_hr", k)
     baseline = sorted(execute(db, sql, EngineConfig.postgres()).rows)
 

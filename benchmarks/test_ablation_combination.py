@@ -12,14 +12,15 @@ from conftest import run_figure
 
 from repro.engine import EngineConfig, execute
 from repro.core.system import SmartIceberg
-from repro.bench.figures import FigureReport, _perf_db, bench_scale
+from repro.bench.figures import FigureReport, bench_scale
+from repro.workloads.baseball import perf_db
 from repro.bench.harness import FIGURE_CHOICE, format_table
 from repro.workloads.queries import complex_query
 
 
 def run_combination_ablation(n_rows=None, threshold=40):
     n_rows = n_rows or int(5000 * bench_scale())
-    db = _perf_db(n_rows)
+    db = perf_db(n_rows)
     sql = complex_query(threshold)
     baseline = execute(db, sql, EngineConfig.postgres())
     reference = baseline.sorted_rows()

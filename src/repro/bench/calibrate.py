@@ -40,7 +40,7 @@ from repro.workloads import (
     skyband_query,
     triangle_hub_query,
 )
-from repro.bench.figures import _dense_config
+from repro.workloads.baseball import dense_config
 
 SAMPLE = (
     pathlib.Path(__file__).resolve().parents[3]
@@ -67,8 +67,8 @@ SYSTEMS = {
 
 def calibration_db() -> Database:
     db = Database()
-    load_batting(db, _dense_config(1200))
-    load_unpivoted(db, _dense_config(1000, 2018))
+    load_batting(db, dense_config(1200))
+    load_unpivoted(db, dense_config(1000, 2018))
     load_baskets(db, BasketConfig(n_baskets=1500, seed=2019))
     load_edges(db, CyclicConfig(n_edges=800, seed=2020))
     return db

@@ -20,11 +20,7 @@ from repro.engine.executor import execute as engine_execute
 from repro.engine.planner import EngineConfig
 from repro.core.system import SmartIceberg
 from repro.storage.catalog import Database
-from repro.workloads.baseball import (
-    BaseballConfig,
-    load_batting,
-    load_unpivoted,
-)
+from repro.workloads.baseball import batting_db, perf_db
 from repro.workloads.queries import complex_query, figure1_queries, skyband_query
 from repro.bench.harness import (
     FIGURE_CHOICE,
@@ -55,33 +51,6 @@ class FigureReport:
         return self.table
 
 
-def _dense_config(n_rows: int, seed: int = 2017) -> BaseballConfig:
-    """A league sized so team-seasons hold realistic rosters.
-
-    The pairs queries need players that actually share team-seasons;
-    keeping ~12 players per (team, year) at any scale mirrors the
-    density of the paper's real MLB data.
-    """
-    team_seasons = max(8, n_rows // 12)
-    n_teams = max(3, int(round((team_seasons / 1.5) ** 0.5)))
-    n_years = max(4, team_seasons // n_teams)
-    return BaseballConfig(
-        n_rows=n_rows, n_teams=n_teams, n_years=n_years, seed=seed
-    )
-
-
-def _batting_db(n_rows: int, with_indexes: bool = True, seed: int = 2017) -> Database:
-    db = Database()
-    load_batting(db, _dense_config(n_rows, seed), with_indexes=with_indexes)
-    return db
-
-
-def _perf_db(n_rows: int, seed: int = 2017, n_categories: int = 8) -> Database:
-    db = Database()
-    load_unpivoted(db, _dense_config(n_rows, seed), n_categories=n_categories)
-    return db
-
-
 # ---------------------------------------------------------------------------
 # Figure 1: systems × Q1-Q8
 # ---------------------------------------------------------------------------
@@ -93,7 +62,7 @@ def figure_1(
 ) -> FigureReport:
     """Performance of the six system configurations on Q1-Q8."""
     n_rows = n_rows or int(1200 * bench_scale())
-    db = _batting_db(n_rows)
+    db = batting_db(n_rows)
     queries = {name: q.sql for name, q in figure1_queries().items()}
     measurements = run_comparison(db, queries, make_systems(systems))
     speedups = speedup_over(measurements, baseline="postgres")
@@ -122,7 +91,7 @@ def figure_2(n_rows: Optional[int] = None, k: Optional[int] = None) -> FigureRep
     """
     n_rows = n_rows or int(2000 * bench_scale())
     k = k if k is not None else max(10, n_rows // 6)
-    db = _batting_db(n_rows)
+    db = batting_db(n_rows)
     batting = db.table("batting")
     pairs = (("b_h", "b_hr"), ("b_hr", "b_sb"))
     rows = []
@@ -173,7 +142,7 @@ def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
 def figure_3(n_rows: Optional[int] = None) -> FigureReport:
     """NLJP cache size (rows / kB) after running each of Q1-Q8."""
     n_rows = n_rows or int(1200 * bench_scale())
-    db = _batting_db(n_rows)
+    db = batting_db(n_rows)
     rows = []
     series: Dict[str, object] = {}
     input_bytes = db.table("batting").estimated_bytes()
@@ -216,7 +185,7 @@ def figure_4(n_rows: Optional[int] = None, k: int = 50) -> FigureReport:
     series: Dict[str, object] = {}
 
     def measure(label: str, with_bt: bool, smart: bool, cache_index: bool) -> None:
-        db = _batting_db(n_rows, with_indexes=with_bt)
+        db = batting_db(n_rows, with_indexes=with_bt)
         if smart:
             system = SmartIceberg(
                 db, apriori=False, cache_index=cache_index,
@@ -297,7 +266,7 @@ def figure_5(
 ) -> FigureReport:
     """skyband running times while varying the HAVING threshold."""
     n_rows = n_rows or int(1500 * bench_scale())
-    db = _batting_db(n_rows)
+    db = batting_db(n_rows)
     points = [
         (f"k={k}", db, skyband_query("b_h", "b_hr", k)) for k in thresholds
     ]
@@ -314,7 +283,7 @@ def figure_6(
 ) -> FigureReport:
     """complex running times while varying the HAVING threshold."""
     n_rows = n_rows or int(6000 * bench_scale())
-    db = _perf_db(n_rows)
+    db = perf_db(n_rows)
     points = [(f"t={t}", db, complex_query(t)) for t in thresholds]
     return _sweep(
         "Figure 6",
@@ -330,7 +299,7 @@ def figure_7(
     sizes = sizes or [int(s * bench_scale()) for s in (500, 1000, 2000)]
     points = []
     for size in sizes:
-        db = _batting_db(size)
+        db = batting_db(size)
         points.append((f"n={size}", db, skyband_query("b_h", "b_hr", k)))
     return _sweep("Figure 7", f"Figure 7 — skyband vs input size (k={k})", points)
 
@@ -342,7 +311,7 @@ def figure_8(
     sizes = sizes or [int(s * bench_scale()) for s in (2000, 4000, 8000)]
     points = []
     for size in sizes:
-        db = _perf_db(size)
+        db = perf_db(size)
         points.append((f"n={size}", db, complex_query(threshold)))
     return _sweep(
         "Figure 8",

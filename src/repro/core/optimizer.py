@@ -92,6 +92,9 @@ Choice = Tuple[Optional[NLJPOperator], Optional[Tuple[ops.PhysicalOperator, Tupl
 #: stream of ever-new conditions from growing the map without limit.
 _MAX_DERIVED_FORMULAS = 64
 
+#: The most relation instances one a-priori reducer covers.
+MAX_PARTITION_SIZE = 3
+
 
 @dataclass
 class OptimizationReport:
@@ -157,8 +160,6 @@ class OptimizedQuery:
     def execute(
         self,
         params: Optional[Dict] = None,
-        execution_mode: Optional[str] = None,
-        batch_size: Optional[int] = None,
         cancel_token: Optional[Any] = None,
         fault_plan: Optional[Any] = None,
         deadline_seconds: Optional[float] = None,
@@ -171,10 +172,11 @@ class OptimizedQuery:
         see the full story in one place — on success *and* on the
         partial stats carried by a typed error.
 
-        The keyword overrides scope governor/mode knobs to *this
+        The keyword overrides scope governor knobs to *this
         execution*: the serving layer re-executes one optimized plan
-        many times with per-call cancel tokens, fault plans, deadlines
-        and execution modes, none of which may stick to the plan.
+        many times with per-call cancel tokens, fault plans and
+        deadlines, none of which may stick to the plan.  The plan
+        always runs in the execution mode it was priced for.
         """
         tracer = None
         config = self.planned.env.config
@@ -188,8 +190,6 @@ class OptimizedQuery:
             result = run_planned(
                 self.planned,
                 params,
-                execution_mode=execution_mode,
-                batch_size=batch_size,
                 tracer=tracer,
                 cancel_token=cancel_token,
                 fault_plan=fault_plan,
@@ -233,8 +233,6 @@ class SmartIcebergOptimizer:
         cache_index: bool = True,
         cache_max_entries: Optional[int] = None,
         cache_policy: str = "none",
-        max_partition_size: int = 3,
-        binding_order: str = "none",
         cross_query_memo: bool = False,
         technique_choice: str = "cost",
     ) -> None:
@@ -242,10 +240,6 @@ class SmartIcebergOptimizer:
             raise OptimizationError(
                 "technique_choice must be 'cost' or 'first-applicable', "
                 f"got {technique_choice!r}"
-            )
-        if binding_order not in ("none", "auto"):
-            raise OptimizationError(
-                f"binding_order must be 'none' or 'auto', got {binding_order!r}"
             )
         # Validate the cache knobs here, at the API boundary, instead of
         # letting a bad value surface later as a failure deep inside
@@ -271,8 +265,6 @@ class SmartIcebergOptimizer:
         self.cache_index = cache_index
         self.cache_max_entries = cache_max_entries
         self.cache_policy = cache_policy
-        self.max_partition_size = max_partition_size
-        self.binding_order = binding_order
         self.technique_choice = technique_choice
         # Serving-layer mode: the NLJP cache outlives one execution
         # (see repro.serve.plan_cache), so the "all bindings distinct,
@@ -631,7 +623,7 @@ class SmartIcebergOptimizer:
         """Find one applicable reducer among subsets of ``remaining``."""
         aliases = sorted(remaining)
         all_aliases = frozenset(block.aliases)
-        max_size = min(len(aliases), self.max_partition_size, len(all_aliases) - 1)
+        max_size = min(len(aliases), MAX_PARTITION_SIZE, len(all_aliases) - 1)
         estimator = self._block_estimator(block)
         # Rank candidate subsets by the *fineness* of the reducer's
         # grouping (more G_L attributes = finer groups = more filtering
@@ -816,15 +808,6 @@ class SmartIcebergOptimizer:
                     options.append((name, floor, None))
                     floors.append(name)
                     continue
-            binding_order = ()
-            if (
-                self.binding_order == "auto"
-                and use_pruning
-                and pruning.predicate is not None
-            ):
-                binding_order = self._auto_binding_order(pruning)
-            if self.binding_order == "auto" and not binding_order and use_memo:
-                binding_order = self._memo_binding_order(view, estimator)
             try:
                 nljp = NLJPOperator(
                     view,
@@ -835,7 +818,6 @@ class SmartIcebergOptimizer:
                     cache_index=self.cache_index,
                     cache_max_entries=self.cache_max_entries,
                     cache_policy=self.cache_policy,
-                    binding_order=binding_order,
                 )
             except OptimizationError as error:
                 report.notes.append(
@@ -891,65 +873,6 @@ class SmartIcebergOptimizer:
         return TIME_COSTS.nljp_ms(
             nljp.qb_plan.estimated_cost or 0.0, bindings,
             nljp.qr_plan.estimated_cost or 0.0, path, columnar,
-        )
-
-    @staticmethod
-    def _auto_binding_order(pruning: PruningDecision) -> Tuple[ast.OrderItem, ...]:
-        """Pick a Q_B ordering that maximizes pruning opportunities.
-
-        The paper leaves the exploration order unspecified and flags
-        intelligent ordering as future work (Section 7).  Our heuristic
-        uses the derived predicate's ordered attribute ``w_i OP v_i``:
-        a new binding can only be pruned by a cached candidate on the
-        favourable side of that attribute, so process bindings so that
-        *every* earlier (hence cacheable) binding lies on that side —
-        e.g. for the anti-monotone skyband (prune when new ≤ cached),
-        explore in descending coordinate order.
-        """
-        from repro.core.pruning import PruneDirection
-
-        predicate = pruning.predicate
-        assert predicate is not None
-        ordered = predicate.ordered_attribute()
-        if ordered is None:
-            return ()
-        position, op = ordered
-        attribute = predicate.attributes[position]
-        # The predicate requires w OP v with w the subsumer.  If the new
-        # binding plays w (NEW_SUBSUMES_CACHED), candidates must satisfy
-        # new OP cached — for OP "<=" cache the large values first, i.e.
-        # descending order.  With roles swapped, mirror the direction.
-        if pruning.direction is PruneDirection.NEW_SUBSUMES_CACHED:
-            ascending = op in (">", ">=")
-        else:
-            ascending = op in ("<", "<=")
-        alias, _, column = attribute.partition(".")
-        return (ast.OrderItem(ast.ColumnRef(alias, column), ascending=ascending),)
-
-    @staticmethod
-    def _memo_binding_order(
-        view: PartitionView, estimator: CardinalityEstimator
-    ) -> Tuple[ast.OrderItem, ...]:
-        """Cluster equal memo keys so cache hits arrive back-to-back.
-
-        When pruning offers no ordered attribute but memoization is on,
-        sorting the outer bindings on the memo key (the θ attributes on
-        the outer side, lowest estimated distinct count first) groups
-        repeated keys together.  Hit counts are order-independent, but a
-        bounded cache (``cache_max_entries``) evicts less when repeats
-        are adjacent, and low-NDV attributes leading the sort keep the
-        working set small.
-        """
-        keyed = []
-        for attribute in sorted(view.j_left):
-            alias, _, column = attribute.partition(".")
-            profile = estimator.profiles.get(alias)
-            ndv = profile.ndv(column) if profile is not None else DEFAULT_RELATION_ROWS
-            keyed.append((ndv, alias, column))
-        keyed.sort()
-        return tuple(
-            ast.OrderItem(ast.ColumnRef(alias, column), ascending=True)
-            for _, alias, column in keyed
         )
 
     def _finalize_nljp_plan(

@@ -54,7 +54,6 @@ class SmartIceberg:
         cache_index: bool = True,
         cache_max_entries: Optional[int] = None,
         cache_policy: str = "none",
-        binding_order: str = "none",
         execution_mode: Optional[str] = None,
         batch_size: Optional[int] = None,
         max_rows_scanned: Optional[int] = None,
@@ -62,7 +61,6 @@ class SmartIceberg:
         max_cache_bytes: Optional[int] = None,
         deadline_seconds: Optional[float] = None,
         degradation: Optional[str] = None,
-        cancel_token: Optional[CancelToken] = None,
         fault_plan: Optional[object] = None,
         analyze: Optional[str] = None,
         trace: Optional[str] = None,
@@ -87,7 +85,6 @@ class SmartIceberg:
             ("max_cache_bytes", max_cache_bytes),
             ("deadline_seconds", deadline_seconds),
             ("degradation", degradation),
-            ("cancel_token", cancel_token),
             ("fault_plan", fault_plan),
             # Static analysis: "off" (name resolution only), "warn"
             # (typecheck + lints + plan verification as report notes),
@@ -118,7 +115,6 @@ class SmartIceberg:
             cache_index=cache_index,
             cache_max_entries=cache_max_entries,
             cache_policy=cache_policy,
-            binding_order=binding_order,
             cross_query_memo=cross_query_memo,
             technique_choice=technique_choice,
         )
@@ -141,29 +137,12 @@ class SmartIceberg:
         *this call only* — they never stick to the instance, so a
         token cancelled here cannot leak into the next query.
         """
-        try:
-            return self.optimize(statement).execute(
-                params,
-                cancel_token=cancel_token,
-                fault_plan=fault_plan,
-                deadline_seconds=deadline_seconds,
-            )
-        finally:
-            self._drop_tripped_token()
-
-    def _drop_tripped_token(self) -> None:
-        """Forget a constructor-supplied token once it has cancelled.
-
-        A :class:`CancelToken` is one-shot, so a token baked into the
-        instance config at construction time would cancel every later
-        query on this instance the moment it fires.  Per-call tokens
-        (the ``execute`` keyword) are the recommended interface; this
-        keeps the legacy constructor knob safe too.
-        """
-        token = self.config.cancel_token
-        if token is not None and token.cancelled:
-            self.config = dataclasses.replace(self.config, cancel_token=None)
-            self.optimizer.config = self.config
+        return self.optimize(statement).execute(
+            params,
+            cancel_token=cancel_token,
+            fault_plan=fault_plan,
+            deadline_seconds=deadline_seconds,
+        )
 
     def execute_baseline(
         self,

@@ -14,7 +14,6 @@ from repro.engine.operators import DEFAULT_COLUMNAR_BATCH_SIZE, ExecutionContext
 from repro.engine.planner import (
     EngineConfig,
     PlannedQuery,
-    check_execution_mode,
     plan_query,
 )
 from repro.engine.stats import ExecutionStats
@@ -115,8 +114,6 @@ def execute(
 def run_planned(
     planned: PlannedQuery,
     params: Optional[Dict[str, Any]] = None,
-    execution_mode: Optional[str] = None,
-    batch_size: Optional[int] = None,
     tracer: Optional[Any] = None,
     cancel_token: Optional[Any] = None,
     fault_plan: Optional[Any] = None,
@@ -129,13 +126,14 @@ def run_planned(
     once and executed many times — the same pattern the paper leans on
     PostgreSQL's prepared statements for.
 
-    ``execution_mode``/``batch_size`` override the planned config's
-    settings; ``None`` inherits them.  Columnar mode produces the rows
-    of row mode; its counters agree modulo the zone-map split (see
-    :meth:`ExecutionStats.parity_dict`).
+    The plan runs in its config's ``execution_mode`` and
+    ``batch_size``: the mode its plan-time choices were priced for.
+    Columnar mode produces the rows of row mode; its counters agree
+    modulo the zone-map split (see :meth:`ExecutionStats.parity_dict`).
 
-    When the config sets any governor knob (budgets, deadline, cancel
-    token, fault plan), a :class:`~repro.engine.governor.Governor` is
+    When the config sets any governor knob (budgets, deadline, fault
+    plan) or the call passes a cancel token, a
+    :class:`~repro.engine.governor.Governor` is
     attached to the execution context and operators enforce it at
     row/batch boundaries.  Any :class:`ReproError` escaping execution
     carries the partial stats accumulated so far in ``error.stats``;
@@ -150,43 +148,29 @@ def run_planned(
     execution only and always torn down — even when a budget trips
     mid-query.
 
-    ``cancel_token``/``fault_plan``/``deadline_seconds`` override the
-    planned config's governor knobs *for this execution only* — the
-    serving layer passes fresh per-call tokens here so a token
-    cancelled during one query can never leak into the next execution
-    of the same (cached) plan.
+    ``cancel_token`` governs *this execution only* — a one-shot token
+    belongs to a call, never to the config that a cached plan shares,
+    so a token cancelled during one query cannot leak into the next
+    execution of the same plan.  ``fault_plan``/``deadline_seconds``
+    override the planned config's governor knobs for this execution.
     """
     config = planned.env.config
-    if (
-        cancel_token is not None
-        or fault_plan is not None
-        or deadline_seconds is not None
-    ):
+    if fault_plan is not None or deadline_seconds is not None:
         import dataclasses
 
         overrides: Dict[str, Any] = {}
-        if cancel_token is not None:
-            overrides["cancel_token"] = cancel_token
         if fault_plan is not None:
             overrides["fault_plan"] = fault_plan
         if deadline_seconds is not None:
             overrides["deadline_seconds"] = deadline_seconds
         config = dataclasses.replace(config, **overrides)
-    if execution_mode is None:
-        mode = config.execution_mode
-    else:
-        mode = check_execution_mode(execution_mode)
-    if batch_size is None:
-        batch_size = config.batch_size
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    columnar = mode == "columnar"
+    columnar = config.execution_mode == "columnar"
     ctx = ExecutionContext(
         params=dict(params or {}),
-        batch_size=(batch_size or DEFAULT_COLUMNAR_BATCH_SIZE) if columnar else None,
+        batch_size=(config.batch_size or DEFAULT_COLUMNAR_BATCH_SIZE) if columnar else None,
         columnar=columnar,
     )
-    ctx.governor = Governor.from_config(config, ctx.stats)
+    ctx.governor = Governor.from_config(config, ctx.stats, cancel_token)
     if tracer is None and config.trace != "off":
         from repro.obs.tracer import Tracer
 
@@ -245,7 +229,7 @@ def run_planned(
         stats=ctx.stats,
         elapsed_seconds=elapsed,
         plan=planned,
-        execution_mode=mode,
+        execution_mode=config.execution_mode,
         profile=profile,
         governor=ctx.governor,
     )

@@ -127,8 +127,14 @@ class Governor:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_config(cls, config, stats: ExecutionStats) -> Optional["Governor"]:
-        """Build a governor from an EngineConfig; ``None`` if ungoverned.
+    def from_config(
+        cls,
+        config,
+        stats: ExecutionStats,
+        cancel_token: Optional[CancelToken] = None,
+    ) -> Optional["Governor"]:
+        """Build a governor from an EngineConfig and one call's cancel
+        token; ``None`` if ungoverned.
 
         A governor is only created when something can actually trip —
         a budget, a deadline, a cancel token, or a fault plan — so the
@@ -139,7 +145,7 @@ class Governor:
             and config.max_join_pairs is None
             and config.max_cache_bytes is None
             and config.deadline_seconds is None
-            and config.cancel_token is None
+            and cancel_token is None
             and config.fault_plan is None
         ):
             return None
@@ -150,7 +156,7 @@ class Governor:
             max_cache_bytes=config.max_cache_bytes,
             deadline_seconds=config.deadline_seconds,
             degradation=config.degradation,
-            cancel_token=config.cancel_token,
+            cancel_token=cancel_token,
             fault_plan=config.fault_plan,
         )
 

@@ -38,7 +38,7 @@ from repro.engine.cardinality import (
 )
 from repro.engine.cost import CostModel, Decision
 from repro.engine.expressions import Compiled, ExpressionCompiler
-from repro.engine.governor import DEGRADATION_MODES, CancelToken
+from repro.engine.governor import DEGRADATION_MODES
 from repro.engine.layout import ColumnBatch, ColumnStore, Layout, numpy_or_none
 from repro.obs.spans import TRACE_MODES
 from repro.storage.catalog import Database
@@ -66,15 +66,6 @@ _COST = CostModel()
 def _default_mode() -> str:
     """Columnar needs NumPy; an install without it runs row-at-a-time."""
     return "columnar" if numpy_or_none() is not None else "row"
-
-
-def check_execution_mode(mode: str) -> str:
-    """``mode`` if it is one of :data:`EXECUTION_MODES`, else ValueError."""
-    if mode not in EXECUTION_MODES:
-        raise ValueError(
-            f"execution_mode must be one of {EXECUTION_MODES}, got {mode!r}"
-        )
-    return mode
 
 
 @dataclass(frozen=True)
@@ -113,9 +104,10 @@ class EngineConfig:
     The governor knobs bound one execution (see
     :mod:`repro.engine.governor`): ``max_rows_scanned`` and
     ``max_join_pairs`` cap the corresponding work counters,
-    ``max_cache_bytes`` caps the NLJP cache footprint,
-    ``deadline_seconds`` caps wall clock, and ``cancel_token`` allows
-    cooperative cancellation.  ``degradation`` selects what happens on
+    ``max_cache_bytes`` caps the NLJP cache footprint, and
+    ``deadline_seconds`` caps wall clock; a cancel token belongs to one
+    call (``run_planned(..., cancel_token=)``), not to a config that
+    cached plans share.  ``degradation`` selects what happens on
     cache pressure and optimizer-technique failures: ``"fail"`` raises
     a typed error with partial stats, ``"fallback"`` degrades to a
     slower-but-correct plan and records why in
@@ -128,8 +120,6 @@ class EngineConfig:
 
     join_policy: str = "index-first"  # 'index-first' | 'hash-first' | 'nlj-only'
     join_order: str = "dp"  # 'dp' | 'greedy' | 'syntactic'
-    allow_hash_join: bool = True
-    use_secondary_indexes: bool = True
     parallelism: float = 1.0
     label: str = "postgres"
     execution_mode: str = field(  # 'row' | 'columnar'
@@ -141,7 +131,6 @@ class EngineConfig:
     max_cache_bytes: Optional[int] = None
     deadline_seconds: Optional[float] = None
     degradation: str = "fail"  # 'fail' | 'fallback'
-    cancel_token: Optional[CancelToken] = None
     fault_plan: Optional[Any] = None
     #: Static-analysis level applied by the Smart-Iceberg optimizer:
     #: "off" resolves names only, "warn" additionally typechecks, lints
@@ -166,7 +155,11 @@ class EngineConfig:
     feedback: str = "off"  # 'off' | 'observe' | 'apply'
 
     def __post_init__(self) -> None:
-        check_execution_mode(self.execution_mode)
+        if self.execution_mode not in EXECUTION_MODES:
+            raise ValueError(
+                f"execution_mode must be one of {EXECUTION_MODES}, "
+                f"got {self.execution_mode!r}"
+            )
         if self.join_order not in JOIN_ORDERS:
             raise ValueError(
                 f"join_order must be one of {JOIN_ORDERS}, got {self.join_order!r}"
@@ -188,6 +181,8 @@ class EngineConfig:
                 f"degradation must be one of {DEGRADATION_MODES}, "
                 f"got {self.degradation!r}"
             )
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         for name in ("max_rows_scanned", "max_join_pairs", "max_cache_bytes"):
             value = getattr(self, name)
             if value is not None and value < 0:
@@ -721,7 +716,7 @@ def _matching_hash_index(
     columns = [column for _, column, _ in deduped]
     index = table.find_hash_index(columns)
     chosen = deduped
-    if index is None and config.use_secondary_indexes:
+    if index is None:
         for size in range(len(deduped) - 1, 0, -1):
             for subset in combinations(deduped, size):
                 index = table.find_hash_index([c for _, c, _ in subset])
@@ -927,11 +922,11 @@ class _JoinOrderer:
                     sel = self.estimator.conjunction([c.expr for c, _, _ in chosen])
                     pairs = outer_rows * filtered_inner * sel
                     costs.append(_COST.index_nested_loop_join(outer_rows, pairs))
-            if equi and config.allow_hash_join:
+            if equi:
                 sel = self.estimator.conjunction([c.expr for c, _, _ in equi])
                 pairs = outer_rows * filtered_inner * sel
                 costs.append(_COST.scan(raw_inner) + _COST.hash_join(outer_rows, pairs))
-            if relation.table is not None and ranges and config.use_secondary_indexes:
+            if relation.table is not None and ranges:
                 used = [
                     c
                     for c, column, _, _ in ranges
@@ -1125,7 +1120,7 @@ def _scan_relation(
         predicate = ast.conjoin(exprs)
         return relation.scan(compiler.compile(predicate) if predicate else None)
 
-    if relation.table is None or not env.config.use_secondary_indexes or not exprs:
+    if relation.table is None or not exprs:
         return full_scan()
 
     # Equality conjuncts with row-independent right-hand sides can probe
@@ -1310,7 +1305,7 @@ def _join_one(
         return plan, cost
 
     def try_index_range() -> Optional[Tuple[ops.PhysicalOperator, float]]:
-        if relation.table is None or not ranges or not config.use_secondary_indexes:
+        if relation.table is None or not ranges:
             return None
         # Prefer a column with both bounds, else any bounded column.
         by_column: Dict[str, List[Tuple[_Conjunct, str, ast.Expr]]] = {}
@@ -1367,7 +1362,7 @@ def _join_one(
         return scan
 
     def try_hash() -> Optional[Tuple[ops.PhysicalOperator, float]]:
-        if not equi or not config.allow_hash_join:
+        if not equi:
             return None
         inner_scan = inner_scan_plan()
         inner_layout = inner_scan.layout

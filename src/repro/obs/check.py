@@ -234,11 +234,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.obs.check", description=__doc__
     ).parse_args(argv)
 
-    from repro.bench.figures import _batting_db
+    from repro.workloads.baseball import batting_db
     from repro.testing import RECORD_SEED
     from repro.workloads import figure1_queries
 
-    db = _batting_db(_Q1_ROWS, seed=RECORD_SEED)
+    db = batting_db(_Q1_ROWS, seed=RECORD_SEED)
     sql = figure1_queries()["Q1"].sql
     failures: List[str] = []
 

@@ -369,7 +369,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.bench.figures import _batting_db
+    from repro.workloads.baseball import batting_db
     from repro.bench.harness import make_systems, run_comparison
     from repro.testing import RECORD_SEED
     from repro.workloads import figure1_queries
@@ -390,7 +390,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         name.strip() for name in args.systems.split(",") if name.strip()
     )
 
-    db = _batting_db(args.rows, seed=RECORD_SEED)
+    db = batting_db(args.rows, seed=RECORD_SEED)
     run_comparison(db, queries, make_systems(systems))
 
     text = registry.render()

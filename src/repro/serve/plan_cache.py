@@ -59,6 +59,9 @@ class PlanCacheEntry:
     techniques: FrozenSet[str]
     token: Tuple[int, ...]
     optimized: Any
+    #: ``stable_fingerprint`` of the plan's ``explain()``, taken once
+    #: when the plan is built, before any execution adds runtime lines.
+    fingerprint: str = ""
     #: Serializes executions of this specific plan instance.
     lock: threading.RLock = field(default_factory=threading.RLock)
     hits: int = 0  # guarded-by: PlanCache._lock
@@ -164,6 +167,7 @@ class PlanCache:
         techniques: FrozenSet[str],
         token: Tuple[int, ...],
         optimized: Any,
+        fingerprint: str = "",
     ) -> PlanCacheEntry:
         """Insert (or replace) the plan for this key, evicting on overflow.
 
@@ -184,6 +188,7 @@ class PlanCache:
             techniques=techniques,
             token=token,
             optimized=optimized,
+            fingerprint=fingerprint,
             lock=self._lock_factory(),
         )
         with self._lock:

@@ -92,15 +92,9 @@ class PreparedStatement:
         self.sql = sql
         self.executions = 0
 
-    def execute(
-        self,
-        params: Optional[Dict] = None,
-        execution_mode: Optional[str] = None,
-    ) -> Result:
+    def execute(self, params: Optional[Dict] = None) -> Result:
         self.executions += 1
-        return self.session.execute(
-            self.sql, params=params, execution_mode=execution_mode
-        )
+        return self.session.execute(self.sql, params=params)
 
     def __repr__(self) -> str:
         return f"PreparedStatement({self.sql[:40]!r}..., executions={self.executions})"
@@ -138,7 +132,6 @@ class Session:
         self,
         sql: str,
         params: Optional[Dict] = None,
-        execution_mode: Optional[str] = None,
         cancel_token: Optional[Any] = None,
     ) -> Result:
         if self.closed:
@@ -150,7 +143,6 @@ class Session:
             self,
             sql,
             params=params,
-            execution_mode=execution_mode,
             cancel_token=cancel_token,
             key=f"{self.session_id}:{sequence}",
         )
@@ -212,7 +204,6 @@ class IcebergServer:
         retry_sleep: Optional[Callable[[float], None]] = None,
         breaker_threshold: int = 3,
         breaker_recovery_seconds: float = 30.0,
-        shared_nljp_cache: bool = True,
         max_rows_scanned: Optional[int] = None,
         max_join_pairs: Optional[int] = None,
         clock: Callable[[], float] = time.monotonic,
@@ -245,7 +236,6 @@ class IcebergServer:
             )
             for technique in TECHNIQUES
         }
-        self.shared_nljp_cache = shared_nljp_cache
         self._registry = registry if registry is not None else REGISTRY
         #: Structured flight recorder: one record per served execution
         #: (and per serving-layer failure).  ``python -m
@@ -307,9 +297,7 @@ class IcebergServer:
                     apriori="apriori" in mask,
                     pruning="memprune" in mask,
                     memo="memprune" in mask,
-                    cross_query_memo=(
-                        self.shared_nljp_cache and "memprune" in mask
-                    ),
+                    cross_query_memo="memprune" in mask,
                     **self._engine_kwargs,
                 )
                 self._engines[mask] = engine
@@ -349,14 +337,11 @@ class IcebergServer:
         session: Session,
         sql: str,
         params: Optional[Dict],
-        execution_mode: Optional[str],
         cancel_token: Optional[Any],
         key: str,
     ) -> Result:
         def attempt() -> Result:
-            return self._execute_once(
-                session, sql, params, execution_mode, cancel_token
-            )
+            return self._execute_once(session, sql, params, cancel_token)
 
         def on_retry(error: BaseException, attempt_no: int, delay: float) -> None:
             with session._lock:
@@ -399,7 +384,6 @@ class IcebergServer:
         session: Session,
         sql: str,
         params: Optional[Dict],
-        execution_mode: Optional[str],
         cancel_token: Optional[Any],
     ) -> Result:
         fault_plan = session.fault_plan
@@ -422,7 +406,6 @@ class IcebergServer:
                 with entry.lock:
                     result = entry.optimized.execute(
                         params,
-                        execution_mode=execution_mode,
                         cancel_token=cancel_token,
                         fault_plan=fault_plan,
                         deadline_seconds=session.deadline_seconds,
@@ -435,7 +418,7 @@ class IcebergServer:
                     self.breakers[technique].release_probe()
                 raise
             self._after_execution(
-                session, sql, mask, result, waited=waited, cache_hit=cache_hit
+                session, sql, mask, entry, result, waited=waited, cache_hit=cache_hit
             )
             return result
 
@@ -480,14 +463,18 @@ class IcebergServer:
             hit = False
             try:
                 optimized = self._engine(mask).optimize(sql)
-                if optimized.nljp is not None and self.shared_nljp_cache:
+                if optimized.nljp is not None and optimized.nljp.enable_memo:
                     # The NLJP memo outlives this execution: later runs
                     # of the same cached plan hit what earlier runs
                     # stored (guarded by the entry lock and the version
                     # token).
-                    if optimized.nljp.enable_memo:
-                        optimized.nljp.enable_shared_cache()
-                entry = self.plan_cache.store(sql, mask, live_token, optimized)
+                    optimized.nljp.enable_shared_cache()
+                # Fingerprinted before the first run: explain() gains
+                # runtime lines (NLJP's loop path, say) once it has run.
+                entry = self.plan_cache.store(
+                    sql, mask, live_token, optimized,
+                    fingerprint=stable_fingerprint(optimized.planned.explain()),
+                )
             finally:
                 self.plan_cache.release(sql, mask)
             break
@@ -524,7 +511,9 @@ class IcebergServer:
             for state, count in breaker.snapshot_transitions().items():
                 transitions.set(count, technique=technique, state=state)
 
-    def _plan_telemetry(self, result: Result) -> Dict[str, Any]:
+    def _plan_telemetry(
+        self, entry: PlanCacheEntry, result: Result
+    ) -> Dict[str, Any]:
         """Plan-shape and estimate-quality fields for the query log."""
         planned = result.plan
         if planned is None:
@@ -554,7 +543,7 @@ class IcebergServer:
                 )
         mis_estimates.sort(key=lambda entry: -entry["q_error"])
         return {
-            "plan_fingerprint": stable_fingerprint(planned.explain()),
+            "plan_fingerprint": entry.fingerprint,
             "feedback_mode": config.feedback,
             "feedback_corrections": corrections[:5],
             "worst_q_errors": mis_estimates[:3],
@@ -566,6 +555,7 @@ class IcebergServer:
         session: Session,
         sql: str,
         mask: FrozenSet[str],
+        entry: PlanCacheEntry,
         result: Result,
         waited: float = 0.0,
         cache_hit: bool = False,
@@ -621,6 +611,6 @@ class IcebergServer:
                 technique: breaker.state
                 for technique, breaker in self.breakers.items()
             },
-            **self._plan_telemetry(result),
+            **self._plan_telemetry(entry, result),
         )
         self._sync_serve_metrics()

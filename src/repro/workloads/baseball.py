@@ -219,3 +219,37 @@ def load_unpivoted(
         table.create_index(f"{table_name}_cat_attr", ["category", "attr"], kind="hash")
         table.create_index(f"{table_name}_id", ["id"], kind="hash")
         table.create_index(f"{table_name}_val", ["val"], kind="sorted")
+
+
+# ---------------------------------------------------------------------------
+# Dense leagues: the databases the figures, calibration and checks load
+# ---------------------------------------------------------------------------
+
+
+def dense_config(n_rows: int, seed: int = 2017) -> BaseballConfig:
+    """A league sized so team-seasons hold realistic rosters.
+
+    The pairs queries need players that actually share team-seasons;
+    keeping ~12 players per (team, year) at any scale mirrors the
+    density of the paper's real MLB data.
+    """
+    team_seasons = max(8, n_rows // 12)
+    n_teams = max(3, int(round((team_seasons / 1.5) ** 0.5)))
+    n_years = max(4, team_seasons // n_teams)
+    return BaseballConfig(
+        n_rows=n_rows, n_teams=n_teams, n_years=n_years, seed=seed
+    )
+
+
+def batting_db(n_rows: int, with_indexes: bool = True, seed: int = 2017) -> Database:
+    """A fresh database holding a dense-league batting table."""
+    db = Database()
+    load_batting(db, dense_config(n_rows, seed), with_indexes=with_indexes)
+    return db
+
+
+def perf_db(n_rows: int, seed: int = 2017, n_categories: int = 8) -> Database:
+    """A fresh database holding a dense league's unpivoted table."""
+    db = Database()
+    load_unpivoted(db, dense_config(n_rows, seed), n_categories=n_categories)
+    return db

@@ -95,7 +95,7 @@ def _matching_hash_index_without_dedup(table, equi, config):
     columns = [column for _, column, _ in equi]
     index = table.find_hash_index(columns)
     chosen = list(equi)
-    if index is None and config.use_secondary_indexes:
+    if index is None:
         for size in range(len(equi) - 1, 0, -1):
             for subset in combinations(equi, size):
                 index = table.find_hash_index([c for _, c, _ in subset])

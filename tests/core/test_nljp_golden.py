@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, Iterator, List, Tuple
 import pytest
 
 from repro import Database, SmartIceberg
-from repro.bench.figures import _batting_db, _dense_config
+from repro.workloads.baseball import batting_db, dense_config
 from repro.engine.layout import numpy_or_none
 from repro.workloads import (
     BaseballConfig,
@@ -65,15 +65,15 @@ INDEX_CONFIGS: Dict[str, Tuple[bool, bool]] = {
 
 def _perf() -> Database:
     db = Database()
-    load_unpivoted(db, _dense_config(240, 2017), n_categories=4)
+    load_unpivoted(db, dense_config(240, 2017), n_categories=4)
     return db
 
 
 _DATABASES: Dict[str, Callable[[], Database]] = {
     "batting": lambda: make_batting_db(BaseballConfig(n_rows=400, seed=21)),
-    "dense": lambda: _batting_db(400),
-    "dense-no-bt": lambda: _batting_db(300, with_indexes=False),
-    "dense-bt": lambda: _batting_db(300, with_indexes=True),
+    "dense": lambda: batting_db(400),
+    "dense-no-bt": lambda: batting_db(300, with_indexes=False),
+    "dense-bt": lambda: batting_db(300, with_indexes=True),
     "cyclic": lambda: make_cyclic_db(CyclicConfig(n_edges=300, seed=7)),
     "perf": _perf,
 }

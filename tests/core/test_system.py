@@ -58,23 +58,6 @@ class TestFigure1Configurations:
         assert all_on.stats.cost() < baseline.stats.cost()
 
 
-class TestBindingOrder:
-    def test_auto_order_correct_and_not_worse(self, object_db):
-        baseline = execute(object_db, SKYBAND, EngineConfig.postgres())
-        default = SmartIceberg(object_db, apriori=False).execute(SKYBAND)
-        auto = SmartIceberg(
-            object_db, apriori=False, binding_order="auto"
-        ).execute(SKYBAND)
-        assert sorted(auto.rows) == sorted(default.rows) == sorted(baseline.rows)
-        assert auto.stats.inner_evaluations <= default.stats.inner_evaluations
-
-    def test_invalid_order_rejected(self, object_db):
-        from repro.errors import OptimizationError
-
-        with pytest.raises(OptimizationError):
-            SmartIceberg(object_db, binding_order="chaotic")
-
-
 class TestCacheOptions:
     def test_bounded_cache(self, object_db):
         system = SmartIceberg(

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro import Database, SmartIceberg
-from repro.bench.figures import _dense_config
+from repro.workloads.baseball import dense_config
 from repro.engine import EngineConfig, execute
 from repro.errors import OptimizationError
 from repro.serve import IcebergServer
@@ -39,8 +39,8 @@ APRIORI_ONLY = dict(pruning=False, memo=False)
 @pytest.fixture(scope="module")
 def mix_db() -> Database:
     db = Database()
-    load_batting(db, _dense_config(1200))
-    load_unpivoted(db, _dense_config(1000, 2018))
+    load_batting(db, dense_config(1200))
+    load_unpivoted(db, dense_config(1000, 2018))
     load_edges(db, CyclicConfig(n_edges=1000, seed=2020))
     load_baskets(db, BasketConfig(n_baskets=400, seed=2019))
     return db
@@ -49,7 +49,7 @@ def mix_db() -> Database:
 @pytest.fixture(scope="module")
 def pairs_db() -> Database:
     db = Database()
-    load_batting(db, _dense_config(600))
+    load_batting(db, dense_config(600))
     return db
 
 

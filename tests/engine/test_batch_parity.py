@@ -21,7 +21,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import EngineConfig, SmartIceberg
-from repro.engine import execute
+from repro.engine import execute, plan_query, run_planned
+from repro.sql.parser import parse
 from repro.storage import Database, SqlType, TableSchema
 from repro.workloads import (
     BaseballConfig,
@@ -105,14 +106,13 @@ class TestFigure1Queries:
             max_join_pairs=10**12,
             max_cache_bytes=10**12,
             deadline_seconds=3600.0,
-            cancel_token=CancelToken(),
             degradation="fallback",
         )
         for mode in ("row", "batch"):
             plain = SmartIceberg(BATTING, **mode_kwargs(mode)).execute(sql)
             governed = SmartIceberg(
                 BATTING, **mode_kwargs(mode), **governor_knobs
-            ).execute(sql)
+            ).execute(sql, cancel_token=CancelToken())
             assert governed.rows == plain.rows, f"{mode}: rows differ"
             assert governed.stats.as_dict() == plain.stats.as_dict(), (
                 f"{mode}: counters differ"
@@ -122,10 +122,12 @@ class TestFigure1Queries:
         governed_config = dataclasses.replace(
             ungoverned_config,
             max_rows_scanned=10**12,
-            cancel_token=CancelToken(),
         )
         plain = execute(BATTING, sql, ungoverned_config)
-        governed = execute(BATTING, sql, governed_config)
+        governed = run_planned(
+            plan_query(BATTING, parse(sql), governed_config),
+            cancel_token=CancelToken(),
+        )
         assert governed.rows == plain.rows
         assert governed.stats.as_dict() == plain.stats.as_dict()
 

@@ -110,13 +110,12 @@ class TestFigure1Queries:
             max_join_pairs=10**12,
             max_cache_bytes=10**12,
             deadline_seconds=3600.0,
-            cancel_token=CancelToken(),
             degradation="fallback",
         )
         plain = SmartIceberg(BATTING, execution_mode="columnar").execute(sql)
         governed = SmartIceberg(
             BATTING, execution_mode="columnar", **governor_knobs
-        ).execute(sql)
+        ).execute(sql, cancel_token=CancelToken())
         assert governed.rows == plain.rows
         assert governed.stats.as_dict() == plain.stats.as_dict()
         assert governed.stats.degradations == []

@@ -303,7 +303,7 @@ class TestDefaultExecutionMode:
 
 class TestExecutionModeValidation:
     """``execution_mode`` is checked in one place, ``EngineConfig``, and
-    a per-call override goes through the same check: there is no
+    every way of setting it goes through that check: there is no
     ``"batch"`` mode."""
 
     SQL = "SELECT grp, COUNT(*) FROM t GROUP BY grp"
@@ -311,6 +311,10 @@ class TestExecutionModeValidation:
     def test_engine_config_rejects_batch(self):
         with pytest.raises(ValueError, match="execution_mode"):
             EngineConfig(execution_mode="batch")
+
+    def test_engine_config_rejects_empty_batches(self):
+        with pytest.raises(ValueError, match="batch_size"):
+            EngineConfig(batch_size=0)
 
     def test_smart_iceberg_rejects_batch(self, db):
         from repro import SmartIceberg
@@ -321,15 +325,8 @@ class TestExecutionModeValidation:
     def test_session_override_rejects_batch(self, db):
         from repro import IcebergServer
 
-        session = IcebergServer(db).session()
+        session = IcebergServer(db, execution_mode="batch").session()
         with pytest.raises(ValueError, match="execution_mode"):
-            session.execute(self.SQL, execution_mode="batch")
-        assert session.execute(self.SQL, execution_mode="row").rows
-
-    def test_run_planned_override_rejects_batch(self, db):
-        from repro.engine import plan_query, run_planned
-        from repro.sql.parser import parse
-
-        planned = plan_query(db, parse(self.SQL))
-        with pytest.raises(ValueError, match="execution_mode"):
-            run_planned(planned, execution_mode="batch")
+            session.execute(self.SQL)
+        row = IcebergServer(db, execution_mode="row").session().execute(self.SQL)
+        assert row.rows and row.execution_mode == "row"

@@ -11,7 +11,7 @@ import dataclasses
 import pytest
 
 from repro import CancelToken, EngineConfig, SmartIceberg
-from repro.engine import execute
+from repro.engine import execute, plan_query, run_planned
 from repro.engine.governor import Governor
 from repro.engine.stats import ExecutionStats
 from repro.errors import (
@@ -21,6 +21,7 @@ from repro.errors import (
     QueryCancelledError,
     ReproError,
 )
+from repro.sql.parser import parse
 from repro.testing import FaultPlan, FaultSpec
 from repro.workloads import BaseballConfig, figure1_queries, make_batting_db
 from tests.modes import mode_kwargs
@@ -31,6 +32,12 @@ Q1 = figure1_queries()["Q1"].sql
 
 def governed_config(**knobs) -> EngineConfig:
     return dataclasses.replace(EngineConfig.postgres(), **knobs)
+
+
+def execute_cancellable(config: EngineConfig, token: CancelToken):
+    """Q1 under ``config``, cancellable through ``token`` (a token
+    belongs to one call, not to the config)."""
+    return run_planned(plan_query(BATTING, parse(Q1), config), cancel_token=token)
 
 
 class TestConfigValidation:
@@ -65,20 +72,21 @@ class TestConfigValidation:
 class TestUngoverned:
     def test_no_knobs_means_no_governor(self):
         assert Governor.from_config(EngineConfig.postgres(), ExecutionStats()) is None
+        assert Governor.from_config(
+            EngineConfig.postgres(), ExecutionStats(), CancelToken()
+        ) is not None
 
     def test_idle_governor_changes_nothing(self):
         """Enormous budgets + a live token: rows and EVERY counter match."""
         plain = execute(BATTING, Q1, EngineConfig.postgres())
-        governed = execute(
-            BATTING,
-            Q1,
+        governed = execute_cancellable(
             governed_config(
                 max_rows_scanned=10**12,
                 max_join_pairs=10**12,
                 max_cache_bytes=10**12,
                 deadline_seconds=3600.0,
-                cancel_token=CancelToken(),
             ),
+            CancelToken(),
         )
         assert governed.rows == plain.rows
         assert governed.stats.as_dict() == plain.stats.as_dict()
@@ -127,7 +135,7 @@ class TestCancellation:
         token = CancelToken()
         token.cancel("user hit ctrl-c")
         with pytest.raises(QueryCancelledError, match="user hit ctrl-c") as info:
-            execute(BATTING, Q1, governed_config(cancel_token=token))
+            execute_cancellable(EngineConfig.postgres(), token)
         assert info.value.stats is not None
 
     def test_token_is_one_shot(self):
@@ -139,7 +147,7 @@ class TestCancellation:
         assert token.reason == "later reason"
 
     def test_uncancelled_token_is_harmless(self):
-        result = execute(BATTING, Q1, governed_config(cancel_token=CancelToken()))
+        result = execute_cancellable(EngineConfig.postgres(), CancelToken())
         baseline = execute(BATTING, Q1, EngineConfig.postgres())
         assert result.rows == baseline.rows
 

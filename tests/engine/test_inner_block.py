@@ -671,8 +671,11 @@ def test_describe_and_to_dict_say_which_path_ran_and_why():
     nljp = _nljp_of(optimized)
     block = "block kernel (IndexPointScan edge_src → IndexNestedLoopJoin edge_pkey)"
     assert f"  inner: {block}" in nljp.describe()
-    optimized.execute(execution_mode="row")
-    assert nljp.to_dict()["inner"] == "operators (row mode)"
+    row = SmartIceberg(db, execution_mode="row", **BLOCK_NLJP).optimize(
+        triangle_hub_query(2)
+    )
+    row.execute()
+    assert _nljp_of(row).to_dict()["inner"] == "operators (row mode)"
     optimized.execute()
     assert nljp.to_dict()["inner"] == block
     assert f"  inner: {block}" in nljp.describe()
@@ -684,11 +687,11 @@ def test_observers_see_the_trees_rows_and_loops(knobs):
     """Q_R's nodes never run, yet EXPLAIN ANALYZE, the feedback store
     and the span tree read what they read off the tree: rows per
     evaluation and loops per node, and spans that sum to the totals."""
-    from repro.bench.figures import _dense_config
+    from repro.workloads.baseball import dense_config
     from repro.workloads import load_unpivoted
 
     db = Database()
-    load_unpivoted(db, _dense_config(240, 2017), n_categories=4)
+    load_unpivoted(db, dense_config(240, 2017), n_categories=4)
     seen = {}
     for tree in (False, True):
         optimized = SmartIceberg(db, **FORCED, **knobs).optimize(complex_query(4))
@@ -736,10 +739,10 @@ def test_the_tree_is_the_fallback_without_numpy(monkeypatch):
 def test_the_query_log_and_report_carry_the_speculation_counters():
     from repro.obs.report import aggregate, render
     from repro.workloads import load_unpivoted
-    from repro.bench.figures import _dense_config
+    from repro.workloads.baseball import dense_config
 
     db = Database()
-    load_unpivoted(db, _dense_config(240, 2017), n_categories=4)
+    load_unpivoted(db, dense_config(240, 2017), n_categories=4)
     server = IcebergServer(db, **FORCED)
     result = server.session().execute(complex_query(4))
     record = server.query_log.to_list()[-1]

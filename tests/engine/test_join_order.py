@@ -17,7 +17,7 @@ import re
 
 import pytest
 
-from repro.bench.figures import _batting_db
+from repro.workloads.baseball import batting_db
 from repro.testing import RECORD_SEED
 from repro.engine import EngineConfig, execute
 from repro.engine.planner import plan_query
@@ -56,12 +56,12 @@ def run(db, sql, join_order, mode="row"):
 
 @pytest.fixture(scope="module")
 def small_db():
-    return _batting_db(60, seed=RECORD_SEED)
+    return batting_db(60, seed=RECORD_SEED)
 
 
 @pytest.fixture(scope="module")
 def bench_db():
-    return _batting_db(120, seed=RECORD_SEED)
+    return batting_db(120, seed=RECORD_SEED)
 
 
 class TestQSuiteParity:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import EngineConfig, explain, execute
 from repro.storage import Database, SqlType, TableSchema
+from repro.workloads.baseball import batting_db
 
 
 @pytest.fixture
@@ -59,13 +60,12 @@ class TestJoinChoice:
         assert "NestedLoopJoin" in text
         assert "IndexNestedLoopJoin" not in text
 
-    def test_no_secondary_indexes_falls_back(self, db):
-        text = explain(
-            db,
-            "SELECT a.playerid FROM perf a, perf b WHERE a.h <= b.h",
-            EngineConfig(join_policy="index-first", use_secondary_indexes=False),
-        )
-        assert "SortedIndexRangeJoin" not in text
+    def test_no_secondary_indexes_falls_back(self):
+        sql = "SELECT a.playerid FROM batting a, batting b WHERE a.b_h <= b.b_h"
+        config = EngineConfig(join_policy="index-first")
+        assert "SortedIndexRangeJoin" in explain(batting_db(60), sql, config)
+        bare = batting_db(60, with_indexes=False)
+        assert "SortedIndexRangeJoin" not in explain(bare, sql, config)
 
     def test_unknown_policy_rejected(self, db):
         from repro.errors import PlanningError
@@ -124,10 +124,12 @@ class TestScanChoice:
         )
         assert "TableScan" in text
 
-    def test_scan_results_agree(self, db):
-        sql = "SELECT playerid FROM perf WHERE h >= 30 AND teamid = 2"
-        fast = execute(db, sql, EngineConfig())
-        slow = execute(db, sql, EngineConfig(use_secondary_indexes=False))
+    def test_scan_results_agree(self):
+        sql = "SELECT playerid FROM batting WHERE b_h >= 30 AND teamid = 2"
+        fast = execute(batting_db(120), sql, EngineConfig())
+        slow = execute(batting_db(120, with_indexes=False), sql, EngineConfig())
+        assert "Index" in fast.plan.explain()
+        assert "Index" not in slow.plan.explain()
         assert sorted(fast.rows) == sorted(slow.rows)
 
     @pytest.mark.parametrize(

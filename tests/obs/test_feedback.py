@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.figures import _batting_db
+from repro.workloads.baseball import batting_db
 from repro.testing import RECORD_SEED
 from repro.engine import EngineConfig, execute
 from repro.engine.operators import PhysicalOperator
@@ -16,7 +16,7 @@ QUERIES = {name: q.sql for name, q in figure1_queries().items()}
 
 @pytest.fixture(scope="module")
 def small_db():
-    return _batting_db(60, seed=RECORD_SEED)
+    return batting_db(60, seed=RECORD_SEED)
 
 
 def test_q_error_definition():
@@ -111,7 +111,7 @@ def test_inner_query_nodes_record_rows_per_evaluation(knobs, numpy_present, monk
         pytest.importorskip("numpy")
     else:
         monkeypatch.setattr(layout, "_np", None)
-    db = _batting_db(300)
+    db = batting_db(300)
     result = SmartIceberg(db, **knobs).execute(QUERIES["Q1"])
     assert result.stats.inner_evaluations == 92
     scan = next(

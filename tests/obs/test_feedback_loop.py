@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from repro.bench.figures import _batting_db
+from repro.workloads.baseball import batting_db
 from repro.testing import RECORD_SEED
 from repro.engine import EngineConfig, execute
 from repro.engine.cardinality import blend_estimate
@@ -132,7 +132,7 @@ class TestSketches:
 # ---------------------------------------------------------------------------
 
 
-PARITY_DB = _batting_db(120, seed=RECORD_SEED)
+PARITY_DB = batting_db(120, seed=RECORD_SEED)
 
 
 @pytest.mark.parametrize("name", sorted(QUERIES))

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.bench.figures import _batting_db
+from repro import SmartIceberg
+from repro.workloads.baseball import batting_db
 from repro.testing import RECORD_SEED
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.querylog import (
@@ -16,6 +17,7 @@ from repro.obs.querylog import (
 )
 from repro.obs.report import aggregate, main as report_main
 from repro.serve.server import IcebergServer
+from repro.workloads import figure1_queries
 
 GROUP_SQL = (
     "SELECT playerid, SUM(b_hr) AS hr FROM batting "
@@ -148,7 +150,7 @@ class TestReport:
 
 @pytest.fixture()
 def server(tmp_path):
-    db = _batting_db(120, seed=RECORD_SEED)
+    db = batting_db(120, seed=RECORD_SEED)
     return IcebergServer(
         db,
         registry=MetricsRegistry(),
@@ -180,6 +182,32 @@ class TestServerWiring:
         assert records[-1]["worst_q_errors"]
         assert records[-1]["worst_q_errors"][0]["q_error"] >= 1.0
 
+    def test_plan_fingerprint_taken_once_per_cached_plan(self, server):
+        """The miss and the hits of one cached plan log one fingerprint:
+        the plan's, taken before it first runs (NLJP's ``explain()``
+        gains runtime lines once it has run), and a second server
+        fingerprints the same plan alike."""
+        q1 = figure1_queries()["Q1"].sql
+        with server.session() as session:
+            for _ in range(3):
+                session.execute(q1)
+        records = server.query_log.to_list()
+        assert [r["plan_cache_hit"] for r in records] == [False, True, True]
+        assert len({r["plan_fingerprint"] for r in records}) == 1
+        unrun = SmartIceberg(
+            server.db, cross_query_memo=True, feedback="observe"
+        ).optimize(q1)
+        assert records[0]["plan_fingerprint"] == stable_fingerprint(
+            unrun.planned.explain()
+        )
+        other = IcebergServer(server.db, registry=MetricsRegistry())
+        with other.session() as session:
+            session.execute(q1)
+        assert (
+            other.query_log.to_list()[0]["plan_fingerprint"]
+            == records[0]["plan_fingerprint"]
+        )
+
     def test_error_outcome_logged(self, server):
         from repro.errors import UnknownColumnError
 
@@ -201,7 +229,7 @@ class TestServerWiring:
         assert "repro_server_plan_cache" in text
 
     def test_feedback_apply_extends_cache_token(self, tmp_path):
-        db = _batting_db(120, seed=RECORD_SEED)
+        db = batting_db(120, seed=RECORD_SEED)
         server = IcebergServer(db, registry=MetricsRegistry(), feedback="apply")
         with server.session() as session:
             session.execute(JOIN_SQL)
@@ -217,7 +245,7 @@ class TestServerWiring:
     def test_explicit_config_feedback_respected(self):
         from repro.engine.planner import EngineConfig
 
-        db = _batting_db(60, seed=RECORD_SEED)
+        db = batting_db(60, seed=RECORD_SEED)
         server = IcebergServer(
             db, registry=MetricsRegistry(), config=EngineConfig()
         )

@@ -12,7 +12,7 @@ nor loses work.
 import pytest
 
 from repro import SmartIceberg
-from repro.bench.figures import _batting_db
+from repro.workloads.baseball import batting_db
 from repro.testing import RECORD_SEED
 from repro.engine import EngineConfig, execute
 from repro.workloads import figure1_queries
@@ -23,7 +23,7 @@ QUERIES = {name: q.sql for name, q in figure1_queries().items()}
 
 @pytest.fixture(scope="module")
 def small_db():
-    return _batting_db(60, seed=RECORD_SEED)
+    return batting_db(60, seed=RECORD_SEED)
 
 
 def run(db, sql, join_order, execution_mode, trace):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import SmartIceberg
-from repro.bench.figures import _batting_db
+from repro.workloads.baseball import batting_db
 from repro.testing import RECORD_SEED
 from repro.engine import EngineConfig, execute
 from repro.obs import (
@@ -24,7 +24,7 @@ QUERIES = {name: q.sql for name, q in figure1_queries().items()}
 
 @pytest.fixture(scope="module")
 def small_db():
-    return _batting_db(60, seed=RECORD_SEED)
+    return batting_db(60, seed=RECORD_SEED)
 
 
 @pytest.fixture(scope="module")

@@ -88,7 +88,7 @@ class TestPlanCache:
             assert server.plan_cache.stats()["invalidations"] == 1
 
     def test_shared_nljp_memo_warms_across_executions(self, db):
-        server = IcebergServer(db, shared_nljp_cache=True)
+        server = IcebergServer(db)
         with server.session() as session:
             statement = session.prepare(QUERIES["Q2"])
             first = statement.execute()
@@ -125,16 +125,6 @@ class TestSessionLifetimes:
         token.cancel()
         with pytest.raises(QueryCancelledError):
             system.execute(QUERIES["Q1"], cancel_token=token)
-        assert len(system.execute(QUERIES["Q1"]).rows) > 0
-
-    def test_constructor_token_dropped_after_trip(self, db):
-        token = CancelToken()
-        system = SmartIceberg(db, cancel_token=token)
-        token.cancel()
-        with pytest.raises(QueryCancelledError):
-            system.execute(QUERIES["Q1"])
-        # The tripped token is forgotten; the instance stays usable.
-        assert system.config.cancel_token is None
         assert len(system.execute(QUERIES["Q1"]).rows) > 0
 
     def test_tripped_deadline_does_not_leak(self, db):

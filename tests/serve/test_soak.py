@@ -1,8 +1,8 @@
 """The acceptance soak: 8 concurrent sessions, faults on, bit-identical.
 
-Eight sessions run the full Figure-1 workload (Q1–Q8) in both
-execution modes (row, columnar) concurrently against one server,
-each session with its own deterministic fault plan injecting transient
+Eight clients run the full Figure-1 workload (Q1–Q8) in both
+execution modes (row, columnar) concurrently, against one server per
+mode, each client with its own deterministic fault plan injecting transient
 errors into the serving layer (admission, plan-cache) and the engine
 (scan).  The claim:
 
@@ -65,23 +65,33 @@ def _session_fault_plan(index):
 
 def test_soak_concurrent_sessions_bit_identical(db, serial_baselines):
     queries = {name: q.sql for name, q in figure1_queries().items()}
-    server = IcebergServer(db, max_concurrent=N_SESSIONS, max_queue=N_SESSIONS)
-    sessions = [
-        server.session(fault_plan=_session_fault_plan(index))
+    # A plan runs in the mode it was built for, so each mode has its
+    # own server; a client's two sessions share its fault plan.
+    servers = {
+        mode: IcebergServer(
+            db,
+            execution_mode=mode,
+            max_concurrent=N_SESSIONS,
+            max_queue=N_SESSIONS,
+        )
+        for mode in MODES
+    }
+    plans = [_session_fault_plan(index) for index in range(N_SESSIONS)]
+    sessions = {
+        (index, mode): servers[mode].session(fault_plan=plans[index])
         for index in range(N_SESSIONS)
-    ]
+        for mode in MODES
+    }
     outcomes = {}
     errors = []
     lock = threading.Lock()
 
     def workload(index):
-        session = sessions[index]
         for mode in MODES:
+            session = sessions[(index, mode)]
             for name in sorted(queries):
                 try:
-                    result = session.execute(
-                        queries[name], execution_mode=mode
-                    )
+                    result = session.execute(queries[name])
                     with lock:
                         outcomes[(index, name, mode)] = result.sorted_rows()
                 except Exception as error:  # collected, asserted below
@@ -112,19 +122,17 @@ def test_soak_concurrent_sessions_bit_identical(db, serial_baselines):
 
     # The transient faults actually fired and were retried to success.
     fired = sum(
-        session.fault_plan.fired(spec_index)
-        for session in sessions
-        for spec_index in range(3)
+        plan.fired(spec_index) for plan in plans for spec_index in range(3)
     )
     assert fired > 0
-    assert sum(session.retries for session in sessions) >= fired
+    assert sum(session.retries for session in sessions.values()) >= fired
 
-    # The shared plan cache did its job: the vast majority of the 192
-    # executions were cache hits.  Concurrent first-touch misses for
-    # the same statement race (last store wins), so misses can exceed
-    # the statement count but never the per-session worst case, and
-    # the cache converges to one entry per statement.
-    stats = server.plan_cache.stats()
-    assert stats["hits"] > stats["misses"]
-    assert len(queries) <= stats["misses"] <= N_SESSIONS * len(queries)
-    assert stats["entries"] == len(queries)
+    # The shared plan cache did its job: the vast majority of each
+    # server's 64 executions were cache hits.  Misses can exceed the
+    # statement count but never the per-session worst case, and the
+    # cache converges to one entry per statement.
+    for server in servers.values():
+        stats = server.plan_cache.stats()
+        assert stats["hits"] > stats["misses"]
+        assert len(queries) <= stats["misses"] <= N_SESSIONS * len(queries)
+        assert stats["entries"] == len(queries)

@@ -28,6 +28,7 @@ from repro.errors import (
     SqlError,
     TypeCheckError,
 )
+from repro.engine import plan_query, run_planned
 from repro.sql.parser import parse
 
 
@@ -114,9 +115,9 @@ class TestRaisedFromLibraryPaths:
 
         token = CancelToken()
         token.cancel("shutdown")
-        config = EngineConfig(cancel_token=token)
+        planned = plan_query(tiny_db(), parse("SELECT id FROM t"))
         with pytest.raises(QueryCancelledError, match="shutdown"):
-            execute(tiny_db(), "SELECT id FROM t", config)
+            run_planned(planned, cancel_token=token)
 
     def test_injected_fault_error(self):
         from repro.testing import FaultPlan, FaultSpec
@@ -129,7 +130,7 @@ class TestRaisedFromLibraryPaths:
 
     def test_optimization_error(self):
         with pytest.raises(OptimizationError):
-            SmartIceberg(tiny_db(), binding_order="bogus")
+            SmartIceberg(tiny_db(), technique_choice="bogus")
 
     def test_quantifier_elimination_error(self):
         from repro.logic.formula import Constraint, LinearTerm
@@ -154,7 +155,7 @@ class TestCatchAll:
             lambda: execute(
                 tiny_db(), "SELECT id FROM t", EngineConfig(max_rows_scanned=0)
             ),
-            lambda: SmartIceberg(tiny_db(), binding_order="bogus"),
+            lambda: SmartIceberg(tiny_db(), technique_choice="bogus"),
         ],
     )
     def test_single_except_clause_suffices(self, trigger):
