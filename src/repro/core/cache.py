@@ -1,19 +1,31 @@
-"""Binding-keyed caches: NLJP's memo/pruning cache.
+"""Binding-keyed caches: NLJP's memo and pruning cache.
 
-:class:`NLJPCache` is the NLJP operator's cache (Section 5.1, Section
-6, Section 7).  It maps a *binding* (the tuple of 𝕁_L values) to the
-memoized inner-query results for that binding, plus an *unpromising*
-flag (Definition 5: Φ fails for every 𝔾_R-partition of the joining
-R-tuples).
+NLJP's cache (Section 5.1, Section 6, Section 7) maps a *binding* (the
+tuple of 𝕁_L values) to the memoized inner-query results for that
+binding, and knows which bindings are *unpromising* (Definition 5: Φ
+fails for every 𝔾_R-partition of the joining R-tuples).  Only the
+second depends on Φ, so the two live apart:
 
-Its policy layer is :class:`BudgetedBindingCache`: an OrderedDict of
-entries under a re-entrant lock, with replacement policies ``"none"``
-(unbounded), ``"lru"``, and ``"utility"`` (evict the entry with the
-fewest hits), incremental ``bytes_used`` accounting, and the
-governor's graceful-degradation contract (``evict_until`` under memory
-pressure, ``clear`` when eviction cannot satisfy the budget).  The
-cache can be pinned across executions of a prepared statement (the
-``cross_query_memo`` path).
+* :class:`PayloadStore` holds the entries, binding → payload (one f^i
+  state per 𝔾_R group, Appendix C).  No HAVING threshold enters a
+  payload, so every plan that runs one inner query over one version of
+  the data can share a store.  Its policy layer is
+  :class:`BudgetedBindingCache`: an OrderedDict of entries under a
+  re-entrant lock, with replacement policies ``"none"`` (unbounded),
+  ``"lru"``, and ``"utility"`` (evict the entry with the fewest hits),
+  incremental ``bytes_used`` accounting, and the governor's
+  graceful-degradation contract (``evict_until`` under memory
+  pressure, ``clear`` when eviction cannot satisfy the budget).
+* :class:`PruneView` is one plan's pruning structures over a store:
+  the entries *its* Φ finds unpromising.  When its plan runs again it
+  evaluates Φ only for the entries added since; it rebuilds only after
+  an eviction or ``clear()`` it was not told of, or under other values
+  of Φ's parameters.
+* :class:`NLJPCache` is what one execution runs against: a store seen
+  through a view.  A library execution builds both fresh; the serving
+  layer keeps one store per meaning of a payload
+  (:class:`repro.serve.plan_cache.MemoStore`) and one view per cached
+  plan.
 
 The NLJP cache serves two distinct reads:
 
@@ -31,15 +43,18 @@ equality-constrained attributes of the derived subsumption predicate
 (CI).  ``prune_checks`` counts candidate comparisons either way, so
 benchmarks see the index's effect.
 
-**Concurrency.**  The serving layer (:mod:`repro.serve`) keeps one
-cache alive across the executions of a prepared statement and may be
-asked for it from many sessions, so every structural operation happens
-under an internal re-entrant lock and :meth:`NLJPCache.first_pruner`
-holds it for its whole walk — which stops at the first hit, a
-candidate or two on a warm cache — so an eviction racing the pruning
-scan can never mutate a list mid-iteration.  Single-query executions pay one
-uncontended lock acquisition per operation, which profiles as noise
-next to the inner query evaluation each operation guards.
+**Concurrency.**  The serving layer serializes the executions that
+share a store on its memo slot's lock, and a view is only used by the
+executions of its plan, which the plan-cache entry lock serializes.
+Every structural operation still happens under the structure's own
+re-entrant lock, and :meth:`PruneView.first_pruner` holds it for its
+whole walk — which stops at the first hit, a candidate or two on a
+warm cache — so an eviction can never mutate a list mid-iteration.
+A store tells the view attached to it of every entry it drops, under
+its own lock: the lock order is store → view, never the reverse.
+Single-query executions pay one uncontended lock acquisition per
+operation, which profiles as noise next to the inner query evaluation
+each operation guards.
 """
 
 from __future__ import annotations
@@ -66,12 +81,13 @@ CACHE_POLICIES = ("none", "lru", "utility")
 class CacheEntry:
     binding: Binding
     payload: PayloadRows
-    unpromising: bool
+    #: Insertion number in its store: the order every view walks.
+    seq: int = 0
     hits: int = 0  # guarded-by: BudgetedBindingCache._lock
 
 
 def _order_key(item: Tuple[Any, int, CacheEntry]) -> Any:
-    """Sort key of one ``NLJPCache._order`` item (for ``bisect``)."""
+    """Sort key of one ``PruneView._order`` item (for ``bisect``)."""
     return item[0]
 
 
@@ -182,12 +198,12 @@ class BudgetedBindingCache:
         with self._lock:
             self.lookups += count
 
-    def missing(self, bindings: Sequence[Binding]) -> List[Binding]:
-        """The ``bindings`` :meth:`get` would miss as the cache stands,
-        in order; nothing is counted or touched."""
+    def holding(self, bindings: Sequence[Binding]) -> List[bool]:
+        """Whether :meth:`get` would hit each of ``bindings`` as the
+        cache stands; nothing is counted or touched."""
         with self._lock:
             held = self._entries
-            return [binding for binding in bindings if binding not in held]
+            return [binding in held for binding in bindings]
 
     def _admit(self, binding: Binding, entry: Any) -> None:  # requires-lock: self._lock
         """Insert under the entry-count policy; caller holds the lock."""
@@ -283,37 +299,106 @@ class BudgetedBindingCache:
             return (self.lookups, self.hits, self.evictions)
 
 
-class NLJPCache(BudgetedBindingCache):
-    """Binding-keyed cache with optional equality-bucket index."""
+class PayloadStore(BudgetedBindingCache):
+    """Binding → payload entries, shareable by every plan that runs one
+    inner query over one version of the data.
+
+    Entries are numbered as they are put (``CacheEntry.seq``), so a
+    view that has seen the store up to one number decides only the
+    entries after it.  Every entry dropped (evicted, replaced, cleared)
+    moves a removal count: the view attached last (:meth:`attach`) is
+    told of each drop as it happens, any other view rebuilds when it is
+    attached next.
+    """
+
+    def __init__(
+        self, max_entries: Optional[int] = None, policy: str = "none"
+    ) -> None:
+        super().__init__(max_entries=max_entries, policy=policy)
+        # seq → entry in insertion order: the order every view walks.
+        self._in_order: Dict[int, CacheEntry] = {}  # guarded-by: self._lock
+        self._seq = 0  # guarded-by: self._lock
+        self._removals = 0  # guarded-by: self._lock
+        self._view: Optional[PruneView] = None  # guarded-by: self._lock
+
+    def _entry_bytes(self, entry: CacheEntry) -> int:
+        return entry_bytes(entry)
+
+    def put(self, binding: Binding, payload: PayloadRows) -> CacheEntry:
+        with self._lock:
+            self._seq += 1
+            entry = CacheEntry(binding=binding, payload=payload, seq=self._seq)
+            self._admit(binding, entry)
+            self._in_order[entry.seq] = entry
+            return entry
+
+    def _forget(self, binding: Binding, entry: CacheEntry) -> None:  # requires-lock: self._lock
+        del self._in_order[entry.seq]
+        self._removals += 1
+        if self._view is not None:
+            self._view.forget(entry, self._removals)
+
+    def _reset_side_structures(self) -> None:  # requires-lock: self._lock
+        self._in_order.clear()
+        self._removals += 1
+        if self._view is not None:
+            self._view.reset(self._removals)
+
+    def attach(
+        self,
+        view: "PruneView",
+        decide: Optional[Callable[[PayloadRows], bool]] = None,
+        phi_key: Any = (),
+    ) -> None:
+        """Bring ``view`` up to date and make it the view told of drops.
+
+        ``decide(payload)`` is the view's Φ test (Definition 5) for the
+        entries it has not seen, under Φ's parameter values ``phi_key``.
+        """
+        with self._lock:
+            view.sync(self, self._removals, self._seq, self._in_order, decide, phi_key)
+            self._view = view
+
+
+class PruneView:
+    """One plan's pruning structures over a :class:`PayloadStore`.
+
+    The view holds the store's entries its plan's Φ finds unpromising,
+    in insertion order, with the equality buckets, the order index and
+    the array image :meth:`prunable` tests windows against.  Synced to
+    a store (:meth:`PayloadStore.attach`), it decides Φ only for the
+    entries added since it last was; after a drop it was not told of,
+    or under other values of Φ's parameters, it rebuilds -- keeping
+    the decisions it made for entries still there, unless Φ changed.
+    """
 
     def __init__(
         self,
         equality_positions: Sequence[int] = (),
         use_index: bool = True,
-        max_entries: Optional[int] = None,
-        policy: str = "none",
         order_position: Optional[int] = None,
     ) -> None:
-        super().__init__(max_entries=max_entries, policy=policy)
         self.equality_positions = tuple(equality_positions)
         self.use_index = use_index and bool(self.equality_positions)
         self.order_position = order_position if use_index else None
-        self._unpromising_buckets: Dict[Binding, List[CacheEntry]] = {}  # guarded-by: self._lock
-        self._unpromising_all: List[CacheEntry] = []  # guarded-by: self._lock
+        self._lock = threading.RLock()
+        # binding → entry for the unpromising entries, in insertion order.
+        self._unpromising: Dict[Binding, CacheEntry] = {}  # guarded-by: self._lock
+        self._buckets: Dict[Binding, List[CacheEntry]] = {}  # guarded-by: self._lock
         # Unpromising entries sorted by binding[order_position]: a single
         # insort-maintained list of (key, seq, entry) tuples.  The
-        # monotonic seq breaks ties between equal keys (preserving
-        # insertion order) so tuple comparison never reaches the entry.
+        # entry's insertion number breaks ties between equal keys
+        # (preserving insertion order) so tuple comparison never reaches
+        # the entry.
         self._order: List[Tuple[Any, int, CacheEntry]] = []  # guarded-by: self._lock
-        self._order_seq = 0  # guarded-by: self._lock
         # The array image :meth:`prunable` tests a window of bindings
         # against, built at its first call (``_imaged``) and kept in
-        # step by ``put``/``_forget`` from then on: one int64/float64
+        # step by ``add``/``forget`` from then on: one int64/float64
         # array per binding position holding the bindings of ``_order``
-        # (with an order index) or of ``_unpromising_all`` (without), in
-        # that list's order.  ``None`` = no exact image: not asked for,
-        # NumPy missing, equality buckets, or an entry it cannot hold
-        # (see ``_image_insert``) -- until the next ``clear()``.
+        # (with an order index) or of ``_unpromising`` (without), in
+        # that order.  ``None`` = no exact image: not asked for, NumPy
+        # missing, equality buckets, or an entry it cannot hold (see
+        # ``_image_insert``) -- until the next reset.
         self._imaged = False  # guarded-by: self._lock
         self._image: Optional[List[Any]] = None  # guarded-by: self._lock
         self._image_types: Tuple[type, ...] = ()  # guarded-by: self._lock
@@ -321,67 +406,128 @@ class NLJPCache(BudgetedBindingCache):
         # Moves whenever the pruning candidates change: a window decided
         # under one version is void under another.
         self._version = 0  # guarded-by: self._lock
-
-    def _entry_bytes(self, entry: CacheEntry) -> int:
-        return entry_bytes(entry)
+        # How far the view has decided its store: which store, its
+        # removal count and last insertion number, and Φ's parameter
+        # values the decisions were made under.
+        self._store: Optional[PayloadStore] = None  # guarded-by: self._lock
+        self._removals = 0  # guarded-by: self._lock
+        self._seq = 0  # guarded-by: self._lock
+        self._phi_key: Any = ()  # guarded-by: self._lock
 
     def _bucket_key(self, binding: Binding) -> Binding:
         return tuple(binding[position] for position in self.equality_positions)
 
     # ------------------------------------------------------------------
-    def put(
-        self, binding: Binding, payload: PayloadRows, unpromising: bool
-    ) -> CacheEntry:
-        entry = CacheEntry(binding=binding, payload=payload, unpromising=unpromising)
+    def add(self, entry: CacheEntry, unpromising: bool) -> None:
+        """The entry just put in the store, with its plan's verdict."""
         with self._lock:
-            self._admit(binding, entry)
+            self._seq = entry.seq
             if unpromising:
-                self._version += 1
-                at: Optional[int] = len(self._unpromising_all)
-                self._unpromising_all.append(entry)
-                if self.use_index:
-                    self._unpromising_buckets.setdefault(
-                        self._bucket_key(binding), []
-                    ).append(entry)
-                if self.order_position is not None:
-                    key = binding[self.order_position]
-                    at = None
-                    if key is not None:
-                        self._order_seq += 1
-                        item = (key, self._order_seq, entry)
-                        at = bisect.bisect_right(self._order, item)
-                        self._order.insert(at, item)
-                self._image_insert(at, binding)
-            return entry
+                self._insert(entry)
 
-    def _forget(self, victim_binding: Binding, victim: CacheEntry) -> None:  # requires-lock: self._lock
-        if not victim.unpromising:
-            return
+    def _insert(self, entry: CacheEntry) -> None:  # requires-lock: self._lock
         self._version += 1
-        at: Optional[int] = _identity_index(self._unpromising_all, victim)
-        del self._unpromising_all[at]
+        binding = entry.binding
+        at: Optional[int] = len(self._unpromising)
+        self._unpromising[binding] = entry
         if self.use_index:
-            bucket = self._unpromising_buckets[self._bucket_key(victim_binding)]
-            del bucket[_identity_index(bucket, victim)]
+            self._buckets.setdefault(self._bucket_key(binding), []).append(entry)
         if self.order_position is not None:
+            key = binding[self.order_position]
             at = None
-            for position, (_, _, entry) in enumerate(self._order):
-                if entry is victim:
-                    del self._order[position]
-                    at = position
-                    break
-        if self._image is not None and at is not None:
-            rows = self._image_rows
-            for column in self._image:
-                column[at : rows - 1] = column[at + 1 : rows]
-            self._image_rows = rows - 1
+            if key is not None:
+                item = (key, entry.seq, entry)
+                at = bisect.bisect_right(self._order, item)
+                self._order.insert(at, item)
+        self._image_insert(at, binding)
 
-    def _reset_side_structures(self) -> None:  # requires-lock: self._lock
-        self._unpromising_buckets.clear()
-        self._unpromising_all.clear()
+    def forget(self, victim: CacheEntry, removals: int) -> None:
+        """The store dropped ``victim``; ``removals`` is its new count."""
+        with self._lock:
+            self._removals = removals
+            binding = victim.binding
+            if self._unpromising.get(binding) is not victim:
+                return
+            self._version += 1
+            at: Optional[int] = None
+            if self._image is not None and self.order_position is None:
+                at = list(self._unpromising).index(binding)
+            del self._unpromising[binding]
+            if self.use_index:
+                bucket = self._buckets[self._bucket_key(binding)]
+                del bucket[_identity_index(bucket, victim)]
+            if self.order_position is not None:
+                for position, (_, _, entry) in enumerate(self._order):
+                    if entry is victim:
+                        del self._order[position]
+                        at = position
+                        break
+            if self._image is not None and at is not None:
+                rows = self._image_rows
+                for column in self._image:
+                    column[at : rows - 1] = column[at + 1 : rows]
+                self._image_rows = rows - 1
+
+    def reset(self, removals: int) -> None:
+        """The store was cleared; ``removals`` is its new count."""
+        with self._lock:
+            self._removals = removals
+            self._clear()
+
+    def _clear(self) -> None:  # requires-lock: self._lock
+        self._unpromising = {}
+        self._buckets.clear()
         self._order.clear()
         self._version += 1
         self._imaged, self._image = False, None
+
+    def sync(
+        self,
+        store: PayloadStore,
+        removals: int,
+        seq: int,
+        entries: Dict[int, CacheEntry],
+        decide: Optional[Callable[[PayloadRows], bool]],
+        phi_key: Any,
+    ) -> None:
+        """Decide the entries of ``store`` (``entries``: its seq → entry
+        map, read under its lock) this view has not decided yet."""
+        with self._lock:
+            known = (
+                self._seq if self._store is store and self._phi_key == phi_key else 0
+            )
+            if known and self._removals == removals:
+                fresh = []
+                for number in reversed(entries):
+                    if number <= known:
+                        break
+                    fresh.append(entries[number])
+                for entry in reversed(fresh):
+                    if decide(entry.payload):
+                        self._insert(entry)
+            elif entries:
+                prior = self._unpromising
+                self._clear()
+                for entry in entries.values():
+                    if entry.seq <= known:
+                        unpromising = prior.get(entry.binding) is entry
+                    else:
+                        unpromising = decide(entry.payload)
+                    if unpromising:
+                        self._insert(entry)
+            elif self._unpromising or self._imaged:
+                self._clear()
+            self._store, self._removals, self._seq = store, removals, seq
+            self._phi_key = phi_key
+
+    def holds(self, entry: CacheEntry) -> bool:
+        """Is ``entry`` one of the view's unpromising entries?
+
+        Asked for every binding an execution joins, so it takes no
+        lock: one dict read is atomic, and only the execution holding
+        the view's plan (and its memo slot) changes the view.
+        """
+        return self._unpromising.get(entry.binding) is entry  # unguarded: one atomic dict read by the execution that alone changes the view
 
     def _image_insert(self, at: Optional[int], binding: Binding) -> None:  # requires-lock: self._lock
         """Mirror an insertion at ``at`` of the imaged list (``None``:
@@ -440,7 +586,7 @@ class NLJPCache(BudgetedBindingCache):
         no eviction or insert can mutate a list mid-iteration.
         """
         if self.use_index:
-            yield from self._unpromising_buckets.get(self._bucket_key(binding), ())
+            yield from self._buckets.get(self._bucket_key(binding), ())
         elif self.order_position is not None and (
             low is not None or high is not None
         ):
@@ -456,7 +602,7 @@ class NLJPCache(BudgetedBindingCache):
             for position in range(start, stop):
                 yield order[position][2]
         else:
-            yield from self._unpromising_all
+            yield from self._unpromising.values()
 
     def prune_candidates(
         self,
@@ -468,7 +614,7 @@ class NLJPCache(BudgetedBindingCache):
     ) -> Tuple[CacheEntry, ...]:
         """Every candidate of :meth:`first_pruner`'s walk, in its order.
 
-        An immutable snapshot taken under the cache lock — the
+        An immutable snapshot taken under the view's lock -- the
         reference enumeration for tests and tools; the operator itself
         stops at the first hit and never builds it.
         """
@@ -488,11 +634,11 @@ class NLJPCache(BudgetedBindingCache):
     ) -> Tuple[int, Optional[CacheEntry]]:
         """The pruning query Q_C: ``(checks, hit)``.
 
-        Walks the candidates in order under the cache lock, applying
+        Walks the candidates in order under the view's lock, applying
         ``should_prune(binding, candidate.binding)`` to each, and stops
         at the first entry that prunes ``binding`` (``hit``; ``None``
         when none does).  ``checks`` is the number of candidates tested
-        — what the caller charges to ``prune_checks``.
+        -- what the caller charges to ``prune_checks``.
         """
         checks = 0
         with self._lock:
@@ -513,24 +659,23 @@ class NLJPCache(BudgetedBindingCache):
         self,
         bindings: Sequence[Binding],
         columns: Sequence[Any],
-        memo: bool,
+        held: Optional[Any],
         test: Callable[[Sequence[Any], Sequence[Any]], Any],
         order_bound: Optional[Tuple[int, bool, bool]] = None,
     ) -> Optional[Tuple[int, Any, Any]]:
         """Q_C for a window of bindings at once: ``(version, pruned, checks)``.
 
         ``columns`` are the ``bindings`` as one int64/float64 array per
-        position, ``test(new, cached)`` is ``should_prune`` over arrays,
-        and ``order_bound`` = ``(position, is_low, strict)`` says which
-        of :meth:`first_pruner`'s ``low``/``high`` a binding's value at
-        the order index sets.  ``pruned[i]`` and ``checks[i]`` are what
-        ``first_pruner`` returns for binding ``i`` against the cache as
-        it stands — as long as :meth:`version` still reads ``version``;
-        a binding ``get`` would hit (only looked at with ``memo``) is
-        never pruned.  Nothing is counted or touched: the caller runs a
-        binding that is not pruned through ``get``/``first_pruner``
-        itself.  ``None`` when the candidates have no exact array image
-        of the columns' dtypes, or there are none.
+        position, ``held`` (or ``None``) a bool array of the bindings
+        the memo holds, which are never pruned, ``test(new, cached)`` is
+        ``should_prune`` over arrays, and ``order_bound`` = ``(position,
+        is_low, strict)`` says which of :meth:`first_pruner`'s
+        ``low``/``high`` a binding's value at the order index sets.
+        ``pruned[i]`` and ``checks[i]`` are what ``first_pruner``
+        returns for binding ``i`` against the view as it stands -- as
+        long as :meth:`version` still reads ``version``.  Nothing is
+        counted or touched.  ``None`` when the candidates have no exact
+        array image of the columns' dtypes, or there are none.
         """
         np = numpy_or_none()
         with self._lock:
@@ -541,7 +686,7 @@ class NLJPCache(BudgetedBindingCache):
                 walked = (
                     (item[2] for item in self._order)
                     if self.order_position is not None
-                    else self._unpromising_all
+                    else self._unpromising.values()
                 )
                 for at, entry in enumerate(walked):
                     self._image_insert(at, entry.binding)
@@ -556,10 +701,7 @@ class NLJPCache(BudgetedBindingCache):
                 return None
             pruned = np.zeros(len(bindings), dtype=bool)
             checks = np.zeros(len(bindings), dtype=np.int64)
-            if memo:
-                held = np.fromiter(
-                    map(self._entries.__contains__, bindings), bool, len(bindings)
-                )
+            if held is not None:
                 todo = np.flatnonzero(~held)
                 columns = [column[todo] for column in columns]
             else:
@@ -583,13 +725,129 @@ class NLJPCache(BudgetedBindingCache):
             return self._version, pruned, checks
 
 
+class NLJPCache:
+    """What one execution runs against: a :class:`PayloadStore` seen
+    through one plan's :class:`PruneView`.
+
+    Built from its settings, it holds a fresh store and view of its
+    own (what a library execution runs against); :meth:`over` pairs a
+    shared store with a plan's kept view.
+    """
+
+    def __init__(
+        self,
+        equality_positions: Sequence[int] = (),
+        use_index: bool = True,
+        max_entries: Optional[int] = None,
+        policy: str = "none",
+        order_position: Optional[int] = None,
+    ) -> None:
+        self.store = PayloadStore(max_entries=max_entries, policy=policy)
+        self.view = PruneView(equality_positions, use_index, order_position)
+        self.store.attach(self.view)
+
+    @classmethod
+    def over(
+        cls,
+        store: PayloadStore,
+        view: PruneView,
+        decide: Callable[[PayloadRows], bool],
+        phi_key: Any = (),
+    ) -> "NLJPCache":
+        """``store`` through ``view``, brought up to date (see
+        :meth:`PayloadStore.attach`)."""
+        cache = cls.__new__(cls)
+        cache.store, cache.view = store, view
+        store.attach(view, decide, phi_key)
+        return cache
+
+    # -- memoization -----------------------------------------------------
+    def get(self, binding: Binding) -> Optional[CacheEntry]:
+        return self.store.get(binding)
+
+    def missed(self, count: int) -> None:
+        self.store.missed(count)
+
+    def holding(self, bindings: Sequence[Binding]) -> List[bool]:
+        return self.store.holding(bindings)
+
+    def put(
+        self, binding: Binding, payload: PayloadRows, unpromising: bool
+    ) -> CacheEntry:
+        entry = self.store.put(binding, payload)
+        self.view.add(entry, unpromising)
+        return entry
+
+    # -- pruning ---------------------------------------------------------
+    def prune_candidates(self, binding: Binding, **bounds: Any) -> Tuple[CacheEntry, ...]:
+        return self.view.prune_candidates(binding, **bounds)
+
+    def first_pruner(
+        self,
+        binding: Binding,
+        should_prune: Callable[[Binding, Binding], bool],
+        **bounds: Any,
+    ) -> Tuple[int, Optional[CacheEntry]]:
+        return self.view.first_pruner(binding, should_prune, **bounds)
+
+    def version(self) -> int:
+        return self.view.version()
+
+    def prunable(
+        self,
+        bindings: Sequence[Binding],
+        columns: Sequence[Any],
+        memo: bool,
+        test: Callable[[Sequence[Any], Sequence[Any]], Any],
+        order_bound: Optional[Tuple[int, bool, bool]] = None,
+    ) -> Optional[Tuple[int, Any, Any]]:
+        """:meth:`PruneView.prunable`; with ``memo`` a binding
+        :meth:`get` would hit is never pruned."""
+        held = None
+        if memo:
+            held = numpy_or_none().array(self.store.holding(bindings), dtype=bool)
+        return self.view.prunable(bindings, columns, held, test, order_bound)
+
+    # -- the store's budget and footprint ----------------------------------
+    def evict_until(self, max_bytes: int, keep: Optional[CacheEntry] = None) -> int:
+        return self.store.evict_until(max_bytes, keep=keep)
+
+    def clear(self) -> None:
+        self.store.clear()
+
+    def __len__(self) -> int:
+        return len(self.store)
+
+    @property
+    def rows(self) -> int:
+        return self.store.rows
+
+    def estimated_bytes(self) -> int:
+        return self.store.estimated_bytes()
+
+    def counters(self) -> Tuple[int, int, int]:
+        return self.store.counters()
+
+    @property
+    def lookups(self) -> int:
+        return self.store.counters()[0]
+
+    @property
+    def hits(self) -> int:
+        return self.store.counters()[1]
+
+    @property
+    def evictions(self) -> int:
+        return self.store.counters()[2]
+
+
 #: Candidate tests one round of :func:`_first_hits` may evaluate at once
 #: (an upper bound on its scratch memory, ~1 MB per operand).
 _ROUND_TESTS = 1 << 16
 
 
 def _first_hits(np, test, columns, cached, start, stop):
-    """:meth:`NLJPCache.first_pruner`'s walk for many bindings at once.
+    """:meth:`PruneView.first_pruner`'s walk for many bindings at once.
 
     Binding ``i`` walks ``cached[start[i]:stop[i]]`` in order; returns
     ``(pruned, checks)`` arrays — a hit at range offset ``k`` charges

@@ -58,16 +58,19 @@ def check_memoization(
 ) -> MemoizationDecision:
     """Section 6 conditions for memoizing the inner side of ``view``.
 
-    ``cross_query=True`` evaluates benefit for a cache that *survives*
-    one execution (the serving layer's shared prepared-statement
-    cache): the "every binding distinct, the cache would never hit"
-    demotion is skipped, because repeats arrive from subsequent
-    executions of the same statement rather than from within one.
-    Safety conditions are unchanged — sharing is sound only while the
-    underlying data is unchanged and the parameter values match, which
-    the plan cache enforces via its version token and the NLJP
-    operator via its per-parameter-set reset (see
-    :meth:`repro.core.nljp.NLJPOperator.enable_shared_cache`).
+    ``cross_query=True`` evaluates benefit for a memo that *survives*
+    one execution (the serving layer's memo slots): the "every binding
+    distinct, the cache would never hit" demotion is skipped, because
+    repeats arrive from later executions — of the same statement, or
+    of any statement whose Q_R means the same, a threshold sweep —
+    rather than from within one.  Safety conditions are unchanged.
+    A payload depends only on Q_R, the CTEs it reads, the values of
+    the parameters those read, and the data, so that is what a slot is
+    keyed on, and a slot filled under another database version is
+    dropped (:class:`repro.serve.plan_cache.MemoStore`); which payloads
+    are unpromising depends on Φ, so each plan decides that itself
+    (:class:`repro.core.cache.PruneView`), and a parameter only Φ or
+    Q_B reads never empties the memo.
     """
     block = view.block
     if block.having is None:

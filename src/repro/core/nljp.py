@@ -47,16 +47,11 @@ from repro.engine.aggregates import is_algebraic
 from repro.engine.kernel import BlockDeclined, lower_inner
 from repro.engine.layout import ColumnBatch, Layout, numpy_or_none
 from repro.engine.planner import PlanEnv, plan_select
-from repro.core.cache import CacheEntry, NLJPCache, PayloadRows
+from repro.core.cache import CacheEntry, NLJPCache, PayloadRows, PayloadStore, PruneView
 from repro.core.iceberg import PartitionView
 from repro.core.memo import collect_aggregates
 from repro.core.pruning import PruningDecision
 
-
-#: Sentinel for "no execution has primed the shared cache yet" —
-#: distinct from ``()``/``None`` so a first run with empty params still
-#: registers as priming.
-_NO_PARAMS = object()
 
 #: :meth:`NLJPOperator._skip_ahead`'s shortest and longest stretch of
 #: bindings, and the pruned bindings (4-5 microseconds of Python each
@@ -230,7 +225,8 @@ class _Blocks:
         block = self.bindings[at : self.until]
         if nljp.enable_memo and not nljp._cache_disabled:
             # A duplicate finds the first one's entry in the memo.
-            wanted = dict.fromkeys(self.cache.missing(block), 1)
+            held = self.cache.holding(block)
+            wanted = dict.fromkeys([b for b, h in zip(block, held) if not h], 1)
         else:
             wanted = Counter(block)
         if nljp.pruning is not None and not nljp._cache_disabled and not self.decided:
@@ -312,17 +308,15 @@ class NLJPOperator(ops.PhysicalOperator):
         # pruning lookups are disabled (correct but unassisted join).
         self._cache_evicting = False  # unguarded: serialized by the plan-cache entry lock
         self._cache_disabled = False  # unguarded: serialized by the plan-cache entry lock
-        # Cross-execution cache (serving layer): when set, executions
-        # reuse this cache instead of building a fresh one, so the
-        # second run of a prepared statement gets memo/prune hits from
-        # the first.  Sound only while the data is unchanged (the plan
-        # cache invalidates on any version change) and the parameter
-        # values match (enforced below via _persistent_params).  The
-        # NLJPCache itself is internally locked; these references are
-        # single-writer because PlanCacheEntry.lock serializes all
-        # executions of one cached plan (see serve/server._execute_once).
-        self.persistent_cache: Optional[NLJPCache] = None  # unguarded: serialized by the plan-cache entry lock
-        self._persistent_params: Any = _NO_PARAMS  # unguarded: serialized by the plan-cache entry lock
+        # The payload store the next execution reads and fills: the
+        # serving layer's memo slot for what this Q_R computes, set
+        # under the plan-cache entry lock and the slot's lock (see
+        # repro.serve.plan_cache.MemoStore); ``None``, a fresh store
+        # per execution.  Over a shared store the plan keeps its own
+        # prune view from one execution to the next.
+        self.memo_store: Optional[PayloadStore] = None  # unguarded: serialized by the plan-cache entry lock
+        self._view: Optional[PruneView] = None  # unguarded: serialized by the plan-cache entry lock
+        self.memo_ran: Optional[str] = None  # unguarded: serialized by the plan-cache entry lock
 
         block = view.block
         if block.having is None:
@@ -356,6 +350,7 @@ class NLJPOperator(ops.PhysicalOperator):
         self._build_binding_query()
         self._build_inner_query()
         self._build_output()
+        self._plan_view()
         self._plan_loop()
 
     # ------------------------------------------------------------------
@@ -515,6 +510,17 @@ class NLJPOperator(ops.PhysicalOperator):
         payload_compiler = self.env.compiler(payload_layout)
         assert block.having is not None
         self.phi_fn = payload_compiler.compile(rewrite(block.having))
+        # The statement parameters Φ reads: a view's decisions hold for
+        # one set of their values.
+        self.phi_params = tuple(
+            sorted(
+                {
+                    node.name
+                    for node in ast.walk(block.having)
+                    if isinstance(node, ast.Parameter)
+                }
+            )
+        )
 
         # How to treat a binding whose joining set is *empty*.  Such a
         # binding produces no LR-group, so the flag only matters for
@@ -576,10 +582,14 @@ class NLJPOperator(ops.PhysicalOperator):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _new_cache(self) -> NLJPCache:
+    def _plan_view(self) -> None:
+        """The prune view's layout: equality buckets on the attributes
+        p⪰ equates, else an order index on the one it orders, and the
+        bound a binding's value at that index sets
+        (``_order_bound`` = ``(position, is_low_bound, strict)``)."""
         equality_positions = ()
         order_position = None
-        self._order_bound = None  # (position, is_low_bound, strict)
+        self._order_bound = None
         if self.pruning is not None and self.pruning.predicate is not None:
             predicate = self.pruning.predicate
             equality_positions = predicate.equality_attributes()
@@ -604,13 +614,73 @@ class NLJPOperator(ops.PhysicalOperator):
                     else:
                         self._order_bound = (position, True, op == ">")
                 order_position = position
+        self._view_layout = (equality_positions, self.cache_index, order_position)
+
+    def new_store(self) -> PayloadStore:
+        """An empty payload store under this plan's replacement policy."""
+        return PayloadStore(
+            max_entries=self.cache_max_entries, policy=self.cache_policy
+        )
+
+    def _new_cache(self) -> NLJPCache:
+        equality_positions, use_index, order_position = self._view_layout
         return NLJPCache(
             equality_positions=equality_positions,
-            use_index=self.cache_index,
+            use_index=use_index,
             max_entries=self.cache_max_entries,
             policy=self.cache_policy,
             order_position=order_position,
         )
+
+    def _shared_cache(self, store: PayloadStore, params: Dict[str, Any]) -> NLJPCache:
+        """``store`` through this plan's kept view, which decides the
+        entries it has not seen with Φ under ``params``."""
+        if self._view is None:
+            self._view = PruneView(*self._view_layout)
+        phi_key = tuple(params.get(name) for name in self.phi_params)
+        self.memo_ran = (
+            f"shared ({len(store)} payload entries when the last execution started)"
+        )
+        return NLJPCache.over(
+            store,
+            self._view,
+            lambda payload: self._is_unpromising(payload, params),
+            phi_key,
+        )
+
+    def memo_meaning(self, ctes: Sequence[ast.CommonTableExpr]) -> Tuple[Any, Tuple[str, ...]]:
+        """What a payload of this plan means, and the statement
+        parameters whose values it also depends on.
+
+        The meaning is Q_R as rendered, the rendered body of every CTE
+        it reads (directly, through another CTE or in a subquery), and
+        the cache settings; ``ctes`` are the statement's, as rewritten.
+        Two plans with one meaning, run with the same values of those
+        parameters over the same data, store the same payload for a
+        binding: the serving layer keys a shared store on it.
+        """
+        bodies = {cte.name.lower(): cte.query for cte in ctes}
+        read: List[Any] = [self.qr_select]
+        texts = [render(self.qr_select)]
+        parameters = set()
+        seen = set()
+        while read:
+            for node in ast.walk(read.pop()):
+                if isinstance(node, ast.Parameter):
+                    parameters.add(node.name)
+                elif isinstance(node, ast.NamedTable):
+                    name = node.name.lower()
+                    if name in bodies and name not in seen:
+                        seen.add(name)
+                        read.append(bodies[name])
+                        texts.append(f"{name} AS ({render(bodies[name])})")
+        meaning = (
+            tuple(texts),
+            self.cache_index,
+            self.cache_policy,
+            self.cache_max_entries,
+        )
+        return meaning, tuple(sorted(parameters - set(self.param_names)))
 
     def _run_inner(self, ctx: ops.ExecutionContext, binding) -> PayloadRows:
         ctx.stats.inner_evaluations += 1
@@ -682,47 +752,22 @@ class NLJPOperator(ops.PhysicalOperator):
                 return False
         return True
 
-    def enable_shared_cache(self) -> NLJPCache:
-        """Pin a cache that survives executions (serving-layer mode).
-
-        Subsequent :meth:`execute` calls reuse this cache, so the
-        second execution of a prepared statement gets memo hits and
-        prune seeds from the first — cross-*query* caching in the
-        spirit of Kalinsky et al.'s cache-across-bindings.  The cached
-        payloads depend on the inner data and the parameter values, so
-        :meth:`execute` clears the cache whenever the parameter set
-        differs from the one that primed it; data changes are handled
-        one level up by the plan cache's version-token invalidation
-        (the whole plan, pinned cache included, is dropped).
-        """
-        if self.persistent_cache is None:
-            self.persistent_cache = self._new_cache()
-            self._persistent_params = _NO_PARAMS
-        return self.persistent_cache
-
     def execute(self, ctx: ops.ExecutionContext) -> Iterator[Tuple[Any, ...]]:
         self.env.ctx_holder.setdefault("ctx", ctx)
-        cache = self.persistent_cache
-        if cache is None:
+        store = self.memo_store
+        if store is None:
             cache = self._new_cache()
         else:
-            params_key = tuple(sorted(ctx.params.items())) if ctx.params else ()
-            if self._persistent_params is _NO_PARAMS:
-                self._persistent_params = params_key
-            elif params_key != self._persistent_params:
-                cache.clear()
-                self._persistent_params = params_key
+            cache = self._shared_cache(store, ctx.params)
         self.cache = cache
         self._cache_evicting = False
         self._cache_disabled = False
         stats = ctx.stats
-        # Counter baselines: a shared cache accumulates across
+        # Counter baselines: a shared store accumulates across
         # executions, but each execution's stats must charge only its
         # own lookups/hits/evictions (footprint counters stay totals —
         # they describe the cache, not the work).  Baselines and final
-        # readings are locked snapshots: reading the three counters
-        # individually could interleave with a concurrent execution of
-        # another session sharing this pinned cache.
+        # readings are locked snapshots, like every read of the store.
         base_lookups, base_hits, base_evictions = cache.counters()
 
         if self.direct_mode:
@@ -777,7 +822,7 @@ class NLJPOperator(ops.PhysicalOperator):
             if governor is not None:
                 self._enforce_cache_budget(governor, cache, entry)
             return entry
-        return CacheEntry(binding=binding, payload=payload, unpromising=unpromising)
+        return CacheEntry(binding=binding, payload=payload)
 
     def _first_pruner(self, cache: NLJPCache, binding):
         """Q_C for ``binding`` against the cache as it stands: ``(checks,
@@ -1028,8 +1073,9 @@ class NLJPOperator(ops.PhysicalOperator):
     ) -> Iterator[Tuple[Any, ...]]:
         """𝔾_L → 𝔸_L: each binding's groups are complete; stream output."""
         params = ctx.params
+        unpromising = cache.view.holds
         for qb_row, entry in self._joined(ctx, cache):
-            if entry.unpromising:
+            if unpromising(entry):
                 continue
             for group, states in entry.payload:
                 finalized = self._finalized(group, states)
@@ -1084,6 +1130,8 @@ class NLJPOperator(ops.PhysicalOperator):
         lines += ["  Q_R: " + render(self.qr_select)]
         lines += ["  inner: " + self.inner_description()]
         lines += ["  loop: " + self.loop_description()]
+        if self.memo_ran is not None:
+            lines += ["  memo: " + self.memo_ran]
         if self.pruning is not None and self.pruning.predicate is not None:
             lines += ["  Q_C: " + render(self.pruning_query_sql())]
         return lines

@@ -678,13 +678,17 @@ class SmartIcebergOptimizer:
         if Φ only involves COUNT(*) thresholds, evaluate Φ with
         COUNT(*) = 1 — if it holds, the reducer filters nothing.  This
         is the cost heuristic that makes "a-priori does not apply" come
-        out the same way the paper reports for the skyband queries.
+        out the same way the paper reports for the skyband queries.  A
+        Φ that reads a statement parameter is decided at no value: the
+        reducer stays, which is correct at any.
         """
         fds = view.fds(True)
         if not fds.is_superkey(view.g_left, view.attributes(True)):
             return False
         having = view.block.having
         assert having is not None
+        if any(isinstance(node, ast.Parameter) for node in ast.walk(having)):
+            return False
         calls = ast.aggregate_calls(having)
         if not all(
             call.name == "COUNT"

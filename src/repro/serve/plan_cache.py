@@ -15,12 +15,27 @@ the database transparently forces a re-optimize on the next execution
 without writers knowing the cache exists.
 
 Each entry also carries an **execution lock**: the engine's plan
-objects (NLJP operator state, shared-CTE materialization) are built
-for one execution at a time, so sessions running the *same* cached
-plan serialize on the entry while distinct plans run fully in
-parallel.  The cross-query NLJP memo (see
-:meth:`repro.core.nljp.NLJPOperator.enable_shared_cache`) lives under
-this lock too, which is what makes sharing it safe.
+objects (NLJP operator state, its prune view, shared-CTE
+materialization) are built for one execution at a time, so sessions
+running the *same* cached plan serialize on the entry while distinct
+plans run fully in parallel.
+
+**The NLJP memo lives beside the plans, not in them.**  A payload (a
+binding's inner aggregates, Appendix C) depends on what Q_R computes,
+never on the HAVING threshold, so :class:`MemoStore` keeps one
+:class:`~repro.core.cache.PayloadStore` per *meaning* of a payload:
+the rendered Q_R with the bodies of the CTEs it reads, the values of
+the statement parameters those read, the cache settings and the
+technique mask.  Every plan with that meaning — a threshold sweep is
+one plan per threshold — reads and fills the same slot; each plan
+keeps its own prune view, which decides its own Φ on the payloads
+(:mod:`repro.core.cache`).  A slot remembers the database version
+token it was filled under and is dropped lazily, like a stale plan,
+when a lookup finds the token moved; slots are evicted LRU beyond the
+plan cache's own ``max_entries``.  Executions sharing a slot serialize
+on the slot's lock.  **Lock order: entry → slot.**  The slot lock is
+always taken while the plan-entry lock is held, never the other way
+round, and :attr:`MemoStore._lock` only for a lookup under either.
 
 **Scan resistance.**  A cache pays only for entries that are asked for
 again (the admission question of Kalinsky et al.'s *Flexible Caching
@@ -46,7 +61,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Hashable, Optional, Tuple
 
 CacheKey = Tuple[str, FrozenSet[str]]
 
@@ -65,6 +80,10 @@ class PlanCacheEntry:
     #: Serializes executions of this specific plan instance.
     lock: threading.RLock = field(default_factory=threading.RLock)
     hits: int = 0  # guarded-by: PlanCache._lock
+    #: The plan's NLJP payload meaning and the statement parameters it
+    #: reads (:meth:`repro.core.nljp.NLJPOperator.memo_meaning`), which
+    #: pick its :class:`MemoSlot`; ``None``, the plan shares no memo.
+    memo: Optional[Tuple[Any, Tuple[str, ...]]] = None
 
 
 class PlanCache:
@@ -82,9 +101,10 @@ class PlanCache:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
         #: How many entries may sit in the cache without ever having
-        #: been hit.  A cached plan pins ~200 KB (NLJP memo, layouts,
-        #: compiled expressions) and pays only if it is asked for
-        #: again, so a stream of one-shot statements gets this much
+        #: been hit.  A cached plan pins its layouts, compiled
+        #: expressions and NLJP prune view (the payloads are the memo
+        #: slots', see :class:`MemoStore`) and pays only if it is asked
+        #: for again, so a stream of one-shot statements gets this much
         #: room and no more.
         self.never_hit_allowance = max(8, max_entries // 8)
         # Entry-lock factory: tests inject a wrapping factory (see
@@ -168,6 +188,7 @@ class PlanCache:
         token: Tuple[int, ...],
         optimized: Any,
         fingerprint: str = "",
+        memo: Optional[Tuple[Any, Tuple[str, ...]]] = None,
     ) -> PlanCacheEntry:
         """Insert (or replace) the plan for this key, evicting on overflow.
 
@@ -190,6 +211,7 @@ class PlanCache:
             optimized=optimized,
             fingerprint=fingerprint,
             lock=self._lock_factory(),
+            memo=memo,
         )
         with self._lock:
             self._entries[cache_key] = entry
@@ -244,3 +266,51 @@ class PlanCache:
                 "flights": self.flights,
                 "flight_waits": self.flight_waits,
             }
+
+
+@dataclass
+class MemoSlot:
+    """One meaning of an NLJP payload: the store every plan with that
+    meaning reads and fills, for one version of the data."""
+
+    token: Tuple[int, ...]
+    store: Any
+    #: Serializes the executions that share the store; always taken
+    #: after the plan-entry lock.
+    lock: threading.RLock = field(default_factory=threading.RLock)
+
+
+class MemoStore:
+    """LRU map of payload meaning → :class:`MemoSlot` (see the module
+    docstring): the server-level NLJP memo."""
+
+    def __init__(
+        self, max_entries: int = 64, lock_factory: Any = threading.RLock
+    ) -> None:
+        if max_entries < 1:
+            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+        self.max_entries = max_entries
+        # Slot-lock factory, injectable like PlanCache's entry locks.
+        self._lock_factory = lock_factory
+        self._slots: "OrderedDict[Hashable, MemoSlot]" = OrderedDict()  # guarded-by: self._lock
+        self._lock = threading.RLock()
+
+    def slot(
+        self, key: Hashable, token: Tuple[int, ...], new_store: Callable[[], Any]
+    ) -> MemoSlot:
+        """The slot for ``key`` under the live ``token``: a slot filled
+        under another token is dropped and replaced by an empty one
+        (``new_store()``)."""
+        with self._lock:
+            slot = self._slots.get(key)
+            if slot is None or slot.token != token:
+                slot = MemoSlot(token, new_store(), self._lock_factory())
+                self._slots[key] = slot
+            self._slots.move_to_end(key)
+            while len(self._slots) > self.max_entries:
+                self._slots.popitem(last=False)
+            return slot
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._slots)

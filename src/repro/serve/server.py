@@ -47,7 +47,7 @@ from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.querylog import QueryLog, stable_fingerprint
 from repro.serve.admission import AdmissionController
 from repro.serve.circuit import CircuitBreaker
-from repro.serve.plan_cache import PlanCache, PlanCacheEntry
+from repro.serve.plan_cache import MemoSlot, MemoStore, PlanCache, PlanCacheEntry
 from repro.serve.retry import BackoffSchedule, RetryPolicy
 from repro.storage.catalog import Database
 
@@ -222,6 +222,7 @@ class IcebergServer:
             clock=clock,
         )
         self.plan_cache = PlanCache(max_entries=plan_cache_entries)
+        self.memo = MemoStore(max_entries=plan_cache_entries)
         self.retry = RetryPolicy(
             max_attempts=max_attempts,
             schedule=backoff or BackoffSchedule(),
@@ -403,14 +404,25 @@ class IcebergServer:
             mask = self._technique_mask()
             try:
                 entry, cache_hit = self._lookup_or_build(sql, mask)
-                with entry.lock:
-                    result = entry.optimized.execute(
+
+                def run() -> Result:
+                    return entry.optimized.execute(
                         params,
                         cancel_token=cancel_token,
                         fault_plan=fault_plan,
                         deadline_seconds=session.deadline_seconds,
                         trace_label=f"{session.session_id}:{sql[:40]}",
                     )
+
+                with entry.lock:
+                    slot = self._memo_slot(entry, mask, params)
+                    if slot is None:
+                        result = run()
+                    else:
+                        # Lock order: entry → slot (see plan_cache).
+                        with slot.lock:
+                            entry.optimized.nljp.memo_store = slot.store
+                            result = run()
             except BaseException:
                 # The techniques were never fully exercised: hand back
                 # any half-open probe slots without judging them.
@@ -435,6 +447,26 @@ class IcebergServer:
         if self._feedback_mode == "apply":
             token = token + (self.db.feedback.version,)
         return token
+
+    def _memo_slot(
+        self, entry: PlanCacheEntry, mask: FrozenSet[str], params: Optional[Dict]
+    ) -> Optional[MemoSlot]:
+        """The memo slot this execution of ``entry``'s plan reads and
+        fills, or ``None`` when the plan shares no memo.
+
+        Keyed by the technique mask, the payload meaning and the values
+        of the parameters it reads, under the live version token: a
+        write since the slot was filled leaves it empty again.
+        """
+        if entry.memo is None:
+            return None
+        meaning, reads = entry.memo
+        values = tuple((params or {}).get(name) for name in reads)
+        return self.memo.slot(
+            (mask, meaning, values),
+            self.db.version_token(),
+            entry.optimized.nljp.new_store,
+        )
 
     def _lookup_or_build(
         self, sql: str, mask: FrozenSet[str]
@@ -463,17 +495,19 @@ class IcebergServer:
             hit = False
             try:
                 optimized = self._engine(mask).optimize(sql)
-                if optimized.nljp is not None and optimized.nljp.enable_memo:
-                    # The NLJP memo outlives this execution: later runs
-                    # of the same cached plan hit what earlier runs
-                    # stored (guarded by the entry lock and the version
-                    # token).
-                    optimized.nljp.enable_shared_cache()
+                nljp = optimized.nljp
+                # The NLJP memo outlives this execution and this plan:
+                # every plan whose payloads mean the same reads and
+                # fills one memo slot (see _memo_slot).
+                memo = None
+                if nljp is not None and nljp.enable_memo:
+                    memo = nljp.memo_meaning(optimized.rewritten.ctes)
                 # Fingerprinted before the first run: explain() gains
                 # runtime lines (NLJP's loop path, say) once it has run.
                 entry = self.plan_cache.store(
                     sql, mask, live_token, optimized,
                     fingerprint=stable_fingerprint(optimized.planned.explain()),
+                    memo=memo,
                 )
             finally:
                 self.plan_cache.release(sql, mask)

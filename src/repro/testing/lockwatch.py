@@ -267,12 +267,15 @@ def watch_server(server: Any, watchdog: LockOrderWatchdog) -> LockOrderWatchdog:
 
     Names mirror the static checker's identities so a watchdog report
     reads against the same graph the analyzer prints.  Plan-cache
-    *entry* locks are covered through the injected factory: entries
-    stored after this call are born watched.
+    *entry* locks and NLJP memo *slot* locks are covered through the
+    injected factories: entries and slots made after this call are born
+    watched.
     """
     plan_cache = server.plan_cache
     watchdog.wrap_attr(plan_cache, "_lock", "PlanCache._lock")
     plan_cache._lock_factory = watchdog.lock_factory("PlanCacheEntry.lock")
+    watchdog.wrap_attr(server.memo, "_lock", "MemoStore._lock")
+    server.memo._lock_factory = watchdog.lock_factory("MemoSlot.lock")
     watchdog.wrap_attr(
         server.admission, "_condition", "AdmissionController._condition"
     )

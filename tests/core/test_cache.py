@@ -149,7 +149,7 @@ class TestReplacement:
         cache.put((2,), payload(), unpromising=True)
         candidates = list(cache.prune_candidates((0,), low=0))
         assert [e.binding for e in candidates] == [(2,)]
-        assert len(cache._unpromising_all) == 1
+        assert len(cache.view._unpromising) == 1
 
 
 class TestFootprint:
@@ -218,7 +218,7 @@ class TestReplacedEntries:
     pruning lists hold exactly the dict's unpromising entries."""
 
     def test_replaced_entries_leave_the_pruning_lists(self):
-        # A pruning-only plan on a pinned cache re-inserts a binding
+        # A pruning-only plan on a shared store re-inserts a binding
         # with a NULL attribute on every execution (p⪰ is false on
         # NULL, so it never prunes itself).
         cache = NLJPCache(order_position=0)

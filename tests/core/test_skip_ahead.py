@@ -271,11 +271,11 @@ def _operator(db, sql, **kwargs):
 
 
 def _observe(db, sql, per_binding, options, budget, take, batch_size, executions):
-    """Run ``executions`` times on one pinned cache; everything visible."""
+    """Run ``executions`` times on one shared store; everything visible."""
     operator = _operator(db, sql, **options)
     if per_binding:
         operator._loop_reason = operator._loop_reason or "the reference"
-    cache = operator.enable_shared_cache()
+    store = operator.memo_store = operator.new_store()
     seen = []
     for _ in range(executions):
         ctx = ExecutionContext(batch_size=batch_size, columnar=True)
@@ -287,18 +287,22 @@ def _observe(db, sql, per_binding, options, budget, take, batch_size, executions
         rows = list(itertools.islice(produced, take))
         produced.close()
         seen.append((repr(rows), ctx.stats.as_dict()))
+    view = operator._view  # the plan's verdicts, kept between executions
     entries = [
-        (repr(binding), entry.hits, entry.unpromising)
-        for binding, entry in cache._entries.items()
+        (repr(binding), entry.hits, view is not None and view.holds(entry))
+        for binding, entry in store._entries.items()
     ]
     probes = [(0, 0), (2, 2), (9, 9), (0.5, 2.5), (None, 1)]
-    candidates = [
-        repr([e.binding for e in cache.prune_candidates(probe)]) for probe in probes
-    ] + [
-        repr([e.binding for e in cache.prune_candidates(probe, low=probe[0])])
-        for probe in probes[:4]
-    ]
-    return seen, entries, candidates, cache.counters(), operator.loop_ran
+    candidates = (
+        [repr([e.binding for e in view.prune_candidates(probe)]) for probe in probes]
+        + [
+            repr([e.binding for e in view.prune_candidates(probe, low=probe[0])])
+            for probe in probes[:4]
+        ]
+        if view is not None
+        else []
+    )
+    return seen, entries, candidates, store.counters(), operator.loop_ran
 
 
 @st.composite
@@ -371,19 +375,24 @@ class TestDifferential:
             nljp_module._MIN_WINDOW, nljp_module._WINDOW_PAYS = saved
         assert windowed[:-1] == reference[:-1]
 
-    def test_warm_skyband_is_windowed_with_the_walks_counters(self):
+    def test_warm_skyband_is_windowed_with_the_walks_counters(self, monkeypatch):
         rng = random.Random(17)
         rows = [(rng.randint(0, 30), rng.randint(0, 30), "a") for _ in range(400)]
         db = _database(rows, SqlType.INTEGER, SqlType.INTEGER)
         calls = []
         observed = {}
+        decide = NLJPCache.prunable
         for per_binding in (False, True):
             operator = _operator(db, QUERIES["skyband"])
             if per_binding:
                 operator._loop_reason = "the reference"
-            cache = operator.enable_shared_cache()
-            decide = cache.prunable
-            cache.prunable = lambda *a, **k: calls.append(per_binding) or decide(*a, **k)
+            operator.memo_store = operator.new_store()
+            monkeypatch.setattr(
+                NLJPCache,
+                "prunable",
+                lambda *a, per_binding=per_binding, **k: calls.append(per_binding)
+                or decide(*a, **k),
+            )
             runs = []
             for _ in range(2):
                 ctx = ExecutionContext(batch_size=4096, columnar=True)

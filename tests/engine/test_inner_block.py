@@ -416,13 +416,13 @@ def _operator(db, sql, left, **options) -> NLJPOperator:
 
 
 def _observe(name, seed, size, tree, options, budget, take, batch_size, fault, executions=2):
-    """Run ``executions`` times on one pinned cache; everything visible."""
+    """Run ``executions`` times on one shared store; everything visible."""
     schema, sql, left = STATEMENTS[name]
     operator = _operator(schema(random.Random(seed), size), sql, left, **options)
     assert isinstance(operator.inner_kernel, BlockKernel), operator.inner_description()
     if tree:
         operator.inner_kernel = None
-    cache = operator.enable_shared_cache()
+    store = operator.memo_store = operator.new_store()
     seen = []
     discarded = 0
     for _ in range(executions):
@@ -446,11 +446,12 @@ def _observe(name, seed, size, tree, options, budget, take, batch_size, fault, e
         if state is not None and take is None and fault is None:
             # Whatever was evaluated ahead was consumed, or dropped.
             assert not state.prefetched
+    view = operator._view  # the plan's verdicts, kept between executions
     entries = [
-        (repr(binding), repr(entry.payload), entry.unpromising, entry.hits)
-        for binding, entry in cache._entries.items()  # in LRU order
+        (repr(binding), repr(entry.payload), view.holds(entry), entry.hits)
+        for binding, entry in store._entries.items()  # in LRU order
     ]
-    return (seen, entries, cache.counters()), discarded, operator
+    return (seen, entries, store.counters()), discarded, operator
 
 
 CACHES = [

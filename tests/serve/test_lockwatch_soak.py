@@ -114,3 +114,54 @@ def test_watch_server_covers_entry_locks(db):
     assert entry_locks, "execution should have cached a plan"
     assert all(lock.name == "PlanCacheEntry.lock" for lock in entry_locks)
     watchdog.assert_no_inversions()
+
+
+def test_threshold_sweep_sessions_share_a_slot_without_inversions(
+    db, global_registry_watch
+):
+    """Four sessions run different thresholds of one attribute pair at
+    once: one memo slot, taken after each plan's entry lock."""
+    from repro.workloads import skyband_query
+
+    watchdog = global_registry_watch
+    server = IcebergServer(db, max_concurrent=4, max_queue=4, registry=MetricsRegistry())
+    watch_server(server, watchdog)
+    thresholds = [(2, 9, 4), (5, 1, 8), (3, 7, 6), (9, 2, 5)]
+    serial = {
+        k: sorted(IcebergServer(db).session().execute(skyband_query("b_h", "b_hr", k)).rows)
+        for ks in thresholds
+        for k in ks
+    }
+    barrier = threading.Barrier(len(thresholds))
+    errors = []
+    seen = []
+
+    def sweep(ks):
+        session = server.session()
+        watch_session(session, watchdog)
+        barrier.wait(timeout=30)
+        try:
+            for _ in range(2):
+                for k in ks:
+                    rows = session.execute(skyband_query("b_h", "b_hr", k)).rows
+                    seen.append((k, sorted(rows)))
+        except Exception as error:  # noqa: BLE001 — collected for the assert
+            errors.append(error)
+
+    threads = [
+        threading.Thread(target=sweep, args=(ks,), name=f"sweep-{index}")
+        for index, ks in enumerate(thresholds)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads), "sweep wedged"
+    assert errors == []
+    assert len(seen) == 2 * sum(len(ks) for ks in thresholds)
+    assert all(rows == serial[k] for k, rows in seen)
+    assert len(server.memo) == 1
+    assert "MemoSlot.lock" in {
+        name for edge in watchdog.witnessed_edges() for name in edge
+    }
+    watchdog.assert_no_inversions()
