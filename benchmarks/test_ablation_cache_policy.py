@@ -37,7 +37,7 @@ def run_cache_policy_ablation(n_rows=None, k=40):
         optimized = system.optimize(sql)
         result = optimized.execute()
         assert sorted(result.rows) == baseline, label
-        cache = optimized.nljp.cache
+        cache = optimized.nljp.store
         limit = options.get("cache_max_entries")
         if limit is not None:
             assert cache.rows <= limit, label

@@ -14,7 +14,7 @@ from repro.core.apriori import (
     build_reducer,
     check_apriori,
 )
-from repro.core.cache import NLJPCache
+from repro.core.cache import PayloadStore, PruneView
 from repro.core.iceberg import IcebergBlock, PartitionView
 from repro.core.memo import MemoizationDecision, check_memoization
 from repro.core.monotonicity import Monotonicity, classify
@@ -34,12 +34,13 @@ __all__ = [
     "IcebergBlock",
     "MemoizationDecision",
     "Monotonicity",
-    "NLJPCache",
     "NLJPOperator",
     "OptimizationReport",
     "OptimizedQuery",
     "PartitionView",
+    "PayloadStore",
     "PruneDirection",
+    "PruneView",
     "PruningDecision",
     "Reducer",
     "SmartIceberg",

@@ -21,8 +21,8 @@ second depends on Φ, so the two live apart:
   evaluates Φ only for the entries added since; it rebuilds only after
   an eviction or ``clear()`` it was not told of, or under other values
   of Φ's parameters.
-* :class:`NLJPCache` is what one execution runs against: a store seen
-  through a view.  A library execution builds both fresh; the serving
+* :func:`fresh_memo` builds a store with a view attached: what a
+  library execution runs against, both fresh each time.  The serving
   layer keeps one store per meaning of a payload
   (:class:`repro.serve.plan_cache.MemoStore`) and one view per cached
   plan.
@@ -51,16 +51,20 @@ re-entrant lock, and :meth:`PruneView.first_pruner` holds it for its
 whole walk — which stops at the first hit, a candidate or two on a
 warm cache — so an eviction can never mutate a list mid-iteration.
 A store tells the view attached to it of every entry it drops, under
-its own lock: the lock order is store → view, never the reverse.
-Single-query executions pay one uncontended lock acquisition per
-operation, which profiles as noise next to the inner query evaluation
-each operation guards.
+its own lock: the lock order is store → view, never the reverse.  The
+two membership reads asked for every binding (:meth:`PayloadStore.held`,
+:meth:`PruneView.holds`) take no lock: a dict read is atomic, and only
+the execution that holds the structure changes it.  Single-query
+executions pay one uncontended lock acquisition per other operation,
+which profiles as noise next to the inner query evaluation each
+operation guards.
 """
 
 from __future__ import annotations
 
 import bisect
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -198,13 +202,6 @@ class BudgetedBindingCache:
         with self._lock:
             self.lookups += count
 
-    def holding(self, bindings: Sequence[Binding]) -> List[bool]:
-        """Whether :meth:`get` would hit each of ``bindings`` as the
-        cache stands; nothing is counted or touched."""
-        with self._lock:
-            held = self._entries
-            return [binding in held for binding in bindings]
-
     def _admit(self, binding: Binding, entry: Any) -> None:  # requires-lock: self._lock
         """Insert under the entry-count policy; caller holds the lock."""
         previous = self._entries.get(binding)
@@ -308,7 +305,8 @@ class PayloadStore(BudgetedBindingCache):
     entries after it.  Every entry dropped (evicted, replaced, cleared)
     moves a removal count: the view attached last (:meth:`attach`) is
     told of each drop as it happens, any other view rebuilds when it is
-    attached next.
+    attached next.  Store and view hold each other weakly: a view lives
+    as long as its plan, a shared store as long as its memo slot.
     """
 
     def __init__(
@@ -319,7 +317,7 @@ class PayloadStore(BudgetedBindingCache):
         self._in_order: Dict[int, CacheEntry] = {}  # guarded-by: self._lock
         self._seq = 0  # guarded-by: self._lock
         self._removals = 0  # guarded-by: self._lock
-        self._view: Optional[PruneView] = None  # guarded-by: self._lock
+        self._view: Optional["weakref.ref[PruneView]"] = None  # guarded-by: self._lock
 
     def _entry_bytes(self, entry: CacheEntry) -> int:
         return entry_bytes(entry)
@@ -332,17 +330,28 @@ class PayloadStore(BudgetedBindingCache):
             self._in_order[entry.seq] = entry
             return entry
 
+    def held(self, bindings: Sequence[Binding]) -> Iterator[bool]:
+        """Whether :meth:`get` would hit each of ``bindings``, lazily;
+        nothing is counted or touched, and no lock is taken (see the
+        module docstring)."""
+        return map(self._entries.__contains__, bindings)  # unguarded: atomic dict reads by the execution that alone changes the store
+
+    def _attached(self) -> Optional["PruneView"]:  # requires-lock: self._lock
+        return None if self._view is None else self._view()
+
     def _forget(self, binding: Binding, entry: CacheEntry) -> None:  # requires-lock: self._lock
         del self._in_order[entry.seq]
         self._removals += 1
-        if self._view is not None:
-            self._view.forget(entry, self._removals)
+        view = self._attached()
+        if view is not None:
+            view.forget(entry, self._removals)
 
     def _reset_side_structures(self) -> None:  # requires-lock: self._lock
         self._in_order.clear()
         self._removals += 1
-        if self._view is not None:
-            self._view.reset(self._removals)
+        view = self._attached()
+        if view is not None:
+            view.reset(self._removals)
 
     def attach(
         self,
@@ -357,7 +366,7 @@ class PayloadStore(BudgetedBindingCache):
         """
         with self._lock:
             view.sync(self, self._removals, self._seq, self._in_order, decide, phi_key)
-            self._view = view
+            self._view = weakref.ref(view)
 
 
 class PruneView:
@@ -406,10 +415,11 @@ class PruneView:
         # Moves whenever the pruning candidates change: a window decided
         # under one version is void under another.
         self._version = 0  # guarded-by: self._lock
-        # How far the view has decided its store: which store, its
-        # removal count and last insertion number, and Φ's parameter
-        # values the decisions were made under.
-        self._store: Optional[PayloadStore] = None  # guarded-by: self._lock
+        # How far the view has decided its store: which store (held
+        # weakly: the serving layer's slot owns it), its removal count
+        # and last insertion number, and Φ's parameter values the
+        # decisions were made under.
+        self._store: Optional["weakref.ref[PayloadStore]"] = None  # guarded-by: self._lock
         self._removals = 0  # guarded-by: self._lock
         self._seq = 0  # guarded-by: self._lock
         self._phi_key: Any = ()  # guarded-by: self._lock
@@ -494,7 +504,11 @@ class PruneView:
         map, read under its lock) this view has not decided yet."""
         with self._lock:
             known = (
-                self._seq if self._store is store and self._phi_key == phi_key else 0
+                self._seq
+                if self._store is not None
+                and self._store() is store
+                and self._phi_key == phi_key
+                else 0
             )
             if known and self._removals == removals:
                 fresh = []
@@ -517,7 +531,7 @@ class PruneView:
                         self._insert(entry)
             elif self._unpromising or self._imaged:
                 self._clear()
-            self._store, self._removals, self._seq = store, removals, seq
+            self._store, self._removals, self._seq = weakref.ref(store), removals, seq
             self._phi_key = phi_key
 
     def holds(self, entry: CacheEntry) -> bool:
@@ -659,18 +673,18 @@ class PruneView:
         self,
         bindings: Sequence[Binding],
         columns: Sequence[Any],
-        held: Optional[Any],
         test: Callable[[Sequence[Any], Sequence[Any]], Any],
         order_bound: Optional[Tuple[int, bool, bool]] = None,
+        memo: Optional[PayloadStore] = None,
     ) -> Optional[Tuple[int, Any, Any]]:
         """Q_C for a window of bindings at once: ``(version, pruned, checks)``.
 
         ``columns`` are the ``bindings`` as one int64/float64 array per
-        position, ``held`` (or ``None``) a bool array of the bindings
-        the memo holds, which are never pruned, ``test(new, cached)`` is
-        ``should_prune`` over arrays, and ``order_bound`` = ``(position,
-        is_low, strict)`` says which of :meth:`first_pruner`'s
-        ``low``/``high`` a binding's value at the order index sets.
+        position, ``test(new, cached)`` is ``should_prune`` over arrays,
+        ``order_bound`` = ``(position, is_low, strict)`` says which of
+        :meth:`first_pruner`'s ``low``/``high`` a binding's value at the
+        order index sets, and a binding ``memo`` (when given) holds is
+        never pruned.
         ``pruned[i]`` and ``checks[i]`` are what ``first_pruner``
         returns for binding ``i`` against the view as it stands -- as
         long as :meth:`version` still reads ``version``.  Nothing is
@@ -701,7 +715,8 @@ class PruneView:
                 return None
             pruned = np.zeros(len(bindings), dtype=bool)
             checks = np.zeros(len(bindings), dtype=np.int64)
-            if held is not None:
+            if memo is not None:
+                held = np.fromiter(memo.held(bindings), bool, len(bindings))
                 todo = np.flatnonzero(~held)
                 columns = [column[todo] for column in columns]
             else:
@@ -725,120 +740,19 @@ class PruneView:
             return self._version, pruned, checks
 
 
-class NLJPCache:
-    """What one execution runs against: a :class:`PayloadStore` seen
-    through one plan's :class:`PruneView`.
-
-    Built from its settings, it holds a fresh store and view of its
-    own (what a library execution runs against); :meth:`over` pairs a
-    shared store with a plan's kept view.
-    """
-
-    def __init__(
-        self,
-        equality_positions: Sequence[int] = (),
-        use_index: bool = True,
-        max_entries: Optional[int] = None,
-        policy: str = "none",
-        order_position: Optional[int] = None,
-    ) -> None:
-        self.store = PayloadStore(max_entries=max_entries, policy=policy)
-        self.view = PruneView(equality_positions, use_index, order_position)
-        self.store.attach(self.view)
-
-    @classmethod
-    def over(
-        cls,
-        store: PayloadStore,
-        view: PruneView,
-        decide: Callable[[PayloadRows], bool],
-        phi_key: Any = (),
-    ) -> "NLJPCache":
-        """``store`` through ``view``, brought up to date (see
-        :meth:`PayloadStore.attach`)."""
-        cache = cls.__new__(cls)
-        cache.store, cache.view = store, view
-        store.attach(view, decide, phi_key)
-        return cache
-
-    # -- memoization -----------------------------------------------------
-    def get(self, binding: Binding) -> Optional[CacheEntry]:
-        return self.store.get(binding)
-
-    def missed(self, count: int) -> None:
-        self.store.missed(count)
-
-    def holding(self, bindings: Sequence[Binding]) -> List[bool]:
-        return self.store.holding(bindings)
-
-    def put(
-        self, binding: Binding, payload: PayloadRows, unpromising: bool
-    ) -> CacheEntry:
-        entry = self.store.put(binding, payload)
-        self.view.add(entry, unpromising)
-        return entry
-
-    # -- pruning ---------------------------------------------------------
-    def prune_candidates(self, binding: Binding, **bounds: Any) -> Tuple[CacheEntry, ...]:
-        return self.view.prune_candidates(binding, **bounds)
-
-    def first_pruner(
-        self,
-        binding: Binding,
-        should_prune: Callable[[Binding, Binding], bool],
-        **bounds: Any,
-    ) -> Tuple[int, Optional[CacheEntry]]:
-        return self.view.first_pruner(binding, should_prune, **bounds)
-
-    def version(self) -> int:
-        return self.view.version()
-
-    def prunable(
-        self,
-        bindings: Sequence[Binding],
-        columns: Sequence[Any],
-        memo: bool,
-        test: Callable[[Sequence[Any], Sequence[Any]], Any],
-        order_bound: Optional[Tuple[int, bool, bool]] = None,
-    ) -> Optional[Tuple[int, Any, Any]]:
-        """:meth:`PruneView.prunable`; with ``memo`` a binding
-        :meth:`get` would hit is never pruned."""
-        held = None
-        if memo:
-            held = numpy_or_none().array(self.store.holding(bindings), dtype=bool)
-        return self.view.prunable(bindings, columns, held, test, order_bound)
-
-    # -- the store's budget and footprint ----------------------------------
-    def evict_until(self, max_bytes: int, keep: Optional[CacheEntry] = None) -> int:
-        return self.store.evict_until(max_bytes, keep=keep)
-
-    def clear(self) -> None:
-        self.store.clear()
-
-    def __len__(self) -> int:
-        return len(self.store)
-
-    @property
-    def rows(self) -> int:
-        return self.store.rows
-
-    def estimated_bytes(self) -> int:
-        return self.store.estimated_bytes()
-
-    def counters(self) -> Tuple[int, int, int]:
-        return self.store.counters()
-
-    @property
-    def lookups(self) -> int:
-        return self.store.counters()[0]
-
-    @property
-    def hits(self) -> int:
-        return self.store.counters()[1]
-
-    @property
-    def evictions(self) -> int:
-        return self.store.counters()[2]
+def fresh_memo(
+    equality_positions: Sequence[int] = (),
+    use_index: bool = True,
+    max_entries: Optional[int] = None,
+    policy: str = "none",
+    order_position: Optional[int] = None,
+) -> Tuple[PayloadStore, PruneView]:
+    """An empty store with a view of these settings attached: what one
+    library execution runs against."""
+    store = PayloadStore(max_entries=max_entries, policy=policy)
+    view = PruneView(equality_positions, use_index, order_position)
+    store.attach(view)
+    return store, view
 
 
 #: Candidate tests one round of :func:`_first_hits` may evaluate at once

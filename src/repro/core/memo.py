@@ -67,10 +67,10 @@ def check_memoization(
     A payload depends only on Q_R, the CTEs it reads, the values of
     the parameters those read, and the data, so that is what a slot is
     keyed on, and a slot filled under another database version is
-    dropped (:class:`repro.serve.plan_cache.MemoStore`); which payloads
-    are unpromising depends on Φ, so each plan decides that itself
-    (:class:`repro.core.cache.PruneView`), and a parameter only Φ or
-    Q_B reads never empties the memo.
+    replaced by an empty one (:class:`repro.serve.plan_cache.MemoStore`);
+    which payloads are unpromising depends on Φ, so each plan decides
+    that itself (:class:`repro.core.cache.PruneView`), and a parameter
+    only Φ or Q_B reads never empties the memo.
     """
     block = view.block
     if block.having is None:

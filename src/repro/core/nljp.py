@@ -47,7 +47,7 @@ from repro.engine.aggregates import is_algebraic
 from repro.engine.kernel import BlockDeclined, lower_inner
 from repro.engine.layout import ColumnBatch, Layout, numpy_or_none
 from repro.engine.planner import PlanEnv, plan_select
-from repro.core.cache import CacheEntry, NLJPCache, PayloadRows, PayloadStore, PruneView
+from repro.core.cache import CacheEntry, PayloadRows, PayloadStore, PruneView, fresh_memo
 from repro.core.iceberg import PartitionView
 from repro.core.memo import collect_aggregates
 from repro.core.pruning import PruningDecision
@@ -185,12 +185,9 @@ class _Blocks:
     done, with nothing to tune.
     """
 
-    def __init__(
-        self, nljp: "NLJPOperator", ctx: ops.ExecutionContext, cache: NLJPCache
-    ) -> None:
+    def __init__(self, nljp: "NLJPOperator", ctx: ops.ExecutionContext) -> None:
         self.nljp = nljp
         self.ctx = ctx
-        self.cache = cache
         self.kernel = nljp.inner_kernel
         self.bindings: Sequence[Tuple[Any, ...]] = ()
         self.until = 0
@@ -225,7 +222,7 @@ class _Blocks:
         block = self.bindings[at : self.until]
         if nljp.enable_memo and not nljp._cache_disabled:
             # A duplicate finds the first one's entry in the memo.
-            held = self.cache.holding(block)
+            held = nljp.store.held(block)
             wanted = dict.fromkeys([b for b, h in zip(block, held) if not h], 1)
         else:
             wanted = Counter(block)
@@ -235,7 +232,7 @@ class _Blocks:
             wanted = {
                 binding: uses
                 for binding, uses in wanted.items()
-                if nljp._first_pruner(self.cache, binding)[1] is None
+                if nljp._first_pruner(binding)[1] is None
             }
         tracer = self.ctx.tracer
         try:
@@ -302,7 +299,11 @@ class NLJPOperator(ops.PhysicalOperator):
         self.cache_max_entries = cache_max_entries
         self.cache_policy = cache_policy
         self.binding_order = binding_order
-        self.cache: Optional[NLJPCache] = None  # unguarded: serialized by the plan-cache entry lock; one execution per operator instance at a time
+        # The payload store and prune view the current execution runs
+        # against; a library execution's stay after it, a shared store
+        # is let go (release_memo).
+        self.store: Optional[PayloadStore] = None  # unguarded: serialized by the plan-cache entry lock; one execution per operator instance at a time
+        self.prune_view: Optional[PruneView] = None  # unguarded: serialized by the plan-cache entry lock
         # Governor degradation state, reset per execution: once the
         # cache-bytes budget cannot be met even with eviction, memo and
         # pruning lookups are disabled (correct but unassisted join).
@@ -312,10 +313,9 @@ class NLJPOperator(ops.PhysicalOperator):
         # serving layer's memo slot for what this Q_R computes, set
         # under the plan-cache entry lock and the slot's lock (see
         # repro.serve.plan_cache.MemoStore); ``None``, a fresh store
-        # per execution.  Over a shared store the plan keeps its own
-        # prune view from one execution to the next.
+        # and view per execution.  Over a shared store the plan keeps
+        # its view from one execution to the next.
         self.memo_store: Optional[PayloadStore] = None  # unguarded: serialized by the plan-cache entry lock
-        self._view: Optional[PruneView] = None  # unguarded: serialized by the plan-cache entry lock
         self.memo_ran: Optional[str] = None  # unguarded: serialized by the plan-cache entry lock
 
         block = view.block
@@ -622,31 +622,38 @@ class NLJPOperator(ops.PhysicalOperator):
             max_entries=self.cache_max_entries, policy=self.cache_policy
         )
 
-    def _new_cache(self) -> NLJPCache:
+    def _open_memo(self, params: Dict[str, Any]) -> None:
+        """Set the store and view this execution runs against: a fresh
+        pair, or :attr:`memo_store` through the plan's kept view, which
+        decides the entries it has not seen with Φ under ``params``."""
+        store = self.memo_store
         equality_positions, use_index, order_position = self._view_layout
-        return NLJPCache(
-            equality_positions=equality_positions,
-            use_index=use_index,
-            max_entries=self.cache_max_entries,
-            policy=self.cache_policy,
-            order_position=order_position,
-        )
-
-    def _shared_cache(self, store: PayloadStore, params: Dict[str, Any]) -> NLJPCache:
-        """``store`` through this plan's kept view, which decides the
-        entries it has not seen with Φ under ``params``."""
-        if self._view is None:
-            self._view = PruneView(*self._view_layout)
-        phi_key = tuple(params.get(name) for name in self.phi_params)
+        if store is None:
+            self.store, self.prune_view = fresh_memo(
+                equality_positions,
+                use_index,
+                self.cache_max_entries,
+                self.cache_policy,
+                order_position,
+            )
+            return
+        if self.prune_view is None:
+            self.prune_view = PruneView(equality_positions, use_index, order_position)
         self.memo_ran = (
             f"shared ({len(store)} payload entries when the last execution started)"
         )
-        return NLJPCache.over(
-            store,
-            self._view,
+        store.attach(
+            self.prune_view,
             lambda payload: self._is_unpromising(payload, params),
-            phi_key,
+            tuple(params.get(name) for name in self.phi_params),
         )
+        self.store = store
+
+    def release_memo(self) -> None:
+        """Let go of the shared store the last execution ran against;
+        the plan's view keeps its decisions and holds the store only
+        weakly."""
+        self.memo_store = self.store = None
 
     def memo_meaning(self, ctes: Sequence[ast.CommonTableExpr]) -> Tuple[Any, Tuple[str, ...]]:
         """What a payload of this plan means, and the statement
@@ -754,12 +761,8 @@ class NLJPOperator(ops.PhysicalOperator):
 
     def execute(self, ctx: ops.ExecutionContext) -> Iterator[Tuple[Any, ...]]:
         self.env.ctx_holder.setdefault("ctx", ctx)
-        store = self.memo_store
-        if store is None:
-            cache = self._new_cache()
-        else:
-            cache = self._shared_cache(store, ctx.params)
-        self.cache = cache
+        self._open_memo(ctx.params)
+        store = self.store
         self._cache_evicting = False
         self._cache_disabled = False
         stats = ctx.stats
@@ -768,23 +771,23 @@ class NLJPOperator(ops.PhysicalOperator):
         # own lookups/hits/evictions (footprint counters stay totals —
         # they describe the cache, not the work).  Baselines and final
         # readings are locked snapshots, like every read of the store.
-        base_lookups, base_hits, base_evictions = cache.counters()
+        base_lookups, base_hits, base_evictions = store.counters()
 
         if self.direct_mode:
-            yield from self._execute_direct(ctx, cache)
+            yield from self._execute_direct(ctx)
         else:
-            yield from self._execute_combining(ctx, cache)
+            yield from self._execute_combining(ctx)
 
-        end_lookups, end_hits, end_evictions = cache.counters()
-        stats.cache_rows += cache.rows
-        stats.cache_bytes += cache.estimated_bytes()
+        end_lookups, end_hits, end_evictions = store.counters()
+        stats.cache_rows += store.rows
+        stats.cache_bytes += store.estimated_bytes()
         stats.cache_hits += end_hits - base_hits
         stats.cache_misses += (end_lookups - base_lookups) - (
             end_hits - base_hits
         )
         stats.cache_evictions += end_evictions - base_evictions
 
-    def _lookup_or_compute(self, ctx: ops.ExecutionContext, cache: NLJPCache, binding):
+    def _lookup_or_compute(self, ctx: ops.ExecutionContext, binding):
         """The per-binding core of Listing 6 / Section 7's pseudocode.
 
         Returns the cache entry, or None when the binding was pruned.
@@ -794,13 +797,13 @@ class NLJPOperator(ops.PhysicalOperator):
         """
         use_cache = not self._cache_disabled
         tracer = ctx.tracer
-        entry = cache.get(binding) if (self.enable_memo and use_cache) else None
+        entry = self.store.get(binding) if (self.enable_memo and use_cache) else None
         if tracer is not None and self.enable_memo and use_cache:
             tracer.record_cache(self, "memo_get", hit=entry is not None)
         if entry is not None:
             return entry
         if self.pruning is not None and use_cache:
-            checks, hit = self._first_pruner(cache, binding)
+            checks, hit = self._first_pruner(binding)
             ctx.stats.prune_checks += checks
             pruned = hit is not None
             if tracer is not None:
@@ -816,16 +819,17 @@ class NLJPOperator(ops.PhysicalOperator):
             governor = ctx.governor
             if governor is not None:
                 governor.check("cache-insert")
-            entry = cache.put(binding, payload, unpromising)
+            entry = self.store.put(binding, payload)
+            self.prune_view.add(entry, unpromising)
             if tracer is not None:
                 tracer.record_cache(self, "put")
             if governor is not None:
-                self._enforce_cache_budget(governor, cache, entry)
+                self._enforce_cache_budget(governor, entry)
             return entry
         return CacheEntry(binding=binding, payload=payload)
 
-    def _first_pruner(self, cache: NLJPCache, binding):
-        """Q_C for ``binding`` against the cache as it stands: ``(checks,
+    def _first_pruner(self, binding):
+        """Q_C for ``binding`` against the view as it stands: ``(checks,
         hit)``, nothing counted."""
         low = high = None
         low_strict = high_strict = False
@@ -836,12 +840,12 @@ class NLJPOperator(ops.PhysicalOperator):
                 low, low_strict = value, strict
             else:
                 high, high_strict = value, strict
-        return cache.first_pruner(
+        return self.prune_view.first_pruner(
             binding, self.pruning.should_prune, low=low, high=high,
             low_strict=low_strict, high_strict=high_strict,
         )
 
-    def _enforce_cache_budget(self, governor, cache: NLJPCache, entry) -> None:
+    def _enforce_cache_budget(self, governor, entry) -> None:
         """Apply the ``max_cache_bytes`` ceiling after an insertion.
 
         ``degradation="fail"`` aborts with a typed error.  Under
@@ -851,7 +855,8 @@ class NLJPOperator(ops.PhysicalOperator):
         — the join stays correct, it just loses its assist.  Both steps
         land in ``stats.degradations``.
         """
-        footprint = cache.estimated_bytes()
+        store = self.store
+        footprint = store.estimated_bytes()
         if not governor.cache_over_budget(footprint):
             return
         if governor.degradation != "fallback":
@@ -863,10 +868,10 @@ class NLJPOperator(ops.PhysicalOperator):
                 f"max_cache_bytes={governor.max_cache_bytes} exceeded "
                 f"({footprint} bytes); evicting under pressure",
             )
-        cache.evict_until(governor.max_cache_bytes, keep=entry)
-        if governor.cache_over_budget(cache.estimated_bytes()):
+        store.evict_until(governor.max_cache_bytes, keep=entry)
+        if governor.cache_over_budget(store.estimated_bytes()):
             self._cache_disabled = True
-            cache.clear()
+            store.clear()
             governor.degrade(
                 "nljp-cache",
                 "eviction cannot satisfy max_cache_bytes; "
@@ -874,7 +879,7 @@ class NLJPOperator(ops.PhysicalOperator):
             )
 
     def _joined(
-        self, ctx: ops.ExecutionContext, cache: NLJPCache
+        self, ctx: ops.ExecutionContext
     ) -> Iterator[Tuple[Tuple[Any, ...], CacheEntry]]:
         """Q_B's rows in order, each with its binding's entry; pruned
         bindings are left out.
@@ -891,7 +896,7 @@ class NLJPOperator(ops.PhysicalOperator):
         blocks = None
         if kernel is not None and kernel.blockwise:
             if ctx.columnar:
-                blocks = _Blocks(self, ctx, cache)
+                blocks = _Blocks(self, ctx)
                 self.inner_ran = f"block kernel ({kernel.describe()})"
             else:
                 self.inner_ran = "operators (row mode)"
@@ -901,7 +906,7 @@ class NLJPOperator(ops.PhysicalOperator):
                 if governor is not None:
                     governor.check()
                 binding = tuple(qb_row[p] for p in positions)
-                entry = self._lookup_or_compute(ctx, cache, binding)
+                entry = self._lookup_or_compute(ctx, binding)
                 if entry is not None:
                     yield qb_row, entry
 
@@ -914,7 +919,7 @@ class NLJPOperator(ops.PhysicalOperator):
                 if governor is not None:
                     governor.check()
                 blocks.ahead(at)
-                entry = self._lookup_or_compute(ctx, cache, bindings[at])
+                entry = self._lookup_or_compute(ctx, bindings[at])
                 if entry is not None:
                     yield qb_row, entry
                 else:
@@ -926,7 +931,7 @@ class NLJPOperator(ops.PhysicalOperator):
         reason = self._loop_reason or (None if ctx.columnar else "row mode")
         if reason is None:
             return chain.from_iterable(
-                self._skip_ahead(ctx, cache, batch, per_binding, blocks)
+                self._skip_ahead(ctx, batch, per_binding, blocks)
                 for batch in self.qb_plan.execute_columnar(ctx)
             )
         self.loop_ran = f"per binding ({reason})"
@@ -961,7 +966,7 @@ class NLJPOperator(ops.PhysicalOperator):
         return arrays
 
     def _skip_ahead(
-        self, ctx, cache: NLJPCache, batch: ColumnBatch, per_binding, blocks=None
+        self, ctx, batch: ColumnBatch, per_binding, blocks=None
     ):
         """One Q_B batch: decide Q_C for a window of upcoming bindings
         against the cache as it stands, charge the pruned ones what the
@@ -972,7 +977,7 @@ class NLJPOperator(ops.PhysicalOperator):
         Q_B's order can change: it is not in the memo (entries are only
         added for bindings that are *not* pruned, and a duplicate gets
         the same decision), and the candidates its walk meets are the
-        cache's as long as :meth:`NLJPCache.version` stands — an
+        view's as long as :meth:`PruneView.version` stands — an
         unpromising insertion, an eviction or a ``clear()`` voids the
         rest of the window.
 
@@ -997,6 +1002,8 @@ class NLJPOperator(ops.PhysicalOperator):
         self.loop_ran = f"windowed ({kinds}; {indexed})"
         np = numpy_or_none()
         test = self._prune_test[0]
+        view = self.prune_view
+        memo = self.store if self.enable_memo else None
         governor = ctx.governor
         stats = ctx.stats
         at = done = skipped = 0
@@ -1013,9 +1020,7 @@ class NLJPOperator(ops.PhysicalOperator):
                 bindings = list(zip(*(array.tolist() for array in window)))
                 if governor is not None:
                     governor.check()
-                decided = cache.prunable(
-                    bindings, window, self.enable_memo, test, self._order_bound
-                )
+                decided = view.prunable(bindings, window, test, self._order_bound, memo)
             if decided is None:
                 stop = min(batch.length, at + walk)
                 yield from per_binding(batch.slice(at, stop).to_rows())
@@ -1032,7 +1037,7 @@ class NLJPOperator(ops.PhysicalOperator):
                 # The closing (width, None) charges the last pruned run.
                 for nth, (k, qb_row) in enumerate(zip([*kept, width], [*rows, None])):
                     if k > done:
-                        self._charge_pruned(ctx, cache, k - done, charged[k] - charged[done])
+                        self._charge_pruned(ctx, k - done, charged[k] - charged[done])
                         if blocks is not None:
                             blocks.pruned(bindings[done:k])
                     if qb_row is None:
@@ -1044,37 +1049,35 @@ class NLJPOperator(ops.PhysicalOperator):
                     if blocks is not None:
                         blocks.ahead(nth)
                     evaluations = stats.inner_evaluations
-                    entry = self._lookup_or_compute(ctx, cache, bindings[k])
+                    entry = self._lookup_or_compute(ctx, bindings[k])
                     if entry is not None:
                         yield qb_row, entry
                     elif blocks is not None:
                         blocks.pruned((bindings[k],))
                     # Only an evaluation inserts, evicts or clears.
-                    if stats.inner_evaluations != evaluations and cache.version() != version:
+                    if stats.inner_evaluations != evaluations and view.version() != version:
                         break
             at += done
             skipped = stats.pruned_bindings - pruned_before
 
-    def _charge_pruned(self, ctx, cache: NLJPCache, count: int, checks: int) -> None:
+    def _charge_pruned(self, ctx, count: int, checks: int) -> None:
         """What :meth:`_lookup_or_compute` charges ``count`` bindings
         that miss the memo and are pruned after ``checks`` tests."""
         ctx.stats.prune_checks += checks
         ctx.stats.pruned_bindings += count
         tracer = ctx.tracer
         if self.enable_memo:
-            cache.missed(count)
+            self.store.missed(count)
             if tracer is not None:
                 tracer.record_cache(self, "memo_get", count=count)
         if tracer is not None:
             tracer.record_cache(self, "prune_scan", hit=True, count=count)
 
-    def _execute_direct(
-        self, ctx: ops.ExecutionContext, cache: NLJPCache
-    ) -> Iterator[Tuple[Any, ...]]:
+    def _execute_direct(self, ctx: ops.ExecutionContext) -> Iterator[Tuple[Any, ...]]:
         """𝔾_L → 𝔸_L: each binding's groups are complete; stream output."""
         params = ctx.params
-        unpromising = cache.view.holds
-        for qb_row, entry in self._joined(ctx, cache):
+        unpromising = self.prune_view.holds
+        for qb_row, entry in self._joined(ctx):
             if unpromising(entry):
                 continue
             for group, states in entry.payload:
@@ -1084,14 +1087,12 @@ class NLJPOperator(ops.PhysicalOperator):
                 combined = tuple(qb_row) + finalized
                 yield tuple(fn(combined, params) for fn in self.output_fns)
 
-    def _execute_combining(
-        self, ctx: ops.ExecutionContext, cache: NLJPCache
-    ) -> Iterator[Tuple[Any, ...]]:
+    def _execute_combining(self, ctx: ops.ExecutionContext) -> Iterator[Tuple[Any, ...]]:
         """General case: combine algebraic partials per (𝔾_L, 𝔾_R) group."""
         params = ctx.params
         groups: Dict[Tuple, List[Any]] = {}
         representative: Dict[Tuple, Tuple[Any, ...]] = {}
-        for qb_row, entry in self._joined(ctx, cache):
+        for qb_row, entry in self._joined(ctx):
             left_key = tuple(qb_row[p] for p in self.g_left_positions)
             for group, states in entry.payload:
                 key = (left_key, group)

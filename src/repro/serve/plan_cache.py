@@ -30,12 +30,17 @@ technique mask.  Every plan with that meaning — a threshold sweep is
 one plan per threshold — reads and fills the same slot; each plan
 keeps its own prune view, which decides its own Φ on the payloads
 (:mod:`repro.core.cache`).  A slot remembers the database version
-token it was filled under and is dropped lazily, like a stale plan,
-when a lookup finds the token moved; slots are evicted LRU beyond the
-plan cache's own ``max_entries``.  Executions sharing a slot serialize
-on the slot's lock.  **Lock order: entry → slot.**  The slot lock is
-always taken while the plan-entry lock is held, never the other way
-round, and :attr:`MemoStore._lock` only for a lookup under either.
+token it was filled under and is replaced by an empty one, lazily like
+a stale plan, when a lookup finds the token moved.  Slots are evicted
+like plans, with their own never-hit allowance: a slot is hit whenever
+an execution finds it, by any plan, so one-shot meanings cycle through
+a small share of the ``max_entries`` slots while the slot of a hot plan,
+or of a sweep whose every plan is one-shot, stays.  A plan keeps no
+store alive past its execution (its view holds the store weakly), so
+the slots bound the payloads held.  Executions sharing a slot serialize
+on the slot's lock.  **Lock order: entry → slot.**  The slot lock is always
+taken while the plan-entry lock is held, never the other way round,
+and :attr:`MemoStore._lock` only for a lookup under either.
 
 **Scan resistance.**  A cache pays only for entries that are asked for
 again (the admission question of Kalinsky et al.'s *Flexible Caching
@@ -97,8 +102,6 @@ class PlanCache:
         max_entries: int = 64,
         lock_factory: Any = threading.RLock,
     ) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
         #: How many entries may sit in the cache without ever having
         #: been hit.  A cached plan pins its layouts, compiled
@@ -106,7 +109,7 @@ class PlanCache:
         #: slots', see :class:`MemoStore`) and pays only if it is asked
         #: for again, so a stream of one-shot statements gets this much
         #: room and no more.
-        self.never_hit_allowance = max(8, max_entries // 8)
+        self.never_hit_allowance = _never_hit_allowance(max_entries)
         # Entry-lock factory: tests inject a wrapping factory (see
         # repro.testing.lockwatch) so every per-plan execution lock is
         # born instrumented — there is no store-then-wrap race window.
@@ -216,15 +219,9 @@ class PlanCache:
         with self._lock:
             self._entries[cache_key] = entry
             self._entries.move_to_end(cache_key)
-            never_hit = [
-                key for key, cached in self._entries.items() if cached.hits == 0
-            ]
-            for key in never_hit[: -self.never_hit_allowance]:
-                del self._entries[key]
-                self.evictions += 1
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+            self.evictions += _evict(
+                self._entries, self.never_hit_allowance, self.max_entries
+            )
         return entry
 
     def discard(self, sql: str, techniques: FrozenSet[str]) -> bool:
@@ -278,39 +275,62 @@ class MemoSlot:
     #: Serializes the executions that share the store; always taken
     #: after the plan-entry lock.
     lock: threading.RLock = field(default_factory=threading.RLock)
+    hits: int = 0  # guarded-by: MemoStore._lock
 
 
 class MemoStore:
-    """LRU map of payload meaning → :class:`MemoSlot` (see the module
-    docstring): the server-level NLJP memo."""
+    """Map of payload meaning → :class:`MemoSlot` (see the module
+    docstring): the server-level NLJP memo, evicted like the plans."""
 
-    def __init__(
-        self, max_entries: int = 64, lock_factory: Any = threading.RLock
-    ) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+    def __init__(self, max_entries: int = 64) -> None:
         self.max_entries = max_entries
-        # Slot-lock factory, injectable like PlanCache's entry locks.
-        self._lock_factory = lock_factory
+        self.never_hit_allowance = _never_hit_allowance(max_entries)
         self._slots: "OrderedDict[Hashable, MemoSlot]" = OrderedDict()  # guarded-by: self._lock
         self._lock = threading.RLock()
+        # Slot-lock factory: repro.testing.lockwatch swaps in a watched
+        # one, like PlanCache's entry locks.
+        self._lock_factory = threading.RLock
 
     def slot(
         self, key: Hashable, token: Tuple[int, ...], new_store: Callable[[], Any]
     ) -> MemoSlot:
         """The slot for ``key`` under the live ``token``: a slot filled
-        under another token is dropped and replaced by an empty one
-        (``new_store()``)."""
+        under another token is replaced by an empty one
+        (``new_store()``), which has not been hit yet."""
         with self._lock:
             slot = self._slots.get(key)
-            if slot is None or slot.token != token:
-                slot = MemoSlot(token, new_store(), self._lock_factory())
-                self._slots[key] = slot
+            if slot is not None and slot.token == token:
+                slot.hits += 1
+                self._slots.move_to_end(key)
+                return slot
+            slot = MemoSlot(token, new_store(), self._lock_factory())
+            self._slots[key] = slot
             self._slots.move_to_end(key)
-            while len(self._slots) > self.max_entries:
-                self._slots.popitem(last=False)
+            _evict(self._slots, self.never_hit_allowance, self.max_entries)
             return slot
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._slots)
+
+
+def _never_hit_allowance(max_entries: int) -> int:
+    if max_entries < 1:
+        raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+    return max(8, max_entries // 8)
+
+
+def _evict(entries: "OrderedDict[Any, Any]", allowance: int, max_entries: int) -> int:
+    """Scan-resistant eviction after an insertion (see
+    :meth:`PlanCache.store`): never-hit entries beyond ``allowance``
+    first, oldest first, then plain LRU down to ``max_entries``.
+    Returns how many were evicted."""
+    never_hit = [key for key, cached in entries.items() if cached.hits == 0]
+    evicted = 0
+    for key in never_hit[:-allowance]:
+        del entries[key]
+        evicted += 1
+    while len(entries) > max_entries:
+        entries.popitem(last=False)
+        evicted += 1
+    return evicted

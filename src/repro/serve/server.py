@@ -47,7 +47,7 @@ from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.querylog import QueryLog, stable_fingerprint
 from repro.serve.admission import AdmissionController
 from repro.serve.circuit import CircuitBreaker
-from repro.serve.plan_cache import MemoSlot, MemoStore, PlanCache, PlanCacheEntry
+from repro.serve.plan_cache import MemoStore, PlanCache, PlanCacheEntry
 from repro.serve.retry import BackoffSchedule, RetryPolicy
 from repro.storage.catalog import Database
 
@@ -414,15 +414,7 @@ class IcebergServer:
                         trace_label=f"{session.session_id}:{sql[:40]}",
                     )
 
-                with entry.lock:
-                    slot = self._memo_slot(entry, mask, params)
-                    if slot is None:
-                        result = run()
-                    else:
-                        # Lock order: entry → slot (see plan_cache).
-                        with slot.lock:
-                            entry.optimized.nljp.memo_store = slot.store
-                            result = run()
+                result = self._run_locked(entry, mask, params, run)
             except BaseException:
                 # The techniques were never fully exercised: hand back
                 # any half-open probe slots without judging them.
@@ -448,25 +440,38 @@ class IcebergServer:
             token = token + (self.db.feedback.version,)
         return token
 
-    def _memo_slot(
-        self, entry: PlanCacheEntry, mask: FrozenSet[str], params: Optional[Dict]
-    ) -> Optional[MemoSlot]:
-        """The memo slot this execution of ``entry``'s plan reads and
-        fills, or ``None`` when the plan shares no memo.
+    def _run_locked(
+        self,
+        entry: PlanCacheEntry,
+        mask: FrozenSet[str],
+        params: Optional[Dict],
+        run: Callable[[], Result],
+    ) -> Result:
+        """``run()`` under ``entry``'s execution lock and, when the plan
+        shares an NLJP memo, under the lock of the memo slot it reads
+        and fills.
 
-        Keyed by the technique mask, the payload meaning and the values
-        of the parameters it reads, under the live version token: a
-        write since the slot was filled leaves it empty again.
+        The slot is keyed by the technique mask, the payload meaning and
+        the values of the parameters it reads, under the live version
+        token: a write since the slot was filled leaves it empty again.
         """
-        if entry.memo is None:
-            return None
-        meaning, reads = entry.memo
-        values = tuple((params or {}).get(name) for name in reads)
-        return self.memo.slot(
-            (mask, meaning, values),
-            self.db.version_token(),
-            entry.optimized.nljp.new_store,
-        )
+        with entry.lock:
+            if entry.memo is None:
+                return run()
+            nljp = entry.optimized.nljp
+            meaning, reads = entry.memo
+            values = tuple((params or {}).get(name) for name in reads)
+            slot = self.memo.slot(
+                (mask, meaning, values), self.db.version_token(), nljp.new_store
+            )
+            # Lock order: entry → slot (see plan_cache).
+            with slot.lock:
+                nljp.memo_store = slot.store
+                try:
+                    return run()
+                finally:
+                    # The slot owns the store: evicted, it is freed.
+                    nljp.release_memo()
 
     def _lookup_or_build(
         self, sql: str, mask: FrozenSet[str]

@@ -1,7 +1,7 @@
 """NLJP's windowed skip-ahead against the per-binding loop it fronts.
 
 Under a columnar context ``NLJPOperator._skip_ahead`` decides Q_C for a
-window of upcoming bindings on arrays (``NLJPCache.prunable``) and
+window of upcoming bindings on arrays (``PruneView.prunable``) and
 charges the pruned ones without walking them.  Nothing it skips may
 differ from ``_lookup_or_compute`` taking every binding in turn: rows
 *in order*, every counter, the pruning candidates, the memo's order and
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import nljp as nljp_module
-from repro.core.cache import NLJPCache
+from repro.core.cache import PruneView, fresh_memo
 from repro.core.iceberg import IcebergBlock
 from repro.core.nljp import NLJPOperator
 from repro.core.pruning import check_pruning
@@ -79,6 +79,10 @@ PREDICATES = {
 }
 
 
+def _put(store, view, binding, unpromising):
+    view.add(store.put(binding, ()), unpromising)
+
+
 def _bound(order_bound, binding):
     if order_bound is None:
         return {}
@@ -115,28 +119,29 @@ class TestKernel:
     ):
         kind, cached, evicted, window, order_bound = case
         should_prune, test = PREDICATES[predicate]
-        cache = NLJPCache(
+        store, view = fresh_memo(
             order_position=None if order_bound is None else order_bound[0],
             max_entries=64,
             policy="lru",
         )
+        held_by = store if memo else None
         columns = [
             np.array([b[p] for b in window], dtype="i8" if kind == "int" else "f8")
             for p in range(2)
         ]
         if ask_early:  # the image is kept from the first call on
-            assert cache.prunable(window, columns, memo, test, order_bound) is None
+            assert view.prunable(window, columns, test, order_bound, held_by) is None
         for binding, unpromising in cached:
             try:
-                cache.put(binding, (), unpromising)
+                _put(store, view, binding, unpromising)
             except TypeError:  # bisect cannot order text beside numbers
                 return
         for index in evicted:
             if index < len(cached):
-                cache.evict_until(cache.estimated_bytes() - 1)
+                store.evict_until(store.estimated_bytes() - 1)
         try:
             expected = [
-                cache.first_pruner(b, should_prune, **_bound(order_bound, b))
+                view.first_pruner(b, should_prune, **_bound(order_bound, b))
                 for b in window
             ]
         except TypeError:  # a text key under the order index
@@ -145,12 +150,12 @@ class TestKernel:
             b[order_bound[0]] != b[order_bound[0]] for b in window
         ):
             return  # NLJP walks a NaN key per binding
-        decided = cache.prunable(window, columns, memo, test, order_bound)
+        decided = view.prunable(window, columns, test, order_bound, held_by)
         if decided is None:
             return
         version, pruned, checks = decided
-        assert version == cache.version()
-        held = [memo and cache.get(b) is not None for b in window]
+        assert version == view.version()
+        held = [memo and store.get(b) is not None for b in window]
         for position, (count, hit) in enumerate(expected):
             if held[position]:
                 assert not pruned[position]
@@ -163,46 +168,46 @@ class TestKernel:
         window = [(1, 1)]
         columns = [np.array([1]), np.array([1])]
         for odd in ((None, 5), (2**63, 5), (1.5, 5), ("a", 5), (True, 5)):
-            cache = NLJPCache()
-            cache.put((3, 3), (), True)
-            assert cache.prunable(window, columns, False, test) is not None
-            cache.put(odd, (), True)
-            assert cache.prunable(window, columns, False, test) is None
-            cache.clear()
-            cache.put((3, 3), (), True)
-            assert cache.prunable(window, columns, False, test) is not None
-        cache = NLJPCache()
-        cache.put((3.0, float("nan")), (), True)
+            store, view = fresh_memo()
+            _put(store, view, (3, 3), True)
+            assert view.prunable(window, columns, test) is not None
+            _put(store, view, odd, True)
+            assert view.prunable(window, columns, test) is None
+            store.clear()
+            _put(store, view, (3, 3), True)
+            assert view.prunable(window, columns, test) is not None
+        store, view = fresh_memo()
+        _put(store, view, (3.0, float("nan")), True)
         floats = [np.array([1.0]), np.array([1.0])]
-        assert cache.prunable([(1.0, 1.0)], floats, False, test) is None
+        assert view.prunable([(1.0, 1.0)], floats, test) is None
 
     def test_declines_other_dtypes_and_other_indexes(self):
         test = PREDICATES["dominance"][1]
-        cache = NLJPCache(order_position=0)
-        cache.put((3, 3), (), True)
+        store, view = fresh_memo(order_position=0)
+        _put(store, view, (3, 3), True)
         ints = [np.array([1]), np.array([1])]
-        assert cache.prunable([(1, 1)], ints, False, test, (0, True, False))
+        assert view.prunable([(1, 1)], ints, test, (0, True, False))
         floats = [np.array([1.0]), np.array([1])]
-        assert cache.prunable([(1.0, 1)], floats, False, test, (0, True, False)) is None
-        assert cache.prunable([(1, 1)], ints, False, test) is None
-        assert cache.prunable([(1, 1)], ints, False, test, (1, True, False)) is None
-        bucketed = NLJPCache(equality_positions=(0,))
-        bucketed.put((3, 3), (), True)
-        assert bucketed.prunable([(1, 1)], ints, False, test) is None
+        assert view.prunable([(1.0, 1)], floats, test, (0, True, False)) is None
+        assert view.prunable([(1, 1)], ints, test) is None
+        assert view.prunable([(1, 1)], ints, test, (1, True, False)) is None
+        store, bucketed = fresh_memo(equality_positions=(0,))
+        _put(store, bucketed, (3, 3), True)
+        assert bucketed.prunable([(1, 1)], ints, test) is None
 
     def test_wide_ranges_stay_inside_the_round_budget(self, monkeypatch):
         from repro.core import cache as cache_module
 
         monkeypatch.setattr(cache_module, "_ROUND_TESTS", 64)
         should_prune, test = PREDICATES["dominance"]
-        cache = NLJPCache()
+        store, view = fresh_memo()
         for value in range(300):
-            cache.put((value % 7, value % 11), (), True)
+            _put(store, view, (value % 7, value % 11), True)
         window = [(a, b) for a in range(9) for b in range(13)]
         columns = [np.array([b[p] for b in window]) for p in range(2)]
-        _, pruned, checks = cache.prunable(window, columns, False, test)
+        _, pruned, checks = view.prunable(window, columns, test)
         for position, binding in enumerate(window):
-            count, hit = cache.first_pruner(binding, should_prune)
+            count, hit = view.first_pruner(binding, should_prune)
             assert (int(checks[position]), bool(pruned[position])) == (
                 count,
                 hit is not None,
@@ -287,7 +292,7 @@ def _observe(db, sql, per_binding, options, budget, take, batch_size, executions
         rows = list(itertools.islice(produced, take))
         produced.close()
         seen.append((repr(rows), ctx.stats.as_dict()))
-    view = operator._view  # the plan's verdicts, kept between executions
+    view = operator.prune_view  # the plan's verdicts, kept between executions
     entries = [
         (repr(binding), entry.hits, view is not None and view.holds(entry))
         for binding, entry in store._entries.items()
@@ -381,14 +386,14 @@ class TestDifferential:
         db = _database(rows, SqlType.INTEGER, SqlType.INTEGER)
         calls = []
         observed = {}
-        decide = NLJPCache.prunable
+        decide = PruneView.prunable
         for per_binding in (False, True):
             operator = _operator(db, QUERIES["skyband"])
             if per_binding:
                 operator._loop_reason = "the reference"
             operator.memo_store = operator.new_store()
             monkeypatch.setattr(
-                NLJPCache,
+                PruneView,
                 "prunable",
                 lambda *a, per_binding=per_binding, **k: calls.append(per_binding)
                 or decide(*a, **k),

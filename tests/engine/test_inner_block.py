@@ -446,7 +446,7 @@ def _observe(name, seed, size, tree, options, budget, take, batch_size, fault, e
         if state is not None and take is None and fault is None:
             # Whatever was evaluated ahead was consumed, or dropped.
             assert not state.prefetched
-    view = operator._view  # the plan's verdicts, kept between executions
+    view = operator.prune_view  # the plan's verdicts, kept between executions
     entries = [
         (repr(binding), repr(entry.payload), view.holds(entry), entry.hits)
         for binding, entry in store._entries.items()  # in LRU order

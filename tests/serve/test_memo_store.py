@@ -9,10 +9,13 @@ mask, under one database version.  Each plan keeps its own
 :class:`repro.core.cache.PruneView` over it.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro import IcebergServer
-from repro.core.cache import NLJPCache, entry_bytes
+from repro.core.cache import entry_bytes
 from repro.core.nljp import NLJPOperator
 from repro.engine.governor import CancelToken
 from repro.errors import ReproError
@@ -32,8 +35,9 @@ def _entry(server, sql, mask=FULL_MASK):
 
 
 def _store(server, sql, mask=FULL_MASK):
-    """The payload store the last execution of ``sql`` ran against."""
-    return _entry(server, sql, mask).optimized.nljp.memo_store
+    """The payload store the last execution of ``sql`` ran against (the
+    plan's view holds it weakly)."""
+    return _entry(server, sql, mask).optimized.nljp.prune_view._store()
 
 
 def _run(server, sql, params=None):
@@ -136,6 +140,59 @@ class TestSharing:
         assert before.stats.inner_evaluations > 0
 
 
+class TestSlotLifetime:
+    def test_one_shot_meanings_leave_a_hot_plans_slot_alone(self, db):
+        # Thirty one-shot statements, each with a Q_R of its own, pass
+        # through sixteen slots: the repeated plan keeps its slot.
+        server = IcebergServer(db, plan_cache_entries=16)
+        hot = skyband_query("b_h", "b_hr", 50)
+        _run(server, hot)
+        _run(server, hot)
+        store = _store(server, hot)
+        shared = 0
+        for floor in range(30):
+            one_shot = skyband_query("b_h", "b_hr", 50).replace(
+                "GROUP BY", f"AND R.b_sb >= {floor} GROUP BY"
+            )
+            _run(server, one_shot)
+            shared += _entry(server, one_shot).memo is not None
+        assert shared > 16
+        assert len(server.memo) <= 16
+        assert _run(server, hot).stats.inner_evaluations == 0
+        assert _store(server, hot) is store
+
+    def test_a_sweep_of_one_shot_plans_keeps_its_slot(self, db):
+        # Each statement of the sweep is new, and nine new statements of
+        # another sweep follow it, so its plan has left the plan cache
+        # before the next one runs; its slot, hit by every statement
+        # after the first, stays.
+        server = IcebergServer(db, plan_cache_entries=16)
+        sweep = [skyband_query("b_h", "b_hr", k) for k in (60, 120, 40, 90, 150)]
+        evaluations = []
+        for step, sql in enumerate(sweep):
+            evaluations.append(_run(server, sql).stats.inner_evaluations)
+            for k in range(9):
+                _run(server, skyband_query("b_hr", "b_sb", 20 + 10 * step + k))
+            assert (sql, FULL_MASK) not in server.plan_cache._entries
+        fresh = [_run(IcebergServer(db), sql).stats.inner_evaluations for sql in sweep]
+        assert evaluations[0] == fresh[0]
+        assert 2 * sum(evaluations[1:]) < sum(fresh[1:])
+
+    def test_a_cached_plan_keeps_no_replaced_store_alive(self):
+        db = batting_db(300, seed=8)
+        server = IcebergServer(db)
+        first, second = (skyband_query("b_h", "b_hr", k) for k in (50, 70))
+        _run(server, first)
+        store = weakref.ref(_store(server, first))
+        table = db.table("batting")
+        table.insert_many([(99_999,) + table.rows[0][1:]])
+        _run(server, second)  # the same meaning, a new slot for the new data
+        gc.collect()
+        assert (first, FULL_MASK) in server.plan_cache._entries
+        assert store() is None
+        assert len(server.memo) == 1
+
+
 class TestPhiDecisions:
     def test_a_switch_between_warm_plans_decides_nothing(self, db, monkeypatch):
         server = IcebergServer(db)
@@ -204,17 +261,18 @@ def assert_consistent(server):
         assert store.estimated_bytes() == sum(entry_bytes(e) for e in entries)
     for entry in server.plan_cache._entries.values():
         nljp = entry.optimized.nljp
-        if nljp is None or nljp.memo_store is None or nljp._view is None:
+        view = None if nljp is None else nljp.prune_view
+        store = None if view is None else view._store()
+        if store is None:
             continue
-        store = nljp.memo_store
 
         def decide(payload, nljp=nljp):
             return nljp._is_unpromising(payload, {})
 
-        cache = NLJPCache.over(store, nljp._view, decide, ())
+        store.attach(view, decide, ())
         expected = [e for e in store._in_order.values() if decide(e.payload)]
-        assert list(cache.view._unpromising.values()) == expected
-        assert [item[2] for item in cache.view._order] == sorted(
+        assert list(view._unpromising.values()) == expected
+        assert [item[2] for item in view._order] == sorted(
             (e for e in expected if e.binding[nljp._order_bound[0]] is not None),
             key=lambda e: (e.binding[nljp._order_bound[0]], e.seq),
         )
