@@ -37,10 +37,12 @@ an execution finds it, by any plan, so one-shot meanings cycle through
 a small share of the ``max_entries`` slots while the slot of a hot plan,
 or of a sweep whose every plan is one-shot, stays.  A plan keeps no
 store alive past its execution (its view holds the store weakly), so
-the slots bound the payloads held.  Executions sharing a slot serialize
-on the slot's lock.  **Lock order: entry → slot.**  The slot lock is always
-taken while the plan-entry lock is held, never the other way round,
-and :attr:`MemoStore._lock` only for a lookup under either.
+the slots bound the payloads held -- apart from the unpromising entries
+a plan's view keeps until the plan runs again or leaves the cache.
+Executions sharing a slot serialize on the slot's lock.  **Lock order:
+entry → slot.**  The slot lock is always taken while the plan-entry
+lock is held, never the other way round, and :attr:`MemoStore._lock`
+only for a lookup under either.
 
 **Scan resistance.**  A cache pays only for entries that are asked for
 again (the admission question of Kalinsky et al.'s *Flexible Caching
