@@ -8,8 +8,14 @@ second depends on Φ, so the two live apart:
 
 * :class:`PayloadStore` holds the entries, binding → payload (one f^i
   state per 𝔾_R group, Appendix C).  No HAVING threshold enters a
-  payload, so every plan that runs one inner query over one version of
-  the data can share a store.  Its policy layer is
+  payload, so every plan that runs one inner query can share a store.
+  The store records the data its payloads are exact on (a *watermark*:
+  each base table the payloads read, its data version and row count)
+  and moves to newer data all at once (:meth:`PayloadStore.catch_up`):
+  its payloads patched in place -- rows appended to a table folded in
+  by :meth:`repro.core.nljp.NLJPOperator.catch_up` -- or cleared.  A
+  patch moves the store's *generation*, and every view decides every
+  entry again at its next sync.  Its policy layer is
   :class:`BudgetedBindingCache`: an OrderedDict of entries under a
   re-entrant lock, with replacement policies ``"none"`` (unbounded),
   ``"lru"``, and ``"utility"`` (evict the entry with the fewest hits),
@@ -19,8 +25,8 @@ second depends on Φ, so the two live apart:
 * :class:`PruneView` is one plan's pruning structures over a store:
   the entries *its* Φ finds unpromising.  When its plan runs again it
   evaluates Φ only for the entries added since; it rebuilds only after
-  an eviction or ``clear()`` it was not told of, or under other values
-  of Φ's parameters.
+  an eviction or ``clear()`` it was not told of, under other values of
+  Φ's parameters, or after a patch.
 * :func:`fresh_memo` builds a store with a view attached: what a
   library execution runs against, both fresh each time.  The serving
   layer keeps one store per meaning of a payload
@@ -318,6 +324,17 @@ class PayloadStore(BudgetedBindingCache):
         self._seq = 0  # guarded-by: self._lock
         self._removals = 0  # guarded-by: self._lock
         self._view: Optional["weakref.ref[PruneView]"] = None  # guarded-by: self._lock
+        # The data every entry is exact on (see catch_up), ``None``
+        # until a shared execution has read it.
+        self._watermark: Any = None  # guarded-by: self._lock
+        # Moves whenever a catch-up patches payloads in place: a view
+        # synced under another generation decides every entry again.
+        self._generation = 0  # guarded-by: self._lock
+        # What the last catch-up did, for ``describe()``.
+        self._caught_up: Optional[str] = None  # guarded-by: self._lock
+        #: What the operator catching the store up keeps from one
+        #: catch-up to the next (its plan over appended rows).
+        self.delta: Any = None  # unguarded: read and set under the memo slot's lock only
 
     def _entry_bytes(self, entry: CacheEntry) -> int:
         return entry_bytes(entry)
@@ -358,15 +375,66 @@ class PayloadStore(BudgetedBindingCache):
         view: "PruneView",
         decide: Optional[Callable[[PayloadRows], bool]] = None,
         phi_key: Any = (),
-    ) -> None:
-        """Bring ``view`` up to date and make it the view told of drops.
+    ) -> Tuple[int, Optional[str]]:
+        """Bring ``view`` up to date and make it the view told of drops;
+        returns how many entries the store holds and what its last
+        catch-up did.
 
         ``decide(payload)`` is the view's Φ test (Definition 5) for the
         entries it has not seen, under Φ's parameter values ``phi_key``.
         """
         with self._lock:
-            view.sync(self, self._removals, self._seq, self._in_order, decide, phi_key)
+            view.sync(
+                self, self._removals, self._seq, self._in_order, decide,
+                (phi_key, self._generation),
+            )
             self._view = weakref.ref(view)
+            return len(self._entries), self._caught_up
+
+    # ------------------------------------------------------------------
+    def watermark(self) -> Any:
+        """The data every entry is exact on, as :meth:`catch_up` last
+        set it (``None``: never set)."""
+        with self._lock:
+            return self._watermark
+
+    def entries(self) -> List[CacheEntry]:
+        """Every entry, in insertion order (a snapshot)."""
+        with self._lock:
+            return list(self._in_order.values())
+
+    def catch_up(
+        self,
+        watermark: Any,
+        patched: Optional[Sequence[Tuple[CacheEntry, PayloadRows]]] = None,
+        note: Optional[str] = None,
+    ) -> bool:
+        """Make every entry exact on ``watermark``, at once.
+
+        ``patched`` pairs each entry of the store with its payload on
+        the new data; the payloads are replaced in place, their bytes
+        charged again, and every view decides every entry again at its
+        next sync.  Without ``patched``, or when it does not pair every
+        entry the store holds, the store is cleared instead: it is
+        never left half patched.  Returns whether it patched.
+        """
+        with self._lock:
+            done = patched is not None and len(patched) == len(self._in_order) and all(
+                self._in_order.get(entry.seq) is entry for entry, _ in patched
+            )
+            if done:
+                for entry, payload in patched:
+                    if payload is not entry.payload:
+                        self.bytes_used -= entry_bytes(entry)
+                        entry.payload = payload
+                        self.bytes_used += entry_bytes(entry)
+                self._generation += 1
+            elif self._entries:
+                self.clear()
+            self._watermark = watermark
+            if note is not None:
+                self._caught_up = note if done else f"cleared: {note}"
+            return done
 
 
 class PruneView:

@@ -66,9 +66,12 @@ def check_memoization(
     rather than from within one.  Safety conditions are unchanged.
     A payload depends only on Q_R, the CTEs it reads, the values of
     the parameters those read, and the data, so that is what a slot is
-    keyed on, and a slot filled under another database version is
-    replaced by an empty one (:class:`repro.serve.plan_cache.MemoStore`);
-    which payloads are unpromising depends on Φ, so each plan decides
+    keyed on (:class:`repro.serve.plan_cache.MemoStore`).  The store
+    keeps itself exact on the tables those read: rows appended to the
+    one table Q_R reads are folded into every payload when every state
+    merges exactly, any other write empties it
+    (:meth:`repro.core.nljp.NLJPOperator.catch_up`).  Which payloads
+    are unpromising depends on Φ, so each plan decides
     that itself (:class:`repro.core.cache.PruneView`), and a parameter
     only Φ or Q_B reads never empties the memo.
     """

@@ -39,14 +39,16 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import OptimizationError
+from repro.errors import CatalogError, OptimizationError
 from repro.sql import ast
 from repro.sql.render import render
 from repro.engine import operators as ops
 from repro.engine.aggregates import is_algebraic
-from repro.engine.kernel import BlockDeclined, lower_inner
+from repro.engine.kernel import BlockDeclined, lower_block, lower_inner
 from repro.engine.layout import ColumnBatch, Layout, numpy_or_none
 from repro.engine.planner import PlanEnv, plan_select
+from repro.storage.table import Table
+from repro.storage.types import SqlType
 from repro.core.cache import CacheEntry, PayloadRows, PayloadStore, PruneView, fresh_memo
 from repro.core.iceberg import PartitionView
 from repro.core.memo import collect_aggregates
@@ -85,8 +87,8 @@ class AggSlot:
     this slot (two for AVG in partial mode, one otherwise);
     ``from_row`` extracts the slot's state from those piece values;
     ``combine``/``finalize`` implement the algebraic (f^i, f^o) pair.
-    In *direct* mode (``𝔾_L → 𝔸_L``) the state is the final value and
-    ``combine`` is unused.
+    In *direct* mode (``𝔾_L → 𝔸_L``) the state is the final value;
+    ``combine`` merges two for COUNT, SUM, MIN and MAX only.
     """
 
     call: ast.FuncCall
@@ -97,6 +99,11 @@ class AggSlot:
 
 
 def _direct_slot(call: ast.FuncCall) -> AggSlot:
+    """Final-value slot: its state is the aggregate's value, which
+    merges with another's (an append caught up, see
+    :meth:`NLJPOperator.catch_up`) for COUNT, SUM, MIN and MAX."""
+    if is_algebraic(call) and call.name != "AVG":
+        return _algebraic_slot(call)
     return AggSlot(
         call=call,
         pieces=(call,),
@@ -316,7 +323,14 @@ class NLJPOperator(ops.PhysicalOperator):
         # and view per execution.  Over a shared store the plan keeps
         # its view from one execution to the next.
         self.memo_store: Optional[PayloadStore] = None  # unguarded: serialized by the plan-cache entry lock
-        self.memo_ran: Optional[str] = None  # unguarded: serialized by the plan-cache entry lock
+        # What the shared store held when the last execution started:
+        # its entry count and its last catch-up (see describe()).
+        self._memo_seen: Optional[Tuple[int, Optional[str]]] = None  # unguarded: serialized by the plan-cache entry lock
+        # The base tables the payloads read and, per table, why an
+        # append to it cannot be folded into them ("" when it can);
+        # set by memo_meaning, ``None`` for a plan that shares no store.
+        self._watched: Optional[Tuple[str, ...]] = None  # unguarded: serialized by the plan-cache entry lock
+        self._unfoldable: Dict[str, str] = {}  # unguarded: serialized by the plan-cache entry lock
 
         block = view.block
         if block.having is None:
@@ -622,10 +636,12 @@ class NLJPOperator(ops.PhysicalOperator):
             max_entries=self.cache_max_entries, policy=self.cache_policy
         )
 
-    def _open_memo(self, params: Dict[str, Any]) -> None:
+    def _open_memo(self, ctx: ops.ExecutionContext) -> None:
         """Set the store and view this execution runs against: a fresh
-        pair, or :attr:`memo_store` through the plan's kept view, which
-        decides the entries it has not seen with Φ under ``params``."""
+        pair, or :attr:`memo_store` -- caught up with the data
+        (:meth:`catch_up`) -- through the plan's kept view, which
+        decides the entries it has not seen with Φ under the
+        execution's parameters."""
         store = self.memo_store
         equality_positions, use_index, order_position = self._view_layout
         if store is None:
@@ -639,10 +655,10 @@ class NLJPOperator(ops.PhysicalOperator):
             return
         if self.prune_view is None:
             self.prune_view = PruneView(equality_positions, use_index, order_position)
-        self.memo_ran = (
-            f"shared ({len(store)} payload entries when the last execution started)"
-        )
-        store.attach(
+        if self._watched is not None:
+            self.catch_up(ctx, store)
+        params = ctx.params
+        self._memo_seen = store.attach(
             self.prune_view,
             lambda payload: self._is_unpromising(payload, params),
             tuple(params.get(name) for name in self.phi_params),
@@ -652,7 +668,13 @@ class NLJPOperator(ops.PhysicalOperator):
     def release_memo(self) -> None:
         """Let go of the shared store the last execution ran against;
         the plan's view keeps its decisions and holds the store only
-        weakly."""
+        weakly.  A store whose data moved while the execution ran may
+        hold payloads of either version: it is cleared."""
+        store = self.store
+        if store is not None and self.memo_store is store and self._watched is not None:
+            now = self._watermark()
+            if store.watermark() != now:
+                store.catch_up(now, note="written to during an execution")
         self.memo_store = self.store = None
 
     def memo_meaning(self, ctes: Sequence[ast.CommonTableExpr]) -> Tuple[Any, Tuple[str, ...]]:
@@ -664,23 +686,34 @@ class NLJPOperator(ops.PhysicalOperator):
         the cache settings; ``ctes`` are the statement's, as rewritten.
         Two plans with one meaning, run with the same values of those
         parameters over the same data, store the same payload for a
-        binding: the serving layer keys a shared store on it.
+        binding: the serving layer keys a shared store on it.  The
+        walk also notes the base tables the payloads read, which a
+        shared store is kept exact on (:meth:`catch_up`).
         """
         bodies = {cte.name.lower(): cte.query for cte in ctes}
         read: List[Any] = [self.qr_select]
         texts = [render(self.qr_select)]
         parameters = set()
         seen = set()
+        tables: Counter = Counter()
+        through_cte = set()
         while read:
-            for node in ast.walk(read.pop()):
+            body = read.pop()
+            for node in ast.walk(body):
                 if isinstance(node, ast.Parameter):
                     parameters.add(node.name)
                 elif isinstance(node, ast.NamedTable):
                     name = node.name.lower()
-                    if name in bodies and name not in seen:
-                        seen.add(name)
-                        read.append(bodies[name])
-                        texts.append(f"{name} AS ({render(bodies[name])})")
+                    if name in bodies:
+                        if name not in seen:
+                            seen.add(name)
+                            read.append(bodies[name])
+                            texts.append(f"{name} AS ({render(bodies[name])})")
+                    elif body is self.qr_select:
+                        tables[name] += 1
+                    else:
+                        through_cte.add(name)
+        self._watch(tables, through_cte)
         meaning = (
             tuple(texts),
             self.cache_index,
@@ -688,6 +721,160 @@ class NLJPOperator(ops.PhysicalOperator):
             self.cache_max_entries,
         )
         return meaning, tuple(sorted(parameters - set(self.param_names)))
+
+    def _watch(self, tables: Counter, through_cte: set) -> None:
+        """Note the tables the payloads read (``tables``: how often Q_R
+        names each, ``through_cte``: read by a CTE body it reads) and
+        why an append to each cannot be folded into them."""
+        reason = ""
+        if self.g_right:
+            # A fresh evaluation's group order is its access path's.
+            reason = "Q_R has 𝔾_R groups"
+        for slot in self.slots:
+            reason = reason or self._unmergeable(slot.call)
+        top = Counter(
+            item.name.lower()
+            for item in self.qr_select.from_items
+            if isinstance(item, ast.NamedTable)
+        )
+        unfoldable = {}
+        for name in sorted(set(tables) | through_cte):
+            if name in through_cte:
+                unfoldable[name] = f"Q_R reads {name} through a CTE"
+            elif tables[name] != 1 or top[name] != 1:
+                unfoldable[name] = f"Q_R reads {name} other than once in its FROM"
+            else:
+                unfoldable[name] = reason
+        self._unfoldable = unfoldable
+        self._watched = tuple(unfoldable)
+
+    def _unmergeable(self, call: ast.FuncCall) -> str:
+        """Why two states of ``call`` over disjoint rows may not merge
+        into its state over their union exactly ("" when they do)."""
+        if not is_algebraic(call) or (self.direct_mode and call.name == "AVG"):
+            return f"{render(call)} does not merge"
+        if call.name == "COUNT":
+            return ""
+        argument = call.args[0]
+        column_type = None
+        if isinstance(argument, ast.ColumnRef) and argument.table in self.view.right_aliases:
+            table = self.view.block.relation(argument.table).table_name
+            if table is not None and self.env.db.has_table(table):
+                schema = self.env.db.table(table).schema
+                column_type = schema.column(argument.column).type
+        if call.name in ("SUM", "AVG"):
+            exact = column_type is SqlType.INTEGER
+        else:
+            exact = column_type is not None and column_type is not SqlType.FLOAT
+        return "" if exact else f"{render(call)} does not merge exactly"
+
+    def _watermark(self) -> Tuple[Tuple[Any, int, int], ...]:
+        """``(table, data_version, row count)`` of every watched table
+        as it stands; a dropped table reads ``(None, -1, -1)``."""
+        db = self.env.db
+        marks = []
+        for name in self._watched:
+            try:
+                table = db.table(name)
+            except CatalogError:
+                marks.append((None, -1, -1))
+            else:
+                marks.append((table, table.data_version, len(table)))
+        return tuple(marks)
+
+    def catch_up(self, ctx: ops.ExecutionContext, store: PayloadStore) -> None:
+        """Make the shared ``store`` exact on the data as it stands.
+
+        The store's watermark says which version of each table its
+        payloads were computed on.  When one table has changed since,
+        by appends only (its data version rose by exactly its row-count
+        growth, so a truncate never qualifies), every aggregate merges
+        exactly and Q_R names it once, Q_R over the appended rows alone
+        -- planned over them as a table of its own, evaluated for every
+        binding the store holds as one block -- is merged into each
+        payload (Appendix C's f^i states).  Any other change clears the
+        store.  Either way all entries move together: a failure part
+        way clears the store before it is raised.
+        """
+        now = self._watermark()
+        then = store.watermark()
+        if then == now:
+            return
+        if then is None:
+            store.catch_up(now)
+            return
+        changed = [
+            (name, old, new)
+            for name, old, new in zip(self._watched, then, now)
+            if old != new
+        ]
+        if len(changed) != 1 or len(then) != len(now):
+            store.catch_up(now, note=f"{len(changed)} tables changed")
+            return
+        name, (table, old_version, old_rows), (live, version, rows) = changed[0]
+        if live is not table:
+            reason = f"{name} was replaced"
+        elif rows <= old_rows or version - old_version != rows - old_rows:
+            reason = f"{name} changed by more than appends"
+        else:
+            reason = self._unfoldable[name] or None
+        if reason is not None:
+            store.catch_up(now, note=reason)
+            return
+        appended = live.rows[old_rows:rows]
+        if len(appended) != rows - old_rows:
+            store.catch_up(now, note=f"{name} changed while being read")
+            return
+        entries = store.entries()
+        try:
+            if ctx.governor is not None:
+                ctx.governor.check("inner-eval")
+            delta, kernel = self._delta_kernel(store, live, now)
+            delta.truncate()
+            delta.insert_many(appended)
+            evaluated = kernel.run_block(ctx, [entry.binding for entry in entries])
+        except BlockDeclined as declined:
+            store.catch_up(now, note=str(declined))
+            return
+        except BaseException as error:
+            store.catch_up(now, note=f"{type(error).__name__} while catching up")
+            raise
+        # A binding no appended row joins keeps its payload.
+        patched = [(entry, entry.payload) for entry in entries]
+        for number, raw_rows in evaluated.items():
+            entry = entries[number]
+            patched[number] = (entry, self._merged(entry.payload, self._payload(raw_rows)))
+        store.catch_up(
+            now, patched,
+            f"{len(evaluated)} patched from {len(appended)} appended rows of {name}",
+        )
+
+    def _delta_kernel(self, store: PayloadStore, live: Table, now) -> Tuple[Table, Any]:
+        """A table for appended rows of ``live`` and Q_R over it as a
+        block kernel, planned once and kept on ``store`` for as long as
+        the payloads read the same tables."""
+        tables = tuple(table for table, _, _ in now)
+        kept = store.delta
+        if kept is None or kept[0] != tables:
+            delta = Table(live.name, live.schema)
+            plan, _ = plan_select(
+                self.qr_select, PlanEnv(self.env.db.with_table(delta), self.env.config)
+            )
+            kept = store.delta = (tables, delta, lower_block(plan, self.param_names))
+        return kept[1], kept[2]
+
+    def _merged(self, payload: PayloadRows, added: PayloadRows) -> PayloadRows:
+        """``payload`` with the states of ``added`` (the same binding
+        over other rows) merged in, group by group."""
+        if not added:
+            return payload
+        groups = dict(payload)
+        for group, states in added:
+            have = groups.get(group)
+            groups[group] = states if have is None else tuple(
+                slot.combine(a, b) for slot, a, b in zip(self.slots, have, states)
+            )
+        return tuple(groups.items())
 
     def _run_inner(self, ctx: ops.ExecutionContext, binding) -> PayloadRows:
         ctx.stats.inner_evaluations += 1
@@ -726,6 +913,11 @@ class NLJPOperator(ops.PhysicalOperator):
                 del params[name]
             if hidden:
                 params.update(hidden)
+        return self._payload(raw_rows)
+
+    def _payload(self, raw_rows) -> PayloadRows:
+        """Q_R's rows as a payload: one (group, states) per 𝔾_R group
+        that some R-tuple joins."""
         n_grp = len(self.g_right)
         payload: List[Tuple[Tuple[Any, ...], Tuple[Any, ...]]] = []
         for row in raw_rows:
@@ -761,7 +953,7 @@ class NLJPOperator(ops.PhysicalOperator):
 
     def execute(self, ctx: ops.ExecutionContext) -> Iterator[Tuple[Any, ...]]:
         self.env.ctx_holder.setdefault("ctx", ctx)
-        self._open_memo(ctx.params)
+        self._open_memo(ctx)
         store = self.store
         self._cache_evicting = False
         self._cache_disabled = False
@@ -1131,8 +1323,13 @@ class NLJPOperator(ops.PhysicalOperator):
         lines += ["  Q_R: " + render(self.qr_select)]
         lines += ["  inner: " + self.inner_description()]
         lines += ["  loop: " + self.loop_description()]
-        if self.memo_ran is not None:
-            lines += ["  memo: " + self.memo_ran]
+        if self._memo_seen is not None:
+            held, caught_up = self._memo_seen
+            last = "" if caught_up is None else f"; {caught_up}"
+            lines += [
+                f"  memo: shared ({held} payload entries when the last "
+                f"execution started{last})"
+            ]
         if self.pruning is not None and self.pruning.predicate is not None:
             lines += ["  Q_C: " + render(self.pruning_query_sql())]
         return lines

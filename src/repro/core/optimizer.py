@@ -50,7 +50,7 @@ from repro.engine.cardinality import (
     RelationProfile,
 )
 from repro.engine.executor import Result, run_planned
-from repro.engine.layout import Layout
+from repro.engine.layout import Layout, numpy_or_none
 from repro.engine.planner import (
     EngineConfig,
     PlanEnv,
@@ -779,8 +779,11 @@ class SmartIcebergOptimizer:
         # option runs.  A partition whose bindings alone cost more than
         # the best option so far cannot win; it is priced by that floor
         # and never built.
+        # Priced under the columnar prices wherever NumPy gives the
+        # columnar interpreter, whatever the mode, so a statement gets
+        # one plan whichever interpreter runs it.
         costed = self.technique_choice == "cost" and bool(report.apriori)
-        columnar = self.config.execution_mode == "columnar"
+        columnar = numpy_or_none() is not None
         join = plan_select(body, env) if costed else None
         options: List[Tuple[str, float, Optional[Option]]] = []
         if join is not None:
@@ -868,9 +871,10 @@ class SmartIcebergOptimizer:
     @staticmethod
     def _nljp_ms(nljp: NLJPOperator, bindings: float, columnar: bool) -> float:
         """Q_B, then Q_R and the per-binding price of the path Q_R runs
-        on, for each of ``bindings`` (:data:`TIME_COSTS`)."""
+        on (a columnar context's, where there is one), for each of
+        ``bindings`` (:data:`TIME_COSTS`)."""
         kernel = nljp.inner_kernel
-        if kernel is None or (kernel.blockwise and not columnar):
+        if kernel is None:
             path = "operators"
         else:
             path = "block kernel" if kernel.blockwise else "kernel"

@@ -41,7 +41,10 @@ relation joined to the inner tables by the columnar joins' own array
 matching, and hands NLJP one binding's rows and charges at a time (the
 second half of this module).  A Q_R of any other shape, a predicate
 with no fused filter, or a process without NumPy keeps the operator
-tree.
+tree.  :func:`lower_block` also gives a lone scan a block kernel: NLJP
+evaluates Q_R over rows appended to its table for every memoized
+binding at once (:meth:`BlockKernel.run_block`) to catch a shared memo
+up with a write.
 """
 
 from __future__ import annotations
@@ -446,7 +449,7 @@ class BlockKernel:
                 self._joins.append(self._lower_index_join(join, relation, fed))
             else:
                 self._joins.append(self._lower_hash_join(join, relation, fed))
-        fed = self._joins[-1].slot
+        fed = self._joins[-1].slot if self._joins else self._leaf.slot
         self.nodes += [aggregate, project]
         self._checks.append((None, fed))
         below = aggregate.child.layout
@@ -826,6 +829,22 @@ class BlockKernel:
     ) -> List[_Evaluation]:
         """Q_R of every binding, nothing charged: one
         :class:`_Evaluation` per binding, in order."""
+        found, work = self._evaluate(ctx, bindings)
+        # A binding that joined nothing is the aggregate over no input.
+        nothing = self.aggregate.result_rows({})
+        evaluations = []
+        for number in range(len(bindings)):
+            rows = found.get(number, nothing)
+            work[number, -2:, _ROWS] = len(rows)
+            evaluations.append(_Evaluation(rows, work[number]))
+        return evaluations
+
+    def _evaluate(
+        self, ctx: ops.ExecutionContext, bindings: Sequence[Tuple[Any, ...]]
+    ) -> Tuple[Dict[int, List[Tuple[Any, ...]]], Any]:
+        """The aggregate's rows by binding number, for the bindings some
+        row joined, and the block's work table (binding x node x
+        (probes, scanned, pairs, rows))."""
         execution = self._execution(ctx)
         np = execution.np
         count = len(bindings)
@@ -853,14 +872,31 @@ class BlockKernel:
         found: Dict[int, List[Tuple[Any, ...]]] = {}
         for row in fold.rows():
             found.setdefault(row[0], []).append(row[1:])
-        # A binding that joined nothing is the aggregate over no input.
-        nothing = self.aggregate.result_rows({})
-        evaluations = []
-        for number in range(count):
-            rows = found.get(number, nothing)
-            work[number, -2:, _ROWS] = len(rows)
-            evaluations.append(_Evaluation(rows, work[number]))
-        return evaluations
+        return found, work
+
+    def run_block(
+        self, ctx: ops.ExecutionContext, bindings: Sequence[Tuple[Any, ...]]
+    ) -> Dict[int, List[Tuple[Any, ...]]]:
+        """Q_R's rows by binding number, for the bindings of ``bindings``
+        some row joins (each other binding's is the aggregate over no
+        input), evaluated and charged as one block: the counters get the
+        block's work in one sum, and nobody is credited loops (no plan
+        node ran)."""
+        found, work = self._evaluate(ctx, bindings)
+        stats = ctx.stats
+        totals = work.sum(axis=0).tolist()
+        for (probes, scanned, pairs, _), (site, fed) in zip(totals, self._checks):
+            stats.index_probes += probes
+            stats.rows_scanned += scanned
+            stats.join_pairs += pairs
+            if site is None and fed is not None:
+                stats.aggregation_inputs += totals[fed][_ROWS]
+        params = ctx.params
+        output_fns = self.project.output_fns
+        return {
+            number: [tuple(fn(row, params) for fn in output_fns) for row in rows]
+            for number, rows in found.items()
+        }
 
     def prefetch(self, ctx: ops.ExecutionContext, wanted: Dict[Tuple[Any, ...], int]) -> None:
         """Evaluate together the bindings of ``wanted`` (binding -> how
@@ -925,6 +961,41 @@ class BlockKernel:
         return rows
 
 
+def _shape(plan: ops.PhysicalOperator):
+    """``(project, aggregate, child)`` of a ``Project <- HashAggregate``
+    plan, or why the plan is not one."""
+    if not isinstance(plan, ops.Project):
+        return f"{type(plan).__name__} above the projection"
+    aggregate = plan.child
+    if not isinstance(aggregate, ops.HashAggregate):
+        return f"{type(aggregate).__name__} under the projection"
+    if isinstance(aggregate.child, ops.Filter):
+        return "filter above the scan"
+    return plan, aggregate, aggregate.child
+
+
+def _chain(scan: ops.PhysicalOperator) -> List[ops.PhysicalOperator]:
+    chain = [scan]
+    while isinstance(chain[0], (ops.IndexNestedLoopJoin, ops.HashJoin)):
+        chain.insert(0, chain[0].outer)
+    return chain
+
+
+def lower_block(plan: ops.PhysicalOperator, names: Sequence[str]) -> BlockKernel:
+    """A :class:`BlockKernel` for ``plan`` -- a chain of joins or a lone
+    scan -- or :class:`BlockDeclined` saying why there is none."""
+    if numpy_or_none() is None:
+        raise BlockDeclined("NumPy unavailable")
+    shape = _shape(plan)
+    if isinstance(shape, str):
+        raise BlockDeclined(shape)
+    project, aggregate, scan = shape
+    chain = _chain(scan)
+    if not isinstance(chain[0], _FULL_SCANS + _INDEX_SCANS):
+        raise BlockDeclined(f"{type(chain[0]).__name__} under the joins")
+    return BlockKernel(project, aggregate, chain, names)
+
+
 def lower_inner(
     plan: ops.PhysicalOperator, names: Sequence[str] = ()
 ) -> Tuple[Optional[Any], str]:
@@ -936,30 +1007,24 @@ def lower_inner(
     """
     if numpy_or_none() is None:
         return None, "NumPy unavailable"
-    if not isinstance(plan, ops.Project):
-        return None, f"{type(plan).__name__} above the projection"
-    aggregate = plan.child
-    if not isinstance(aggregate, ops.HashAggregate):
-        return None, f"{type(aggregate).__name__} under the projection"
-    scan = aggregate.child
-    if isinstance(scan, ops.Filter):
-        return None, "filter above the scan"
+    shape = _shape(plan)
+    if isinstance(shape, str):
+        return None, shape
+    project, aggregate, scan = shape
     if isinstance(scan, _FULL_SCANS + _INDEX_SCANS):
-        kernel = InnerKernel(plan, aggregate, scan)
+        kernel = InnerKernel(project, aggregate, scan)
         if kernel.predicate is not None and columnar_raw_filter(kernel.predicate) is None:
             return None, "predicate has no fused filter"
         return kernel, ""
     shape = f"join-shaped Q_R: {type(scan).__name__}"
     if not names:
         return None, f"{shape}, and no binding to make a block of"
-    chain = [scan]
-    while isinstance(chain[0], (ops.IndexNestedLoopJoin, ops.HashJoin)):
-        chain.insert(0, chain[0].outer)
+    chain = _chain(scan)
     if chain[0] is scan:
         return None, shape
     if not isinstance(chain[0], _FULL_SCANS + _INDEX_SCANS):
         return None, f"{shape} over {type(chain[0]).__name__}"
     try:
-        return BlockKernel(plan, aggregate, chain, names), ""
+        return BlockKernel(project, aggregate, chain, names), ""
     except BlockDeclined as declined:
         return None, f"{shape}, {declined}"

@@ -5,8 +5,8 @@ the Appendix D technique loop, planning, verification.  The cache
 stores one :class:`~repro.core.optimizer.OptimizedQuery` per
 ``(SQL, technique mask)`` pair, shared by every session of a server.
 
-Staleness is handled with **version tokens**, not notification hooks:
-the cache key's entry remembers ``Database.version_token()`` — a
+Plan staleness is handled with **version tokens**, not notification
+hooks: the cache key's entry remembers ``Database.version_token()`` — a
 ``(catalog_version, data_version, stats_version)`` triple bumped by
 DDL, inserts, and ANALYZE respectively — as of optimization time.
 Every lookup re-reads the live token; a mismatch invalidates the entry
@@ -29,9 +29,13 @@ the statement parameters those read, the cache settings and the
 technique mask.  Every plan with that meaning — a threshold sweep is
 one plan per threshold — reads and fills the same slot; each plan
 keeps its own prune view, which decides its own Φ on the payloads
-(:mod:`repro.core.cache`).  A slot remembers the database version
-token it was filled under and is replaced by an empty one, lazily like
-a stale plan, when a lookup finds the token moved.  Slots are evicted
+(:mod:`repro.core.cache`).  A slot is not keyed on the database version:
+its store records which version of each table its payloads read and is
+caught up by the execution that finds it behind, under the slot's lock
+(:meth:`repro.core.nljp.NLJPOperator.catch_up`) -- rows appended to
+the one table Q_R reads are folded into the payloads, any other change
+to a table they read empties the store, and a write to any other table
+or an ANALYZE leaves it as it is.  Slots are evicted
 like plans, with their own never-hit allowance: a slot is hit whenever
 an execution finds it, by any plan, so one-shot meanings cycle through
 a small share of the ``max_entries`` slots while the slot of a hot plan,
@@ -270,9 +274,8 @@ class PlanCache:
 @dataclass
 class MemoSlot:
     """One meaning of an NLJP payload: the store every plan with that
-    meaning reads and fills, for one version of the data."""
+    meaning reads, fills and keeps exact on the data."""
 
-    token: Tuple[int, ...]
     store: Any
     #: Serializes the executions that share the store; always taken
     #: after the plan-entry lock.
@@ -293,19 +296,16 @@ class MemoStore:
         # one, like PlanCache's entry locks.
         self._lock_factory = threading.RLock
 
-    def slot(
-        self, key: Hashable, token: Tuple[int, ...], new_store: Callable[[], Any]
-    ) -> MemoSlot:
-        """The slot for ``key`` under the live ``token``: a slot filled
-        under another token is replaced by an empty one
-        (``new_store()``), which has not been hit yet."""
+    def slot(self, key: Hashable, new_store: Callable[[], Any]) -> MemoSlot:
+        """The slot for ``key``; a new one holds an empty store
+        (``new_store()``) and has not been hit yet."""
         with self._lock:
             slot = self._slots.get(key)
-            if slot is not None and slot.token == token:
+            if slot is not None:
                 slot.hits += 1
                 self._slots.move_to_end(key)
                 return slot
-            slot = MemoSlot(token, new_store(), self._lock_factory())
+            slot = MemoSlot(new_store(), self._lock_factory())
             self._slots[key] = slot
             self._slots.move_to_end(key)
             _evict(self._slots, self.never_hit_allowance, self.max_entries)

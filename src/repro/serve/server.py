@@ -452,8 +452,8 @@ class IcebergServer:
         and fills.
 
         The slot is keyed by the technique mask, the payload meaning and
-        the values of the parameters it reads, under the live version
-        token: a write since the slot was filled leaves it empty again.
+        the values of the parameters it reads; the NLJP catches its
+        store up with any write since, under the slot's lock.
         """
         with entry.lock:
             if entry.memo is None:
@@ -461,9 +461,7 @@ class IcebergServer:
             nljp = entry.optimized.nljp
             meaning, reads = entry.memo
             values = tuple((params or {}).get(name) for name in reads)
-            slot = self.memo.slot(
-                (mask, meaning, values), self.db.version_token(), nljp.new_store
-            )
+            slot = self.memo.slot((mask, meaning, values), nljp.new_store)
             # Lock order: entry → slot (see plan_cache).
             with slot.lock:
                 nljp.memo_store = slot.store

@@ -8,6 +8,7 @@ consume when deciding whether a-priori or pruning is safe.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import CatalogError
@@ -77,6 +78,15 @@ class Database:
             return self._tables[name.lower()]
         except KeyError:
             raise CatalogError(f"no table named {name!r}") from None
+
+    def with_table(self, table: Table) -> "Database":
+        """This catalog with ``table`` in place of the table of its name:
+        every other table, constraint and domain is shared.  What a
+        plan over some of a table's rows is planned against (see
+        :meth:`repro.core.nljp.NLJPOperator.catch_up`)."""
+        view = copy.copy(self)
+        view._tables = {**self._tables, table.name: table}
+        return view
 
     def has_table(self, name: str) -> bool:
         return name.lower() in self._tables

@@ -18,6 +18,7 @@ needs; deletes rebuild indexes.
 from __future__ import annotations
 
 import bisect
+import threading
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Key = Tuple[Any, ...]
@@ -76,10 +77,16 @@ class SortedIndex:
     def __init__(self, name: str, column_positions: Sequence[int]) -> None:
         self.name = name
         self.column_positions = tuple(column_positions)
-        self._keys: List[Key] = []
-        self._row_ids: List[int] = []
-        self._pending: List[Tuple[Key, int]] = []
-        self._row_id_array: Any = None
+        # Replaced whole by a fold, never changed in place: a reader
+        # holds one consistent list.
+        self._keys: List[Key] = []  # unguarded: replaced whole under the lock, read as one list object
+        self._row_ids: List[int] = []  # unguarded: replaced whole under the lock, read as one list object
+        # A writer buffers into ``_pending`` while readers fold it in:
+        # the lock keeps a fold from dropping a row buffered meanwhile.
+        self._pending: List[Tuple[Key, int]] = []  # guarded-by: self._lock
+        self._lock = threading.Lock()
+        # (the ``_row_ids`` list it was built from, the array).
+        self._row_id_array: Any = None  # unguarded: a pair checked against ``_row_ids`` by identity
 
     def __len__(self) -> int:
         self._flush()
@@ -92,7 +99,8 @@ class SortedIndex:
         key = self.key_of(row)
         if any(value is None for value in key):
             return
-        self._pending.append((key, row_id))
+        with self._lock:
+            self._pending.append((key, row_id))
 
     def _flush(self) -> None:
         """Fold buffered inserts into the sorted arrays.
@@ -100,15 +108,13 @@ class SortedIndex:
         Buffering makes bulk loads O(n log n) overall instead of
         O(n^2) from repeated mid-list insertion.
         """
-        if not self._pending:
+        if not self._pending:  # unguarded: a racing insert is folded by the next flush
             return
-        merged = sorted(
-            list(zip(self._keys, self._row_ids)) + self._pending
-        )
-        self._keys = [key for key, _ in merged]
-        self._row_ids = [row_id for _, row_id in merged]
-        self._pending.clear()
-        self._row_id_array = None
+        with self._lock:
+            merged = sorted(list(zip(self._keys, self._row_ids)) + self._pending)
+            self._keys = [key for key, _ in merged]
+            self._row_ids = [row_id for _, row_id in merged]
+            self._pending.clear()
 
     def range_bounds(
         self,
@@ -148,14 +154,17 @@ class SortedIndex:
         """Row ids in index order, as an ``int64`` ndarray when NumPy is
         available (else a plain list).  Cached until the next flush."""
         self._flush()
-        if self._row_id_array is None:
+        row_ids = self._row_ids
+        cached = self._row_id_array
+        if cached is None or cached[0] is not row_ids:
             try:
                 import numpy
             except ImportError:
-                self._row_id_array = list(self._row_ids)
+                cached = (row_ids, list(row_ids))
             else:
-                self._row_id_array = numpy.asarray(self._row_ids, dtype=numpy.int64)
-        return self._row_id_array
+                cached = (row_ids, numpy.asarray(row_ids, dtype=numpy.int64))
+            self._row_id_array = cached
+        return cached[1]
 
     def range_scan(
         self,
@@ -195,10 +204,10 @@ class SortedIndex:
         return tuple(result)
 
     def clear(self) -> None:
-        self._keys.clear()
-        self._row_ids.clear()
-        self._pending.clear()
-        self._row_id_array = None
+        with self._lock:
+            self._keys = []
+            self._row_ids = []
+            self._pending.clear()
 
 
 def build_index(

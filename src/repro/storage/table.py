@@ -117,15 +117,21 @@ class Table:
 
         Built lazily by the columnar execution mode, cached until the
         next mutation.  Returns a
-        :class:`repro.engine.layout.ColumnStore`.
+        :class:`repro.engine.layout.ColumnStore`.  The cache is tagged
+        with the data version it was built at, so an image built while
+        a write ran is never served once the write has finished.
         """
-        if self._column_store is None:
+        cached = self._column_store
+        version = self._data_version
+        if cached is None or cached[0] != version:
             from repro.engine.layout import ColumnStore
 
-            self._column_store = ColumnStore.from_rows(
-                self._rows, self.schema.column_names
+            cached = (
+                version,
+                ColumnStore.from_rows(list(self._rows), self.schema.column_names),
             )
-        return self._column_store
+            self._column_store = cached
+        return cached[1]
 
     # ------------------------------------------------------------------
     # Statistics

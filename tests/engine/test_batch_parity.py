@@ -18,7 +18,7 @@ randomized property-based queries and asserts exactly that.
 import dataclasses
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro import EngineConfig, SmartIceberg
 from repro.engine import execute, plan_query, run_planned
@@ -233,6 +233,16 @@ def build_db(rows) -> Database:
     max_examples=80,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
+)
+# Priced per mode, the technique choice ran NLJP in row mode and the
+# a-priori join in columnar mode here.
+@example(
+    rows=[(0, 0, 0, 0)] * 10,
+    join_index=1,
+    having_index=1,
+    grouping_index=0,
+    threshold=0,
+    batch_size=1024,
 )
 def test_random_iceberg_query_mode_parity(
     rows, join_index, having_index, grouping_index, threshold, batch_size
