@@ -19,7 +19,7 @@ import threading
 import pytest
 
 import repro.engine.layout as layout
-from repro import IcebergServer, SqlType, TableSchema
+from repro import Database, IcebergServer, SqlType, TableSchema
 from repro.engine.governor import CancelToken
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
@@ -29,11 +29,15 @@ from repro.workloads import pairs_query, player_skyband_query, skyband_query
 from repro.workloads.baseball import batting_db
 from tests.serve.memo_checks import Mirror, fresh_payloads_agree, normalized
 
-#: The statements whose payloads an append to batting patches ...
+#: The statements whose payloads an append to batting patches (the
+#: last one merges SUM, MIN and MAX states too) ...
 PATCHED = (
     skyband_query("b_h", "b_hr", 30),
     skyband_query("b_h", "b_hr", 60),
     skyband_query("b_hr", "b_sb", 25),
+    skyband_query("b_h", "b_hr", 40).replace(
+        "COUNT(*)\n", "COUNT(*), SUM(R.b_rbi), MIN(R.b_bb), MAX(R.b_sb)\n", 1
+    ),
 )
 #: ... and those it clears: Q_R reads batting through a CTE (Q8's
 #: ``avgs``, the ``pair`` of a float AVG and an integer SUM).
@@ -162,6 +166,40 @@ def test_describe_reports_the_last_catch_up():
         assert line.startswith(f"  memo: shared ({held} payload entries when the last")
         assert "patched from 25 appended rows of batting)" in line
     assert memo_line(cte).endswith("cleared: Q_R reads batting through a CTE)")
+
+
+def test_a_float_sum_is_cleared_not_patched():
+    # Float additions do not associate: a merged SUM could differ from
+    # a fresh one in its last digits.
+    db = Database()
+    table = db.create_table(
+        "pts",
+        TableSchema.of(
+            ("id", SqlType.INTEGER), ("a", SqlType.INTEGER),
+            ("b", SqlType.INTEGER), ("w", SqlType.FLOAT),
+        ),
+    )
+    rng = random.Random(5)
+    table.insert_many([(i, rng.randrange(40), rng.randrange(40), rng.random()) for i in range(200)])
+    sql = (
+        "SELECT L.id, COUNT(*), SUM(R.w) FROM pts L, pts R "
+        "WHERE L.a <= R.a AND L.b <= R.b AND (L.a < R.a OR L.b < R.b) "
+        "GROUP BY L.id HAVING COUNT(*) <= 20"
+    )
+    server = IcebergServer(db)
+    session = server.session()
+    session.execute(sql)
+    table.insert_many(
+        [(1000 + i, rng.randrange(40), rng.randrange(40), rng.random()) for i in range(10)]
+    )
+    served = session.execute(sql)
+    fresh = IcebergServer(db).session().execute(sql)
+    assert normalized(served.rows) == normalized(fresh.rows)
+    assert served.stats.inner_evaluations == fresh.stats.inner_evaluations
+    nljp = server.plan_cache._entries[(sql, server._technique_mask())].optimized.nljp
+    assert any(
+        line.endswith("cleared: SUM(r.w) does not merge exactly)") for line in nljp.describe()
+    )
 
 
 # ---------------------------------------------------------------------------
