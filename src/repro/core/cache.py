@@ -332,9 +332,6 @@ class PayloadStore(BudgetedBindingCache):
         self._generation = 0  # guarded-by: self._lock
         # What the last catch-up did, for ``describe()``.
         self._caught_up: Optional[str] = None  # guarded-by: self._lock
-        #: What the operator catching the store up keeps from one
-        #: catch-up to the next (its plan over appended rows).
-        self.delta: Any = None  # unguarded: read and set under the memo slot's lock only
 
     def _entry_bytes(self, entry: CacheEntry) -> int:
         return entry_bytes(entry)

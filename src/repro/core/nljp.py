@@ -829,9 +829,7 @@ class NLJPOperator(ops.PhysicalOperator):
         try:
             if ctx.governor is not None:
                 ctx.governor.check("inner-eval")
-            delta, kernel = self._delta_kernel(store, live, now)
-            delta.truncate()
-            delta.insert_many(appended)
+            kernel = self._delta_kernel(live, appended)
             evaluated = kernel.run_block(ctx, [entry.binding for entry in entries])
         except BlockDeclined as declined:
             store.catch_up(now, note=str(declined))
@@ -849,19 +847,16 @@ class NLJPOperator(ops.PhysicalOperator):
             f"{len(evaluated)} patched from {len(appended)} appended rows of {name}",
         )
 
-    def _delta_kernel(self, store: PayloadStore, live: Table, now) -> Tuple[Table, Any]:
-        """A table for appended rows of ``live`` and Q_R over it as a
-        block kernel, planned once and kept on ``store`` for as long as
-        the payloads read the same tables."""
-        tables = tuple(table for table, _, _ in now)
-        kept = store.delta
-        if kept is None or kept[0] != tables:
-            delta = Table(live.name, live.schema)
-            plan, _ = plan_select(
-                self.qr_select, PlanEnv(self.env.db.with_table(delta), self.env.config)
-            )
-            kept = store.delta = (tables, delta, lower_block(plan, self.param_names))
-        return kept[1], kept[2]
+    def _delta_kernel(self, live: Table, appended) -> Any:
+        """Q_R with ``live`` replaced by a table holding only its
+        ``appended`` rows (no index: one scan carries the whole WHERE
+        clause), as a block kernel."""
+        delta = Table(live.name, live.schema)
+        delta.insert_many(appended)
+        plan, _ = plan_select(
+            self.qr_select, PlanEnv(self.env.db.with_table(delta), self.env.config)
+        )
+        return lower_block(plan, self.param_names)
 
     def _merged(self, payload: PayloadRows, added: PayloadRows) -> PayloadRows:
         """``payload`` with the states of ``added`` (the same binding

@@ -1,5 +1,5 @@
 """Checks the served-memo suites share: an independent ``sqlite3``
-mirror of the batting table, and the payloads of a server's memo slots
+mirror of the tables served, and the payloads of a server's memo slots
 against fresh evaluations on the data as it stands."""
 
 import sqlite3
@@ -21,19 +21,21 @@ def normalized(rows):
 
 
 class Mirror:
-    """The batting table in an in-memory SQLite database."""
+    """``tables`` (the batting table unless named) in an in-memory
+    SQLite database."""
 
-    def __init__(self, db):
+    def __init__(self, db, tables=("batting",)):
         self.connection = sqlite3.connect(":memory:")
-        table = db.table("batting")
-        columns = ", ".join(table.schema.column_names)
-        self.connection.execute(f"CREATE TABLE batting ({columns})")
-        self.insert(table.rows)
+        for name in tables:
+            table = db.table(name)
+            columns = ", ".join(table.schema.column_names)
+            self.connection.execute(f"CREATE TABLE {name} ({columns})")
+            self.insert(table.rows, name)
 
-    def insert(self, rows):
+    def insert(self, rows, table="batting"):
         rows = list(rows)
         marks = ", ".join("?" * len(rows[0]))
-        self.connection.executemany(f"INSERT INTO batting VALUES ({marks})", rows)
+        self.connection.executemany(f"INSERT INTO {table} VALUES ({marks})", rows)
 
     def rows(self, sql):
         return normalized(self.connection.execute(sql).fetchall())

@@ -202,6 +202,62 @@ def test_a_float_sum_is_cleared_not_patched():
     )
 
 
+def _tagged_points(rng):
+    """Skyband points whose inner side joins a tag table: a Q_R that
+    names two tables, each of which can be appended to."""
+    db = Database()
+    db.create_table(
+        "object",
+        TableSchema.of(
+            ("id", SqlType.INTEGER), ("x", SqlType.INTEGER),
+            ("y", SqlType.INTEGER), ("tag", SqlType.TEXT),
+        ),
+        primary_key=("id",),
+    ).insert_many(
+        (i, rng.randrange(30), rng.randrange(30), rng.choice(["a", "b", "c", None]))
+        for i in range(150)
+    )
+    labels = db.create_table(
+        "label", TableSchema.of(("tag", SqlType.TEXT), ("rank", SqlType.INTEGER))
+    )
+    labels.insert_many([("a", 1), ("a", 2), ("b", 3)])
+    labels.create_index("label_tag", ["tag"], kind="hash")
+    return db
+
+
+def test_appends_to_each_table_of_a_join_shaped_inner_query(numpy):
+    # Each table Q_R names is patched from its own appended rows: an
+    # append to ``label`` is never read as rows of ``object``.
+    rng = random.Random(9)
+    db = _tagged_points(rng)
+    mirror = Mirror(db, tables=("object", "label"))
+    sql = (
+        "SELECT L.id, COUNT(*) FROM object L, object R, label T "
+        "WHERE L.x <= R.x AND L.y <= R.y AND (L.x < R.x OR L.y < R.y) "
+        "AND R.tag = T.tag GROUP BY L.id HAVING COUNT(*) <= 12"
+    )
+    server = IcebergServer(db)
+    session = server.session()
+    _served(session, mirror, sql)
+    appends = {
+        "object": lambda n: [
+            (1000 + 10 * n + i, rng.randrange(30), rng.randrange(30), rng.choice("abc"))
+            for i in range(8)
+        ],
+        "label": lambda n: [("c", n), ("b", 10 + n)],
+    }
+    for round_number in range(2):
+        for name, rows in appends.items():
+            rows = rows(round_number)
+            db.table(name).insert_many(rows)
+            mirror.insert(rows, name)
+            served = _served(session, mirror, sql)
+            fresh = IcebergServer(db).session().execute(sql).stats.inner_evaluations
+            assert served <= fresh, name
+            assert fresh_payloads_agree(server) > 0
+    assert len(server.memo) == 1
+
+
 # ---------------------------------------------------------------------------
 # A catch-up that fails part way
 # ---------------------------------------------------------------------------
