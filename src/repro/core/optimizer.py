@@ -487,11 +487,8 @@ class SmartIcebergOptimizer:
 
         Base-table instances expose row counts, ANALYZE statistics, and
         index distinct counts; CTE instances fall back to the default
-        relation size.  Under ``feedback="apply"`` the estimator also
-        consults the database's feedback store, and tables that were
-        never ANALYZEd fall back to online sketch statistics.
+        relation size.
         """
-        apply_feedback = self.config.feedback == "apply"
         profiles = []
         for relation in block.relations:
             table = (
@@ -501,8 +498,6 @@ class SmartIcebergOptimizer:
             )
             rows = float(len(table)) if table is not None else DEFAULT_RELATION_ROWS
             stats = table.statistics if table is not None else None
-            if stats is None and apply_feedback and table is not None and rows > 0:
-                stats = table.sketch_statistics()
             profiles.append(
                 RelationProfile(
                     alias=relation.alias,
@@ -512,11 +507,7 @@ class SmartIcebergOptimizer:
                     stats=stats,
                 )
             )
-        return CardinalityEstimator(
-            profiles,
-            feedback=self.db.feedback if apply_feedback else None,
-            feedback_token=self.db.feedback_token() if apply_feedback else None,
-        )
+        return CardinalityEstimator(profiles)
 
     @staticmethod
     def _estimated_bindings(

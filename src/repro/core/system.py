@@ -95,10 +95,9 @@ class SmartIceberg:
             # ExecutionStats deltas), or "timing" (plus wall clock);
             # traced results carry a QueryProfile (see repro.obs).
             ("trace", trace),
-            # Estimate→actual feedback loop: "off" (exact legacy
-            # path), "observe" (record observations without changing
-            # estimates), or "apply" (blend observations into the
-            # cardinality model); validated by EngineConfig.
+            # Estimate→actual observation: "off", or "observe"
+            # (count the chosen plan's actual rows per scan and join
+            # without changing any estimate); validated by EngineConfig.
             ("feedback", feedback),
         ):
             if value is not None:

@@ -25,12 +25,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sql import ast
 from repro.sql.render import render
-from repro.storage.statistics import (
-    ColumnStats,
-    FeedbackRecord,
-    FeedbackStatistics,
-    TableStats,
-)
+from repro.storage.statistics import ColumnStats, TableStats
 
 #: Row estimate for derived tables / CTEs whose size is unknown at
 #: planning time (they materialize lazily, after planning).
@@ -42,36 +37,6 @@ RANGE_SELECTIVITY = 1.0 / 3.0
 DEFAULT_SELECTIVITY = 1.0 / 3.0
 
 _RANGE_OPS = {"<", "<=", ">", ">="}
-
-#: Cap on the q-error-derived blending weight: even a catastrophically
-#: misestimated predicate keeps a sliver of the model estimate, so a
-#: single aberrant observation cannot pin the estimator forever.
-MAX_FEEDBACK_WEIGHT = 8.0
-
-
-def blend_estimate(base: float, record: FeedbackRecord) -> float:
-    """Q-error-weighted geometric blend of a model estimate and feedback.
-
-    The blend happens in log space (cardinalities are ratio-scaled):
-    ``exp((w·ln(actual) + ln(est)) / (w + 1))``.  The weight ``w``
-    grows with the worst q-error ever recorded for the fingerprint and
-    with the observation count — a predicate the histogram path got
-    right stays histogram-driven (w ≈ small blends barely move it),
-    while a badly misestimated one converges onto the observation.
-    """
-    est = max(float(base), 1.0)
-    actual = max(record.actual_rows, 1.0)
-    weight = min(
-        min(float(record.observations), 4.0)
-        * math.log2(1.0 + record.max_q_error),
-        MAX_FEEDBACK_WEIGHT,
-    )
-    if weight <= 0.0:
-        return base
-    return math.exp(
-        (weight * math.log(actual) + math.log(est)) / (weight + 1.0)
-    )
-
 
 @dataclass
 class RelationProfile:
@@ -123,26 +88,12 @@ class CardinalityEstimator:
     join cardinalities.
     """
 
-    def __init__(
-        self,
-        profiles: Sequence[RelationProfile],
-        feedback: Optional[FeedbackStatistics] = None,
-        feedback_token: Optional[Tuple[int, int]] = None,
-    ) -> None:
+    def __init__(self, profiles: Sequence[RelationProfile]) -> None:
         self.profiles: Dict[str, RelationProfile] = {p.alias: p for p in profiles}
         self._by_column: Dict[str, List[RelationProfile]] = {}
         for profile in profiles:
             for column in profile.columns:
                 self._by_column.setdefault(column, []).append(profile)
-        # Execution-feedback store (None = pure model estimates, the
-        # exact pre-feedback path).  Consulted *before* the histogram
-        # interpolation result is trusted: a matching live observation
-        # blends over whatever the model produced.
-        self.feedback = feedback
-        self.feedback_token = feedback_token or (0, 0)
-        #: fingerprint -> (model estimate, blended estimate) for every
-        #: correction applied; the planner surfaces these in explain().
-        self.corrections: Dict[str, Tuple[float, float]] = {}
 
     # ------------------------------------------------------------------
     # Reference resolution
@@ -309,7 +260,7 @@ class CardinalityEstimator:
         return RANGE_SELECTIVITY
 
     # ------------------------------------------------------------------
-    # Predicate fingerprints (feedback keys)
+    # Predicate fingerprints (query-log keys for observed actuals)
     # ------------------------------------------------------------------
     def _normalize(self, expr: ast.Expr) -> ast.Expr:
         """Canonicalize an expression for fingerprinting.
@@ -317,7 +268,7 @@ class CardinalityEstimator:
         Column references are rewritten to ``tablename.column`` when
         the owning relation is a base table, so the same predicate
         written under different aliases (or from different queries)
-        maps to the same feedback record.
+        maps to the same fingerprint.
         """
         if isinstance(expr, ast.ColumnRef):
             profile = self.owner(expr)
@@ -353,7 +304,7 @@ class CardinalityEstimator:
     def scan_fingerprint(
         self, alias: str, filter_exprs: Sequence[ast.Expr]
     ) -> str:
-        """Feedback key for one relation under its pushed-down filters."""
+        """Fingerprint of one relation under its pushed-down filters."""
         profile = self.profiles.get(alias)
         relation = (
             profile.table.name
@@ -367,7 +318,7 @@ class CardinalityEstimator:
         scan_fingerprints: Sequence[str],
         join_conjuncts: Sequence[ast.Expr],
     ) -> str:
-        """Feedback key for the join of a relation set.
+        """Fingerprint of the join of a relation set.
 
         Composed from the member scan fingerprints (the observed join
         size depends on the pushed-down filters too) plus the internal
@@ -376,52 +327,29 @@ class CardinalityEstimator:
         members = ";".join(sorted(scan_fingerprints))
         return f"join:{members}|{self.predicate_fingerprint(join_conjuncts)}"
 
-    def corrected(self, fingerprint: Optional[str], base: float) -> float:
-        """Blend a model estimate with live feedback, if any exists."""
-        if self.feedback is None or fingerprint is None:
-            return base
-        record = self.feedback.lookup(fingerprint, self.feedback_token)
-        if record is None:
-            return base
-        blended = blend_estimate(base, record)
-        if abs(blended - base) > 1e-9:
-            self.corrections[fingerprint] = (base, blended)
-        return blended
-
     # ------------------------------------------------------------------
     # Cardinalities
     # ------------------------------------------------------------------
     def scan_rows(self, alias: str, filter_exprs: Sequence[ast.Expr]) -> float:
-        """Estimated rows surviving a relation's pushed-down filters.
-
-        With a feedback store attached, a live observation for the
-        scan's predicate fingerprint blends over the model estimate.
-        """
+        """Estimated rows surviving a relation's pushed-down filters."""
         profile = self.profiles[alias]
-        base = max(profile.rows * self.conjunction(filter_exprs), 0.0)
-        if self.feedback is None:
-            return base
-        return self.corrected(self.scan_fingerprint(alias, filter_exprs), base)
+        return max(profile.rows * self.conjunction(filter_exprs), 0.0)
 
     def join_rows(
         self,
         filtered_rows: Dict[str, float],
         aliases: Sequence[str],
         join_conjuncts: Sequence[ast.Expr],
-        fingerprint: Optional[str] = None,
     ) -> float:
         """Estimated size of the join of ``aliases``.
 
         ``filtered_rows`` maps alias -> post-filter cardinality;
         ``join_conjuncts`` are the multi-relation conjuncts internal to
         the alias set.  Order-independent, so the DP enumerator can
-        memoize per subset.  ``fingerprint`` (when supplied by the
-        caller) keys a feedback lookup over the model estimate.
+        memoize per subset.
         """
         result = 1.0
         for alias in aliases:
             result *= max(filtered_rows[alias], 0.0)
         result *= self.conjunction(join_conjuncts)
-        if self.feedback is None:
-            return result
-        return self.corrected(fingerprint, result)
+        return result

@@ -64,7 +64,7 @@ class Result:
 
         Populated from the executed plan's estimate→actual pairs, so
         it is only informative after a traced run or one with
-        ``EngineConfig.feedback != "off"`` (both stamp
+        ``EngineConfig.feedback="observe"`` (both stamp
         ``actual_rows``); otherwise the report is empty.
         """
         from repro.obs.feedback import CardinalityReport
@@ -181,8 +181,8 @@ def run_planned(
         tracer.install(planned.root)
         ctx.tracer = tracer
     elif config.feedback != "off":
-        # Untraced feedback run: install the lightweight row-counting
-        # probes so ``actual_rows`` still gets stamped for harvesting.
+        # Untraced observe run: install the lightweight row-counting
+        # probes so the fingerprinted nodes still get ``actual_rows``.
         # A live tracer makes them redundant (it stamps actual_rows in
         # its own finish()).
         from repro.obs.feedback import FeedbackProbes
@@ -216,13 +216,6 @@ def run_planned(
         if probes is not None:
             probes.finish()
     elapsed = time.perf_counter() - start
-    if config.feedback != "off":
-        # Harvest only successful executions (error paths raised out
-        # above): partial row counts from a tripped budget would
-        # poison the feedback store.
-        from repro.obs.feedback import harvest
-
-        harvest(planned.root, planned.env.db)
     result = Result(
         columns=planned.columns,
         rows=rows,

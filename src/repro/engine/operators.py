@@ -89,7 +89,7 @@ class ExecutionContext:
     governor: Optional[Any] = None
     tracer: Optional[Any] = None
     #: The :class:`repro.obs.feedback.FeedbackProbes` counting rows on
-    #: this execution's plan (untraced ``feedback != "off"`` runs), or
+    #: this execution's plan (untraced ``feedback="observe"`` runs), or
     #: ``None``.  Like ``tracer`` it is here for code that stands in
     #: for plan nodes without calling their ``execute`` (NLJP's inner
     #: kernel) and must credit them the rows they would have produced.
@@ -210,15 +210,11 @@ class PhysicalOperator:
     enforced: Tuple[Any, ...] = ()
 
     #: Predicate fingerprint stamped by the planner under
-    #: ``EngineConfig.feedback != "off"``: the key under which this
-    #: node's (est_rows, actual_rows) pair is harvested into
-    #: ``Database.feedback`` after execution.  ``feedback_note`` is a
-    #: human-readable record of a feedback correction the estimator
-    #: applied to this node (``feedback="apply"`` only), rendered by
-    #: ``annotation()``/``to_dict()`` so EXPLAIN shows exactly where
-    #: observations moved an estimate.
+    #: ``EngineConfig.feedback="observe"``: it marks the node whose
+    #: actual rows the feedback probes count, and keys the node's
+    #: (est_rows, actual_rows) pair in the query log's
+    #: ``worst_q_errors``.
     feedback_fingerprint: Optional[str] = None
-    feedback_note: Optional[str] = None
 
     def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
         raise NotImplementedError
@@ -278,10 +274,7 @@ class PhysicalOperator:
         q_error = self.q_error()
         if q_error is not None:
             parts.append(f"q_err={q_error:.2f}")
-        text = ("  [" + " ".join(parts) + "]") if parts else ""
-        if self.feedback_note is not None:
-            text += f"  [{self.feedback_note}]"
-        return text
+        return ("  [" + " ".join(parts) + "]") if parts else ""
 
     def describe(self) -> List[str]:
         """One line per node, children indented (EXPLAIN-style)."""
@@ -318,8 +311,6 @@ class PhysicalOperator:
             node["q_error"] = round(q_error, 3)
         if self.feedback_fingerprint is not None:
             node["feedback_fingerprint"] = self.feedback_fingerprint
-        if self.feedback_note is not None:
-            node["feedback_note"] = self.feedback_note
         children = [child.to_dict() for child in self.children()]
         if children:
             node["children"] = children

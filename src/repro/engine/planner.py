@@ -54,7 +54,7 @@ JOIN_ORDERS = ("dp", "greedy", "syntactic")
 ANALYZE_MODES = ("off", "warn", "strict")
 
 #: Valid settings for ``EngineConfig.feedback``.
-FEEDBACK_MODES = ("off", "observe", "apply")
+FEEDBACK_MODES = ("off", "observe")
 
 #: Exact DP enumeration is used up to this many FROM relations; larger
 #: queries fall back to the greedy min-cardinality heuristic.
@@ -142,17 +142,13 @@ class EngineConfig:
     #: span tree with per-span ExecutionStats deltas only, "timing"
     #: additionally records per-span wall clock for flame graphs.
     trace: str = "off"  # 'off' | 'counters' | 'timing'
-    #: Estimate→actual feedback loop (see :mod:`repro.obs.feedback`):
-    #: "off" (the default) is the exact pre-feedback code path —
-    #: nothing is fingerprinted, recorded, or consulted.  "observe"
-    #: harvests per-operator (predicate fingerprint, est, actual)
-    #: observations into ``Database.feedback`` after each execution but
-    #: never changes an estimate — the safe serving default.  "apply"
-    #: additionally blends live observations over the model estimates
-    #: (and falls back to online sketch statistics for never-ANALYZEd
-    #: tables), which can change join orders; all modes return
-    #: identical result rows.
-    feedback: str = "off"  # 'off' | 'observe' | 'apply'
+    #: Estimate→actual observation (see :mod:`repro.obs.feedback`):
+    #: "off" (the default) fingerprints and counts nothing.  "observe"
+    #: stamps the chosen plan's scans and joins with a predicate
+    #: fingerprint and counts their actual rows, for the query log's
+    #: ``worst_q_errors`` and :class:`~repro.obs.feedback.CardinalityReport`
+    #: — the serving default.  It never changes an estimate or a plan.
+    feedback: str = "off"  # 'off' | 'observe'
 
     def __post_init__(self) -> None:
         if self.execution_mode not in EXECUTION_MODES:
@@ -760,20 +756,14 @@ class _JoinOrderer:
         self.env = env
         self.by_alias = {r.alias: r for r in relations}
         self.position = {r.alias: i for i, r in enumerate(relations)}
-        feedback_mode = env.config.feedback
-        #: feedback != "off": fingerprints are computed and stamped on
-        #: plan nodes so the executor can harvest est/actual pairs.
-        self.capture = feedback_mode != "off"
+        #: feedback="observe": the chosen plan's scans and joins are
+        #: stamped with fingerprints so their actual rows get counted.
+        self.capture = env.config.feedback != "off"
         profiles = []
         for relation in relations:
             if relation.table is not None:
                 rows = float(len(relation.table))
                 stats = relation.table.statistics
-                if stats is None and feedback_mode == "apply" and rows > 0:
-                    # Cold table under apply: cheap sketch-backed stats
-                    # (zone-map min/max + KMV sample) replace the
-                    # sqrt(rows) NDV guess without a full ANALYZE.
-                    stats = relation.table.sketch_statistics()
             else:
                 rows = DEFAULT_RELATION_ROWS
                 stats = None
@@ -786,15 +776,8 @@ class _JoinOrderer:
                     stats=stats,
                 )
             )
-        self.estimator = CardinalityEstimator(
-            profiles,
-            feedback=env.db.feedback if feedback_mode == "apply" else None,
-            feedback_token=(
-                env.db.feedback_token() if feedback_mode == "apply" else None
-            ),
-        )
+        self.estimator = CardinalityEstimator(profiles)
         self._scan_fp: Dict[str, str] = {}
-        self._join_fp: Dict[FrozenSet[str], str] = {}
         self.raw = {profile.alias: profile.rows for profile in profiles}
         self.filters: Dict[str, List[ast.Expr]] = {r.alias: [] for r in relations}
         self.join_conjuncts: List[_Conjunct] = []
@@ -823,20 +806,15 @@ class _JoinOrderer:
             internal = [
                 c.expr for c in self.join_conjuncts if c.aliases <= subset
             ]
-            fingerprint = (
-                self.join_fp(subset)
-                if self.capture and len(subset) > 1
-                else None
-            )
             cached = self.estimator.join_rows(
-                self.filtered, sorted(subset), internal, fingerprint=fingerprint
+                self.filtered, sorted(subset), internal
             )
             self._rows_memo[subset] = cached
         return cached
 
-    # -- feedback fingerprints -----------------------------------------
+    # -- fingerprints of the chosen plan's nodes ------------------------
     def scan_fp(self, alias: str) -> str:
-        """Feedback fingerprint for one relation's filtered scan."""
+        """Fingerprint of one relation's filtered scan."""
         fingerprint = self._scan_fp.get(alias)
         if fingerprint is None:
             fingerprint = self.estimator.scan_fingerprint(
@@ -846,32 +824,12 @@ class _JoinOrderer:
         return fingerprint
 
     def join_fp(self, subset: FrozenSet[str]) -> str:
-        """Feedback fingerprint for the join of an alias subset."""
-        fingerprint = self._join_fp.get(subset)
-        if fingerprint is None:
-            internal = [
-                c.expr for c in self.join_conjuncts if c.aliases <= subset
-            ]
-            fingerprint = self.estimator.join_fingerprint(
-                [self.scan_fp(alias) for alias in subset], internal
-            )
-            self._join_fp[subset] = fingerprint
-        return fingerprint
-
-    def note_for(self, fingerprint: str) -> Optional[str]:
-        """Human-readable correction note for explain(), if one applied."""
-        correction = self.estimator.corrections.get(fingerprint)
-        if correction is None:
-            return None
-        base, blended = correction
-        return f"feedback: est {base:.4g}->{blended:.4g}"
-
-    def stamp(self, node: ops.PhysicalOperator, fingerprint: str) -> None:
-        """Attach a feedback fingerprint (and any correction note)."""
-        node.feedback_fingerprint = fingerprint
-        note = self.note_for(fingerprint)
-        if note is not None:
-            node.feedback_note = note
+        """Fingerprint of the join of an alias subset (each join step
+        of the chosen order asks once, so nothing is memoized)."""
+        internal = [c.expr for c in self.join_conjuncts if c.aliases <= subset]
+        return self.estimator.join_fingerprint(
+            [self.scan_fp(alias) for alias in subset], internal
+        )
 
     def scan_cost(self, alias: str) -> float:
         return _COST.scan(self.raw[alias])
@@ -1048,7 +1006,7 @@ def _plan_joins(
     current.estimated_rows = orderer.filtered[first.alias]
     current.estimated_cost = orderer.access_cost(current, first.alias)
     if orderer.capture:
-        orderer.stamp(current, orderer.scan_fp(first.alias))
+        current.feedback_fingerprint = orderer.scan_fp(first.alias)
     bound = frozenset([first.alias])
 
     for relation in ordered[1:]:
@@ -1078,7 +1036,7 @@ def _plan_joins(
             est,
         )
         if orderer.capture:
-            orderer.stamp(current, orderer.join_fp(new_bound))
+            current.feedback_fingerprint = orderer.join_fp(new_bound)
         for c in available:
             c.placed = True
         bound = new_bound

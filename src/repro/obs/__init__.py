@@ -8,7 +8,7 @@ Three layers, all zero-overhead when unused:
 * :mod:`repro.obs.metrics` — process-wide Prometheus-style registry
   (``python -m repro.obs.metrics``);
 * :mod:`repro.obs.feedback` — estimate-vs-actual q-error reporting
-  plus the capture half of the feedback loop (probes + harvest);
+  plus the row-counting probes of ``EngineConfig.feedback="observe"``;
 * :mod:`repro.obs.querylog` / :mod:`repro.obs.report` — the serving
   layer's structured query log and its fleet-health summarizer
   (``python -m repro.obs.report``).
@@ -36,7 +36,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     record_query,
 )
-from repro.obs.feedback import CardinalityReport, FeedbackProbes, harvest
+from repro.obs.feedback import CardinalityReport, FeedbackProbes
 from repro.obs.querylog import QUERY_LOG_FIELDS, QueryLog, stable_fingerprint
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "record_query",
     "CardinalityReport",
     "FeedbackProbes",
-    "harvest",
     "QUERY_LOG_FIELDS",
     "QueryLog",
     "stable_fingerprint",

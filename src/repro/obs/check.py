@@ -167,7 +167,6 @@ def check_querylog_schema() -> int:
         latency_seconds=0.001,
         plan_cache_hit=False,
         degradations=[],
-        feedback_corrections=[],
         worst_q_errors=[],
     )
     if tuple(record) != QUERY_LOG_FIELDS:

@@ -1,7 +1,7 @@
 """Estimate-vs-actual cardinality feedback across a workload run.
 
 After a traced execution every plan node carries ``estimated_rows``
-(from the PR 3 cost model) and ``actual_rows`` (stamped by the
+(from the cost model) and ``actual_rows`` (stamped by the
 tracer or by ``explain(analyze=True)``).  The per-node *q-error* —
 ``max(est/actual, actual/est)`` with both sides floored at one row —
 is the standard symmetric mis-estimation factor: 1.0 is a perfect
@@ -13,18 +13,15 @@ feedback loop Online Sketch-based Query Optimization builds on: the
 ranked list tells the cost model *which* operator estimates to
 recalibrate first.
 
-This module also closes the loop mechanically:
-
-* :class:`FeedbackProbes` is the lightweight capture path for
-  untraced executions under ``EngineConfig.feedback != "off"`` — it
-  shadows only the *fingerprinted* plan nodes (scans and join steps
-  the planner stamped with ``feedback_fingerprint``) with a pure
-  row counter, mirroring the tracer's instance-``__dict__`` wrapping
-  and reentrancy guard but skipping all stats snapshots and spans;
-* :func:`harvest` walks an executed plan and records every
-  ``(fingerprint, est_rows, actual_rows)`` triple into the
-  database's :class:`~repro.storage.statistics.FeedbackStatistics`,
-  where ``feedback="apply"`` planning later consults it.
+:class:`FeedbackProbes` is the lightweight capture path for untraced
+executions under ``EngineConfig.feedback="observe"``: it shadows only
+the *fingerprinted* plan nodes (scans and join steps the planner
+stamped with ``feedback_fingerprint``) with a pure row counter,
+mirroring the tracer's instance-``__dict__`` wrapping and reentrancy
+guard but skipping all stats snapshots and spans.  The counts it
+stamps are read by the serving layer's query log
+(``worst_q_errors``) and by :class:`CardinalityReport`; nothing feeds
+them back into estimation.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ class FeedbackProbes:
     ``finish()`` in a ``finally`` to restore the nodes and stamp
     ``actual_rows``.  When a tracer is live on the plan the probes are
     redundant — the tracer already stamps ``actual_rows`` — so the
-    executor installs probes only for untraced feedback runs.
+    executor installs probes only for untraced observe runs.
     """
 
     _SENTINEL = object()
@@ -137,48 +134,6 @@ class FeedbackProbes:
             probe = self._probes[id(node)]
             node.stamp_actual(probe.rows, probe.loops)
         self._nodes = []
-
-
-def harvest(root: PhysicalOperator, db: Any) -> int:
-    """Record a finished plan's estimate→actual pairs into ``db.feedback``.
-
-    Walks the full plan (identity-deduped, including CTE/NLJP
-    sub-plans) and records every node carrying a planner-stamped
-    ``feedback_fingerprint`` plus both an estimate and a
-    tracer/probe-stamped actual.  Scanned base tables that were never
-    ANALYZEd additionally get their online sketch statistics warmed,
-    so the *next* ``feedback="apply"`` planning of a cold table pays
-    nothing.  Returns the number of observations recorded.
-
-    Call only after a *successful* execution: a budget-tripped or
-    cancelled run leaves partial row counts that would poison the
-    store.
-    """
-    token = db.feedback_token()
-    store = db.feedback
-    recorded = 0
-    for node in iter_plan_nodes(root):
-        fingerprint = node.feedback_fingerprint
-        if fingerprint is None:
-            continue
-        if node.estimated_rows is None or node.actual_rows is None:
-            continue
-        store.record(
-            fingerprint,
-            float(node.estimated_rows),
-            float(node.actual_rows),
-            token=token,
-        )
-        recorded += 1
-        table = getattr(node, "table", None)
-        if (
-            fingerprint.startswith("scan:")
-            and table is not None
-            and getattr(table, "statistics", None) is None
-            and len(table) > 0
-        ):
-            table.sketch_statistics()
-    return recorded
 
 
 class CardinalityReport:

@@ -8,7 +8,7 @@ states, retry outcome), what it cost (latency, rows,
 rows scanned, inner evaluations and how many of them a block kernel
 made in vain, degradations), which fold each aggregate ran (code space
 or a row-path fallback, and why), and how well the optimizer predicted
-it (feedback mode, applied corrections, worst per-operator q-errors).
+it (feedback mode, worst per-operator q-errors).
 
 The log is the serving layer's flight recorder: bounded in memory
 (a deque), optionally persisted as JSON Lines with periodic
@@ -36,7 +36,7 @@ QUERY_LOG_FIELDS = (
     "plan_fingerprint",    # stable short hash of the explain tree
     "technique_mask",      # sorted enabled techniques, e.g. ["apriori", ...]
     "execution_mode",      # "row" | "columnar"
-    "feedback_mode",       # "off" | "observe" | "apply"
+    "feedback_mode",       # "off" | "observe"
     "outcome",             # "ok" | "error:<ErrorClass>"
     "plan_cache_hit",      # True on a shared-plan-cache hit
     "admission_wait_seconds",
@@ -47,7 +47,6 @@ QUERY_LOG_FIELDS = (
     "inner_prefetch_discarded",  # ... evaluated ahead in vain (block kernel)
     "degradations",        # graceful-degradation event strings
     "breaker_states",      # {technique: "closed"|"open"|"half_open"}
-    "feedback_corrections",  # planner notes for feedback-adjusted estimates
     "worst_q_errors",      # top per-operator mis-estimates of this plan
     "aggregate_folds",     # per HashAggregate, the fold its last execution ran
 )

@@ -7,7 +7,7 @@ and rejection counts, plan-cache hit rate, degradation pressure, NLJP
 inner evaluations (and the ones a block kernel made in vain), which
 fold each GROUP BY ran (so a silent fall-back off code space shows), and
 the estimate→actual health of the optimizer (worst predicates by
-q-error, how many plans carried feedback corrections).
+q-error).
 
 Usage::
 
@@ -42,8 +42,6 @@ def aggregate(records: List[Dict[str, Any]], top: int = 10) -> Dict[str, Any]:
     degradations = 0
     inner_evaluations = 0
     prefetch_discarded = 0
-    corrected_plans = 0
-    corrections = 0
     folds: Dict[str, int] = {}
     worst: Dict[str, Dict[str, Any]] = {}
     for record in records:
@@ -65,10 +63,6 @@ def aggregate(records: List[Dict[str, Any]], top: int = 10) -> Dict[str, Any]:
         prefetch_discarded += record.get("inner_prefetch_discarded") or 0
         for fold in record.get("aggregate_folds") or ():
             folds[fold] = folds.get(fold, 0) + 1
-        notes = record.get("feedback_corrections") or ()
-        if notes:
-            corrected_plans += 1
-            corrections += len(notes)
         for entry in record.get("worst_q_errors") or ():
             fingerprint = entry.get("fingerprint") or entry.get("operator") or "?"
             current = worst.get(fingerprint)
@@ -96,10 +90,6 @@ def aggregate(records: List[Dict[str, Any]], top: int = 10) -> Dict[str, Any]:
             "evaluations": inner_evaluations,
             "prefetch_discarded": prefetch_discarded,
         },
-        "feedback": {
-            "corrected_plans": corrected_plans,
-            "corrections": corrections,
-        },
         "aggregate_folds": dict(sorted(folds.items())),
         "worst_predicates": ranked,
     }
@@ -124,11 +114,6 @@ def render(summary: Dict[str, Any]) -> str:
     lines.append(
         f"  inner evaluations: {inner['evaluations']} "
         f"(+{inner['prefetch_discarded']} evaluated ahead and discarded)"
-    )
-    feedback = summary["feedback"]
-    lines.append(
-        f"  feedback: {feedback['corrections']} corrections across "
-        f"{feedback['corrected_plans']} plans"
     )
     if summary["aggregate_folds"]:
         lines.append("  aggregate folds:")

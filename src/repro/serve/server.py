@@ -42,6 +42,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 from repro.core.system import SmartIceberg
 from repro.engine.executor import Result
 from repro.engine.operators import HashAggregate
+from repro.engine.planner import FEEDBACK_MODES
 from repro.errors import CircuitOpenError, SessionClosedError
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.querylog import QueryLog, stable_fingerprint
@@ -214,6 +215,21 @@ class IcebergServer:
         **engine_kwargs: Any,
     ) -> None:
         self.db = db
+        self._engine_kwargs = dict(engine_kwargs)
+        # Feedback default: *observe* — count each plan's actual rows
+        # for the query log's q-errors; no estimate ever changes.  An
+        # explicit ``feedback=`` kwarg wins; a caller-supplied
+        # ``config=`` keeps its own setting (we never override it).
+        # Engines are built lazily, so a bad value is refused here
+        # rather than by the first request.
+        base_config = self._engine_kwargs.get("config")
+        feedback = self._engine_kwargs.setdefault(
+            "feedback", "observe" if base_config is None else base_config.feedback
+        )
+        if feedback not in FEEDBACK_MODES:
+            raise ValueError(
+                f"feedback must be one of {FEEDBACK_MODES}, got {feedback!r}"
+            )
         self.admission = AdmissionController(
             max_concurrent=max_concurrent,
             max_queue=max_queue,
@@ -247,18 +263,6 @@ class IcebergServer:
             else QueryLog(max_entries=query_log_entries, path=query_log_path)
         )
         # Instance-wide budget totals → per-slot fair shares.
-        self._engine_kwargs = dict(engine_kwargs)
-        # Feedback default: *observe* — harvest estimate→actual pairs
-        # without letting them move plans, the safe serving posture.
-        # An explicit ``feedback=`` kwarg wins; a caller-supplied
-        # ``config=`` keeps its own setting (we never override it).
-        base_config = self._engine_kwargs.get("config")
-        if "feedback" not in self._engine_kwargs and base_config is None:
-            self._engine_kwargs["feedback"] = "observe"
-        self._feedback_mode = self._engine_kwargs.get(
-            "feedback",
-            base_config.feedback if base_config is not None else "off",
-        )
         if max_rows_scanned is not None:
             self._engine_kwargs["max_rows_scanned"] = self.admission.fair_share(
                 max_rows_scanned
@@ -364,7 +368,7 @@ class IcebergServer:
             self.query_log.append(
                 session=session.session_id,
                 sql_fingerprint=stable_fingerprint(sql),
-                feedback_mode=self._feedback_mode,
+                feedback_mode=self._engine_kwargs["feedback"],
                 outcome=f"error:{type(error).__name__}",
                 breaker_states={
                     technique: breaker.state
@@ -426,20 +430,6 @@ class IcebergServer:
             )
             return result
 
-    def _live_token(self) -> Tuple[int, ...]:
-        """The plan-cache validity token for the current engine setup.
-
-        Under ``feedback="apply"`` the feedback store's version joins
-        the token: a plan built from yesterday's observations is
-        re-optimized once fresh observations land, so corrections
-        actually reach the plans instead of being pinned out by the
-        cache.
-        """
-        token: Tuple[int, ...] = self.db.version_token()
-        if self._feedback_mode == "apply":
-            token = token + (self.db.feedback.version,)
-        return token
-
     def _run_locked(
         self,
         entry: PlanCacheEntry,
@@ -487,7 +477,7 @@ class IcebergServer:
         # releases in the finally, so waiters re-claim rather than hang.
         hit = True
         while True:
-            live_token = self._live_token()
+            live_token = self.db.version_token()
             entry = self.plan_cache.lookup(sql, mask, live_token)
             if entry is not None:
                 break
@@ -558,14 +548,11 @@ class IcebergServer:
         from repro.obs.tracer import iter_plan_nodes
 
         config = planned.env.config
-        corrections: List[str] = []
         mis_estimates: List[Dict[str, Any]] = []
         folds: List[str] = []
         for node in iter_plan_nodes(planned.root):
             if isinstance(node, HashAggregate) and node.fold_ran is not None:
                 folds.append(node.fold_ran)
-            if node.feedback_note is not None:
-                corrections.append(node.feedback_note)
             q_error = node.q_error()
             if q_error is not None:
                 mis_estimates.append(
@@ -582,7 +569,6 @@ class IcebergServer:
         return {
             "plan_fingerprint": entry.fingerprint,
             "feedback_mode": config.feedback,
-            "feedback_corrections": corrections[:5],
             "worst_q_errors": mis_estimates[:3],
             "aggregate_folds": folds,
         }

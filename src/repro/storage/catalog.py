@@ -14,11 +14,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.errors import CatalogError
 from repro.constraints.fd import FDSet, FunctionalDependency
 from repro.storage.schema import Column, TableSchema
-from repro.storage.statistics import (
-    HISTOGRAM_BUCKETS,
-    FeedbackStatistics,
-    TableStats,
-)
+from repro.storage.statistics import HISTOGRAM_BUCKETS, TableStats
 from repro.storage.table import Table
 
 
@@ -35,10 +31,6 @@ class Database:
         # and statistics versions this forms ``version_token()``, the
         # invalidation key of the serving layer's shared plan cache.
         self._catalog_version = 0
-        # Execution-feedback store (estimate→actual observations);
-        # FeedbackStatistics is internally locked, and the reference
-        # itself is immutable after construction.
-        self._feedback = FeedbackStatistics()  # unguarded: write-once in __init__, internally synchronized
 
     # ------------------------------------------------------------------
     # DDL
@@ -154,21 +146,6 @@ class Database:
     def statistics(self, table_name: str) -> Optional[TableStats]:
         """Collected statistics for one table (None before analyze)."""
         return self.table(table_name).statistics
-
-    @property
-    def feedback(self) -> FeedbackStatistics:
-        """The database's execution-feedback store.
-
-        Harvested observations (predicate fingerprint → est/actual
-        rows) land here; ``EngineConfig.feedback="apply"`` consults it
-        during cardinality estimation.  Entries self-invalidate when
-        the data/stats portion of :meth:`version_token` moves.
-        """
-        return self._feedback
-
-    def feedback_token(self) -> Tuple[int, int]:
-        """The ``(data, stats)`` version pair feedback records live under."""
-        return (self.data_version, self.stats_version)
 
     # ------------------------------------------------------------------
     # Versioning (plan-cache invalidation)

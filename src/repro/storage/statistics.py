@@ -9,6 +9,8 @@ min/max, null fraction, and an equi-width histogram — collected by
 
 The estimators built on top live in :mod:`repro.engine.cardinality`
 (selectivity) and :mod:`repro.engine.cost` (calibrated unit costs).
+ANALYZE is the only source: a table never analyzed has no statistics,
+and observed actual rows are reported, never stored or fed back.
 
 Everything here is deterministic: the sketch hashes values with BLAKE2b
 rather than Python's per-process-salted ``hash``, so two runs over the
@@ -18,9 +20,8 @@ same data produce identical estimates.
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 #: Above this many *distinct* values a column's exact value set is
 #: converted into a KMV sketch (bounded memory, bounded relative error).
@@ -323,304 +324,6 @@ def analyze_table(table, buckets: int = HISTOGRAM_BUCKETS) -> TableStats:
                     pass
         stats.columns[column.name] = column
     return stats
-
-
-# ---------------------------------------------------------------------------
-# Execution feedback: observed cardinalities keyed by predicate fingerprint
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FeedbackRecord:
-    """One predicate's observed cardinality, with staleness metadata.
-
-    ``est_rows`` is the estimate the planner used on the *most recent*
-    run that produced this record; ``actual_rows`` the rows the
-    operator actually emitted.  ``max_q_error`` remembers the worst
-    misestimate ever recorded for the fingerprint — the blending
-    weight in :mod:`repro.engine.cardinality` grows with it, so a
-    predicate the histogram path got badly wrong keeps trusting the
-    observation even after the correction shrinks the *current*
-    q-error to ~1.
-    """
-
-    fingerprint: str
-    est_rows: float
-    actual_rows: float
-    q_error: float
-    max_q_error: float
-    observations: int
-    token: Tuple[int, int]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "fingerprint": self.fingerprint,
-            "est_rows": round(self.est_rows, 3),
-            "actual_rows": round(self.actual_rows, 3),
-            "q_error": round(self.q_error, 3),
-            "max_q_error": round(self.max_q_error, 3),
-            "observations": self.observations,
-            "token": list(self.token),
-        }
-
-
-class FeedbackStatistics:
-    """Observed (fingerprint, est, actual) records for one database.
-
-    The estimate→actual feedback store.  Records are keyed by
-    predicate fingerprint and stamped with the database's
-    ``(data_version, stats_version)`` pair at harvest time; a lookup
-    under any *other* token discards the entry, so an insert, a
-    truncate, or an ANALYZE invalidates every observation exactly like
-    it invalidates a cached plan.
-
-    ``version`` advances on every accepted record.  The serving layer
-    appends it to the plan-cache token under ``feedback="apply"``, so
-    fresh observations re-plan cached statements.
-    """
-
-    def __init__(self, max_entries: int = 4096) -> None:
-        self.max_entries = max_entries
-        self._lock = threading.RLock()
-        self._records: Dict[str, FeedbackRecord] = {}  # guarded-by: self._lock
-        self._version = 0  # guarded-by: self._lock
-
-    @property
-    def version(self) -> int:
-        with self._lock:
-            return self._version
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-    def record(
-        self,
-        fingerprint: str,
-        est_rows: float,
-        actual_rows: float,
-        token: Tuple[int, int],
-    ) -> FeedbackRecord:
-        """Fold one observation into the store (EMA over actuals)."""
-        est = max(float(est_rows), 1.0)
-        actual = max(float(actual_rows), 0.0)
-        q_error = max(est / max(actual, 1.0), max(actual, 1.0) / est)
-        with self._lock:
-            previous = self._records.get(fingerprint)
-            if previous is not None and previous.token == tuple(token):
-                actual = 0.5 * previous.actual_rows + 0.5 * actual
-                entry = FeedbackRecord(
-                    fingerprint=fingerprint,
-                    est_rows=est,
-                    actual_rows=actual,
-                    q_error=q_error,
-                    max_q_error=max(previous.max_q_error, q_error),
-                    observations=previous.observations + 1,
-                    token=tuple(token),
-                )
-            else:
-                entry = FeedbackRecord(
-                    fingerprint=fingerprint,
-                    est_rows=est,
-                    actual_rows=actual,
-                    q_error=q_error,
-                    max_q_error=q_error,
-                    observations=1,
-                    token=tuple(token),
-                )
-            if (
-                previous is None
-                and len(self._records) >= self.max_entries
-            ):
-                # Bounded store: evict the stalest-looking entry (fewest
-                # observations, then smallest misestimate — the least
-                # valuable correction to keep).
-                victim = min(
-                    self._records.values(),
-                    key=lambda r: (r.observations, r.max_q_error),
-                )
-                del self._records[victim.fingerprint]
-            self._records[fingerprint] = entry
-            self._version += 1
-            return entry
-
-    def lookup(
-        self, fingerprint: str, token: Tuple[int, int]
-    ) -> Optional[FeedbackRecord]:
-        """The live record for a fingerprint, dropping stale entries."""
-        with self._lock:
-            entry = self._records.get(fingerprint)
-            if entry is None:
-                return None
-            if entry.token != tuple(token):
-                del self._records[fingerprint]
-                return None
-            return entry
-
-    def records(self) -> List[FeedbackRecord]:
-        with self._lock:
-            return list(self._records.values())
-
-    def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
-            self._version += 1
-
-    def to_dict(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "entries": len(self._records),
-                "version": self._version,
-                "records": [
-                    record.to_dict()
-                    for record in sorted(
-                        self._records.values(),
-                        key=lambda r: r.max_q_error,
-                        reverse=True,
-                    )
-                ],
-            }
-
-
-# ---------------------------------------------------------------------------
-# Online sketch statistics: cheap stats without a full ANALYZE
-# ---------------------------------------------------------------------------
-
-#: Upper bound on the rows sampled per column by :func:`sketch_table`'s
-#: KMV distinct estimator (strided, deterministic).
-SKETCH_SAMPLE_LIMIT = 2048
-
-#: Chunk size for the zone-map pass that supplies min/max/null counts.
-SKETCH_CHUNK = 1024
-
-
-class _PresetDistinct:
-    """Duck-typed :class:`DistinctCounter` holding a fixed estimate."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: float) -> None:
-        self.value = float(value)
-
-    @property
-    def is_exact(self) -> bool:
-        return False
-
-    def add(self, value: Any) -> None:  # sketches are not maintained
-        pass
-
-    def estimate(self) -> float:
-        return self.value
-
-
-def _sampled_distinct(values: List[Any], total_non_null: int) -> float:
-    """Distinct estimate from a strided sample.
-
-    Two regimes cover the common shapes: a sample that is mostly
-    distinct means a key-like column (scale the sample ratio up to the
-    table), while a saturated sample means a low-cardinality domain
-    (the sample already saw essentially every value).
-    """
-    sampled = len(values)
-    if sampled == 0:
-        return 0.0
-    sketch = KMVSketch()
-    for value in values:
-        sketch.add(value)
-    d_sample = sketch.estimate()
-    if sampled >= total_non_null:
-        return d_sample
-    if d_sample >= 0.5 * sampled:
-        return min(d_sample * total_non_null / sampled, float(total_non_null))
-    return d_sample
-
-
-def sketch_table(
-    table,
-    chunk_size: int = SKETCH_CHUNK,
-    sample_limit: int = SKETCH_SAMPLE_LIMIT,
-) -> TableStats:
-    """Cheap online statistics for a never-ANALYZEd table.
-
-    Piggybacks on the columnar scan machinery: per-chunk zone maps
-    (cached on the table's :class:`~repro.engine.layout.ColumnStore`)
-    supply exact min/max and null counts, a coarse equi-width histogram
-    is assembled from the chunk bounds, and a deterministic strided
-    sample feeds a KMV distinct sketch.  Orders of magnitude cheaper
-    than :func:`analyze_table` on wide tables, and good enough to
-    replace the ``sqrt(rows)`` NDV guess the estimator otherwise uses.
-    """
-    names = table.schema.column_names
-    n = len(table)
-    stats = TableStats(table_name=table.name, row_count=n)
-    if n == 0:
-        for name in names:
-            stats.columns[name] = ColumnStats(name=name)
-        return stats
-    zones = table.column_store().zone_maps(chunk_size)
-    stride = max(1, n // sample_limit)
-    sampled_rows = table.rows[::stride]
-    for position, name in enumerate(names):
-        column = ColumnStats(name=name)
-        chunk_bounds: List[Tuple[float, float, int]] = []
-        for chunk in zones:
-            zone = chunk.get(position)
-            if zone is None:
-                continue
-            column.non_null += zone.non_null
-            column.nulls += zone.nulls
-            if zone.minimum is None or zone.maximum is None:
-                continue
-            try:
-                if column.minimum is None or zone.minimum < column.minimum:
-                    column.minimum = zone.minimum
-                if column.maximum is None or zone.maximum > column.maximum:
-                    column.maximum = zone.maximum
-            except TypeError:
-                continue
-            if isinstance(zone.minimum, (int, float)) and not isinstance(
-                zone.minimum, bool
-            ):
-                chunk_bounds.append(
-                    (float(zone.minimum), float(zone.maximum), zone.non_null)
-                )
-        values = [row[position] for row in sampled_rows if row[position] is not None]
-        column.distinct = _PresetDistinct(  # type: ignore[assignment]
-            _sampled_distinct(values, column.non_null)
-        )
-        column.histogram = _chunk_histogram(chunk_bounds)
-        stats.columns[name] = column
-    return stats
-
-
-def _chunk_histogram(
-    chunk_bounds: List[Tuple[float, float, int]],
-    buckets: int = HISTOGRAM_BUCKETS,
-) -> Optional[Histogram]:
-    """Coarse histogram from per-chunk (min, max, count) summaries.
-
-    Each chunk's row count is spread uniformly across the buckets its
-    [min, max] range covers — no per-value pass required.
-    """
-    if not chunk_bounds:
-        return None
-    low = min(bound[0] for bound in chunk_bounds)
-    high = max(bound[1] for bound in chunk_bounds)
-    if low == high:
-        return Histogram(
-            low=low, high=high, counts=[sum(b[2] for b in chunk_bounds)]
-        )
-    histogram = Histogram(low=low, high=high, counts=[0] * buckets)
-    counts = histogram.counts
-    for chunk_low, chunk_high, count in chunk_bounds:
-        first = histogram._bucket_of(chunk_low)
-        last = histogram._bucket_of(chunk_high)
-        span = last - first + 1
-        share, remainder = divmod(count, span)
-        for bucket in range(first, last + 1):
-            counts[bucket] += share
-        counts[last] += remainder
-    return histogram
 
 
 def analyze(db, buckets: int = HISTOGRAM_BUCKETS) -> Dict[str, TableStats]:

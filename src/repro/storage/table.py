@@ -11,7 +11,6 @@ from repro.storage.statistics import (
     HISTOGRAM_BUCKETS,
     TableStats,
     analyze_table,
-    sketch_table,
 )
 
 Row = Tuple[Any, ...]
@@ -40,10 +39,6 @@ class Table:
         # repro.serve.plan_cache).
         self._data_version = 0
         self._stats_version = 0
-        # Online sketch statistics cache: (data_version, TableStats).
-        # Unlike full statistics, sketches are never incrementally
-        # maintained — any mutation simply invalidates the cache.
-        self._sketch_statistics: Optional[Tuple[int, TableStats]] = None
 
     # ------------------------------------------------------------------
     # Row access
@@ -150,22 +145,6 @@ class Table:
     def invalidate_statistics(self) -> None:
         self._statistics = None
         self._stats_version += 1
-
-    def sketch_statistics(self) -> TableStats:
-        """Cheap sketch-backed statistics (no full ANALYZE pass).
-
-        Built from the columnar image's per-chunk zone maps plus a
-        strided KMV distinct sample (see
-        :func:`repro.storage.statistics.sketch_table`), cached until
-        the next mutation.  The feedback-aware estimator consults this
-        for tables that were never ANALYZEd.
-        """
-        cached = self._sketch_statistics
-        if cached is not None and cached[0] == self._data_version:
-            return cached[1]
-        stats = sketch_table(self)
-        self._sketch_statistics = (self._data_version, stats)
-        return stats
 
     @property
     def data_version(self) -> int:

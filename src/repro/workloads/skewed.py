@@ -1,4 +1,4 @@
-"""Skewed-selectivity workload for the estimate→actual feedback loop.
+"""Skewed-selectivity workload: a heavy hitter the estimator misses.
 
 Uniform-assumption estimators are at their worst on heavy-hitter
 value distributions: without statistics, an equality predicate on a
@@ -10,10 +10,10 @@ one).  This module builds exactly that trap: an ``events`` fact table
 whose ``kind`` column has one dominant value, joined to a small
 ``users`` dimension.
 
-Run the query once under ``feedback="observe"`` and the harvested
-(fingerprint, est, actual) observations let a ``feedback="apply"``
-re-plan correct the estimate, flip the join order, and collapse the
-q-error — the scenario the feedback tests exercise.
+Under ``feedback="observe"`` the plan is unchanged and the scan's
+actual rows show the q-error (``Result.report()``); nothing corrects
+the estimate — the engine keeps no runtime feedback.  The subsumption
+goldens and the observe-parity tests run this query.
 
 Everything is deterministic given ``seed``.
 """
@@ -60,8 +60,8 @@ def make_skewed_db(config: Optional[SkewedConfig] = None) -> Database:
     """A fresh database holding the skewed events/users pair.
 
     Neither table is ANALYZEd — the point of the workload is that the
-    planner starts from index/row-count fallbacks (or online sketches)
-    and only the feedback loop can see the skew.
+    planner starts from index/row-count fallbacks and only the
+    observed actual rows show the skew.
     """
     config = config if config is not None else SkewedConfig()
     rng = random.Random(config.seed)
@@ -73,8 +73,8 @@ def make_skewed_db(config: Optional[SkewedConfig] = None) -> Database:
     # nested-loop driving from ``users`` dominates regardless of the
     # events-side estimate, and the mis-estimate never changes a plan
     # decision.  Without it the "tiny" (mis-estimated) filtered events
-    # side looks like the perfect probe side — until feedback corrects
-    # it and the planner switches strategy.
+    # side looks like the perfect probe side, which an estimate
+    # corrected to the true size would no longer pick.
     events = db.create_table("events", EVENTS_SCHEMA, primary_key=("ev_id",))
     cold_kinds = config.n_kinds - 1
     for ev_id in range(config.n_events):
@@ -89,7 +89,7 @@ def make_skewed_db(config: Optional[SkewedConfig] = None) -> Database:
 
 
 def skewed_query(config: Optional[SkewedConfig] = None) -> str:
-    """Regions ranked by hot-kind event volume (the feedback probe query).
+    """Regions ranked by hot-kind event volume (the skew probe query).
 
     The ``e.kind = <hot>`` predicate is the trap: uniform estimation
     says a tiny filtered side, reality says ~``hot_fraction`` of the

@@ -100,8 +100,7 @@ def test_inner_query_nodes_record_rows_per_evaluation(knobs, numpy_present, monk
     """Regression: Q_R's nodes run once per binding but were recorded
     with the query's total against a per-evaluation estimate — on Q1
     (n=300) est 18.5 vs actual 2 702, q-error 145.9, topping every
-    report and, under ``feedback="apply"``, inflating the estimate
-    100×.  Per evaluation it is 29.4 rows over 92 loops, q-error 1.6 —
+    report.  Per evaluation it is 29.4 rows over 92 loops, q-error 1.6 —
     from the inner kernel and from the operator tree alike."""
     import repro.engine.layout as layout
     from repro import SmartIceberg
@@ -125,6 +124,3 @@ def test_inner_query_nodes_record_rows_per_evaluation(knobs, numpy_present, monk
     assert "actual_rows=29.4 loops=92" in scan.describe()[0]
     worst = result.report("Q1").worst(1)[0]
     assert worst["q_error"] < 2.0 and worst["loops"] in (1, 92)
-    if "feedback" in knobs:
-        record = db.feedback.lookup(scan.feedback_fingerprint, db.feedback_token())
-        assert record is not None and round(record.actual_rows, 1) == 29.4

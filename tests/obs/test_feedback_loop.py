@@ -1,130 +1,35 @@
-"""The estimate→actual feedback loop: store, sketches, parity, and wins."""
+"""``feedback="observe"``: actual rows counted, plans and results unchanged."""
 
 import dataclasses
-import re
 
 import pytest
 
-from repro.workloads.baseball import batting_db
+from repro.core.system import SmartIceberg
+from repro.workloads.baseball import batting_db, dense_config
 from repro.testing import RECORD_SEED
 from repro.engine import EngineConfig, execute
-from repro.engine.cardinality import blend_estimate
+from repro.engine.layout import numpy_or_none
 from repro.engine.planner import FEEDBACK_MODES, plan_query
 from repro.sql.parser import parse
-from repro.storage.statistics import FeedbackStatistics, sketch_table
-from repro.workloads import figure1_queries, make_skewed_db, skewed_query
+from repro.storage.catalog import Database
+from repro.workloads import (
+    BasketConfig,
+    CyclicConfig,
+    complex_query,
+    figure1_queries,
+    load_baskets,
+    load_batting,
+    load_edges,
+    load_unpivoted,
+    make_skewed_db,
+    market_basket_query,
+    skewed_query,
+    skyband_query,
+    triangle_hub_query,
+)
 from tests.modes import MODES, mode_kwargs
 
 QUERIES = {name: q.sql for name, q in figure1_queries().items()}
-
-
-def _plan_shape(explain_text):
-    """Structural plan lines with all bracketed annotations stripped."""
-    return [line.split("[")[0].rstrip() for line in explain_text.splitlines()]
-
-
-# ---------------------------------------------------------------------------
-# FeedbackStatistics store
-# ---------------------------------------------------------------------------
-
-
-class TestFeedbackStatistics:
-    def test_record_and_lookup(self):
-        store = FeedbackStatistics()
-        store.record("scan:t|t.a = 1", est_rows=10.0, actual_rows=500.0, token=(1, 0))
-        record = store.lookup("scan:t|t.a = 1", token=(1, 0))
-        assert record is not None
-        assert record.actual_rows == 500.0
-        assert record.q_error == pytest.approx(50.0)
-        assert store.lookup("scan:t|t.a = 2", token=(1, 0)) is None
-
-    def test_token_mismatch_invalidates(self):
-        store = FeedbackStatistics()
-        store.record("fp", est_rows=10.0, actual_rows=100.0, token=(1, 0))
-        assert store.lookup("fp", token=(2, 0)) is None
-        # The stale entry is also dropped, not just hidden.
-        assert len(store) == 0
-
-    def test_same_token_rerecord_smooths(self):
-        store = FeedbackStatistics()
-        store.record("fp", est_rows=10.0, actual_rows=100.0, token=(1, 0))
-        store.record("fp", est_rows=10.0, actual_rows=200.0, token=(1, 0))
-        record = store.lookup("fp", token=(1, 0))
-        assert record.observations == 2
-        assert record.actual_rows == pytest.approx(150.0)  # 0.5/0.5 EMA
-        assert record.max_q_error == pytest.approx(20.0)  # max ever seen
-
-    def test_new_token_replaces(self):
-        store = FeedbackStatistics()
-        store.record("fp", est_rows=10.0, actual_rows=100.0, token=(1, 0))
-        store.record("fp", est_rows=10.0, actual_rows=30.0, token=(2, 0))
-        record = store.lookup("fp", token=(2, 0))
-        assert record.observations == 1
-        assert record.actual_rows == pytest.approx(30.0)
-
-    def test_eviction_keeps_strong_entries(self):
-        store = FeedbackStatistics(max_entries=2)
-        store.record("weak", est_rows=10.0, actual_rows=11.0, token=(1, 0))
-        store.record("strong", est_rows=10.0, actual_rows=1000.0, token=(1, 0))
-        store.record("strong", est_rows=10.0, actual_rows=1000.0, token=(1, 0))
-        store.record("new", est_rows=10.0, actual_rows=50.0, token=(1, 0))
-        assert len(store) == 2
-        assert store.lookup("weak", token=(1, 0)) is None
-        assert store.lookup("strong", token=(1, 0)) is not None
-
-    def test_version_advances_per_record(self):
-        store = FeedbackStatistics()
-        v0 = store.version
-        store.record("fp", est_rows=1.0, actual_rows=2.0, token=(0, 0))
-        assert store.version == v0 + 1
-
-
-def test_blend_estimate_moves_toward_actual():
-    store = FeedbackStatistics()
-    store.record("fp", est_rows=10.0, actual_rows=1000.0, token=(0, 0))
-    record = store.lookup("fp", token=(0, 0))
-    blended = blend_estimate(10.0, record)
-    assert 10.0 < blended <= 1000.0
-    # A strong (high q-error, repeated) observation dominates the base.
-    store.record("fp", est_rows=10.0, actual_rows=1000.0, token=(0, 0))
-    blended = blend_estimate(10.0, store.lookup("fp", token=(0, 0)))
-    assert blended > 300.0
-
-
-# ---------------------------------------------------------------------------
-# Online scan sketches
-# ---------------------------------------------------------------------------
-
-
-class TestSketches:
-    def test_sketch_table_bounds_and_distinct(self):
-        db = make_skewed_db()
-        events = db.table("events")
-        stats = sketch_table(events)
-        kind = stats.columns["kind"]
-        assert kind.minimum == 0 and kind.maximum == 7
-        assert kind.nulls == 0
-        assert kind.non_null == len(events)
-        # 8 real kinds; the sketch's estimate must be in a sane band,
-        # far from the sqrt(n) fallback (~77).
-        assert 2 <= kind.distinct.estimate() <= 32
-        user = stats.columns["user_id"]
-        assert 100 <= user.distinct.estimate() <= 600
-        assert kind.histogram is not None
-
-    def test_sketch_cache_invalidated_by_mutation(self):
-        db = make_skewed_db()
-        events = db.table("events")
-        first = events.sketch_statistics()
-        assert events.sketch_statistics() is first  # cached
-        events.insert((999_999, 3, 5))
-        assert events.sketch_statistics() is not first
-
-    def test_sketch_never_analyzes(self):
-        db = make_skewed_db()
-        events = db.table("events")
-        events.sketch_statistics()
-        assert events.statistics is None
 
 
 # ---------------------------------------------------------------------------
@@ -151,18 +56,88 @@ def test_feedback_parity(name):
             )
 
 
+def _db_with(load, config, **kwargs):
+    def build():
+        db = Database()
+        load(db, config, **kwargs)
+        return db
+
+    return build
+
+
+#: Q1-Q8, then one literal of each ``adhoc_mix`` template (skyband,
+#: complex, basket, triangle_hub), each with a builder of its database.
+OBSERVE_CASES = [
+    (name, lambda: batting_db(120, seed=RECORD_SEED), sql)
+    for name, sql in sorted(QUERIES.items())
+] + [
+    (
+        "skyband",
+        _db_with(load_batting, dense_config(300, RECORD_SEED)),
+        skyband_query("b_h", "b_hr", 50),
+    ),
+    (
+        "complex",
+        _db_with(load_unpivoted, dense_config(150, RECORD_SEED), n_categories=4),
+        complex_query(4),
+    ),
+    (
+        "basket",
+        _db_with(load_baskets, BasketConfig(n_baskets=200, seed=RECORD_SEED)),
+        market_basket_query(12),
+    ),
+    (
+        "triangle_hub",
+        _db_with(load_edges, CyclicConfig(n_edges=300, seed=RECORD_SEED)),
+        triangle_hub_query(2),
+    ),
+]
+
+
+def _served_run(db, sql, feedback, mode):
+    """Pre-execution explain, work counters and rows of one statement
+    on an engine configured like the server's."""
+    optimized = SmartIceberg(
+        db, feedback=feedback, cross_query_memo=True, **mode_kwargs(mode)
+    ).optimize(sql)
+    explain = optimized.explain()
+    result = optimized.execute()
+    return explain, result.stats.as_dict(), result.rows
+
+
 def test_observe_matches_off_work_counters():
+    """Observe stamps and counts but never changes a plan: the
+    pre-execution ``explain()``, the work counters and the rows equal
+    those of ``off``, on the skewed join and on every served template
+    in row and columnar mode.  Each run gets a fresh database, so
+    neither warms the other's caches."""
     db_off = make_skewed_db()
     db_obs = make_skewed_db()
     sql = skewed_query()
-    r_off = execute(db_off, sql, EngineConfig(join_order="dp", feedback="off"))
-    r_obs = execute(db_obs, sql, EngineConfig(join_order="dp", feedback="observe"))
-    # Observe never changes the plan, so the deterministic work
-    # counters are bit-identical; only the harvest differs.
+    off = EngineConfig(join_order="dp", feedback="off")
+    observe = EngineConfig(join_order="dp", feedback="observe")
+    assert (
+        plan_query(db_obs, parse(sql), observe).explain()
+        == plan_query(db_off, parse(sql), off).explain()
+    )
+    r_off = execute(db_off, sql, off)
+    r_obs = execute(db_obs, sql, observe)
     assert r_obs.stats.as_dict() == r_off.stats.as_dict()
     assert r_obs.sorted_rows() == r_off.sorted_rows()
-    assert len(db_off.feedback) == 0
-    assert 0 < len(db_obs.feedback) <= db_obs.feedback.max_entries
+    # Only the counted actuals differ.
+    assert r_off.report().to_dict()["observations"] == 0
+    assert r_obs.report().to_dict()["observations"] > 0
+
+    modes = ["row", "columnar"] if numpy_or_none() is not None else ["row"]
+    for name, make_db, sql in OBSERVE_CASES:
+        for mode in modes:
+            runs = [
+                _served_run(make_db(), sql, feedback, mode)
+                for feedback in FEEDBACK_MODES
+            ]
+            assert runs[1][0] == runs[0][0], f"{name} ({mode}): plan changed"
+            assert runs[1][1] == runs[0][1], f"{name} ({mode}): counters changed"
+            assert runs[1][2] == runs[0][2], f"{name} ({mode}): rows changed"
 
 
 def test_off_mode_plans_carry_no_feedback_artifacts():
@@ -176,67 +151,6 @@ def test_off_mode_plans_carry_no_feedback_artifacts():
         assert node.feedback_fingerprint is None
 
 
-# ---------------------------------------------------------------------------
-# The headline win: skewed workload, observe → apply
-# ---------------------------------------------------------------------------
-
-
-class TestSkewedFeedbackWin:
-    @pytest.fixture(scope="class")
-    def loop(self):
-        db = make_skewed_db()
-        sql = skewed_query()
-
-        def cfg(feedback, trace="off"):
-            return EngineConfig(join_order="dp", feedback=feedback, trace=trace)
-
-        before = execute(db, sql, cfg("off", trace="counters"))
-        plan_before = plan_query(db, parse(sql), cfg("off")).explain()
-        execute(db, sql, cfg("observe"))
-        after = execute(db, sql, cfg("apply", trace="counters"))
-        plan_after = plan_query(db, parse(sql), cfg("apply")).explain()
-        return before, plan_before, after, plan_after
-
-    def test_q_error_reduced_5x(self, loop):
-        before, _, after, _ = loop
-        q_before = before.report().to_dict()["max_q_error"]
-        q_after = after.report().to_dict()["max_q_error"]
-        assert q_before / q_after >= 5.0
-
-    def test_plan_decision_flips(self, loop):
-        _, plan_before, _, plan_after = loop
-        assert _plan_shape(plan_before) != _plan_shape(plan_after)
-        # The uncorrected plan drives the probe side from the
-        # mis-estimated filtered events scan; the corrected one does not.
-        assert "IndexNestedLoopJoin" in plan_before
-        assert "HashJoin" in plan_after
-
-    def test_explain_shows_corrections(self, loop):
-        _, plan_before, _, plan_after = loop
-        assert "[feedback: est" in plan_after
-        assert "feedback" not in plan_before
-        note = re.search(r"\[feedback: est ([\d.e+]+)->([\d.e+]+)\]", plan_after)
-        assert note is not None
-        assert float(note.group(2)) > float(note.group(1))
-
-    def test_rows_bit_identical(self, loop):
-        before, _, after, _ = loop
-        assert sorted(before.rows) == sorted(after.rows)
-        assert before.columns == after.columns
-
-
-def test_harvest_only_on_success():
-    from repro.errors import BudgetExceededError
-
-    db = make_skewed_db()
-    config = EngineConfig(
-        join_order="dp", feedback="observe", max_rows_scanned=10
-    )
-    with pytest.raises(BudgetExceededError):
-        execute(db, skewed_query(), config)
-    assert len(db.feedback) == 0
-
-
 def test_feedback_config_validation():
     with pytest.raises(ValueError):
         EngineConfig(feedback="sometimes")
@@ -245,9 +159,7 @@ def test_feedback_config_validation():
 
 
 def test_smart_iceberg_feedback_knob():
-    from repro.core.system import SmartIceberg
-
     db = make_skewed_db()
-    system = SmartIceberg(db, feedback="apply")
-    assert system.config.feedback == "apply"
+    system = SmartIceberg(db, feedback="observe")
+    assert system.config.feedback == "observe"
     assert SmartIceberg(db).config.feedback == "off"

@@ -91,7 +91,6 @@ def _record(**overrides):
         latency_seconds=0.01,
         plan_cache_hit=True,
         degradations=[],
-        feedback_corrections=[],
         worst_q_errors=[],
     )
     base.update(overrides)
@@ -123,14 +122,13 @@ class TestReport:
                 {"fingerprint": "scan:t|t.a = 1", "est": 10, "actual": 900,
                  "q_error": 90.0},
                 {"fingerprint": "scan:u|", "est": 5, "actual": 6, "q_error": 1.2},
-            ], feedback_corrections=["feedback: est 10->500"]),
+            ]),
         ]
         summary = aggregate(records, top=1)
         assert len(summary["worst_predicates"]) == 1
         worst = summary["worst_predicates"][0]
         assert worst["fingerprint"] == "scan:t|t.a = 1"
         assert worst["q_error"] == 90.0  # max across records, deduped
-        assert summary["feedback"] == {"corrected_plans": 1, "corrections": 1}
 
     def test_cli_renders_and_validates(self, tmp_path, capsys):
         path = tmp_path / "log.jsonl"
@@ -176,8 +174,6 @@ class TestServerWiring:
             assert record["breaker_states"] == {
                 "apriori": "closed", "memprune": "closed",
             }
-        # The observe default harvests estimate→actual observations.
-        assert len(server.db.feedback) > 0
         # Mis-estimates of the join query surface in the log.
         assert records[-1]["worst_q_errors"]
         assert records[-1]["worst_q_errors"][0]["q_error"] >= 1.0
@@ -228,20 +224,6 @@ class TestServerWiring:
         assert 'repro_server_breaker_transitions{technique="apriori"' in text
         assert "repro_server_plan_cache" in text
 
-    def test_feedback_apply_extends_cache_token(self, tmp_path):
-        db = batting_db(120, seed=RECORD_SEED)
-        server = IcebergServer(db, registry=MetricsRegistry(), feedback="apply")
-        with server.session() as session:
-            session.execute(JOIN_SQL)
-            first_version = db.feedback.version
-            assert first_version > 0  # apply harvests too
-            session.execute(JOIN_SQL)
-        records = server.query_log.to_list()
-        # Fresh observations moved the token, so the second execution
-        # re-planned (a miss), picking the corrections up.
-        assert records[1]["plan_cache_hit"] is False
-        assert records[1]["feedback_mode"] == "apply"
-
     def test_explicit_config_feedback_respected(self):
         from repro.engine.planner import EngineConfig
 
@@ -249,8 +231,6 @@ class TestServerWiring:
         server = IcebergServer(
             db, registry=MetricsRegistry(), config=EngineConfig()
         )
-        assert server._feedback_mode == "off"
         with server.session() as session:
             session.execute(GROUP_SQL)
-        assert len(db.feedback) == 0
         assert server.query_log.to_list()[0]["feedback_mode"] == "off"

@@ -15,7 +15,9 @@ import pytest
 from repro import EngineConfig, IcebergServer, SmartIceberg
 from repro.core.optimizer import OptimizedQuery, SmartIcebergOptimizer
 from repro.engine import run_planned
+from repro.engine.planner import FEEDBACK_MODES
 from repro.serve.server import PreparedStatement, Session
+from repro.storage.catalog import Database
 
 SURFACE = {
     "SmartIceberg.__init__": (
@@ -82,3 +84,22 @@ def test_parameter_names(name):
     function, expected = SURFACE[name]
     parameters = [p for p in inspect.signature(function).parameters if p != "self"]
     assert parameters == expected
+
+
+def test_feedback_modes():
+    assert FEEDBACK_MODES == ("off", "observe")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda db: EngineConfig(feedback="apply"),
+        lambda db: SmartIceberg(db, feedback="apply"),
+        # Checked at construction: the server builds engines lazily.
+        lambda db: IcebergServer(db, feedback="apply"),
+    ],
+    ids=["EngineConfig", "SmartIceberg", "IcebergServer"],
+)
+def test_removed_feedback_value_rejected(build):
+    with pytest.raises(ValueError, match=r"\('off', 'observe'\)"):
+        build(Database())
