@@ -26,11 +26,10 @@ Quick start::
         GROUP BY i1.item, i2.item HAVING COUNT(*) >= 20
     ''')
 
-Execution is columnar (NumPy column batches, fused kernels) wherever
-NumPy imports and row-at-a-time where it does not; pass
-``SmartIceberg(db, execution_mode="row")`` (or set the mode on an
-``EngineConfig``) for the row-at-a-time reference — identical rows,
-the same work counters modulo zone-map skipping.
+Execution runs the path the install has: columnar (NumPy column
+batches, fused kernels) wherever NumPy imports, and the row-at-a-time
+interpreter where it does not — identical rows, the same work counters
+modulo zone-map skipping.  ``Result.execution_mode`` says which ran.
 """
 
 from repro.engine import (

@@ -6,12 +6,13 @@ Usage::
 
 Runs the paper's skyband, pairs, complex, frequent-pairs and triangle
 statements under every path :data:`repro.engine.cost.TIME_COSTS`
-prices: the a-priori join and the first admissible NLJP, each in the
-columnar and the row execution mode.  Each run is timed (execution
-only, a fresh plan each time, best of three) with its work units and
-the bindings NLJP went through (evaluated, memo hits and pruned) on
-its inner path.  The runs are written to ``SAMPLE.json`` (by default
-the sample the tests refit) and the prices
+prices: the a-priori join and the first admissible NLJP, each on the
+columnar path and on the row path an install without NumPy runs
+(through :func:`repro.testing.without_numpy`).  Each run is timed
+(execution only, a fresh plan each time, best of three) with its work
+units and the bindings NLJP went through (evaluated, memo hits and
+pruned) on its inner path.  The runs are written to ``SAMPLE.json``
+(by default the sample the tests refit) and the prices
 :func:`~repro.engine.cost.fit_unit_costs` fits from them are printed,
 ready to commit as ``TIME_COSTS``.
 """
@@ -21,12 +22,14 @@ from __future__ import annotations
 import json
 import pathlib
 import sys
+import contextlib
 import time
 from typing import Dict, List
 
 from repro.core.system import SmartIceberg
 from repro.engine.cost import BINDING_PATHS, fit_unit_costs
 from repro.storage.catalog import Database
+from repro.testing import without_numpy
 from repro.workloads import (
     BasketConfig,
     CyclicConfig,
@@ -79,14 +82,15 @@ def measure(db: Database, repeats: int = 3) -> List[Dict[str, object]]:
     for statement, sql in STATEMENTS.items():
         for system, knobs in SYSTEMS.items():
             for mode in ("columnar", "row"):
-                engine = SmartIceberg(db, execution_mode=mode, **knobs)
+                engine = SmartIceberg(db, **knobs)
                 best = None
-                for _ in range(repeats):
-                    optimized = engine.optimize(sql)
-                    started = time.perf_counter()
-                    result = optimized.execute()
-                    ms = (time.perf_counter() - started) * 1e3
-                    best = ms if best is None else min(best, ms)
+                with without_numpy() if mode == "row" else contextlib.nullcontext():
+                    for _ in range(repeats):
+                        optimized = engine.optimize(sql)
+                        started = time.perf_counter()
+                        result = optimized.execute()
+                        ms = (time.perf_counter() - started) * 1e3
+                        best = ms if best is None else min(best, ms)
                 if system == "nljp" and optimized.nljp is None:
                     continue  # no admissible partition: the join again
                 bindings = {}

@@ -36,8 +36,10 @@ class Measurement:
 
     ``optimize_seconds`` and ``seconds`` are separate phases (rewrite
     vs. execute), both measured with ``time.perf_counter``;
-    ``execution_mode`` records how the engine ran and appears in every
-    emitted report row.
+    ``execution_mode`` records the path the engine ran and appears in
+    every emitted report row.  ``cost`` adds the rows zone maps skipped
+    to ``stats.cost()``: every stored row a scan covers is charged, as
+    the paper's systems did, on either path.
     """
 
     system: str
@@ -74,7 +76,7 @@ def _measure(
         query=query_name,
         seconds=seconds,
         adjusted_seconds=seconds / parallelism,
-        cost=result.stats.cost(),
+        cost=result.stats.cost() + result.stats.rows_skipped,
         rows=len(result.rows),
         result=result,
         optimize_seconds=optimize_seconds,
@@ -82,12 +84,6 @@ def _measure(
         analyze_seconds=analyze_seconds,
     )
 
-
-#: Every system runs row at a time: the figures' shapes are asserted on
-#: ``ExecutionStats.cost()``, and row mode charges every stored row a
-#: scan reads, as the paper's systems did, where columnar mode leaves
-#: out the chunks its zone maps skip.
-EXECUTION_MODE = "row"
 
 #: The figures measure the paper's Listing 9: the first admissible NLJP
 #: partition runs, even where the a-priori join alone would be faster.
@@ -101,21 +97,17 @@ def make_systems(
 ) -> Dict[str, SystemRunner]:
     """Build the named system runners used across all figures.
 
-    Every system runs in :data:`EXECUTION_MODE`.  ``analyze`` sets the
-    Smart-Iceberg static-analysis mode (baselines have no analyzer);
-    its wall time lands in each measurement's ``analyze_seconds``.
-    ``trace`` sets the tracing mode
-    for every system (``None`` inherits the config's ``"off"``); traced
+    ``analyze`` sets the Smart-Iceberg static-analysis mode (baselines
+    have no analyzer); its wall time lands in each measurement's
+    ``analyze_seconds``.  ``trace`` sets the tracing mode for every
+    system (``None`` inherits the config's ``"off"``); traced
     measurements carry a ``QueryProfile`` on ``measurement.result``.
     """
     import dataclasses
 
     def baseline(config: EngineConfig) -> SystemRunner:
-        config = dataclasses.replace(
-            config,
-            execution_mode=EXECUTION_MODE,
-            **({"trace": trace} if trace is not None else {}),
-        )
+        if trace is not None:
+            config = dataclasses.replace(config, trace=trace)
 
         def run(db: Database, sql: str, query_name: str = "") -> Measurement:
             return _measure(
@@ -131,7 +123,6 @@ def make_systems(
         def run(db: Database, sql: str, query_name: str = "") -> Measurement:
             system = SmartIceberg(
                 db,
-                execution_mode=EXECUTION_MODE,
                 analyze=analyze,
                 trace=trace,
                 technique_choice=FIGURE_CHOICE,

@@ -760,7 +760,7 @@ class PruneView:
         with self._lock:
             if not self._imaged:
                 self._imaged = True
-                self._image = None if self.use_index or np is None else []
+                self._image = None if self.use_index else []
                 self._image_rows = 0
                 walked = (
                     (item[2] for item in self._order)

@@ -10,18 +10,17 @@ An NLJP instance is specified by four (generated) queries:
   parameterized by a binding, computing every aggregate subexpression
   of Φ and Λ per 𝔾_R group (plus a support count).  The paper ran it
   as a prepared statement per binding; here a Q_R over one scan is
-  lowered once per plan to a columnar kernel
-  (:mod:`repro.engine.kernel`) that every execution mode calls, a
-  join-shaped Q_R to a kernel that a columnar context has compute it
-  for the next block of bindings at once, ahead of the loop
-  (:class:`_Blocks`), and only what both decline — or any join-shaped
-  Q_R outside a columnar context — re-enters the operator tree, row at
-  a time, per binding;
+  lowered once per plan, where NumPy imports, to a columnar kernel
+  (:mod:`repro.engine.kernel`), a join-shaped Q_R to a kernel that
+  computes it for the next block of bindings at once, ahead of the
+  loop (:class:`_Blocks`), and only what both decline — or any Q_R on
+  an install without NumPy — re-enters the operator tree, row at a
+  time, per binding;
 * **Q_C(b')** — the pruning query: a lookup over the cache for an
   unpromising entry whose binding subsumes (or is subsumed by) ``b'``
   under the automatically derived predicate — asked per binding, and
-  under a columnar context first for a window of upcoming bindings at
-  once, to skip the ones it is sure to prune;
+  where NumPy imports first for a window of upcoming bindings at once,
+  to skip the ones it is sure to prune;
 * **Q_P** — post-processing: assembles final result tuples, filtering
   by Φ; evaluated incrementally when ``𝔾_L → 𝔸_L`` holds (the
   non-blocking case the paper points out), and by combining algebraic
@@ -480,11 +479,10 @@ class NLJPOperator(ops.PhysicalOperator):
             group_by=tuple(_ref(a) for a in self.g_right),
         )
         self.qr_plan, _ = plan_select(self.qr_select, self.env)
-        # A scan-shaped Q_R is lowered once to a columnar kernel that
-        # every execution mode calls in place of the tree, a join-shaped
-        # one to a kernel a columnar context runs a block of bindings
-        # ahead of the loop; the reason says why a Q_R kept the
-        # operators (EXPLAIN shows which).
+        # A scan-shaped Q_R is lowered once to a columnar kernel called
+        # in place of the tree, a join-shaped one to a kernel run a
+        # block of bindings ahead of the loop; the reason says why a
+        # Q_R kept the operators (EXPLAIN shows which).
         self.inner_kernel, self.inner_reason = lower_inner(
             self.qr_plan, self.param_names
         )
@@ -885,17 +883,16 @@ class NLJPOperator(ops.PhysicalOperator):
         kernel = self.inner_kernel
         try:
             # A block kernel runs a binding it has evaluated ahead of
-            # the loop; one it has not (or any, outside a columnar
-            # context) is the tree's.
+            # the loop; one it has not is the tree's.
             args = ()
             if kernel is not None and kernel.blockwise:
-                ahead = kernel.take(ctx, binding) if ctx.columnar else None
+                ahead = kernel.take(ctx, binding)
                 if ahead is None:
                     kernel = None
                 else:
                     args = (ahead,)
             if kernel is None:
-                # The reference tree, row at a time in either mode: for
+                # The reference tree, row at a time on either path: for
                 # a plan run per binding over a handful of rows, column
                 # batches would cost more than they save.
                 raw_rows = list(self.qr_plan.execute(ctx))
@@ -1073,20 +1070,17 @@ class NLJPOperator(ops.PhysicalOperator):
 
         Every binding that is evaluated, looked up or inserted goes
         through :meth:`_lookup_or_compute`, one at a time in Q_B's
-        order: a binding can be pruned by any earlier one.  Under a
-        columnar context :meth:`_skip_ahead` first drops, a window at a
-        time, the bindings Q_C is already sure to prune.
+        order: a binding can be pruned by any earlier one.  Where NumPy
+        imports, :meth:`_skip_ahead` first drops, a window at a time,
+        the bindings Q_C is already sure to prune.
         """
         governor = ctx.governor
         positions = self.binding_positions
         kernel = self.inner_kernel
         blocks = None
         if kernel is not None and kernel.blockwise:
-            if ctx.columnar:
-                blocks = _Blocks(self, ctx)
-                self.inner_ran = f"block kernel ({kernel.describe()})"
-            else:
-                self.inner_ran = "operators (row mode)"
+            blocks = _Blocks(self, ctx)
+            self.inner_ran = f"block kernel ({kernel.describe()})"
 
         def per_binding(rows):
             for qb_row in rows:
@@ -1115,13 +1109,12 @@ class NLJPOperator(ops.PhysicalOperator):
         if blocks is not None:
             per_binding = per_binding_ahead
 
-        reason = self._loop_reason or (None if ctx.columnar else "row mode")
-        if reason is None:
+        if self._loop_reason is None:
             return chain.from_iterable(
                 self._skip_ahead(ctx, batch, per_binding, blocks)
                 for batch in self.qb_plan.execute_columnar(ctx)
             )
-        self.loop_ran = f"per binding ({reason})"
+        self.loop_ran = f"per binding ({self._loop_reason})"
         if blocks is None:
             return per_binding(ops.execute_rows(self.qb_plan, ctx))
         return chain.from_iterable(

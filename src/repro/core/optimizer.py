@@ -176,7 +176,7 @@ class OptimizedQuery:
         execution*: the serving layer re-executes one optimized plan
         many times with per-call cancel tokens, fault plans and
         deadlines, none of which may stick to the plan.  The plan
-        always runs in the execution mode it was priced for.
+        always runs on the execution path it was priced for.
         """
         tracer = None
         config = self.planned.env.config
@@ -770,9 +770,8 @@ class SmartIcebergOptimizer:
         # option runs.  A partition whose bindings alone cost more than
         # the best option so far cannot win; it is priced by that floor
         # and never built.
-        # Priced under the columnar prices wherever NumPy gives the
-        # columnar interpreter, whatever the mode, so a statement gets
-        # one plan whichever interpreter runs it.
+        # Priced under the prices of the path that will run it:
+        # columnar wherever NumPy imports, row at a time elsewhere.
         costed = self.technique_choice == "cost" and bool(report.apriori)
         columnar = numpy_or_none() is not None
         join = plan_select(body, env) if costed else None

@@ -54,7 +54,6 @@ class SmartIceberg:
         cache_index: bool = True,
         cache_max_entries: Optional[int] = None,
         cache_policy: str = "none",
-        execution_mode: Optional[str] = None,
         batch_size: Optional[int] = None,
         max_rows_scanned: Optional[int] = None,
         max_join_pairs: Optional[int] = None,
@@ -70,15 +69,13 @@ class SmartIceberg:
     ) -> None:
         self.db = db
         self.config = config or EngineConfig.smart()
-        # Mode and governor knobs override the config; None inherits
-        # its settings, and EngineConfig validates them.  Columnar mode
-        # is a wall-clock optimization: its rows are row mode's.
+        # Batch size and governor knobs override the config; None
+        # inherits its settings, and EngineConfig validates them.
         # Governor budgets bound the work one execution may do (see
         # repro.engine.governor); ``degradation="fallback"`` trades
         # the paper's techniques for survival instead of aborting.
         overrides: Dict[str, object] = {}
         for name, value in (
-            ("execution_mode", execution_mode),
             ("batch_size", batch_size),
             ("max_rows_scanned", max_rows_scanned),
             ("max_join_pairs", max_join_pairs),
@@ -104,7 +101,6 @@ class SmartIceberg:
                 overrides[name] = value
         if overrides:
             self.config = dataclasses.replace(self.config, **overrides)
-        self.execution_mode = self.config.execution_mode
         self.optimizer = SmartIcebergOptimizer(
             db,
             enable_apriori=apriori,

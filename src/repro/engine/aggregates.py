@@ -517,8 +517,8 @@ class GroupFold:
                 continue
             column = evaluate(batch, params).materialize()
             kind = column.kind
-            if kind in ("obj", "py"):
-                return f"{kind} argument"
+            if kind == "obj":
+                return "obj argument"
             data = column.data
             at = slots
             if column.validity is not None:

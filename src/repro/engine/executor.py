@@ -10,7 +10,7 @@ from repro.errors import ReproError, TypeCheckError
 from repro.sql import ast
 from repro.sql.parser import parse
 from repro.engine.governor import Governor
-from repro.engine.operators import DEFAULT_COLUMNAR_BATCH_SIZE, ExecutionContext
+from repro.engine.operators import ExecutionContext, materialize
 from repro.engine.planner import (
     EngineConfig,
     PlannedQuery,
@@ -37,6 +37,7 @@ class Result:
     stats: ExecutionStats
     elapsed_seconds: float
     plan: Optional[PlannedQuery] = None
+    #: The path that ran: ``"columnar"`` where NumPy imports, else ``"row"``.
     execution_mode: str = "row"
     profile: Optional[Any] = None
     #: The governor that supervised this execution (``None`` when
@@ -126,10 +127,11 @@ def run_planned(
     once and executed many times — the same pattern the paper leans on
     PostgreSQL's prepared statements for.
 
-    The plan runs in its config's ``execution_mode`` and
-    ``batch_size``: the mode its plan-time choices were priced for.
-    Columnar mode produces the rows of row mode; its counters agree
-    modulo the zone-map split (see :meth:`ExecutionStats.parity_dict`).
+    The plan runs columnar, in its config's ``batch_size``, where NumPy
+    imports and row at a time where it does not — the path its
+    plan-time choices were priced for.  Columnar execution produces the
+    rows of the row interpreter; its counters agree modulo the zone-map
+    split (see :meth:`ExecutionStats.parity_dict`).
 
     When the config sets any governor knob (budgets, deadline, fault
     plan) or the call passes a cancel token, a
@@ -164,12 +166,7 @@ def run_planned(
         if deadline_seconds is not None:
             overrides["deadline_seconds"] = deadline_seconds
         config = dataclasses.replace(config, **overrides)
-    columnar = config.execution_mode == "columnar"
-    ctx = ExecutionContext(
-        params=dict(params or {}),
-        batch_size=(config.batch_size or DEFAULT_COLUMNAR_BATCH_SIZE) if columnar else None,
-        columnar=columnar,
-    )
+    ctx = ExecutionContext(params=dict(params or {}), batch_size=config.batch_size)
     ctx.governor = Governor.from_config(config, ctx.stats, cancel_token)
     if tracer is None and config.trace != "off":
         from repro.obs.tracer import Tracer
@@ -193,12 +190,7 @@ def run_planned(
     planned.env.ctx_holder["ctx"] = ctx
     start = time.perf_counter()
     try:
-        if columnar:
-            rows = []
-            for column_batch in planned.root.execute_columnar(ctx):
-                rows.extend(column_batch.to_rows())
-        else:
-            rows = list(planned.root.execute(ctx))
+        rows = materialize(planned.root, ctx)
     except ReproError as error:
         if error.stats is None:
             error.stats = ctx.stats
@@ -222,7 +214,7 @@ def run_planned(
         stats=ctx.stats,
         elapsed_seconds=elapsed,
         plan=planned,
-        execution_mode=config.execution_mode,
+        execution_mode="columnar" if ctx.columnar else "row",
         profile=profile,
         governor=ctx.governor,
     )

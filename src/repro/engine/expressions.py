@@ -452,7 +452,7 @@ def _k_mask(m: Any) -> Any:
 
 def _k_isin(value: Any, members: Any) -> Any:
     np = numpy_or_none()
-    if np is not None and isinstance(value, np.ndarray):
+    if isinstance(value, np.ndarray):
         return np.fromiter(
             (item in members for item in value.tolist()),
             dtype=bool,
@@ -818,7 +818,7 @@ def _fused_kernel(
     """
     expr = getattr(fn, "_expr", None)
     compiler = getattr(fn, "_compiler", None)
-    if expr is None or compiler is None or numpy_or_none() is None:
+    if expr is None or compiler is None:
         return None
     key = (kind, repr(expr), compiler._layout.slots, outer_width)
     kernel = _FUSED_KERNEL_CACHE.get(key)
@@ -839,12 +839,8 @@ def _fused_kernel(
 
 
 def _row_filter_mask(fn: Compiled, batch: ColumnBatch, params: Dict[str, Any]):
-    np = numpy_or_none()
-    rows = batch.cached_rows()
-    flags = [fn(row, params) is True for row in rows]
-    if np is None:
-        return flags
-    return np.fromiter(flags, dtype=bool, count=len(flags))
+    flags = [fn(row, params) is True for row in batch.cached_rows()]
+    return numpy_or_none().fromiter(flags, dtype=bool, count=len(flags))
 
 
 def columnar_filter(fn: Optional[Compiled], ctx: Any = None) -> Optional[ColumnarFilter]:

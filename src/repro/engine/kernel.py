@@ -27,8 +27,8 @@ builds an :class:`InnerKernel` that evaluates one binding as
    and the projection through the
    :class:`Project`'s closures over the one or few output rows.
 
-The kernel is used identically in every execution mode and charges
-exactly what the tree charges per evaluation (see :meth:`InnerKernel.
+The kernel exists only where NumPy imports, and charges exactly what
+the tree charges per evaluation (see :meth:`InnerKernel.
 run`), so every work counter, pruning decision and result row is the
 tree's.
 
@@ -65,6 +65,7 @@ from repro.engine.expressions import (
 from repro.engine.layout import (
     Column,
     ColumnBatch,
+    ColumnStore,
     KeyGrouping,
     Layout,
     numpy_or_none,
@@ -106,6 +107,7 @@ class _Execution:
 
     __slots__ = (
         "np",
+        "store",
         "columns",
         "batch",
         "filter",
@@ -117,6 +119,7 @@ class _Execution:
     def __init__(
         self,
         np: Any,
+        store: ColumnStore,
         columns: Dict[int, Column],
         batch: Optional[ColumnBatch],
         filter: Any,
@@ -125,6 +128,7 @@ class _Execution:
         output_counters: List[Any],
     ) -> None:
         self.np = np
+        self.store = store  # the image the columns are of
         self.columns = columns
         self.batch = batch  # full scans only: the same rows for every binding
         self.filter = filter
@@ -198,6 +202,7 @@ class InnerKernel:
 
         return _Execution(
             np,
+            store,
             columns,
             batch,
             columnar_filter(self.predicate, ctx),
@@ -236,7 +241,9 @@ class InnerKernel:
         row_ids = scan.index.lookup(scan.key(params))
         stats.rows_scanned += len(row_ids)
         if row_ids and columns:
-            ids = execution.np.asarray(row_ids, dtype=execution.np.int64)
+            ids = execution.store.check_ids(
+                execution.np.asarray(row_ids, dtype=execution.np.int64)
+            )
             columns = {p: column.take(ids) for p, column in columns.items()}
         return len(row_ids), columns
 
@@ -688,12 +695,13 @@ class BlockKernel:
                     np,
                     columnar_key_values(scan.key, ctx)(probe, params),
                     _tuple_lookup(node.index),
+                    store,
                 )
         else:
             starts = np.zeros(count, dtype=np.int64)
             stops = np.full(count, store.length, dtype=np.int64)
             if isinstance(node, ops.IndexRangeScan):
-                row_ids = node.index.row_id_array()
+                row_ids = store.check_ids(node.index.row_id_array())
                 for number, binding in enumerate(bindings):
                     bounds = node.bounds({**params, **dict(zip(self.names, binding))})
                     if bounds is None:  # the scan returns before it probes
@@ -759,7 +767,10 @@ class BlockKernel:
                     break
             if matched is None:  # the plan's own probe, one key at a time
                 matched = ops._match_by_key(
-                    np, columnar_key_values(key, ctx)(outer, params), _tuple_lookup(index)
+                    np,
+                    columnar_key_values(key, ctx)(outer, params),
+                    _tuple_lookup(index),
+                    store,
                 )
             pushed = columnar_filter(inner_filter, ctx)
             for outer_idx, inner_ids in matched:
@@ -934,7 +945,7 @@ class BlockKernel:
         stats = ctx.stats
         governor = ctx.governor
         work = evaluation.work.tolist()
-        size = ctx.batch_size or ops.DEFAULT_COLUMNAR_BATCH_SIZE
+        size = ctx.batch_size
         for node, (site, fed), (probes, scanned, pairs, _) in zip(
             self.nodes, self._checks, work
         ):

@@ -5,8 +5,8 @@ records, for each position, the binding alias (FROM alias) and column
 name, and resolves qualified and unqualified references with SQL's
 ambiguity rules.
 
-Columnar execution (``EngineConfig.execution_mode="columnar"``) keeps
-the same logical layout but carries data as a :class:`ColumnBatch` —
+Columnar execution (wherever NumPy imports) keeps the same logical
+layout but carries data as a :class:`ColumnBatch` —
 one typed :class:`Column` per layout slot:
 
 * numeric/bool columns are NumPy arrays with NULL slots *filled* (0)
@@ -16,14 +16,12 @@ one typed :class:`Column` per layout slot:
 * everything else degrades to an object array with ``None`` inline.
 
 Columns may be *lazy*: a gather (source column + index array), a
-slice view, a broadcast constant, or a deferred thunk — all
+slice view or a broadcast constant — all
 materialized on first access, so joins only pay for the columns an
 expression actually touches (late materialization).
 
-When NumPy is not importable the same classes fall back to plain
-Python lists: every operation stays correct, the fused kernels in
-:mod:`repro.engine.expressions` simply decline to build and operators
-take their row-fallback paths.
+Only a columnar context builds columns, so every column is NumPy's;
+an install without NumPy runs the row-at-a-time interpreter instead.
 
 Zone maps (:func:`build_zone_maps`) summarize each chunk of a column
 store with the min/max/null-count triple of the statistics subsystem's
@@ -34,18 +32,19 @@ predicate unsatisfiable for a whole chunk without touching its rows.
 from __future__ import annotations
 
 import sys
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import PlanningError
+from repro.errors import PlanningError, StaleImageError
 
-try:  # NumPy is optional: pure-Python fallbacks keep everything correct.
+try:  # NumPy is optional: without it the row interpreter runs.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised via monkeypatching
     _np = None
 
 
 def numpy_or_none():
-    """The NumPy module, or ``None`` (tests monkeypatch ``_np``)."""
+    """The NumPy module, or ``None`` (:func:`repro.testing.without_numpy`
+    sets ``_np`` to ``None``)."""
     return _np
 
 
@@ -138,11 +137,6 @@ class Layout:
 # Columnar batches
 # ---------------------------------------------------------------------------
 
-#: Column storage kinds.  ``py`` is the pure-Python fallback (a plain
-#: list holding exact values, ``None`` inline).
-COLUMN_KINDS = ("i8", "f8", "bool", "dict", "obj", "py")
-
-
 class Column:
     """One typed column of a :class:`ColumnBatch` (possibly lazy).
 
@@ -156,16 +150,15 @@ class Column:
     ``bool``    ``bool`` ndarray (filled False)        validity mask
     ``dict``    ``int32`` code ndarray (filled 0)      validity mask
     ``obj``     ``object`` ndarray                     ``None`` inline
-    ``py``      plain Python list                      ``None`` inline
     ==========  =====================================  ==================
 
     ``validity`` is ``None`` when every slot is valid.  ``dict``
     columns carry a *sorted* ``dictionary`` tuple, so code order is
     value order and code-space min/max decode to value-space min/max.
 
-    Lazy forms — a gather over a source column, a slice view, a
-    broadcast constant, or a deferred thunk — materialize on first
-    access; building one is O(1).
+    Lazy forms — a gather over a source column, a slice view or a
+    broadcast constant — materialize on first access; building one is
+    O(1).
     """
 
     __slots__ = (
@@ -179,7 +172,6 @@ class Column:
         "_indices",
         "_start",
         "_const",
-        "_thunk",
     )
 
     def __init__(self, kind: Optional[str], length: int) -> None:
@@ -193,7 +185,6 @@ class Column:
         self._indices: Any = None
         self._start: Optional[int] = None
         self._const: Any = None
-        self._thunk: Optional[Callable[[], "Column"]] = None
 
     def __len__(self) -> int:
         return self.length
@@ -208,14 +199,10 @@ class Column:
 
         Inference is conservative: a kind is only chosen when decoding
         provably round-trips the exact Python values (mixed int/float
-        or oversized ints degrade to ``obj``; without NumPy, to ``py``).
+        or oversized ints degrade to ``obj``).
         """
         n = len(values)
         column = cls(None, n)
-        if _np is None:
-            column.kind = "py"
-            column.data = list(values)
-            return column
         saw_null = saw_bool = saw_int = saw_float = saw_str = saw_other = False
         for value in values:
             if value is None:
@@ -285,13 +272,6 @@ class Column:
         return column
 
     @classmethod
-    def deferred(cls, thunk: Callable[[], "Column"], length: int) -> "Column":
-        """A column resolved by ``thunk`` on first access."""
-        column = cls(None, length)
-        column._thunk = thunk
-        return column
-
-    @classmethod
     def concat(cls, columns: Sequence["Column"]) -> "Column":
         """``columns`` end to end, as one materialized column.
 
@@ -303,7 +283,7 @@ class Column:
         for column in columns:
             column.materialize()
         kinds = {column.kind for column in columns}
-        if len(kinds) != 1 or kinds <= {"py", "obj"}:
+        if len(kinds) != 1 or kinds == {"obj"}:
             values: List[Any] = []
             for column in columns:
                 values.extend(column.tolist())
@@ -344,11 +324,6 @@ class Column:
         """Resolve any lazy form in place; returns ``self``."""
         if self.data is not None:
             return self
-        if self._thunk is not None:
-            resolved = self._thunk().materialize()
-            self._thunk = None
-            self._adopt(resolved)
-            return self
         if self._const is not None:
             self._materialize_const()
             return self
@@ -359,16 +334,11 @@ class Column:
         self.dictionary = source.dictionary
         if self._indices is not None:
             indices = self._indices
-            if source.kind == "py":
-                self.data = [source.data[i] for i in indices]
-                if source.validity is not None:
-                    self.validity = [source.validity[i] for i in indices]
-            else:
-                self.data = source.data[indices]
-                if source.validity is not None:
-                    self.validity = source.validity[indices]
-                if source._values is not None:
-                    self._values = source._values[indices]
+            self.data = source.data[indices]
+            if source.validity is not None:
+                self.validity = source.validity[indices]
+            if source._values is not None:
+                self._values = source._values[indices]
         else:
             start = self._start
             stop = start + self.length
@@ -381,20 +351,9 @@ class Column:
         self._indices = None
         return self
 
-    def _adopt(self, other: "Column") -> None:
-        self.kind = other.kind
-        self.data = other.data
-        self.validity = other.validity
-        self.dictionary = other.dictionary
-        self._values = other._values
-
     def _materialize_const(self) -> None:
         (value,) = self._const
         n = self.length
-        if _np is None:
-            self.kind = "py"
-            self.data = [value] * n
-            return
         if value is None:
             self.kind = "i8"
             self.data = _np.zeros(n, dtype=_np.int64)
@@ -456,16 +415,12 @@ class Column:
 
     def compress(self, mask: Any) -> "Column":
         """Rows where the boolean ``mask`` is true, preserving order."""
-        if _np is not None and isinstance(mask, _np.ndarray):
-            return self.take(_np.nonzero(mask)[0])
-        return self.take([i for i, keep in enumerate(mask) if keep])
+        return self.take(_np.nonzero(mask)[0])
 
     # -- decoding -------------------------------------------------------
     def tolist(self) -> List[Any]:
         """Exact Python values (``None`` for invalid slots)."""
         self.materialize()
-        if self.kind == "py":
-            return list(self.data)
         if self.kind == "dict":
             dictionary = self.dictionary or ("",)
             out = [dictionary[code] for code in self.data.tolist()]
@@ -480,8 +435,6 @@ class Column:
 
     def value_at(self, position: int) -> Any:
         self.materialize()
-        if self.kind == "py":
-            return self.data[position]
         if self.validity is not None and not bool(self.validity[position]):
             return None
         if self.kind == "dict":
@@ -557,9 +510,7 @@ class ColumnBatch:
         )
 
     def compress(self, mask: Any) -> "ColumnBatch":
-        if _np is not None and isinstance(mask, _np.ndarray):
-            return self.take(_np.nonzero(mask)[0])
-        return self.take([i for i, keep in enumerate(mask) if keep])
+        return self.take(_np.nonzero(mask)[0])
 
     def slice(self, start: int, stop: int) -> "ColumnBatch":
         return ColumnBatch(
@@ -593,7 +544,7 @@ class ColumnBatch:
 def dense_codes(column: Column) -> Optional[Tuple[Any, Any]]:
     """``column``'s rows as ``(codes, space)``: ``int64`` codes that
     index ``space``, equal exactly where Python's ``==``/``hash`` call
-    the values equal -- or ``None`` for ``obj``/``py`` columns, whose
+    the values equal -- or ``None`` for ``obj`` columns, whose
     mixed types (``1 == 1.0 == True``, unbounded ints) only a Python
     dict can compare.
 
@@ -676,7 +627,7 @@ class KeyGrouping:
     def build(cls, columns: Sequence[Column]) -> Optional["KeyGrouping"]:
         """Group ``columns``' rows, or ``None`` for key kinds (or a
         composite code beyond int64) that keep the per-key loop."""
-        if _np is None or not columns:
+        if not columns:
             return None
         valid = None
         for column in columns:
@@ -800,32 +751,22 @@ def _zone_stats(name: str, column: Column, start: int, stop: int):
     count = stop - start
     minimum: Any = None
     maximum: Any = None
-    if column.kind == "py":
-        values = [v for v in column.data[start:stop] if v is not None]
-        nulls = count - len(values)
-        if values:
-            try:
-                minimum = min(values)
-                maximum = max(values)
-            except TypeError:
-                minimum = maximum = None
-    else:
-        data = column.data[start:stop]
-        validity = None if column.validity is None else column.validity[start:stop]
-        nulls = 0 if validity is None else int(count - validity.sum())
-        if column.kind in ("i8", "f8", "bool", "dict"):
-            selected = data if validity is None else data[validity]
-            if selected.size:
-                low = selected.min()
-                high = selected.max()
-                if column.kind == "dict":
-                    dictionary = column.dictionary or ("",)
-                    minimum = dictionary[int(low)]
-                    maximum = dictionary[int(high)]
-                else:
-                    minimum = low.item()
-                    maximum = high.item()
-        # obj chunks keep unknown bounds: mixed types are not orderable.
+    data = column.data[start:stop]
+    validity = None if column.validity is None else column.validity[start:stop]
+    nulls = 0 if validity is None else int(count - validity.sum())
+    if column.kind in ("i8", "f8", "bool", "dict"):
+        selected = data if validity is None else data[validity]
+        if selected.size:
+            low = selected.min()
+            high = selected.max()
+            if column.kind == "dict":
+                dictionary = column.dictionary or ("",)
+                minimum = dictionary[int(low)]
+                maximum = dictionary[int(high)]
+            else:
+                minimum = low.item()
+                maximum = high.item()
+    # obj chunks keep unknown bounds: mixed types are not orderable.
     return ColumnStats(
         name=name, non_null=count - nulls, nulls=nulls, minimum=minimum, maximum=maximum
     )
@@ -861,6 +802,13 @@ class ColumnStore:
 
     def column(self, position: int) -> Column:
         return self.columns[position]
+
+    def check_ids(self, ids: Any) -> Any:
+        """``ids``, or a :class:`~repro.errors.StaleImageError` when one
+        is past this image: read from an index after a later write."""
+        if len(ids) and int(_np.max(ids)) >= self.length:
+            raise StaleImageError(f"an index row is past a column image of {self.length} rows")
+        return ids
 
     def batch(self, start: int = 0, stop: Optional[int] = None) -> ColumnBatch:
         stop = self.length if stop is None else stop

@@ -66,9 +66,10 @@ COLUMNAR_MATCH_ROWS = 1 << 13
 class ExecutionContext:
     """Per-execution state threaded through the operator tree.
 
-    ``batch_size`` is ``None`` in row-at-a-time mode; in columnar mode
-    it carries the configured chunk size so nested plan executions
-    (subqueries, CTE materializations) cut their batches alike.
+    ``batch_size`` is ``None`` in a row context; in a columnar one it
+    carries the chunk size (the default when none is given) so nested
+    plan executions (subqueries, CTE materializations) cut their
+    batches alike.
 
     ``governor`` is the execution governor
     (:class:`repro.engine.governor.Governor`) enforcing resource
@@ -94,17 +95,12 @@ class ExecutionContext:
     #: for plan nodes without calling their ``execute`` (NLJP's inner
     #: kernel) and must credit them the rows they would have produced.
     probes: Optional[Any] = None
-    #: True under ``EngineConfig.execution_mode="columnar"``: the
-    #: top-level tree and every nested plan evaluated through
-    #: :func:`materialize` / :func:`execute_rows` / :func:`materialize_columns`
-    #: (subqueries, CTE cells, NLJP's binding query) carry
-    #: :class:`~repro.engine.layout.ColumnBatch` data.  NLJP's inner
-    #: query does not follow the mode: a scan-shaped Q_R runs as a
-    #: :class:`repro.engine.kernel.InnerKernel` in every mode, a
-    #: join-shaped one is computed a block of bindings at a time by a
-    #: :class:`repro.engine.kernel.BlockKernel` under this flag only,
-    #: and the per-binding operator tree runs row at a time.
-    columnar: bool = False
+    #: Whether NumPy imports, asked once when the context is made; never
+    #: set.  If so, the tree and every nested plan evaluated through
+    #: :func:`materialize` / :func:`execute_rows` (subqueries, CTE
+    #: cells, NLJP's binding query) carry
+    #: :class:`~repro.engine.layout.ColumnBatch` data.
+    columnar: bool = field(init=False)
     #: Per-context memo for what one execution builds once and reads
     #: many times: the rows (and columnar image) of shared CTE/derived-
     #: table cells, keyed by cell identity, and the per-execution state
@@ -115,6 +111,13 @@ class ExecutionContext:
     #: threads each materialize into their own context and can never
     #: observe each other's rows.
     materialized: Dict[Any, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.columnar = numpy_or_none() is not None
+        if not self.columnar:
+            self.batch_size = None
+        elif self.batch_size is None:
+            self.batch_size = DEFAULT_COLUMNAR_BATCH_SIZE
 
 
 def chunked(iterable, size: int) -> Iterator[List[Row]]:
@@ -142,38 +145,25 @@ def batch_row_lists(batch: ColumnBatch, size: int) -> Iterator[List[Row]]:
         yield batch.slice(start, min(start + size, batch.length)).to_rows()
 
 
-def batch_rows(batch: ColumnBatch, size: int) -> Iterator[Row]:
-    """:func:`batch_row_lists`, row by row."""
-    return itertools.chain.from_iterable(batch_row_lists(batch, size))
-
-
 def execute_rows(plan: "PhysicalOperator", ctx: ExecutionContext) -> Iterator[Row]:
-    """Iterate a plan's rows honouring the context's execution mode."""
+    """Iterate a plan's rows on the context's path."""
     if not ctx.columnar:
         return plan.execute(ctx)
-    size = ctx.batch_size or DEFAULT_COLUMNAR_BATCH_SIZE
     return itertools.chain.from_iterable(
-        batch_rows(batch, size) for batch in plan.execute_columnar(ctx)
+        rows
+        for batch in plan.execute_columnar(ctx)
+        for rows in batch_row_lists(batch, ctx.batch_size)
     )
 
 
 def materialize(plan: "PhysicalOperator", ctx: ExecutionContext) -> List[Row]:
-    """Fully evaluate a plan in the context's execution mode."""
+    """Fully evaluate a plan on the context's path."""
     if not ctx.columnar:
         return list(plan.execute(ctx))
     rows: List[Row] = []
     for column_batch in plan.execute_columnar(ctx):
         rows.extend(column_batch.to_rows())
     return rows
-
-
-def materialize_columns(plan: "PhysicalOperator", ctx: ExecutionContext) -> ColumnBatch:
-    """:func:`materialize`, as one column batch: a columnar context's
-    batches are joined as they are, row mode's rows encoded."""
-    width = len(plan.layout)
-    if ctx.columnar:
-        return ColumnBatch.concat(list(plan.execute_columnar(ctx)), width)
-    return ColumnBatch.from_rows(materialize(plan, ctx), width)
 
 
 class PhysicalOperator:
@@ -326,8 +316,7 @@ def _bridge_columnar(
 ) -> Iterator[ColumnBatch]:
     """Run a subtree row-at-a-time and encode its rows a batch at a time."""
     width = len(plan.layout)
-    size = ctx.batch_size or DEFAULT_COLUMNAR_BATCH_SIZE
-    for batch in chunked(plan.execute(ctx), size):
+    for batch in chunked(plan.execute(ctx), ctx.batch_size):
         yield ColumnBatch.from_rows(batch, width)
 
 
@@ -343,7 +332,7 @@ def _columnar_scan(
     evaluator may raise on rows a pruned chunk would hide, and skipping
     may never change results *or* errors.
     """
-    size = ctx.batch_size or DEFAULT_COLUMNAR_BATCH_SIZE
+    size = ctx.batch_size
     stats = ctx.stats
     params = ctx.params
     governor = ctx.governor
@@ -393,7 +382,7 @@ def _zone_filtered_mask(
     """
     params = ctx.params
     pruner = zone_pruner(predicate)
-    size = ctx.batch_size or DEFAULT_COLUMNAR_BATCH_SIZE
+    size = ctx.batch_size
     zones = store.zone_maps(size) if pruner is not None else None
     length = store.length
     parts: List[Any] = []
@@ -423,7 +412,7 @@ def index_ordered_columns(
     of batting's nine columns.  The gathers are lazy, so a caller that
     asks for every column still pays only for the ones it touches.
     """
-    row_ids = index.row_id_array()
+    row_ids = store.check_ids(index.row_id_array())
     return {position: store.column(position).take(row_ids) for position in positions}
 
 
@@ -490,9 +479,13 @@ def _emit_pairs(
     )
 
 
-def _match_by_key(np: Any, keys: Sequence[Any], bucket_of: Any) -> List[Tuple[Any, Any]]:
+def _match_by_key(
+    np: Any, keys: Sequence[Any], bucket_of: Any, store: Optional[ColumnStore] = None
+) -> List[Tuple[Any, Any]]:
     """``(probe positions, build rows)`` by one lookup per probe key,
-    as the single run (none when nothing matched) of a batch.
+    as the single run (none when nothing matched) of a batch; build rows
+    an index returned are checked against the ``store`` image they are
+    rows of (:meth:`ColumnStore.check_ids`).
 
     The loop :meth:`KeyGrouping.match` replaces, and its reference:
     kept for the key kinds the array form declines, where only Python's
@@ -508,7 +501,10 @@ def _match_by_key(np: Any, keys: Sequence[Any], bucket_of: Any) -> List[Tuple[An
             build_idx.extend(bucket)
     if not probe_idx:
         return []
-    return [(np.asarray(probe_idx, dtype=np.int64), np.asarray(build_idx, dtype=np.int64))]
+    build = np.asarray(build_idx, dtype=np.int64)
+    if store is not None:
+        store.check_ids(build)
+    return [(np.asarray(probe_idx, dtype=np.int64), build)]
 
 
 class TableScan(PhysicalOperator):
@@ -645,9 +641,6 @@ class NestedLoopJoin(PhysicalOperator):
 
     def execute_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         np = numpy_or_none()
-        if np is None:
-            yield from _bridge_columnar(self, ctx)
-            return
         inner_width = len(self.inner.layout)
         inner_batches = list(self.inner.execute_columnar(ctx))
         inner = ColumnBatch.concat(inner_batches, inner_width)
@@ -766,9 +759,6 @@ class HashJoin(PhysicalOperator):
 
     def execute_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         np = numpy_or_none()
-        if np is None:
-            yield from _bridge_columnar(self, ctx)
-            return
         params = ctx.params
         stats = ctx.stats
         governor = ctx.governor
@@ -886,9 +876,6 @@ class IndexNestedLoopJoin(PhysicalOperator):
 
     def execute_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         np = numpy_or_none()
-        if np is None:
-            yield from _bridge_columnar(self, ctx)
-            return
         params = ctx.params
         stats = ctx.stats
         governor = ctx.governor
@@ -919,7 +906,7 @@ class IndexNestedLoopJoin(PhysicalOperator):
                     probe_columns(outer_batch, params), COLUMNAR_MATCH_ROWS
                 )
             if runs is None:
-                runs = _match_by_key(np, probe_keys(outer_batch, params), bucket_of)
+                runs = _match_by_key(np, probe_keys(outer_batch, params), bucket_of, store)
             for outer_idx, inner_ids in runs:
                 if inner_filter is not None:
                     if mask_pending:
@@ -1033,16 +1020,13 @@ class SortedIndexRangeJoin(PhysicalOperator):
 
     def execute_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         np = numpy_or_none()
-        if np is None:
-            yield from _bridge_columnar(self, ctx)
-            return
         params = ctx.params
         stats = ctx.stats
         governor = ctx.governor
         store = self.table.column_store()
         inner_width = len(self.table.schema.column_names)
         table_rows = self.table.rows
-        row_ids = self.index.row_id_array()
+        row_ids = store.check_ids(self.index.row_id_array())
         # Every inner column: the join's output carries them all.
         sorted_columns = list(
             index_ordered_columns(store, self.index, range(inner_width)).values()
@@ -1322,9 +1306,6 @@ class HashAggregate(PhysicalOperator):
         yield from self.result_rows(groups)
 
     def execute_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        if numpy_or_none() is None:
-            yield from _bridge_columnar(self, ctx)
-            return
         stats = ctx.stats
         governor = ctx.governor
         fold = self.columnar_fold(ctx)
@@ -1335,9 +1316,7 @@ class HashAggregate(PhysicalOperator):
             if batch.length:
                 fold.add(batch)
         self.fold_ran = fold.describe()
-        yield from fold.batches(
-            ctx.batch_size or DEFAULT_COLUMNAR_BATCH_SIZE, len(self.layout)
-        )
+        yield from fold.batches(ctx.batch_size, len(self.layout))
 
     def columnar_fold(self, ctx: ExecutionContext) -> GroupFold:
         """A :class:`GroupFold` of this aggregate for one execution."""
@@ -1468,7 +1447,7 @@ class Sort(PhysicalOperator):
             rows.extend(batch.to_rows())
         self._sort_in_place(rows, ctx.params)
         width = len(self.layout)
-        size = ctx.batch_size or DEFAULT_COLUMNAR_BATCH_SIZE
+        size = ctx.batch_size
         for chunk in chunked(rows, size):
             yield ColumnBatch.from_rows(chunk, width)
 

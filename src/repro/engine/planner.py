@@ -39,13 +39,10 @@ from repro.engine.cardinality import (
 from repro.engine.cost import CostModel, Decision
 from repro.engine.expressions import Compiled, ExpressionCompiler
 from repro.engine.governor import DEGRADATION_MODES
-from repro.engine.layout import ColumnBatch, ColumnStore, Layout, numpy_or_none
+from repro.engine.layout import ColumnBatch, ColumnStore, Layout
 from repro.obs.spans import TRACE_MODES
 from repro.storage.catalog import Database
 from repro.storage.table import Table
-
-#: Valid settings for ``EngineConfig.execution_mode``.
-EXECUTION_MODES = ("row", "columnar")
 
 #: Valid settings for ``EngineConfig.join_order``.
 JOIN_ORDERS = ("dp", "greedy", "syntactic")
@@ -61,11 +58,6 @@ FEEDBACK_MODES = ("off", "observe")
 DP_MAX_RELATIONS = 8
 
 _COST = CostModel()
-
-
-def _default_mode() -> str:
-    """Columnar needs NumPy; an install without it runs row-at-a-time."""
-    return "columnar" if numpy_or_none() is not None else "row"
 
 
 @dataclass(frozen=True)
@@ -88,17 +80,13 @@ class EngineConfig:
     attributes to Vendor A (4 cores) and PostgreSQL (2 workers).  Work
     counters are never scaled.
 
-    ``execution_mode`` selects typed-column (``"columnar"``, the
-    default wherever NumPy imports) or row-at-a-time (``"row"``, the
-    default where it does not, and the reference columnar is tested
-    against) execution; see :data:`EXECUTION_MODES`.  Both produce
-    identical rows, and their work counters agree modulo the zone-map
-    split (``rows_scanned + rows_skipped`` is invariant; see
-    :meth:`ExecutionStats.parity_dict`).  Columnar mode carries
-    :class:`~repro.engine.layout.ColumnBatch` data through the
-    operators, runs fused NumPy kernels for predicates/projections, and
-    skips chunks that zone maps prove unmatchable.  ``batch_size``
-    overrides its chunk size (``None`` uses
+    How rows move between operators is the install's, not a knob:
+    columnar (:class:`~repro.engine.layout.ColumnBatch` data, fused
+    NumPy kernels, zone-map chunk skipping) where NumPy imports, the
+    row-at-a-time interpreter — the reference — where it does not.
+    Both give identical rows and counters equal modulo the zone-map
+    split (:meth:`ExecutionStats.parity_dict`).  ``batch_size``
+    overrides the columnar chunk size (``None`` uses
     ``operators.DEFAULT_COLUMNAR_BATCH_SIZE``).
 
     The governor knobs bound one execution (see
@@ -122,9 +110,6 @@ class EngineConfig:
     join_order: str = "dp"  # 'dp' | 'greedy' | 'syntactic'
     parallelism: float = 1.0
     label: str = "postgres"
-    execution_mode: str = field(  # 'row' | 'columnar'
-        default_factory=_default_mode
-    )
     batch_size: Optional[int] = None
     max_rows_scanned: Optional[int] = None
     max_join_pairs: Optional[int] = None
@@ -151,11 +136,6 @@ class EngineConfig:
     feedback: str = "off"  # 'off' | 'observe'
 
     def __post_init__(self) -> None:
-        if self.execution_mode not in EXECUTION_MODES:
-            raise ValueError(
-                f"execution_mode must be one of {EXECUTION_MODES}, "
-                f"got {self.execution_mode!r}"
-            )
         if self.join_order not in JOIN_ORDERS:
             raise ValueError(
                 f"join_order must be one of {JOIN_ORDERS}, got {self.join_order!r}"
@@ -268,7 +248,9 @@ class _SharedMaterialize:
             if rows is not None:
                 batch = ColumnBatch.from_rows(rows, len(self.plan.layout))
             else:
-                batch = ops.materialize_columns(self.plan, ctx)
+                batch = ColumnBatch.concat(
+                    list(self.plan.execute_columnar(ctx)), len(self.plan.layout)
+                )
             store = ColumnStore(
                 batch.columns,
                 [column for _, column in self.plan.layout.slots],
@@ -415,7 +397,7 @@ class PlannedQuery:
     def explain(self, analyze: bool = False, params: Optional[Dict[str, Any]] = None) -> str:
         """EXPLAIN text with per-operator estimates.
 
-        With ``analyze=True`` the query is executed (row mode) and each
+        With ``analyze=True`` the query is executed and each
         operator's describe line additionally shows ``actual_rows`` —
         the rows that operator emitted — alongside the estimates.
         """
@@ -453,7 +435,7 @@ class PlannedQuery:
         The tracer reaches every node — CTE cells and NLJP's Q_B/Q_R
         sub-plans included, and the nodes NLJP's inner kernel stands in
         for — and stamps ``actual_rows``/``actual_loops`` when it
-        finishes.  Row mode is forced.
+        finishes.  The root is pulled row at a time (``execute``).
         """
         from repro.obs.tracer import Tracer
 

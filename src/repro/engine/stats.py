@@ -34,19 +34,17 @@ A fourth says how much of NLJP's work was speculative:
   binding loop for bindings the loop then pruned.  They are charged to
   no other counter: work done in vain is time, not cost.
 
-These four are *mode-variant*.  Row mode never skips, so
-``rows_skipped``/``chunks_skipped`` stay 0 there and a zone-map skip
-legitimately lowers ``rows_scanned`` in columnar mode.
-``fused_compilations`` is non-zero in any mode whose plan holds an
-NLJP inner kernel (:mod:`repro.engine.kernel`), which filters through
-the fused columnar compiler whatever the mode — 1 on the first
-execution of a skyband or pairs plan, 0 on a cached plan's later ones.
-A block kernel only runs under a columnar context, so
-``inner_prefetch_discarded`` is 0 in row mode.
-Mode-parity checks therefore compare :meth:`parity_dict`, which folds
+These four are *mode-variant*: they differ between the columnar path
+(wherever NumPy imports) and the row path (an install without it).
+The row path never skips, so ``rows_skipped``/``chunks_skipped`` stay
+0 there and a zone-map skip legitimately lowers ``rows_scanned`` on
+the columnar one.  ``fused_compilations`` and
+``inner_prefetch_discarded`` are 0 on the row path, which has no fused
+kernels and no block kernel.
+Path-parity checks therefore compare :meth:`parity_dict`, which folds
 skipped rows back into ``rows_scanned`` and drops the mode-variant
 keys — the invariant is ``columnar rows_scanned + rows_skipped ==
-row-mode rows_scanned`` with every other counter identical.
+row rows_scanned`` with every other counter identical.
 
 ``cost()`` combines these into a single machine-independent work
 metric used for the shape assertions in benchmarks.  Skipped rows and

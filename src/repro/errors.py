@@ -97,6 +97,12 @@ class QueryCancelledError(GovernorError):
     """Raised when a cooperative :class:`CancelToken` is cancelled."""
 
 
+class StaleImageError(ExecutionError):
+    """Raised when an execution reads a table's column image and one of
+    its indexes on either side of a write: the index holds a row the
+    image does not.  The next attempt reads both after the write."""
+
+
 class InjectedFaultError(ExecutionError):
     """Raised by the deterministic fault-injection harness.
 

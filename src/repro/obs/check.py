@@ -53,67 +53,43 @@ class CheckFailure(Exception):
     pass
 
 
-def _postgres(mode: str, trace: str = "off"):
-    """The baseline configuration in an explicit mode: the untraced
-    runs traced ones are held against are row mode's — whatever mode
-    ships as the default."""
-    import dataclasses
-
-    from repro.engine.planner import EngineConfig
-
-    return dataclasses.replace(
-        EngineConfig.postgres(), execution_mode=mode, trace=trace
-    )
-
-
 def check_trace_parity(db, sql: str) -> Dict[str, Any]:
     """off vs timing bit-identical; span sums equal query totals.
 
-    Runs the check in row mode *and* columnar mode: tracing shadows
-    ``execute_columnar`` too, and the columnar span tree must sum to
-    the columnar query totals exactly (including the zone-map
-    counters), while the columnar rows and folded counters stay
-    identical to the untraced row-mode run.
+    Runs on the path the install has (columnar where NumPy imports):
+    tracing shadows ``execute_columnar`` as it does ``execute``, and
+    the span tree must sum to the query totals exactly, zone-map
+    counters included.
     """
-    from repro.engine.executor import execute
+    import dataclasses
 
-    off = execute(db, sql, _postgres("row"))
-    spans = None
-    profile = None
-    for mode in ("row", "columnar"):
-        timed = execute(db, sql, _postgres(mode, trace="timing"))
-        if off.sorted_rows() != timed.sorted_rows():
-            raise CheckFailure(
-                f"trace=timing ({mode}) changed the result rows on Q1"
-            )
-        if off.stats.parity_dict() != timed.stats.parity_dict():
-            raise CheckFailure(
-                f"trace=timing ({mode}) changed the work counters on Q1: "
-                f"off={off.stats.parity_dict()} "
-                f"timing={timed.stats.parity_dict()}"
-            )
-        if mode == "row" and off.stats.as_dict() != timed.stats.as_dict():
-            raise CheckFailure(
-                f"trace=timing changed the work counters on Q1: "
-                f"off={off.stats.as_dict()} timing={timed.stats.as_dict()}"
-            )
-        if timed.profile is None:
-            raise CheckFailure(f"trace=timing ({mode}) produced no profile")
-        totals = timed.profile.total_stats()
-        query_totals = timed.stats.as_dict()
-        if totals != query_totals:
-            diff = {
-                name: (totals.get(name), query_totals.get(name))
-                for name in set(totals) | set(query_totals)
-                if totals.get(name) != query_totals.get(name)
-            }
-            raise CheckFailure(
-                f"span-delta sum != query totals ({mode}): {diff}"
-            )
-        if mode == "row":
-            profile = timed.profile
-            spans = sum(1 for _ in timed.profile.spans())
-    return {"profile": profile, "spans": spans}
+    from repro.engine.executor import execute
+    from repro.engine.planner import EngineConfig
+
+    off = execute(db, sql, EngineConfig.postgres())
+    timed = execute(
+        db, sql, dataclasses.replace(EngineConfig.postgres(), trace="timing")
+    )
+    path = timed.execution_mode
+    if off.sorted_rows() != timed.sorted_rows():
+        raise CheckFailure(f"trace=timing ({path}) changed the result rows on Q1")
+    if off.stats.as_dict() != timed.stats.as_dict():
+        raise CheckFailure(
+            f"trace=timing ({path}) changed the work counters on Q1: "
+            f"off={off.stats.as_dict()} timing={timed.stats.as_dict()}"
+        )
+    if timed.profile is None:
+        raise CheckFailure(f"trace=timing ({path}) produced no profile")
+    totals = timed.profile.total_stats()
+    query_totals = timed.stats.as_dict()
+    if totals != query_totals:
+        diff = {
+            name: (totals.get(name), query_totals.get(name))
+            for name in set(totals) | set(query_totals)
+            if totals.get(name) != query_totals.get(name)
+        }
+        raise CheckFailure(f"span-delta sum != query totals ({path}): {diff}")
+    return {"profile": timed.profile, "spans": sum(1 for _ in timed.profile.spans())}
 
 
 def check_chrome_schema(profile) -> int:

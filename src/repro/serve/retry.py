@@ -47,6 +47,7 @@ from repro.errors import (
     ServerError,
     SessionClosedError,
     SqlError,
+    StaleImageError,
     TypeCheckError,
     TypeMismatchError,
     UnknownColumnError,
@@ -74,6 +75,7 @@ ERROR_TAXONOMY: Dict[type, str] = {
     GovernorError: FATAL,
     BudgetExceededError: FATAL,
     QueryCancelledError: FATAL,
+    StaleImageError: RETRYABLE,
     InjectedFaultError: RETRYABLE,
     AnalysisError: FATAL,
     UnknownTableError: FATAL,

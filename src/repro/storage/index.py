@@ -151,18 +151,16 @@ class SortedIndex:
         return self._row_ids[position]
 
     def row_id_array(self) -> Any:
-        """Row ids in index order, as an ``int64`` ndarray when NumPy is
-        available (else a plain list).  Cached until the next flush."""
+        """Row ids in index order, as an ``int64`` ndarray (columnar
+        readers only: they run where NumPy imports).  Cached until the
+        next flush."""
+        import numpy
+
         self._flush()
         row_ids = self._row_ids
         cached = self._row_id_array
         if cached is None or cached[0] is not row_ids:
-            try:
-                import numpy
-            except ImportError:
-                cached = (row_ids, list(row_ids))
-            else:
-                cached = (row_ids, numpy.asarray(row_ids, dtype=numpy.int64))
+            cached = (row_ids, numpy.asarray(row_ids, dtype=numpy.int64))
             self._row_id_array = cached
         return cached[1]
 

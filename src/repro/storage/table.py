@@ -110,7 +110,7 @@ class Table:
     def column_store(self):
         """The table's columnar image (typed columns + zone maps).
 
-        Built lazily by the columnar execution mode, cached until the
+        Built lazily by columnar execution, cached until the
         next mutation.  Returns a
         :class:`repro.engine.layout.ColumnStore`.  The cache is tagged
         with the data version it was built at, so an image built while

@@ -19,6 +19,7 @@ from repro.engine.planner import plan_query
 from repro.errors import PlanVerificationError
 from repro.sql.parser import parse
 from repro.workloads import BaseballConfig, figure1_queries, make_batting_db
+from tests.modes import in_mode
 
 
 DB = make_batting_db(BaseballConfig(n_rows=300, seed=21))
@@ -44,15 +45,13 @@ class TestStrictAcceptance:
                 rows = {}
                 for analyze in ("off", "strict"):
                     system = SmartIceberg(
-                        DB,
-                        config=smart_config(join_order),
-                        execution_mode=mode,
-                        analyze=analyze,
+                        DB, config=smart_config(join_order), analyze=analyze
                     )
                     # Strict mode raises on any analyzer or verifier
                     # violation, so reaching rows at all is the "zero
                     # violations" half of the acceptance criterion.
-                    rows[analyze] = system.execute(sql).sorted_rows()
+                    with in_mode(mode):
+                        rows[analyze] = system.execute(sql).sorted_rows()
                 assert rows["strict"] == rows["off"], (
                     f"{name} [{join_order}/{mode}] differs across "
                     "analyze modes"

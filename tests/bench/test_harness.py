@@ -9,7 +9,9 @@ from repro.bench.harness import (
     run_comparison,
     speedup_over,
 )
-from repro.workloads import BasketConfig, load_baskets, market_basket_query
+from repro.testing import without_numpy
+from repro.workloads import BasketConfig, figure1_queries, load_baskets, market_basket_query
+from repro.workloads.baseball import batting_db
 from repro.storage import Database
 
 
@@ -52,6 +54,23 @@ class TestSystems:
         measurement = runner(db, market_basket_query(3), "mb")
         assert measurement.optimize_seconds > 0
         assert measurement.adjusted_seconds == measurement.seconds
+
+
+class TestPathParity:
+    def test_cost_and_rows_do_not_depend_on_numpy(self):
+        """The figures' shapes are asserted on ``Measurement.cost``: it
+        charges every stored row a scan covers, so a system measures
+        the same on the columnar path and on the row path an install
+        without NumPy runs."""
+        db = batting_db(120)
+        sql = figure1_queries()["Q1"].sql
+        for name, runner in make_systems().items():
+            shipped = runner(db, sql, "Q1")
+            with without_numpy():
+                row = runner(db, sql, "Q1")
+            assert row.execution_mode == "row"
+            assert shipped.cost == row.cost, name
+            assert shipped.result.sorted_rows() == row.result.sorted_rows(), name
 
 
 class TestRunComparison:

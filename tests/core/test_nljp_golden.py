@@ -3,15 +3,15 @@
 ``golden/nljp_counters.json`` records, for each case below, the sorted
 result rows and ``ExecutionStats.as_dict()`` (minus the mode-variant
 ``fused_compilations`` and ``inner_prefetch_discarded``) under every
-system toggle and execution mode.
+system toggle on the row and the columnar path.
 It was generated on the commit *before* NLJP's inner query was lowered
 to a columnar kernel and must stay bit-identical: the kernel may make
 Q_R cheaper to evaluate, never change a row, a counter or a pruning
 decision.
 
-The file is generated with NumPy installed; row mode charges the same
-counters with or without it, so the tier-1 job's leg without NumPy
-checks row mode and the other legs check both modes.
+The row path is the one an install without NumPy runs
+(:func:`repro.testing.without_numpy`), so the tier-1 job's leg without
+NumPy checks it and the other legs check both paths.
 
 Regenerate (only when a counter is *meant* to change)::
 
@@ -42,6 +42,7 @@ from repro.workloads import (
     skyband_query,
     triangle_hub_query,
 )
+from tests.modes import in_mode
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "nljp_counters.json"
 
@@ -109,7 +110,8 @@ def _jsonable(rows) -> List[List[Any]]:
 
 
 def _run(db: Database, sql: str, toggles: Dict[str, Any], mode: str):
-    result = SmartIceberg(db, execution_mode=mode, **toggles).execute(sql)
+    with in_mode(mode):
+        result = SmartIceberg(db, **toggles).execute(sql)
     stats = result.stats.as_dict()
     stats.pop("fused_compilations")
     # What a block kernel evaluated ahead in vain: speculation, columnar only.
@@ -118,8 +120,7 @@ def _run(db: Database, sql: str, toggles: Dict[str, Any], mode: str):
 
 
 def _modes() -> Tuple[str, ...]:
-    # Without NumPy columnar scans cannot zone-skip, so its
-    # rows_scanned/rows_skipped split differs from the recorded one.
+    # Without NumPy there is only the row path.
     return MODES if numpy_or_none() is not None else MODES[:1]
 
 

@@ -32,6 +32,7 @@ from repro.engine.operators import ExecutionContext
 from repro.engine.planner import PlanEnv
 from repro.sql.parser import parse
 from repro.storage import Database, SqlType, TableSchema
+from repro.testing import without_numpy
 
 np = layout.numpy_or_none()
 pytestmark = pytest.mark.skipif(np is None, reason="the skip-ahead needs NumPy")
@@ -283,7 +284,7 @@ def _observe(db, sql, per_binding, options, budget, take, batch_size, executions
     store = operator.memo_store = operator.new_store()
     seen = []
     for _ in range(executions):
-        ctx = ExecutionContext(batch_size=batch_size, columnar=True)
+        ctx = ExecutionContext(batch_size=batch_size)
         if budget is not None:
             ctx.governor = Governor(
                 ctx.stats, max_cache_bytes=budget, degradation="fallback"
@@ -400,7 +401,7 @@ class TestDifferential:
             )
             runs = []
             for _ in range(2):
-                ctx = ExecutionContext(batch_size=4096, columnar=True)
+                ctx = ExecutionContext(batch_size=4096)
                 runs.append((list(operator.execute(ctx)), ctx.stats.as_dict()))
             observed[per_binding] = runs
             assert ("windowed" in operator.loop_description()) == (not per_binding)
@@ -414,18 +415,20 @@ class TestLoopDescription:
     def test_says_which_loop_ran(self, object_db):
         operator = _operator(object_db, QUERIES["skyband"])
         assert "  loop: windowed (under a columnar context)" in operator.describe()
-        list(operator.execute(ExecutionContext()))
-        assert operator.to_dict()["loop"] == "per binding (row mode)"
-        list(operator.execute(ExecutionContext(batch_size=64, columnar=True)))
+        with without_numpy():
+            row = _operator(object_db, QUERIES["skyband"])
+            list(row.execute(ExecutionContext()))
+        assert row.to_dict()["loop"] == "per binding (NumPy unavailable)"
+        list(operator.execute(ExecutionContext(batch_size=64)))
         assert operator.to_dict()["loop"] == "windowed (i8,i8; order index on l.x)"
         assert "  loop: windowed (i8,i8; order index on l.x)" in operator.describe()
 
-    def test_says_why_a_plan_walks_per_binding(self, object_db, monkeypatch):
+    def test_says_why_a_plan_walks_per_binding(self, object_db):
         memo_only = _operator(object_db, QUERIES["skyband"], enable_pruning=False)
         assert memo_only.loop_description() == "per binding (no Q_C)"
         few = _database([(1, 2, "a"), (2, 1, "b")], SqlType.INTEGER, SqlType.INTEGER)
         short = _operator(few, QUERIES["skyband"])
-        list(short.execute(ExecutionContext(batch_size=64, columnar=True)))
+        list(short.execute(ExecutionContext(batch_size=64)))
         assert (
             short.loop_description()
             == "per binding (too few bindings for a window to pay)"
@@ -437,14 +440,14 @@ class TestLoopDescription:
             == "per binding (equality buckets)"
         )
         scanned = _operator(db, QUERIES["tagged"], cache_index=False)
-        list(scanned.execute(ExecutionContext(batch_size=64, columnar=True)))
+        list(scanned.execute(ExecutionContext(batch_size=64)))
         assert scanned.loop_description() == "per binding (text attribute)"
         nulls = _database(rows + [(None, 1, "a")], SqlType.INTEGER, SqlType.INTEGER)
         holed = _operator(nulls, QUERIES["skyband"])
-        list(holed.execute(ExecutionContext(batch_size=64, columnar=True)))
+        list(holed.execute(ExecutionContext(batch_size=64)))
         assert holed.loop_description() == "per binding (NULLs in Q_B)"
-        monkeypatch.setattr(layout, "_np", None)
-        assert (
-            _operator(db, QUERIES["skyband"]).loop_description()
-            == "per binding (NumPy unavailable)"
-        )
+        with without_numpy():
+            assert (
+                _operator(db, QUERIES["skyband"]).loop_description()
+                == "per binding (NumPy unavailable)"
+            )

@@ -1,4 +1,4 @@
-"""Differential tests: batch-at-a-time execution vs. row mode.
+"""Differential tests: batch-at-a-time execution vs. the row interpreter.
 
 Columnar execution cuts every input into batches; how it cuts them must
 not matter.  For every query, on every system configuration, columnar
@@ -12,7 +12,10 @@ vectorization may only change wall-clock, never work.
 the same contract.
 
 This suite runs every workload query (Q1-Q8, L1-L4, Ex. 7) plus
-randomized property-based queries and asserts exactly that.
+randomized property-based queries and asserts exactly that.  The row
+side runs as an install without NumPy runs it
+(:func:`repro.testing.without_numpy`); without NumPy there is no
+columnar side, and the suite skips.
 """
 
 import dataclasses
@@ -22,8 +25,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro import EngineConfig, SmartIceberg
 from repro.engine import execute, plan_query, run_planned
+from repro.engine.layout import numpy_or_none
 from repro.sql.parser import parse
 from repro.storage import Database, SqlType, TableSchema
+from repro.testing import without_numpy
 from repro.workloads import (
     BaseballConfig,
     BasketConfig,
@@ -38,19 +43,18 @@ from repro.workloads import (
     skyband_query,
 )
 from repro.workloads.baseball import load_unpivoted
-from tests.modes import SMALL_BATCH, mode_kwargs
+from tests.modes import SMALL_BATCH, in_mode, mode_kwargs
 
+pytestmark = pytest.mark.skipif(
+    numpy_or_none() is None, reason="columnar execution needs NumPy"
+)
 
 BATTING = make_batting_db(BaseballConfig(n_rows=400, seed=21))
 
-# Row mode is the subject here, not the shipped default: pin it.
-BASELINE_CONFIGS = tuple(
-    dataclasses.replace(config, execution_mode="row")
-    for config in (
-        EngineConfig.postgres(),
-        EngineConfig.vendor(),
-        EngineConfig(join_policy="nlj-only", label="nlj-only"),
-    )
+BASELINE_CONFIGS = (
+    EngineConfig.postgres(),
+    EngineConfig.vendor(),
+    EngineConfig(join_policy="nlj-only", label="nlj-only"),
 )
 
 SMART_CONFIGS = {
@@ -65,21 +69,18 @@ def assert_modes_agree(db, sql, batch_size=SMALL_BATCH):
     """Row execution and columnar execution in ``batch_size``-row
     batches agree on rows AND on every folded counter."""
     for config in BASELINE_CONFIGS:
-        row = execute(db, sql, config)
-        batch_config = dataclasses.replace(
-            config, execution_mode="columnar", batch_size=batch_size
-        )
-        batch = execute(db, sql, batch_config)
+        with without_numpy():
+            row = execute(db, sql, config)
+        batch = execute(db, sql, dataclasses.replace(config, batch_size=batch_size))
         assert batch.execution_mode == "columnar"
         assert batch.rows == row.rows, f"{config.label}: result rows differ"
         assert batch.stats.parity_dict() == row.stats.parity_dict(), (
             f"{config.label}: counters differ"
         )
     for label, toggles in SMART_CONFIGS.items():
-        row = SmartIceberg(db, execution_mode="row", **toggles).execute(sql)
-        batch = SmartIceberg(
-            db, execution_mode="columnar", batch_size=batch_size, **toggles
-        ).execute(sql)
+        with without_numpy():
+            row = SmartIceberg(db, **toggles).execute(sql)
+        batch = SmartIceberg(db, batch_size=batch_size, **toggles).execute(sql)
         assert batch.rows == row.rows, f"smart[{label}]: result rows differ"
         assert batch.stats.parity_dict() == row.stats.parity_dict(), (
             f"smart[{label}]: counters differ"
@@ -109,10 +110,11 @@ class TestFigure1Queries:
             degradation="fallback",
         )
         for mode in ("row", "batch"):
-            plain = SmartIceberg(BATTING, **mode_kwargs(mode)).execute(sql)
-            governed = SmartIceberg(
-                BATTING, **mode_kwargs(mode), **governor_knobs
-            ).execute(sql, cancel_token=CancelToken())
+            with in_mode(mode):
+                plain = SmartIceberg(BATTING, **mode_kwargs(mode)).execute(sql)
+                governed = SmartIceberg(
+                    BATTING, **mode_kwargs(mode), **governor_knobs
+                ).execute(sql, cancel_token=CancelToken())
             assert governed.rows == plain.rows, f"{mode}: rows differ"
             assert governed.stats.as_dict() == plain.stats.as_dict(), (
                 f"{mode}: counters differ"
@@ -234,8 +236,8 @@ def build_db(rows) -> Database:
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-# Priced per mode, the technique choice ran NLJP in row mode and the
-# a-priori join in columnar mode here.
+# Priced per path, the technique choice runs NLJP on the row path and
+# the a-priori join on the columnar one here.
 @example(
     rows=[(0, 0, 0, 0)] * 10,
     join_index=1,
@@ -256,19 +258,13 @@ def test_random_iceberg_query_mode_parity(
         f"HAVING {HAVINGS[having_index].format(c=threshold)}"
     )
     for config in BASELINE_CONFIGS[:2]:
-        row = execute(db, sql, config)
-        batch = execute(
-            db,
-            sql,
-            dataclasses.replace(
-                config, execution_mode="columnar", batch_size=batch_size
-            ),
-        )
+        with without_numpy():
+            row = execute(db, sql, config)
+        batch = execute(db, sql, dataclasses.replace(config, batch_size=batch_size))
         assert batch.rows == row.rows, sql
         assert batch.stats.parity_dict() == row.stats.parity_dict(), sql
-    row = SmartIceberg(db, execution_mode="row").execute(sql)
-    batch = SmartIceberg(
-        db, execution_mode="columnar", batch_size=batch_size
-    ).execute(sql)
+    with without_numpy():
+        row = SmartIceberg(db).execute(sql)
+    batch = SmartIceberg(db, batch_size=batch_size).execute(sql)
     assert batch.rows == row.rows, sql
     assert batch.stats.parity_dict() == row.stats.parity_dict(), sql

@@ -33,6 +33,7 @@ from repro.engine.expressions import ExpressionCompiler
 from repro.engine.layout import ColumnBatch, Layout
 from repro.sql import ast
 from repro.sql.parser import parse_expression
+from repro.testing import without_numpy
 from repro.workloads import (
     BaseballConfig,
     BasketConfig,
@@ -94,7 +95,7 @@ def _check(aggregate, batch_size):
     """The columnar run against the row run; the fold it took."""
     reference = ops.ExecutionContext()
     expected = list(aggregate.execute(reference))
-    ctx = ops.ExecutionContext(batch_size=batch_size, columnar=True)
+    ctx = ops.ExecutionContext(batch_size=batch_size)
     batches = list(aggregate.execute_columnar(ctx))
     got = [row for batch in batches for row in batch.to_rows()]
     assert _typed(got) == _typed(expected)
@@ -195,7 +196,7 @@ def test_dictionary_integer_and_bool_keys_stay_in_code_space(batch_size):
 def test_columns_keep_the_input_dictionary_and_carry_null_sums():
     rows = [("b", 1, True, 0.5, None), ("a", 2, False, 1.5, 4), ("b", 3, True, 2.5, None)]
     aggregate = _aggregate(rows, ["s"], ["COUNT(*)", "SUM(r.g)", "AVG(r.i)", "MIN(r.f)"])
-    ctx = ops.ExecutionContext(batch_size=2, columnar=True)
+    ctx = ops.ExecutionContext(batch_size=2)
     (batch,) = aggregate.execute_columnar(ctx)
     key, count, total, average, least = batch.columns
     assert (key.kind, key.dictionary) == ("dict", ("a", "b"))
@@ -345,7 +346,8 @@ def _parity(stats):
 def test_the_inner_kernel_folds_through_group_fold(monkeypatch):
     db = make_batting_db(BaseballConfig(n_rows=150, seed=3))
     sql = figure1_queries()["Q1"].sql
-    reference = SmartIceberg(db, execution_mode="row").execute(sql)
+    with without_numpy():
+        reference = SmartIceberg(db).execute(sql)
     calls = _counting_folds(monkeypatch)
     optimized = SmartIceberg(db).optimize(sql)
     result = optimized.execute()
@@ -362,7 +364,8 @@ def test_the_block_kernel_folds_through_group_fold(monkeypatch):
     sql = triangle_hub_query(2)
     # Forced: by estimate, the reduced join alone runs faster.
     knobs = dict(cross_query_memo=True, technique_choice="first-applicable")
-    reference = SmartIceberg(db, execution_mode="row", **knobs).execute(sql)
+    with without_numpy():
+        reference = SmartIceberg(db, **knobs).execute(sql)
     calls = _counting_folds(monkeypatch)
     optimized = SmartIceberg(db, **knobs).optimize(sql)
     result = optimized.execute()
@@ -378,7 +381,8 @@ def test_explain_names_the_fold_each_aggregate_ran():
     db = make_batting_db(BaseballConfig(n_rows=40, seed=1))
     load_baskets(db, BasketConfig(n_baskets=200, seed=4))
     columnar = execute(db, market_basket_query(5), EngineConfig())
-    row = execute(db, market_basket_query(5), EngineConfig(execution_mode="row"))
+    with without_numpy():
+        row = execute(db, market_basket_query(5), EngineConfig())
     assert "fold: codes → columns" in columnar.plan.explain()
     assert "fold:" not in row.plan.explain()
     assert columnar.rows == row.rows
@@ -400,11 +404,14 @@ def test_the_query_log_and_report_count_the_folds():
     assert "aggregate folds:" in render(summary)
 
 
-def test_without_numpy_the_columnar_path_is_the_row_path(monkeypatch):
-    monkeypatch.setattr(layout, "_np", None)
+def test_without_numpy_the_columnar_path_is_the_row_path():
+    """An install without NumPy has no columnar context to fold in: its
+    contexts are row contexts, and the aggregate folds row by row."""
     rows = [("a", 1, True, 0.5, 1), ("b", 2, False, 1.5, None), ("a", 3, True, 2.5, 4)]
     aggregate = _aggregate(rows, ["s"], ["COUNT(*)", "SUM(r.g)", "AVG(r.f)"])
-    ctx = ops.ExecutionContext(batch_size=2, columnar=True)
-    got = [row for batch in aggregate.execute_columnar(ctx) for row in batch.to_rows()]
-    assert _typed(got) == _typed(aggregate.execute(ops.ExecutionContext()))
+    with without_numpy():
+        ctx = ops.ExecutionContext(batch_size=2)
+        got = ops.materialize(aggregate, ctx)
+    assert (ctx.columnar, ctx.batch_size) == (False, None)
+    assert _typed(got) == _typed([("a", 2, 5, 1.5), ("b", 1, None, 1.5)])
     assert aggregate.fold_ran is None

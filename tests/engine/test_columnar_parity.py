@@ -1,4 +1,4 @@
-"""Differential tests: columnar mode vs. row mode.
+"""Differential tests: columnar execution vs. the row interpreter.
 
 The columnar engine's contract (see DESIGN.md): for every query, on
 every system configuration, under every join-order policy, columnar
@@ -13,7 +13,10 @@ exactly, and the mode-variant counters (``chunks_skipped``,
 This is the CI ``columnar`` job's parity suite: Q1-Q8 across
 {row, columnar} × {syntactic, dp}, plus the workload queries,
 governed executions, and odd chunk sizes.  ``test_batch_parity.py``
-holds columnar to row mode in small batches, on more configurations.
+holds columnar to the row interpreter in small batches, on more
+configurations.  The row side runs as an install without NumPy runs it
+(:func:`repro.testing.without_numpy`); without NumPy there is no
+columnar side, and the suite skips.
 """
 
 import dataclasses
@@ -22,7 +25,9 @@ import pytest
 
 from repro import CancelToken, EngineConfig, SmartIceberg
 from repro.engine import execute
+from repro.engine.layout import numpy_or_none
 from repro.storage import Database
+from repro.testing import without_numpy
 from repro.workloads import (
     BaseballConfig,
     BasketConfig,
@@ -38,6 +43,9 @@ from repro.workloads import (
 )
 from repro.workloads.baseball import load_unpivoted
 
+pytestmark = pytest.mark.skipif(
+    numpy_or_none() is None, reason="columnar execution needs NumPy"
+)
 
 BATTING = make_batting_db(BaseballConfig(n_rows=400, seed=21))
 
@@ -60,11 +68,12 @@ SMART_CONFIGS = {
 
 
 def assert_columnar_agrees(db, sql, batch_size=None, configs=BASELINE_CONFIGS):
-    """Both modes agree on rows; counters agree modulo the fold."""
+    """Both paths agree on rows; counters agree modulo the fold."""
     for config in configs:
         config = dataclasses.replace(config, batch_size=batch_size)
-        row = execute(db, sql, dataclasses.replace(config, execution_mode="row"))
-        columnar = execute(db, sql, dataclasses.replace(config, execution_mode="columnar"))
+        with without_numpy():
+            row = execute(db, sql, config)
+        columnar = execute(db, sql, config)
         label = f"{config.label}/{config.join_order}"
         assert columnar.execution_mode == "columnar"
         assert columnar.rows == row.rows, f"{label}: columnar rows differ"
@@ -90,10 +99,9 @@ class TestFigure1Queries:
     def test_smart_systems_columnar_parity(self, name):
         sql = figure1_queries()[name].sql
         for label, toggles in SMART_CONFIGS.items():
-            row = SmartIceberg(BATTING, execution_mode="row", **toggles).execute(sql)
-            columnar = SmartIceberg(
-                BATTING, execution_mode="columnar", **toggles
-            ).execute(sql)
+            with without_numpy():
+                row = SmartIceberg(BATTING, **toggles).execute(sql)
+            columnar = SmartIceberg(BATTING, **toggles).execute(sql)
             assert columnar.rows == row.rows, f"smart[{label}]: rows differ"
             assert (
                 columnar.stats.parity_dict() == row.stats.parity_dict()
@@ -112,10 +120,10 @@ class TestFigure1Queries:
             deadline_seconds=3600.0,
             degradation="fallback",
         )
-        plain = SmartIceberg(BATTING, execution_mode="columnar").execute(sql)
-        governed = SmartIceberg(
-            BATTING, execution_mode="columnar", **governor_knobs
-        ).execute(sql, cancel_token=CancelToken())
+        plain = SmartIceberg(BATTING).execute(sql)
+        governed = SmartIceberg(BATTING, **governor_knobs).execute(
+            sql, cancel_token=CancelToken()
+        )
         assert governed.rows == plain.rows
         assert governed.stats.as_dict() == plain.stats.as_dict()
         assert governed.stats.degradations == []
@@ -154,11 +162,8 @@ class TestColumnarObservability:
     def test_fused_compilations_are_charged_deterministically(self):
         """Two identical executions charge identical compile counts —
         the process-level kernel cache must not leak into stats."""
-        pytest.importorskip("numpy")  # no fused kernels to count without it
         sql = figure1_queries()["Q1"].sql
-        config = dataclasses.replace(
-            EngineConfig.postgres(), execution_mode="columnar"
-        )
+        config = EngineConfig.postgres()
         first = execute(BATTING, sql, config)
         second = execute(BATTING, sql, config)
         assert first.stats.fused_compilations > 0
@@ -172,9 +177,7 @@ class TestColumnarObservability:
         tree's exclusive deltas sum to the query totals — including
         the three columnar counters."""
         sql = figure1_queries()["Q1"].sql
-        config = dataclasses.replace(
-            EngineConfig.postgres(), execution_mode="columnar"
-        )
+        config = EngineConfig.postgres()
         plain = execute(BATTING, sql, config)
         traced = execute(
             BATTING, sql, dataclasses.replace(config, trace="timing")

@@ -27,6 +27,8 @@ from repro.engine.layout import Column, KeyGrouping, Layout
 from repro.sql import ast
 from repro.sql.parser import parse_expression
 from repro.storage import Database, SqlType, TableSchema
+from repro.testing import without_numpy
+from tests.modes import in_mode
 
 pytestmark = pytest.mark.skipif(
     layout.numpy_or_none() is None, reason="the vector forms need NumPy"
@@ -192,8 +194,8 @@ def _key(alias, width, layout_):
     return ExpressionCompiler(layout_).compile(ast.TupleExpr(refs))
 
 
-def _run(plan, method, batch_size=None, columnar=False):
-    ctx = ops.ExecutionContext(batch_size=batch_size, columnar=columnar)
+def _run(plan, method, batch_size=None):
+    ctx = ops.ExecutionContext(batch_size=batch_size)
     if method == "execute":
         rows = list(plan.execute(ctx))
     else:
@@ -204,10 +206,10 @@ def _run(plan, method, batch_size=None, columnar=False):
 def _three_ways(make_plan, monkeypatch):
     """Row path, columnar through the helper, columnar through the loop."""
     expected = _run(make_plan(), "execute")
-    helper = _run(make_plan(), "execute_columnar", batch_size=4, columnar=True)
+    helper = _run(make_plan(), "execute_columnar", batch_size=4)
     with monkeypatch.context() as patch:
         patch.setattr(KeyGrouping, "build", classmethod(lambda cls, columns: None))
-        loop = _run(make_plan(), "execute_columnar", batch_size=4, columnar=True)
+        loop = _run(make_plan(), "execute_columnar", batch_size=4)
     # repr: 0.0 and -0.0 are equal and must still not be confused.
     assert repr(helper[0]) == repr(expected[0]) == repr(loop[0])
     assert helper[1] == expected[1] == loop[1]
@@ -296,7 +298,7 @@ def test_index_join_reads_counters_off_array_lengths():
         residual=_compiled("l.w <= r.v", source.layout.concat(inner_layout)),
         inner_filter=_compiled("r.v >= 1", inner_layout),
     )
-    rows, stats = _run(plan, "execute_columnar", batch_size=2, columnar=True)
+    rows, stats = _run(plan, "execute_columnar", batch_size=2)
     assert rows == [(2, 0, 2, 5)]
     assert stats["index_probes"] == 5
     assert stats["join_pairs"] == 3  # (1,·)→row 1 twice, (2,·)→row 2
@@ -362,11 +364,10 @@ IN_PREDICATES = [
 def test_fused_in_subquery_equals_row_closure(predicate, sub):
     db = _in_db(SUBQUERY_ROWS[sub])
     sql = f"SELECT id FROM t WHERE {predicate}"
-    row = execute(db, sql, EngineConfig(execution_mode="row"))
+    with without_numpy():
+        row = execute(db, sql, EngineConfig())
     for batch_size in (2, 4096):
-        columnar = execute(
-            db, sql, EngineConfig(execution_mode="columnar", batch_size=batch_size)
-        )
+        columnar = execute(db, sql, EngineConfig(batch_size=batch_size))
         assert columnar.rows == row.rows, (predicate, sub, batch_size)
         assert columnar.stats.parity_dict() == row.stats.parity_dict()
         # Fused: the scan filter (the subquery's own scan has none).
@@ -388,7 +389,8 @@ def test_fused_in_is_the_three_valued_membership():
             "not-in-true": "a NOT IN (SELECT a FROM u)",
         }.items():
             sql = f"SELECT id FROM t WHERE {predicate}"
-            kept[name] = execute(db, sql, EngineConfig(execution_mode=mode)).rows
+            with in_mode(mode):
+                kept[name] = execute(db, sql, EngineConfig()).rows
         answers[mode] = kept
     assert answers["row"] == answers["columnar"]
     # 1 and 3 are in the result; 2 is not, but the result holds a NULL,
@@ -405,8 +407,9 @@ def test_a_pruned_scan_still_runs_its_subquery():
     still have run (and charged) the subquery at the first row."""
     db = _in_db(SUBQUERY_ROWS["plain"])
     sql = "SELECT id FROM t WHERE id > 100 AND a IN (SELECT a FROM u)"
-    row = execute(db, sql, EngineConfig(execution_mode="row"))
-    columnar = execute(db, sql, EngineConfig(execution_mode="columnar", batch_size=2))
+    with without_numpy():
+        row = execute(db, sql, EngineConfig())
+    columnar = execute(db, sql, EngineConfig(batch_size=2))
     assert columnar.rows == row.rows == []
     assert columnar.stats.parity_dict() == row.stats.parity_dict()
     assert columnar.stats.chunks_skipped == 0

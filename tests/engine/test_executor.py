@@ -262,7 +262,7 @@ class TestErrors:
 
 
 class TestDefaultExecutionMode:
-    """The shipped mode is derived, not set: columnar where NumPy
+    """The path is the install's, not set: columnar where NumPy
     imports, row where it does not — the same for the engine, the
     optimizing executor and the server, and for the baselines."""
 
@@ -272,11 +272,13 @@ class TestDefaultExecutionMode:
         from repro import IcebergServer, SmartIceberg
 
         return {
-            "EngineConfig()": EngineConfig().execution_mode,
-            "EngineConfig.postgres()": EngineConfig.postgres().execution_mode,
-            "EngineConfig.vendor()": EngineConfig.vendor().execution_mode,
             "execute(db, sql)": execute(db, self.SQL).execution_mode,
-            "SmartIceberg(db)": SmartIceberg(db).execution_mode,
+            "EngineConfig.postgres()": execute(
+                db, self.SQL, EngineConfig.postgres()
+            ).execution_mode,
+            "EngineConfig.vendor()": execute(
+                db, self.SQL, EngineConfig.vendor()
+            ).execution_mode,
             "SmartIceberg(db).execute": SmartIceberg(db).execute(self.SQL).execution_mode,
             "IcebergServer(db)": IcebergServer(db)
             .session()
@@ -288,28 +290,21 @@ class TestDefaultExecutionMode:
         pytest.importorskip("numpy")
         assert set(self._reported(db).values()) == {"columnar"}
 
-    def test_row_without_numpy(self, db, monkeypatch):
-        from repro.engine import layout
+    def test_row_without_numpy(self, db):
+        from repro.testing import without_numpy
 
-        monkeypatch.setattr(layout, "_np", None)
-        assert set(self._reported(db).values()) == {"row"}
-
-    def test_explicit_mode_wins(self, db):
-        from repro import SmartIceberg
-
-        assert EngineConfig(execution_mode="row").execution_mode == "row"
-        assert SmartIceberg(db, execution_mode="columnar").execution_mode == "columnar"
+        with without_numpy():
+            assert set(self._reported(db).values()) == {"row"}
 
 
 class TestExecutionModeValidation:
-    """``execution_mode`` is checked in one place, ``EngineConfig``, and
-    every way of setting it goes through that check: there is no
-    ``"batch"`` mode."""
+    """There is no mode to set: every way of passing ``execution_mode``
+    is refused, ``"batch"`` included."""
 
     SQL = "SELECT grp, COUNT(*) FROM t GROUP BY grp"
 
     def test_engine_config_rejects_batch(self):
-        with pytest.raises(ValueError, match="execution_mode"):
+        with pytest.raises(TypeError, match="execution_mode"):
             EngineConfig(execution_mode="batch")
 
     def test_engine_config_rejects_empty_batches(self):
@@ -319,14 +314,13 @@ class TestExecutionModeValidation:
     def test_smart_iceberg_rejects_batch(self, db):
         from repro import SmartIceberg
 
-        with pytest.raises(ValueError, match="execution_mode"):
+        with pytest.raises(TypeError, match="execution_mode"):
             SmartIceberg(db, execution_mode="batch")
 
     def test_session_override_rejects_batch(self, db):
         from repro import IcebergServer
 
-        session = IcebergServer(db, execution_mode="batch").session()
-        with pytest.raises(ValueError, match="execution_mode"):
-            session.execute(self.SQL)
-        row = IcebergServer(db, execution_mode="row").session().execute(self.SQL)
-        assert row.rows and row.execution_mode == "row"
+        for mode in ("batch", "row"):
+            session = IcebergServer(db, execution_mode=mode).session()
+            with pytest.raises(TypeError, match="execution_mode"):
+                session.execute(self.SQL)

@@ -22,9 +22,9 @@ from repro.errors import (
     ReproError,
 )
 from repro.sql.parser import parse
-from repro.testing import FaultPlan, FaultSpec
+from repro.testing import FaultPlan, FaultSpec, without_numpy
 from repro.workloads import BaseballConfig, figure1_queries, make_batting_db
-from tests.modes import mode_kwargs
+from tests.modes import in_mode, mode_kwargs
 
 BATTING = make_batting_db(BaseballConfig(n_rows=200, seed=21))
 Q1 = figure1_queries()["Q1"].sql
@@ -96,24 +96,26 @@ class TestUngoverned:
 class TestBudgets:
     @pytest.mark.parametrize("mode", ["row", "batch"])
     def test_rows_scanned(self, mode):
-        config = governed_config(max_rows_scanned=25, **mode_kwargs(mode))
-        with pytest.raises(BudgetExceededError) as info:
-            execute(BATTING, Q1, config)
-        error = info.value
-        assert error.budget == "rows_scanned"
-        assert error.limit == 25
-        assert error.used > 25
-        assert error.stats is not None
-        assert error.stats.rows_scanned == error.used
+        with in_mode(mode):
+            config = governed_config(max_rows_scanned=25, **mode_kwargs(mode))
+            with pytest.raises(BudgetExceededError) as info:
+                execute(BATTING, Q1, config)
+            error = info.value
+            assert error.budget == "rows_scanned"
+            assert error.limit == 25
+            assert error.used > 25
+            assert error.stats is not None
+            assert error.stats.rows_scanned == error.used
 
     @pytest.mark.parametrize("mode", ["row", "batch"])
     def test_join_pairs(self, mode):
-        config = governed_config(max_join_pairs=10, **mode_kwargs(mode))
-        with pytest.raises(BudgetExceededError) as info:
-            execute(BATTING, Q1, config)
-        error = info.value
-        assert error.budget == "join_pairs"
-        assert error.stats.join_pairs > 10
+        with in_mode(mode):
+            config = governed_config(max_join_pairs=10, **mode_kwargs(mode))
+            with pytest.raises(BudgetExceededError) as info:
+                execute(BATTING, Q1, config)
+            error = info.value
+            assert error.budget == "join_pairs"
+            assert error.stats.join_pairs > 10
 
     def test_budget_errors_are_repro_errors(self):
         with pytest.raises(ReproError):
@@ -158,11 +160,9 @@ class TestDeadline:
         plan = FaultPlan(
             [FaultSpec(site="scan", kind="slow", after=10, delay_seconds=99.0)]
         )
-        # Row mode observes "scan" once per row; the eleventh is hit.
-        config = governed_config(
-            execution_mode="row", deadline_seconds=5.0, fault_plan=plan
-        )
-        with pytest.raises(BudgetExceededError) as info:
+        # The row path observes "scan" once per row; the eleventh is hit.
+        config = governed_config(deadline_seconds=5.0, fault_plan=plan)
+        with without_numpy(), pytest.raises(BudgetExceededError) as info:
             execute(BATTING, Q1, config)
         error = info.value
         assert error.budget == "deadline_seconds"
@@ -187,36 +187,38 @@ class TestCacheBudget:
 
     @pytest.mark.parametrize("mode", ["row", "batch"])
     def test_fallback_evicts_and_stays_correct(self, mode):
-        baseline = SmartIceberg(BATTING, **mode_kwargs(mode)).execute(Q1)
-        governed = SmartIceberg(
-            BATTING,
-            **mode_kwargs(mode),
-            max_cache_bytes=300,
-            degradation="fallback",
-        ).execute(Q1)
-        assert governed.sorted_rows() == baseline.sorted_rows()
-        assert any("evicting" in event for event in governed.stats.degradations)
-        assert governed.stats.cache_bytes <= 300
+        with in_mode(mode):
+            baseline = SmartIceberg(BATTING, **mode_kwargs(mode)).execute(Q1)
+            governed = SmartIceberg(
+                BATTING,
+                **mode_kwargs(mode),
+                max_cache_bytes=300,
+                degradation="fallback",
+            ).execute(Q1)
+            assert governed.sorted_rows() == baseline.sorted_rows()
+            assert any("evicting" in event for event in governed.stats.degradations)
+            assert governed.stats.cache_bytes <= 300
 
     @pytest.mark.parametrize("mode", ["row", "batch"])
     def test_fallback_disables_cache_when_eviction_insufficient(self, mode):
         """A budget below one entry forces the cache fully off — the
         join must still return exactly the right rows (degraded "all"
         behaves like the baseline, never like a wrong answer)."""
-        baseline = SmartIceberg(BATTING, **mode_kwargs(mode)).execute(Q1)
-        governed = SmartIceberg(
-            BATTING,
-            **mode_kwargs(mode),
-            max_cache_bytes=1,
-            degradation="fallback",
-        ).execute(Q1)
-        assert governed.sorted_rows() == baseline.sorted_rows()
-        events = governed.stats.degradations
-        assert any("evicting" in event for event in events)
-        assert any("disabled" in event for event in events)
-        assert governed.stats.cache_bytes == 0
-        # Disabled cache means no memo assist: every binding recomputes.
-        assert governed.stats.inner_evaluations >= baseline.stats.inner_evaluations
+        with in_mode(mode):
+            baseline = SmartIceberg(BATTING, **mode_kwargs(mode)).execute(Q1)
+            governed = SmartIceberg(
+                BATTING,
+                **mode_kwargs(mode),
+                max_cache_bytes=1,
+                degradation="fallback",
+            ).execute(Q1)
+            assert governed.sorted_rows() == baseline.sorted_rows()
+            events = governed.stats.degradations
+            assert any("evicting" in event for event in events)
+            assert any("disabled" in event for event in events)
+            assert governed.stats.cache_bytes == 0
+            # Disabled cache means no memo assist: every binding recomputes.
+            assert governed.stats.inner_evaluations >= baseline.stats.inner_evaluations
 
     def test_degradations_stay_out_of_counters(self):
         governed = SmartIceberg(

@@ -21,6 +21,7 @@ was.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
 import threading
@@ -41,6 +42,7 @@ from repro.engine.planner import PlanEnv, plan_query
 from repro.errors import InjectedFaultError
 from repro.obs.tracer import iter_plan_nodes
 from repro.sql.parser import parse
+from repro.testing import without_numpy
 from repro.testing.faults import FaultPlan, FaultSpec
 from repro.workloads import CyclicConfig, complex_query, make_cyclic_db, triangle_hub_query
 
@@ -148,16 +150,17 @@ def _select(leaf, join, third, aggregates, group) -> str:
 
 
 def _tree(plan, bindings):
-    ctx = ops.ExecutionContext()
-    rows = []
-    for binding in bindings:
-        ctx.params.update(binding)
-        rows.append(ops.materialize(plan, ctx))
+    with without_numpy():
+        ctx = ops.ExecutionContext()
+        rows = []
+        for binding in bindings:
+            ctx.params.update(binding)
+            rows.append(ops.materialize(plan, ctx))
     return rows, _counters(ctx.stats)
 
 
 def _block(kernel, bindings, batch_size):
-    ctx = ops.ExecutionContext(batch_size=batch_size, columnar=True)
+    ctx = ops.ExecutionContext(batch_size=batch_size)
     evaluations = kernel.evaluate(ctx, [(b["p"], b["q"]) for b in bindings])
     assert _counters(ctx.stats) == _counters(ops.ExecutionContext().stats)
     rows = []
@@ -426,7 +429,7 @@ def _observe(name, seed, size, tree, options, budget, take, batch_size, fault, e
     seen = []
     discarded = 0
     for _ in range(executions):
-        ctx = ops.ExecutionContext(batch_size=batch_size, columnar=True)
+        ctx = ops.ExecutionContext(batch_size=batch_size)
         plan = None
         if fault is not None:
             plan = FaultPlan([FaultSpec(site="inner-eval", after=fault)])
@@ -520,12 +523,17 @@ def test_a_duplicate_binding_without_memo_is_charged_twice():
 @pytest.mark.parametrize("columnar", [True, False])
 def test_only_the_bindings_names_are_set_and_they_are_taken_back(columnar):
     """Also when the inner raises, and also a statement parameter that
-    a binding's name hides."""
+    a binding's name hides; on either path."""
+    with contextlib.nullcontext() if columnar else without_numpy():
+        _bindings_names_are_taken_back()
+
+
+def _bindings_names_are_taken_back():
     schema, sql, left = STATEMENTS["triangles"]
     operator = _operator(schema(random.Random(3), 60), sql, left)
     hidden = operator.param_names[0]
     for fault in (None, FaultPlan([FaultSpec(site="scan", after=4)])):
-        ctx = ops.ExecutionContext(batch_size=64 if columnar else None, columnar=columnar)
+        ctx = ops.ExecutionContext(batch_size=64)
         ctx.params.update({hidden: "the statement's", "k": 1})
         ctx.governor = Governor(ctx.stats, fault_plan=fault)
         seen = []
@@ -596,7 +604,7 @@ def test_speculation_backs_off_while_it_is_wasted():
         operator = _operator(db, sql, ["l"], enable_memo=False)
         if tree:
             operator.inner_kernel = None
-        ctx = ops.ExecutionContext(batch_size=4096, columnar=True)
+        ctx = ops.ExecutionContext(batch_size=4096)
         observed[tree] = (list(operator.execute(ctx)), _counters(ctx.stats))
         if not tree:
             discarded = ctx.stats.inner_prefetch_discarded
@@ -653,7 +661,7 @@ def test_prefetch_state_is_per_execution():
     nljp = _nljp_of(SmartIceberg(db, **BLOCK_NLJP).optimize(triangle_hub_query(2)))
     kernel = nljp.inner_kernel
     assert isinstance(kernel, BlockKernel)
-    first, second = (ops.ExecutionContext(batch_size=64, columnar=True) for _ in range(2))
+    first, second = (ops.ExecutionContext(batch_size=64) for _ in range(2))
     bindings = [(src, dst) for src, dst, _ in db.table("edge").rows[:20]]
     kernel.prefetch(first, dict.fromkeys(bindings, 1))
     assert kernel.take(second, bindings[0]) is None
@@ -672,11 +680,10 @@ def test_describe_and_to_dict_say_which_path_ran_and_why():
     nljp = _nljp_of(optimized)
     block = "block kernel (IndexPointScan edge_src → IndexNestedLoopJoin edge_pkey)"
     assert f"  inner: {block}" in nljp.describe()
-    row = SmartIceberg(db, execution_mode="row", **BLOCK_NLJP).optimize(
-        triangle_hub_query(2)
-    )
-    row.execute()
-    assert _nljp_of(row).to_dict()["inner"] == "operators (row mode)"
+    with without_numpy():
+        row = SmartIceberg(db, **BLOCK_NLJP).optimize(triangle_hub_query(2))
+        row.execute()
+    assert _nljp_of(row).to_dict()["inner"] == "operators (NumPy unavailable)"
     optimized.execute()
     assert nljp.to_dict()["inner"] == block
     assert f"  inner: {block}" in nljp.describe()
@@ -701,7 +708,7 @@ def test_observers_see_the_trees_rows_and_loops(knobs):
             nljp.inner_kernel = None
         result = optimized.execute()
         explained = nljp.qr_plan.explain()
-        # The tree runs Q_R in row mode; only the kernel's fold has a line.
+        # The tree runs Q_R row at a time; only the kernel's fold has a line.
         assert ("fold: codes → columns" in explained) == (not tree)
         explained = "\n".join(
             line for line in explained.splitlines() if "fold:" not in line
@@ -722,18 +729,19 @@ def test_observers_see_the_trees_rows_and_loops(knobs):
     assert seen[False] == seen[True]
 
 
-def test_the_tree_is_the_fallback_without_numpy(monkeypatch):
-    """What the tier-1 CI job (no NumPy) runs."""
-    monkeypatch.setattr(layout, "_np", None)
+def test_the_tree_is_the_fallback_without_numpy():
+    """What the tier-1 CI job's leg without NumPy runs."""
     db = make_cyclic_db(CyclicConfig(n_edges=300, seed=7))
     engine = SmartIceberg(db, **BLOCK_NLJP)
-    optimized = engine.optimize(triangle_hub_query(2))
-    nljp = _nljp_of(optimized)
-    assert nljp.inner_kernel is None
-    assert "  inner: operators (NumPy unavailable)" in nljp.describe()
-    result = optimized.execute()
+    with without_numpy():
+        optimized = engine.optimize(triangle_hub_query(2))
+        nljp = _nljp_of(optimized)
+        assert nljp.inner_kernel is None
+        assert "  inner: operators (NumPy unavailable)" in nljp.describe()
+        result = optimized.execute()
+        baseline = engine.execute_baseline(triangle_hub_query(2))
     assert result.stats.inner_prefetch_discarded == 0
-    assert sorted(result.rows) == sorted(engine.execute_baseline(triangle_hub_query(2)).rows)
+    assert sorted(result.rows) == sorted(baseline.rows)
 
 
 @needs_numpy

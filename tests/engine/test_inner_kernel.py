@@ -1,9 +1,10 @@
 """The inner kernel against the operator tree it stands in for.
 
-NLJP lowers a scan-shaped Q_R once per plan to
-:class:`repro.engine.kernel.InnerKernel` and calls it per binding in
-every execution mode.  The contract: rows (group order included) and
-every work counter except ``fused_compilations`` equal the tree's.
+NLJP lowers a scan-shaped Q_R once per plan, where NumPy imports, to
+:class:`repro.engine.kernel.InnerKernel` and calls it per binding.  The
+contract: rows (group order included) and every work counter except
+``fused_compilations`` equal the tree's in the same context, and the
+row path's modulo the zone-map split.
 
 Two differentials, both seeded:
 
@@ -12,8 +13,9 @@ Two differentials, both seeded:
   and counters for each binding against ``ops.materialize`` of the very
   plan it was lowered from, row at a time and in columnar batches;
 * *statement level* — iceberg statements through ``SmartIceberg``, the
-  tree forced through the seam the rest of the suite already uses,
-  ``repro.engine.layout._np = None``.
+  tree on the row path (:func:`repro.testing.without_numpy`, where no
+  kernel is lowered) and forced in place in a columnar context
+  (``nljp.inner_kernel = None``).
 
 Plus the failure and sharing paths: budgets and faults inside a kernel
 evaluation, and one cached plan executed by two sessions at once.
@@ -24,6 +26,7 @@ shared-plan tests run either way (the tier-1 CI job installs none).
 
 from __future__ import annotations
 
+import contextlib
 import threading
 
 import pytest
@@ -34,12 +37,14 @@ from repro import Database, EngineConfig, IcebergServer, SmartIceberg, SqlType, 
 from repro.engine import operators as ops
 from repro.engine.kernel import lower_inner
 from repro.engine.planner import plan_query
-from repro.errors import BudgetExceededError, InjectedFaultError
+from repro.errors import BudgetExceededError, InjectedFaultError, StaleImageError
 from repro.obs.tracer import iter_plan_nodes
+from repro.serve.retry import RETRYABLE, classify_error
 from repro.sql.parser import parse
+from repro.testing import without_numpy
 from repro.testing.faults import FaultPlan, FaultSpec
 from repro.workloads import BaseballConfig, figure1_queries, make_batting_db
-from tests.modes import mode_kwargs
+from tests.modes import in_mode, mode_kwargs
 
 needs_numpy = pytest.mark.skipif(
     layout.numpy_or_none() is None, reason="the inner kernel needs NumPy"
@@ -156,11 +161,12 @@ def _counters(ctx: ops.ExecutionContext):
 
 
 def _tree(plan, bindings, columnar):
-    ctx = ops.ExecutionContext(batch_size=7 if columnar else None, columnar=columnar)
-    rows = []
-    for binding in bindings:
-        ctx.params.update(binding)
-        rows.append(ops.materialize(plan, ctx))
+    with contextlib.nullcontext() if columnar else without_numpy():
+        ctx = ops.ExecutionContext(batch_size=7)
+        rows = []
+        for binding in bindings:
+            ctx.params.update(binding)
+            rows.append(ops.materialize(plan, ctx))
     return rows, ctx
 
 
@@ -205,7 +211,7 @@ def test_kernel_equals_tree_on_random_inners(
     got_rows, got = _kernel(plan, bindings)
     # repr: 0.0 and -0.0 are equal and must still not be confused.
     assert repr(got_rows) == repr(expected_rows) == repr(columnar_rows)
-    assert _counters(got) == _counters(expected)
+    assert got.stats.parity_dict() == expected.stats.parity_dict()
     assert got.stats.parity_dict() == columnar.stats.parity_dict()
 
 
@@ -270,7 +276,7 @@ def test_integer_sum_beyond_int64_stays_exact():
 
 
 # ---------------------------------------------------------------------------
-# Statement-level differential (tree forced through ``layout._np``)
+# Statement-level differential
 # ---------------------------------------------------------------------------
 
 
@@ -333,50 +339,54 @@ def _nljp_of(optimized):
     )
 
 
-def _execute(db, sql, monkeypatch, tree: bool, **knobs):
-    with monkeypatch.context() as patch:
-        if tree:
-            patch.setattr(layout, "_np", None)
-        optimized = SmartIceberg(db, apriori=False, **knobs).optimize(sql)
+def _execute(db, sql, mode="columnar", tree=False, **knobs):
+    """Optimize and run ``sql`` on the path ``mode`` names; ``tree``
+    forces NLJP's operator tree for Q_R in place."""
+    with in_mode(mode):
+        optimized = SmartIceberg(db, apriori=False, **mode_kwargs(mode), **knobs).optimize(sql)
         nljp = _nljp_of(optimized)
+        if tree and nljp is not None:
+            nljp.inner_kernel = None
         result = optimized.execute()
+    return result, nljp
+
+
+def _counters_of(result):
     counters = result.stats.as_dict()
     counters.pop("fused_compilations")
-    return result.rows, counters, nljp
+    return counters
 
 
 @needs_numpy
 @pytest.mark.parametrize("name", sorted(STATEMENTS))
 @pytest.mark.parametrize("mode", ["row", "batch", "columnar"])
-def test_statement_kernel_equals_tree(name, mode, monkeypatch):
+def test_statement_kernel_equals_tree(name, mode):
+    """The kernel against the tree on the path ``mode`` names: on the
+    row path, which lowers no kernel, every counter modulo the zone-map
+    split; in a columnar context at the same batch size, with the tree
+    forced in place, every counter."""
     db = _points_db()
     sql = STATEMENTS[name]
-    rows, counters, nljp = _execute(db, sql, monkeypatch, False, **mode_kwargs(mode))
-    tree_rows, tree_counters, tree_nljp = _execute(
-        db, sql, monkeypatch, True, execution_mode="row"
-    )
+    kernel_mode = "columnar" if mode == "row" else mode
+    result, nljp = _execute(db, sql, kernel_mode)
+    tree, tree_nljp = _execute(db, sql, mode, tree=True)
     assert nljp is not None and nljp.inner_kernel is not None, (
         nljp and nljp.inner_description()
     )
     assert tree_nljp.inner_kernel is None
-    assert tree_nljp.inner_description() == "operators (NumPy unavailable)"
-    assert counters["inner_evaluations"] > 0
+    assert result.stats.inner_evaluations > 0
     # Unsorted: NLJP's output order follows binding and payload group
     # order, and both must survive the kernel.
-    assert rows == tree_rows
+    assert result.rows == tree.rows
     if mode == "row":
-        assert counters == tree_counters
-    else:  # zone maps may split Q_B's rows_scanned; Q_R's never
-        assert counters["aggregation_inputs"] == tree_counters["aggregation_inputs"]
-        assert counters["index_probes"] == tree_counters["index_probes"]
-        assert (
-            counters["rows_scanned"] + counters["rows_skipped"]
-            == tree_counters["rows_scanned"]
-        )
+        assert tree_nljp.inner_description() == "operators (NumPy unavailable)"
+        assert result.stats.parity_dict() == tree.stats.parity_dict()
+    else:
+        assert _counters_of(result) == _counters_of(tree)
 
 
 @needs_numpy
-def test_grouped_inner_keeps_payload_group_order(monkeypatch):
+def test_grouped_inner_keeps_payload_group_order():
     """G_R ≠ ∅: the optimizer leaves this partition alone, so build the
     operator by hand.  NLJP emits a binding's groups in payload order,
     which is HashAggregate's first-seen scan order."""
@@ -393,9 +403,7 @@ def test_grouped_inner_keeps_payload_group_order(monkeypatch):
     )
     ran = {}
     for tree in (False, True):
-        with monkeypatch.context() as patch:
-            if tree:
-                patch.setattr(layout, "_np", None)
+        with without_numpy() if tree else contextlib.nullcontext():
             view = IcebergBlock(parse(sql).body, db).partition(["l"])
             env = PlanEnv(db=db, config=EngineConfig.smart())
             nljp = NLJPOperator(view, env, pruning=check_pruning(view))
@@ -410,16 +418,16 @@ def test_grouped_inner_keeps_payload_group_order(monkeypatch):
     assert set(rows) == set(SmartIceberg(db).execute_baseline(sql).rows)
 
 
-def test_tree_path_without_numpy_is_taken_and_correct(monkeypatch):
-    """What the tier-1 CI job (no NumPy) runs: the fallback is the
-    operators, says so, and answers like the baseline."""
+def test_tree_path_without_numpy_is_taken_and_correct():
+    """What the tier-1 CI job's leg without NumPy runs: the operators,
+    which say so, and answer like the baseline."""
     db = _points_db()
     sql = STATEMENTS["skyband"]
-    rows, _, nljp = _execute(db, sql, monkeypatch, True)
+    result, nljp = _execute(db, sql, "row")
     assert nljp.inner_kernel is None
     assert "inner: operators (NumPy unavailable)" in "\n".join(nljp.describe())
     baseline = SmartIceberg(db).execute_baseline(sql)
-    assert sorted(rows) == sorted(baseline.rows)
+    assert sorted(result.rows) == sorted(baseline.rows)
 
 
 @needs_numpy
@@ -441,44 +449,47 @@ Q1 = figure1_queries()["Q1"].sql
 @needs_numpy
 def test_rows_scanned_budget_trips_inside_a_kernel_evaluation():
     with pytest.raises(BudgetExceededError) as info:
-        # Row mode pulls Q_B a row at a time, so the fifth evaluation
-        # is where the budget runs out.
-        SmartIceberg(
-            BATTING, execution_mode="row", max_rows_scanned=700
-        ).execute(Q1)
+        # Q_B's 200 rows are scanned as one batch first, so the fourth
+        # evaluation is where the budget runs out.
+        SmartIceberg(BATTING, max_rows_scanned=700).execute(Q1)
     error = info.value
     assert error.budget == "rows_scanned"
     stats = error.stats
     # The evaluation that crossed the limit charged its whole index
     # range before its one scan check.
     assert stats.rows_scanned == error.used > 700
-    assert stats.inner_evaluations == 5 and stats.index_probes == 5
+    assert stats.inner_evaluations == 4 and stats.index_probes == 4
     assert stats.aggregation_inputs < stats.rows_scanned
 
 
-def test_inner_eval_fault_fires_at_the_parents_observation(monkeypatch):
+def test_inner_eval_fault_fires_at_the_parents_observation():
     """Hit #11, with the partial counters of ten whole evaluations —
-    the numbers the tree gives (and gave before the kernel)."""
+    the numbers the tree gives (and gave before the kernel): in place,
+    in the kernel's columnar context, every counter; on the row path,
+    all but Q_B's scan, which is pulled there a row at a time."""
     partial = {}
-    for tree in (False, True):
+    for path, tree in (("kernel", False), ("tree", True), ("row", True)):
         plan = FaultPlan([FaultSpec(site="inner-eval", after=10)])
-        with monkeypatch.context() as patch:
+        seam = without_numpy() if path == "row" else contextlib.nullcontext()
+        with seam, pytest.raises(InjectedFaultError) as info:
+            optimized = SmartIceberg(BATTING, fault_plan=plan).optimize(Q1)
             if tree:
-                patch.setattr(layout, "_np", None)
-            with pytest.raises(InjectedFaultError) as info:
-                SmartIceberg(
-                    BATTING, execution_mode="row", fault_plan=plan
-                ).execute(Q1)
+                optimized.nljp.inner_kernel = None
+            optimized.execute()
         assert "hit #11" in str(info.value)
         assert plan.hits("inner-eval") == 11
         counters = info.value.stats.as_dict()
         counters.pop("fused_compilations")
-        partial[tree] = counters
-    assert partial[False] == partial[True]
-    assert partial[False]["inner_evaluations"] == 11
-    assert partial[False]["index_probes"] == 10
-    assert partial[False]["rows_scanned"] == 958
-    assert partial[False]["aggregation_inputs"] == 668
+        partial[path] = counters
+    assert partial["kernel"] == partial["tree"]
+    for counters in partial.values():
+        assert counters["inner_evaluations"] == 11
+        assert counters["index_probes"] == 10
+        assert counters["aggregation_inputs"] == 668
+    assert partial["row"]["rows_scanned"] == 958
+    # A columnar Q_B is scanned as one batch of 200 rows, not 18 of them.
+    columnar = layout.numpy_or_none() is not None
+    assert partial["kernel"]["rows_scanned"] == (958 - 18 + 200 if columnar else 958)
 
 
 def test_two_sessions_share_one_cached_plan():
@@ -519,3 +530,23 @@ def test_kernel_state_is_per_execution():
         for key in first.materialized
     )
     assert first.stats.rows_scanned > second.stats.rows_scanned == 0
+
+
+@needs_numpy
+def test_a_stale_image_beside_a_newer_index_fails_typed(monkeypatch):
+    """A read racing ``insert_many`` can take the table's column image
+    before a write and the index after it: the index's row ids run past
+    the image.  That is a typed, retryable error, not an IndexError."""
+    db = make_batting_db(BaseballConfig(n_rows=80, seed=21))
+    table = db.table("batting")
+    nljp = _nljp_of(SmartIceberg(db).optimize(Q1))
+    kernel = nljp.inner_kernel
+    assert type(kernel.scan).__name__ == "IndexRangeScan"
+    image = table.column_store()
+    table.insert_many([(90_000 + i,) + table.rows[i][1:] for i in range(5)])
+    monkeypatch.setattr(table, "column_store", lambda: image)
+    ctx = ops.ExecutionContext()
+    ctx.params.update(dict.fromkeys(nljp.param_names, 0))
+    with pytest.raises(StaleImageError, match="past a column image of 80 rows"):
+        kernel.run(ctx)
+    assert classify_error(StaleImageError("")) == RETRYABLE

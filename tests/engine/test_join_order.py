@@ -33,7 +33,7 @@ from repro.workloads import (
     triangle_hub_query,
     triangle_query,
 )
-from tests.modes import MODES, mode_kwargs
+from tests.modes import MODES, in_mode, mode_kwargs
 
 JOIN_ORDERS = ("syntactic", "greedy", "dp")
 
@@ -50,8 +50,11 @@ def permute_from(sql: str) -> str:
     return re.sub(r"(?m)^(\s*FROM )(.+)$", reverse, sql)
 
 
-def run(db, sql, join_order, mode="row"):
-    return execute(db, sql, EngineConfig(join_order=join_order, **mode_kwargs(mode)))
+def run(db, sql, join_order, mode="row", **knobs):
+    with in_mode(mode):
+        return execute(
+            db, sql, EngineConfig(join_order=join_order, **mode_kwargs(mode), **knobs)
+        )
 
 
 @pytest.fixture(scope="module")
@@ -200,9 +203,7 @@ class TestHashBuildSide:
         # Outer (small, 25 rows) is smaller than inner (big, 500 rows):
         # the hash table must be built on the outer side.
         sql = "SELECT s.name, b.v FROM small s, big b WHERE s.k = b.k"
-        config = EngineConfig(
-            join_policy="hash-first", join_order="syntactic", execution_mode="row"
-        )
+        config = EngineConfig(join_policy="hash-first", join_order="syntactic")
         planned = plan_query(db, parse(sql), config)
         assert "build=outer" in planned.explain()
         # And with the sides swapped the build stays on the (now inner)
@@ -220,12 +221,7 @@ class TestHashBuildSide:
         reference = None
         for join_order in JOIN_ORDERS:
             for mode in MODES:
-                config = EngineConfig(
-                    join_policy="hash-first",
-                    join_order=join_order,
-                    **mode_kwargs(mode),
-                )
-                rows = execute(db, sql, config).sorted_rows()
+                rows = run(db, sql, join_order, mode, join_policy="hash-first").sorted_rows()
                 if reference is None:
                     reference = rows
                 assert rows == reference, (join_order, mode)
@@ -263,7 +259,7 @@ class TestCyclicJoins:
     def test_null_join_keys_never_match(self):
         db = _edge_db([(1, 2), (2, 3), (3, 1), (None, 1), (1, None), (None, None)])
         for mode in MODES:
-            result = execute(db, triangle_query(), EngineConfig(**mode_kwargs(mode)))
+            result = run(db, triangle_query(), "dp", mode)
             assert len(result.rows) == 3, mode  # the one triangle, from each corner
 
     def test_randomized_triangles_match_brute_force(self):
@@ -280,10 +276,11 @@ class TestCyclicJoins:
         )
         db = _edge_db(sorted(edges))
         for mode in MODES:
-            result = execute(
+            result = run(
                 db,
                 "SELECT * FROM edge e1, edge e2, edge e3 "
                 "WHERE e1.dst = e2.src AND e2.dst = e3.src AND e3.dst = e1.src",
-                EngineConfig(**mode_kwargs(mode)),
+                "dp",
+                mode,
             )
             assert sorted(result.rows) == expected, mode

@@ -5,7 +5,8 @@ leans on, the :class:`ColumnBatch` storage invariants (dictionary
 round-trips, validity-bitmap NULL handling), NULL three-valued-logic
 parity between row and columnar filters, and — the load-bearing one —
 zone-map skip *soundness* under randomized predicates: a skipped chunk
-must never change the result, for any predicate, on any data.
+must never change the result, for any predicate, on any data.  Column
+batches only exist where NumPy imports: without it those tests skip.
 """
 
 import random
@@ -23,8 +24,13 @@ from repro.engine.layout import (
 )
 from repro.errors import PlanningError
 from repro.storage import Database, SqlType, TableSchema
+from repro.testing import without_numpy
 
 import dataclasses
+
+needs_numpy = pytest.mark.skipif(
+    numpy_or_none() is None, reason="column batches need NumPy"
+)
 
 
 class TestLayoutResolve:
@@ -70,6 +76,7 @@ class TestLayoutResolve:
             combined.resolve(None, "x")
 
 
+@needs_numpy
 class TestColumnBatchInvariants:
     def test_dict_encoding_round_trip(self):
         values = ["cubs", "sox", None, "cubs", "mets", None, "sox", "cubs"]
@@ -108,13 +115,10 @@ class TestColumnBatchInvariants:
         batch = ColumnBatch.from_rows(rows, 3)
         assert batch.slice(5, 12).to_rows() == rows[5:12]
         np = numpy_or_none()
-        if np is not None:
-            indices = np.asarray([3, 3, 0, 19], dtype=np.int64)
-            assert batch.take(indices).to_rows() == [
-                rows[3], rows[3], rows[0], rows[19]
-            ]
-            mask = np.asarray([i % 2 == 0 for i in range(20)])
-            assert batch.compress(mask).to_rows() == rows[0::2]
+        indices = np.asarray([3, 3, 0, 19], dtype=np.int64)
+        assert batch.take(indices).to_rows() == [rows[3], rows[3], rows[0], rows[19]]
+        mask = np.asarray([i % 2 == 0 for i in range(20)])
+        assert batch.compress(mask).to_rows() == rows[0::2]
 
     def test_column_store_zone_maps_cover_all_chunks(self):
         rows = [(i,) for i in range(100)]
@@ -147,6 +151,7 @@ def _null_db():
     return db
 
 
+@needs_numpy
 class TestNullThreeValuedLogicParity:
     """Columnar validity bitmaps must reproduce row-mode SQL 3VL."""
 
@@ -168,15 +173,10 @@ class TestNullThreeValuedLogicParity:
     def test_filter_parity_with_nulls(self, predicate):
         db = _null_db()
         sql = f"SELECT id, v, s FROM t WHERE {predicate}"
-        row = execute(
-            db, sql, dataclasses.replace(EngineConfig.postgres(), execution_mode="row")
-        )
+        with without_numpy():
+            row = execute(db, sql, EngineConfig.postgres())
         columnar = execute(
-            db,
-            sql,
-            dataclasses.replace(
-                EngineConfig.postgres(), execution_mode="columnar", batch_size=2
-            ),
+            db, sql, dataclasses.replace(EngineConfig.postgres(), batch_size=2)
         )
         assert columnar.rows == row.rows, predicate
         assert columnar.stats.parity_dict() == row.stats.parity_dict(), predicate
@@ -236,19 +236,18 @@ class TestZoneMapSoundness:
         table.insert_many(rows)
         return db
 
+    @needs_numpy
     def test_randomized_predicates_are_sound(self):
-        pytest.importorskip("numpy")  # zone maps only skip under fused kernels
         rng = random.Random(self.SEED)
         db = self._build_db(rng)
-        base = dataclasses.replace(EngineConfig.postgres(), execution_mode="row")
-        columnar_config = dataclasses.replace(
-            base, execution_mode="columnar", batch_size=16
-        )
+        base = EngineConfig.postgres()
+        columnar_config = dataclasses.replace(base, batch_size=16)
         skips_seen = 0
         for trial in range(self.N_TRIALS):
             predicate = _random_predicate(rng)
             sql = f"SELECT k, v, s FROM t WHERE {predicate}"
-            row = execute(db, sql, base)
+            with without_numpy():
+                row = execute(db, sql, base)
             columnar = execute(db, sql, columnar_config)
             assert columnar.rows == row.rows, f"trial {trial}: {predicate}"
             assert columnar.stats.parity_dict() == row.stats.parity_dict(), (

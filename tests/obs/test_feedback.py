@@ -1,9 +1,11 @@
 """Estimate-vs-actual feedback: q-errors and the cardinality report."""
 
+import contextlib
+
 import pytest
 
 from repro.workloads.baseball import batting_db
-from repro.testing import RECORD_SEED
+from repro.testing import RECORD_SEED, without_numpy
 from repro.engine import EngineConfig, execute
 from repro.engine.operators import PhysicalOperator
 from repro.obs import CardinalityReport
@@ -96,22 +98,20 @@ def test_cardinality_report_skips_unanalyzed(small_db):
 
 @pytest.mark.parametrize("numpy_present", [True, False])
 @pytest.mark.parametrize("knobs", [dict(feedback="observe"), dict(trace="counters")])
-def test_inner_query_nodes_record_rows_per_evaluation(knobs, numpy_present, monkeypatch):
+def test_inner_query_nodes_record_rows_per_evaluation(knobs, numpy_present):
     """Regression: Q_R's nodes run once per binding but were recorded
     with the query's total against a per-evaluation estimate — on Q1
     (n=300) est 18.5 vs actual 2 702, q-error 145.9, topping every
     report.  Per evaluation it is 29.4 rows over 92 loops, q-error 1.6 —
     from the inner kernel and from the operator tree alike."""
-    import repro.engine.layout as layout
     from repro import SmartIceberg
     from repro.obs.tracer import iter_plan_nodes
 
     if numpy_present:
         pytest.importorskip("numpy")
-    else:
-        monkeypatch.setattr(layout, "_np", None)
     db = batting_db(300)
-    result = SmartIceberg(db, **knobs).execute(QUERIES["Q1"])
+    with contextlib.nullcontext() if numpy_present else without_numpy():
+        result = SmartIceberg(db, **knobs).execute(QUERIES["Q1"])
     assert result.stats.inner_evaluations == 92
     scan = next(
         node

@@ -27,7 +27,7 @@ from repro.workloads import (
     skyband_query,
     triangle_hub_query,
 )
-from tests.modes import MODES, mode_kwargs
+from tests.modes import MODES, in_mode, mode_kwargs
 
 QUERIES = {name: q.sql for name, q in figure1_queries().items()}
 
@@ -50,7 +50,8 @@ def test_feedback_parity(name):
             config = dataclasses.replace(
                 base, feedback=feedback, **mode_kwargs(mode)
             )
-            result = execute(PARITY_DB, sql, config)
+            with in_mode(mode):
+                result = execute(PARITY_DB, sql, config)
             assert result.sorted_rows() == baseline.sorted_rows(), (
                 f"{name} rows diverged under feedback={feedback}, mode={mode}"
             )
@@ -97,11 +98,12 @@ OBSERVE_CASES = [
 def _served_run(db, sql, feedback, mode):
     """Pre-execution explain, work counters and rows of one statement
     on an engine configured like the server's."""
-    optimized = SmartIceberg(
-        db, feedback=feedback, cross_query_memo=True, **mode_kwargs(mode)
-    ).optimize(sql)
-    explain = optimized.explain()
-    result = optimized.execute()
+    with in_mode(mode):
+        optimized = SmartIceberg(
+            db, feedback=feedback, cross_query_memo=True, **mode_kwargs(mode)
+        ).optimize(sql)
+        explain = optimized.explain()
+        result = optimized.execute()
     return explain, result.stats.as_dict(), result.rows
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro import SmartIceberg
 from repro.workloads.baseball import batting_db
-from repro.testing import RECORD_SEED
+from repro.testing import RECORD_SEED, without_numpy
 from repro.engine import EngineConfig, execute
 from repro.engine.governor import Governor
 from repro.engine.stats import ExecutionStats
@@ -96,7 +96,8 @@ def test_render_prometheus_shape():
 
 def test_record_query_populates_registry(small_db):
     registry = MetricsRegistry()
-    result = execute(small_db, QUERIES["Q1"], EngineConfig(execution_mode="row"))
+    with without_numpy():
+        result = execute(small_db, QUERIES["Q1"], EngineConfig())
     record_query(result, governor=None, registry=registry)
     assert registry.get("repro_queries_total").value(mode="row") == 1
     work = registry.get("repro_work_total")
@@ -131,7 +132,8 @@ def test_record_query_degradation_sites(small_db):
 def test_executor_records_into_process_registry(small_db):
     queries = REGISTRY.counter("repro_queries_total", "Queries executed", ("mode",))
     before = queries.value(mode="row")
-    execute(small_db, QUERIES["Q2"], EngineConfig(execution_mode="row"))
+    with without_numpy():
+        execute(small_db, QUERIES["Q2"], EngineConfig())
     assert queries.value(mode="row") == before + 1
 
 
@@ -211,11 +213,12 @@ def test_subsumption_merges_counter():
         env = PlanEnv(db=db, config=EngineConfig.smart())
         nljp = NLJPOperator(view, env, pruning=check_pruning(view))
         assert not nljp.direct_mode
-        ctx = ExecutionContext(batch_size=batch_size, columnar=batch_size is not None)
+        ctx = ExecutionContext(batch_size=batch_size)
         rows = sorted(nljp.execute(ctx))
         return rows, ctx.stats
 
-    row_rows, row_stats = run(None)
+    with without_numpy():
+        row_rows, row_stats = run(None)
     batch_rows, batch_stats = run(7)
     assert row_stats.subsumption_merges > 0
     assert row_rows == batch_rows

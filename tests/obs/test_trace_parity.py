@@ -16,7 +16,7 @@ from repro.workloads.baseball import batting_db
 from repro.testing import RECORD_SEED
 from repro.engine import EngineConfig, execute
 from repro.workloads import figure1_queries
-from tests.modes import mode_kwargs
+from tests.modes import in_mode, mode_kwargs
 
 QUERIES = {name: q.sql for name, q in figure1_queries().items()}
 
@@ -26,23 +26,24 @@ def small_db():
     return batting_db(60, seed=RECORD_SEED)
 
 
-def run(db, sql, join_order, execution_mode, trace):
-    return execute(
-        db,
-        sql,
-        EngineConfig(join_order=join_order, trace=trace, **mode_kwargs(execution_mode)),
-    )
+def run(db, sql, join_order, mode, trace):
+    with in_mode(mode):
+        return execute(
+            db,
+            sql,
+            EngineConfig(join_order=join_order, trace=trace, **mode_kwargs(mode)),
+        )
 
 
 @pytest.mark.parametrize("query_name", sorted(QUERIES))
-@pytest.mark.parametrize("execution_mode", ["row", "batch"])
+@pytest.mark.parametrize("mode", ["row", "batch"])
 @pytest.mark.parametrize("join_order", ["syntactic", "dp"])
 def test_trace_off_vs_timing_bit_identical(
-    small_db, query_name, execution_mode, join_order
+    small_db, query_name, mode, join_order
 ):
     sql = QUERIES[query_name]
-    off = run(small_db, sql, join_order, execution_mode, "off")
-    timed = run(small_db, sql, join_order, execution_mode, "timing")
+    off = run(small_db, sql, join_order, mode, "off")
+    timed = run(small_db, sql, join_order, mode, "timing")
     assert off.sorted_rows() == timed.sorted_rows()
     assert off.stats.as_dict() == timed.stats.as_dict()
     assert off.profile is None
@@ -50,9 +51,9 @@ def test_trace_off_vs_timing_bit_identical(
 
 
 @pytest.mark.parametrize("query_name", sorted(QUERIES))
-@pytest.mark.parametrize("execution_mode", ["row", "batch"])
-def test_span_deltas_sum_to_query_totals(small_db, query_name, execution_mode):
-    result = run(small_db, QUERIES[query_name], "dp", execution_mode, "timing")
+@pytest.mark.parametrize("mode", ["row", "batch"])
+def test_span_deltas_sum_to_query_totals(small_db, query_name, mode):
+    result = run(small_db, QUERIES[query_name], "dp", mode, "timing")
     assert result.profile.total_stats() == result.stats.as_dict()
 
 

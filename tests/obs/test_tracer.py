@@ -6,7 +6,7 @@ import pytest
 
 from repro import SmartIceberg
 from repro.workloads.baseball import batting_db
-from repro.testing import RECORD_SEED
+from repro.testing import RECORD_SEED, without_numpy
 from repro.engine import EngineConfig, execute
 from repro.obs import (
     QueryProfile,
@@ -43,13 +43,12 @@ def test_span_tree_mirrors_plan(small_db, q1_timed):
 
 
 def test_root_span_counts_match_result(small_db):
-    q1_rows = execute(
-        small_db, QUERIES["Q1"], EngineConfig(execution_mode="row", trace="timing")
-    )
+    with without_numpy():
+        q1_rows = execute(small_db, QUERIES["Q1"], EngineConfig(trace="timing"))
     root = q1_rows.profile.root
     assert root.name == "CountOutput"
     assert root.rows == len(q1_rows.rows)
-    # Row mode: one next() per row plus the exhausting StopIteration call.
+    # Row at a time: one next() per row plus the exhausting StopIteration call.
     assert root.count == len(q1_rows.rows) + 1
 
 

@@ -23,6 +23,7 @@ from repro import Database, IcebergServer, SqlType, TableSchema
 from repro.engine.governor import CancelToken
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
+from repro.testing import without_numpy
 from repro.testing.faults import FaultPlan, FaultSpec
 from repro.testing.lockwatch import LockOrderWatchdog, watch_server, watch_session
 from repro.workloads import pairs_query, player_skyband_query, skyband_query
@@ -93,12 +94,14 @@ EVENTS = {
 
 
 @pytest.fixture(params=["numpy", "no numpy"])
-def numpy(request, monkeypatch):
+def numpy(request):
     if request.param == "no numpy":
-        monkeypatch.setattr(layout, "_np", None)
-    elif layout.numpy_or_none() is None:
+        with without_numpy():
+            yield False
+        return
+    if layout.numpy_or_none() is None:
         pytest.skip("NumPy is not installed")
-    return request.param == "numpy"
+    yield True
 
 
 def _served(session, mirror, sql):
@@ -312,8 +315,8 @@ def test_a_failed_catch_up_leaves_the_store_caught_up_or_empty(how):
 
 def test_a_writer_racing_four_sweeps_leaves_exact_payloads():
     """A writer thread appends while four sessions sweep k over one
-    slot; reads racing a write may fail, but the memo may only ever be
-    cleared by a race.  Once the writes stop, one read of each
+    slot; reads racing a write may fail, with a typed error, but the
+    memo may only ever be cleared by a race.  Once the writes stop, one read of each
     statement leaves every payload exact and every answer right, and
     no lock was taken out of order."""
     db = batting_db(120, seed=4)
@@ -338,8 +341,8 @@ def test_a_writer_racing_four_sweeps_leaves_exact_payloads():
                     try:
                         session.execute(statements[k])
                         served.append(k)
-                    except Exception:  # noqa: BLE001
-                        pass  # a read racing a write has no contract yet
+                    except ReproError:
+                        pass  # a read racing a write may fail, typed
         except Exception as error:  # noqa: BLE001 - collected for the assert
             errors.append(error)
 

@@ -1,10 +1,10 @@
 """The acceptance soak: 8 concurrent sessions, faults on, bit-identical.
 
-Eight clients run the full Figure-1 workload (Q1–Q8) in both
-execution modes (row, columnar) concurrently, against one server per
-mode, each client with its own deterministic fault plan injecting transient
-errors into the serving layer (admission, plan-cache) and the engine
-(scan).  The claim:
+Eight clients run the full Figure-1 workload (Q1–Q8) concurrently
+against one server, on the path the install has (the tier-1 job's leg
+without NumPy soaks the row path), each client with its own
+deterministic fault plan injecting transient errors into the serving
+layer (admission, plan-cache) and the engine (scan).  The claim:
 
 * every execution's rows are bit-identical to a serial, un-faulted
   run of the same query;
@@ -25,7 +25,6 @@ from repro.serve.retry import FATAL, RETRYABLE, classify_error
 from repro.testing import FaultPlan, FaultSpec
 from repro.workloads import BaseballConfig, figure1_queries, make_batting_db
 
-MODES = ("row", "columnar")
 N_SESSIONS = 8
 
 
@@ -36,13 +35,12 @@ def db():
 
 @pytest.fixture(scope="module")
 def serial_baselines(db):
-    """Un-faulted, single-threaded reference rows per (query, mode)."""
-    baselines = {}
-    for mode in MODES:
-        system = SmartIceberg(db, execution_mode=mode)
-        for name, query in figure1_queries().items():
-            baselines[(name, mode)] = system.execute(query.sql).sorted_rows()
-    return baselines
+    """Un-faulted, single-threaded reference rows per query."""
+    system = SmartIceberg(db)
+    return {
+        name: system.execute(query.sql).sorted_rows()
+        for name, query in figure1_queries().items()
+    }
 
 
 def _session_fault_plan(index):
@@ -65,38 +63,23 @@ def _session_fault_plan(index):
 
 def test_soak_concurrent_sessions_bit_identical(db, serial_baselines):
     queries = {name: q.sql for name, q in figure1_queries().items()}
-    # A plan runs in the mode it was built for, so each mode has its
-    # own server; a client's two sessions share its fault plan.
-    servers = {
-        mode: IcebergServer(
-            db,
-            execution_mode=mode,
-            max_concurrent=N_SESSIONS,
-            max_queue=N_SESSIONS,
-        )
-        for mode in MODES
-    }
+    server = IcebergServer(db, max_concurrent=N_SESSIONS, max_queue=N_SESSIONS)
     plans = [_session_fault_plan(index) for index in range(N_SESSIONS)]
-    sessions = {
-        (index, mode): servers[mode].session(fault_plan=plans[index])
-        for index in range(N_SESSIONS)
-        for mode in MODES
-    }
+    sessions = [server.session(fault_plan=plans[index]) for index in range(N_SESSIONS)]
     outcomes = {}
     errors = []
     lock = threading.Lock()
 
     def workload(index):
-        for mode in MODES:
-            session = sessions[(index, mode)]
-            for name in sorted(queries):
-                try:
-                    result = session.execute(queries[name])
-                    with lock:
-                        outcomes[(index, name, mode)] = result.sorted_rows()
-                except Exception as error:  # collected, asserted below
-                    with lock:
-                        errors.append((index, name, mode, error))
+        session = sessions[index]
+        for name in sorted(queries):
+            try:
+                result = session.execute(queries[name])
+                with lock:
+                    outcomes[(index, name)] = result.sorted_rows()
+            except Exception as error:  # collected, asserted below
+                with lock:
+                    errors.append((index, name, error))
 
     threads = [
         threading.Thread(target=workload, args=(index,))
@@ -110,29 +93,28 @@ def test_soak_concurrent_sessions_bit_identical(db, serial_baselines):
 
     # Any escaped error must be typed and classified — and with every
     # fault retryable and bounded, none should escape at all.
-    for index, name, mode, error in errors:
-        assert isinstance(error, ReproError), (index, name, mode, error)
+    for index, name, error in errors:
+        assert isinstance(error, ReproError), (index, name, error)
         assert classify_error(error) in (RETRYABLE, FATAL)
     assert errors == []
 
-    # Bit-identical to the serial un-faulted reference, all 128 cells.
-    assert len(outcomes) == N_SESSIONS * len(queries) * len(MODES)
-    for (index, name, mode), rows in outcomes.items():
-        assert rows == serial_baselines[(name, mode)], (index, name, mode)
+    # Bit-identical to the serial un-faulted reference, all 64 cells.
+    assert len(outcomes) == N_SESSIONS * len(queries)
+    for (index, name), rows in outcomes.items():
+        assert rows == serial_baselines[name], (index, name)
 
     # The transient faults actually fired and were retried to success.
     fired = sum(
         plan.fired(spec_index) for plan in plans for spec_index in range(3)
     )
     assert fired > 0
-    assert sum(session.retries for session in sessions.values()) >= fired
+    assert sum(session.retries for session in sessions) >= fired
 
-    # The shared plan cache did its job: the vast majority of each
+    # The shared plan cache did its job: the vast majority of the
     # server's 64 executions were cache hits.  Misses can exceed the
     # statement count but never the per-session worst case, and the
     # cache converges to one entry per statement.
-    for server in servers.values():
-        stats = server.plan_cache.stats()
-        assert stats["hits"] > stats["misses"]
-        assert len(queries) <= stats["misses"] <= N_SESSIONS * len(queries)
-        assert stats["entries"] == len(queries)
+    stats = server.plan_cache.stats()
+    assert stats["hits"] > stats["misses"]
+    assert len(queries) <= stats["misses"] <= N_SESSIONS * len(queries)
+    assert stats["entries"] == len(queries)

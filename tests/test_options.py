@@ -24,8 +24,7 @@ SURFACE = {
         SmartIceberg.__init__,
         [
             "db", "apriori", "pruning", "memo", "config", "cache_index",
-            "cache_max_entries", "cache_policy", "execution_mode",
-            "batch_size", "max_rows_scanned", "max_join_pairs",
+            "cache_max_entries", "cache_policy", "batch_size", "max_rows_scanned", "max_join_pairs",
             "max_cache_bytes", "deadline_seconds", "degradation",
             "fault_plan", "analyze", "trace", "feedback",
             "cross_query_memo", "technique_choice",
@@ -73,7 +72,7 @@ SURFACE = {
 def test_engine_config_fields():
     assert [field.name for field in dataclasses.fields(EngineConfig)] == [
         "join_policy", "join_order", "parallelism", "label",
-        "execution_mode", "batch_size", "max_rows_scanned",
+        "batch_size", "max_rows_scanned",
         "max_join_pairs", "max_cache_bytes", "deadline_seconds",
         "degradation", "fault_plan", "analyze", "trace", "feedback",
     ]
@@ -102,4 +101,19 @@ def test_feedback_modes():
 )
 def test_removed_feedback_value_rejected(build):
     with pytest.raises(ValueError, match=r"\('off', 'observe'\)"):
+        build(Database())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda db: EngineConfig(execution_mode="row"),
+        lambda db: SmartIceberg(db, execution_mode="columnar"),
+    ],
+    ids=["EngineConfig", "SmartIceberg"],
+)
+def test_execution_mode_is_not_an_option(build):
+    """The path is the install's (columnar where NumPy imports), so
+    there is no mode to set."""
+    with pytest.raises(TypeError, match="execution_mode"):
         build(Database())

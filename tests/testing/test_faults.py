@@ -18,7 +18,7 @@ from repro.errors import (
 )
 from repro.testing import FAULT_SITES, FaultPlan, FaultSpec
 from repro.workloads import BaseballConfig, figure1_queries, make_batting_db
-from tests.modes import mode_kwargs
+from tests.modes import in_mode, mode_kwargs
 
 BATTING = make_batting_db(BaseballConfig(n_rows=120, seed=7))
 QUERIES = {name: q.sql for name, q in figure1_queries().items()}
@@ -38,11 +38,12 @@ _baselines = {}
 
 
 def baseline(name, mode):
-    key = (name, mode)
-    if key not in _baselines:
-        result = SmartIceberg(BATTING, **mode_kwargs(mode)).execute(QUERIES[name])
-        _baselines[key] = result.sorted_rows()
-    return _baselines[key]
+    with in_mode(mode):
+        key = (name, mode)
+        if key not in _baselines:
+            result = SmartIceberg(BATTING, **mode_kwargs(mode)).execute(QUERIES[name])
+            _baselines[key] = result.sorted_rows()
+        return _baselines[key]
 
 
 class TestFaultSpecValidation:
@@ -166,24 +167,25 @@ class TestFaultMatrix:
     @pytest.mark.parametrize("site", FAULT_SITES)
     @pytest.mark.parametrize("name", sorted(QUERIES))
     def test_error_fault(self, name, site, mode):
-        plan = FaultPlan(
-            [FaultSpec(site=site, kind="error", after=TRIGGER_AFTER[site])]
-        )
-        system = SmartIceberg(BATTING, fault_plan=plan, **mode_kwargs(mode))
-        try:
-            result = system.execute(QUERIES[name])
-        except ReproError as error:
-            assert plan.fired(0), "error escaped without the fault firing"
-            # Typed failure with accurate partial stats (optimizer-time
-            # faults abort before execution and carry no stats).
-            if site not in ("qe", "reducer"):
-                assert error.stats is not None
-                counters = error.stats.as_dict()
-                assert all(isinstance(v, int) for v in counters.values())
-        else:
-            # The site was never hit often enough: results must be the
-            # un-faulted rows exactly.
-            assert result.sorted_rows() == baseline(name, mode)
+        with in_mode(mode):
+            plan = FaultPlan(
+                [FaultSpec(site=site, kind="error", after=TRIGGER_AFTER[site])]
+            )
+            system = SmartIceberg(BATTING, fault_plan=plan, **mode_kwargs(mode))
+            try:
+                result = system.execute(QUERIES[name])
+            except ReproError as error:
+                assert plan.fired(0), "error escaped without the fault firing"
+                # Typed failure with accurate partial stats (optimizer-time
+                # faults abort before execution and carry no stats).
+                if site not in ("qe", "reducer"):
+                    assert error.stats is not None
+                    counters = error.stats.as_dict()
+                    assert all(isinstance(v, int) for v in counters.values())
+            else:
+                # The site was never hit often enough: results must be the
+                # un-faulted rows exactly.
+                assert result.sorted_rows() == baseline(name, mode)
 
     @pytest.mark.parametrize("site", ["qe", "reducer"])
     @pytest.mark.parametrize("name", sorted(QUERIES))
