@@ -33,7 +33,7 @@ stats accounting, and post-steps (ORDER BY/LIMIT) compose normally.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -67,6 +67,10 @@ _WINDOW_PAYS = 20
 #: whatever its size, the tree 35-60 a binding.
 _MIN_BLOCK = 16
 _MAX_BLOCK = 1024
+
+#: The prune views one plan keeps over a shared store, one per set of
+#: Φ's parameter values: the thresholds a served sweep alternates among.
+_MAX_VIEWS = 8
 
 
 def _ref(attribute: str) -> ast.ColumnRef:
@@ -322,6 +326,10 @@ class NLJPOperator(ops.PhysicalOperator):
         # and view per execution.  Over a shared store the plan keeps
         # its view from one execution to the next.
         self.memo_store: Optional[PayloadStore] = None  # unguarded: serialized by the plan-cache entry lock
+        # Over a shared store, the plan's views by Φ's parameter values,
+        # the most recently used last: a plan serving a threshold sweep
+        # keeps the decisions of the last few thresholds it ran.
+        self._views: "OrderedDict[Tuple[Any, ...], PruneView]" = OrderedDict()  # unguarded: serialized by the plan-cache entry lock
         # What the shared store held when the last execution started:
         # its entry count and its last catch-up (see describe()).
         self._memo_seen: Optional[Tuple[int, Optional[str]]] = None  # unguarded: serialized by the plan-cache entry lock
@@ -524,15 +532,7 @@ class NLJPOperator(ops.PhysicalOperator):
         self.phi_fn = payload_compiler.compile(rewrite(block.having))
         # The statement parameters Φ reads: a view's decisions hold for
         # one set of their values.
-        self.phi_params = tuple(
-            sorted(
-                {
-                    node.name
-                    for node in ast.walk(block.having)
-                    if isinstance(node, ast.Parameter)
-                }
-            )
-        )
+        self.phi_params = ast.parameter_names(block.having)
 
         # How to treat a binding whose joining set is *empty*.  Such a
         # binding produces no LR-group, so the flag only matters for
@@ -651,15 +651,18 @@ class NLJPOperator(ops.PhysicalOperator):
                 order_position,
             )
             return
-        if self.prune_view is None:
-            self.prune_view = PruneView(equality_positions, use_index, order_position)
+        params = ctx.params
+        phi_key = tuple(params.get(name) for name in self.phi_params)
+        view = self._views.pop(phi_key, None)
+        if view is None:
+            view = PruneView(equality_positions, use_index, order_position)
+        self._views[phi_key] = self.prune_view = view
+        if len(self._views) > _MAX_VIEWS:
+            self._views.popitem(last=False)
         if self._watched is not None:
             self.catch_up(ctx, store)
-        params = ctx.params
         self._memo_seen = store.attach(
-            self.prune_view,
-            lambda payload: self._is_unpromising(payload, params),
-            tuple(params.get(name) for name in self.phi_params),
+            view, lambda payload: self._is_unpromising(payload, params), phi_key
         )
         self.store = store
 

@@ -121,6 +121,9 @@ class OptimizationReport:
     #: Which plan the memo/pruning phase ran on the main block — an NLJP
     #: partition or the join — and what it weighed that against.
     technique: Optional[Decision] = None
+    #: The decisions taken at the values the statement was optimized
+    #: with (:class:`PlanGuard`); the plan is the one those values get.
+    guards: List["PlanGuard"] = field(default_factory=list)
 
     def summary(self) -> str:
         lines: List[str] = []
@@ -145,6 +148,72 @@ class OptimizationReport:
             lines.append(f"memoization {state}: {self.memoization.reason}")
         lines.extend(self.notes)
         return "\n".join(lines)
+
+
+class SingletonTest:
+    """Φ on a one-tuple group: every ``COUNT(*)`` read as 1.
+
+    When 𝔾_L is a superkey of L every L-group is a single tuple, and a
+    reducer whose Φ holds there keeps every group (Listing 9's
+    triviality check).  Built only for a Φ that reads ``COUNT(*)``
+    alone; :meth:`holds` is false wherever Φ cannot be decided.
+    """
+
+    def __init__(self, having: ast.Expr) -> None:
+        def substitute(node):
+            if isinstance(node, ast.FuncCall) and node.is_aggregate:
+                return ast.Literal(1)
+            return node
+
+        #: The statement parameters Φ reads; with none, the test has
+        #: one answer for every value.
+        self.params = ast.parameter_names(having)
+        from repro.engine.expressions import ExpressionCompiler
+
+        try:
+            self._fn = ExpressionCompiler(Layout([(None, "_x")])).compile(
+                ast.transform(having, substitute)
+            )
+        except PlanningError:
+            self._fn = None
+
+    @classmethod
+    def of(cls, having: ast.Expr) -> Optional["SingletonTest"]:
+        calls = ast.aggregate_calls(having)
+        if all(
+            call.name == "COUNT"
+            and len(call.args) == 1
+            and isinstance(call.args[0], ast.Star)
+            for call in calls
+        ):
+            return cls(having)
+        return None
+
+    def holds(self, params: Dict[str, Any]) -> bool:
+        if self._fn is None:
+            return False
+        try:
+            return self._fn((None,), params) is True
+        except (KeyError, TypeError, ReproError):
+            # Unbound, or a value Φ cannot compare: undecided.
+            return False
+
+
+@dataclass(frozen=True)
+class PlanGuard:
+    """A decision the optimizer took at the values of the parameters it
+    read: whether ``test`` held.  A plan serves other values only where
+    every guard decides the same way; elsewhere the statement is planned
+    again.  Reducers never change rows (Theorem 2), so a guard keeps the
+    plan the one those values would get, not the answer right.
+    """
+
+    scope: str
+    test: SingletonTest = field(compare=False)
+    outcome: bool
+
+    def holds(self, params: Dict[str, Any]) -> bool:
+        return self.test.holds(params) is self.outcome
 
 
 @dataclass
@@ -329,7 +398,13 @@ class SmartIcebergOptimizer:
         return SubsumptionPredicate(formula=formula, attributes=attributes)
 
     # ------------------------------------------------------------------
-    def optimize(self, statement) -> OptimizedQuery:
+    def optimize(
+        self, statement, params: Optional[Dict[str, Any]] = None
+    ) -> OptimizedQuery:
+        """Optimize ``statement``; a choice that depends on the value of
+        a parameter is decided at ``params`` and recorded as a
+        :class:`PlanGuard` (with no ``params``, at no value: the choice
+        that is right at any)."""
         query = parse(statement) if isinstance(statement, str) else statement
         if isinstance(query, ast.Select):
             query = ast.Query.of(query)
@@ -347,7 +422,7 @@ class SmartIcebergOptimizer:
             select = cte.query
             if self.enable_apriori:
                 select = self._safe_apriori_phase(
-                    select, cte_infos, report, scope=f"with:{cte.name}"
+                    select, cte_infos, report, f"with:{cte.name}", params
                 )
             new_ctes.append(
                 ast.CommonTableExpr(name=cte.name, query=select, columns=cte.columns)
@@ -357,7 +432,7 @@ class SmartIcebergOptimizer:
         # Phase 2: main block a-priori.
         body = query.body
         if self.enable_apriori:
-            body = self._safe_apriori_phase(body, cte_infos, report, scope="main")
+            body = self._safe_apriori_phase(body, cte_infos, report, "main", params)
 
         rewritten = ast.Query(body=body, ctes=tuple(new_ctes))
         report.phases.append(("apriori", perf() - started))
@@ -553,6 +628,7 @@ class SmartIcebergOptimizer:
         cte_infos: Dict[str, CteInfo],
         report: OptimizationReport,
         scope: str,
+        params: Optional[Dict[str, Any]],
     ) -> ast.Select:
         """The a-priori phase with per-technique fallback.
 
@@ -564,13 +640,14 @@ class SmartIcebergOptimizer:
         this block are rolled back so ``explain()`` matches the plan
         actually produced.
         """
-        recorded = len(report.apriori)
+        recorded = len(report.apriori), len(report.guards)
         try:
-            return self._apriori_phase(select, cte_infos, report, scope)
+            return self._apriori_phase(select, cte_infos, report, scope, params)
         except ReproError as error:
             if self.degradation != "fallback":
                 raise
-            del report.apriori[recorded:]
+            del report.apriori[recorded[0]:]
+            del report.guards[recorded[1]:]
             report.degradations.append(
                 f"apriori[{scope}]: {error} — block left unreduced"
             )
@@ -582,6 +659,7 @@ class SmartIcebergOptimizer:
         cte_infos: Dict[str, CteInfo],
         report: OptimizationReport,
         scope: str,
+        params: Optional[Dict[str, Any]],
     ) -> ast.Select:
         """Listing 9's gapriori loop over one block."""
         block = self._analyze(select, cte_infos)
@@ -591,7 +669,7 @@ class SmartIcebergOptimizer:
         result = select
         found_any = False
         while len(remaining) > 0:
-            picked = self._pick_gapriori(block, remaining, report, scope)
+            picked = self._pick_gapriori(block, remaining, report, scope, params)
             if picked is None:
                 break
             reducer, used_aliases = picked
@@ -610,6 +688,7 @@ class SmartIcebergOptimizer:
         remaining: set,
         report: OptimizationReport,
         scope: str,
+        params: Optional[Dict[str, Any]],
     ) -> Optional[Tuple[Reducer, FrozenSet[str]]]:
         """Find one applicable reducer among subsets of ``remaining``."""
         aliases = sorted(remaining)
@@ -647,7 +726,7 @@ class SmartIcebergOptimizer:
             decision = check_apriori(view, left=True)
             if not decision.applicable:
                 continue
-            if self._reducer_is_trivial(view):
+            if self._reducer_is_trivial(view, params, report, scope):
                 report.apriori_rejected.append(
                     (
                         scope,
@@ -662,7 +741,13 @@ class SmartIcebergOptimizer:
             return reducer, frozenset(subset)
         return None
 
-    def _reducer_is_trivial(self, view: PartitionView) -> bool:
+    def _reducer_is_trivial(
+        self,
+        view: PartitionView,
+        params: Optional[Dict[str, Any]],
+        report: OptimizationReport,
+        scope: str,
+    ) -> bool:
         """Would the reducer keep every group (and thus be useless)?
 
         When 𝔾_L is a superkey of L, every L-group is a single tuple;
@@ -670,40 +755,25 @@ class SmartIcebergOptimizer:
         COUNT(*) = 1 — if it holds, the reducer filters nothing.  This
         is the cost heuristic that makes "a-priori does not apply" come
         out the same way the paper reports for the skyband queries.  A
-        Φ that reads a statement parameter is decided at no value: the
-        reducer stays, which is correct at any.
+        Φ that reads a statement parameter is decided at ``params`` and
+        the outcome kept as a guard; with no ``params`` the reducer
+        stays, which is correct at any value.
         """
         fds = view.fds(True)
         if not fds.is_superkey(view.g_left, view.attributes(True)):
             return False
         having = view.block.having
         assert having is not None
-        if any(isinstance(node, ast.Parameter) for node in ast.walk(having)):
+        test = SingletonTest.of(having)
+        if test is None:
             return False
-        calls = ast.aggregate_calls(having)
-        if not all(
-            call.name == "COUNT"
-            and len(call.args) == 1
-            and isinstance(call.args[0], ast.Star)
-            for call in calls
-        ):
+        if not test.params:
+            return test.holds({})
+        if params is None:
             return False
-
-        def substitute(node):
-            if isinstance(node, ast.FuncCall) and node.is_aggregate:
-                return ast.Literal(1)
-            return node
-
-        substituted = ast.transform(having, substitute)
-        from repro.engine.expressions import ExpressionCompiler
-
-        try:
-            value = ExpressionCompiler(Layout([(None, "_x")])).compile(substituted)(
-                (None,), {}
-            )
-        except PlanningError:
-            return False
-        return value is True
+        outcome = test.holds(params)
+        report.guards.append(PlanGuard(scope, test, outcome))
+        return outcome
 
     # ------------------------------------------------------------------
     def _memprune_phase(

@@ -114,9 +114,13 @@ class SmartIceberg:
             technique_choice=technique_choice,
         )
 
-    def optimize(self, statement: Statement) -> OptimizedQuery:
-        """Analyze and rewrite a statement without executing it."""
-        return self.optimizer.optimize(statement)
+    def optimize(
+        self, statement: Statement, params: Optional[Dict] = None
+    ) -> OptimizedQuery:
+        """Analyze and rewrite a statement without executing it; a
+        choice that depends on a parameter's value is taken at
+        ``params`` (see :class:`~repro.core.optimizer.PlanGuard`)."""
+        return self.optimizer.optimize(statement, params)
 
     def execute(
         self,
@@ -132,7 +136,7 @@ class SmartIceberg:
         *this call only* — they never stick to the instance, so a
         token cancelled here cannot leak into the next query.
         """
-        return self.optimize(statement).execute(
+        return self.optimize(statement, params).execute(
             params,
             cancel_token=cancel_token,
             fault_plan=fault_plan,

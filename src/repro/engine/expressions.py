@@ -120,23 +120,27 @@ class ExpressionCompiler:
 
     ``subquery_executor`` evaluates uncorrelated subqueries (IN /
     EXISTS); results are memoized per AST node so a subquery inside a
-    join predicate runs once, not once per probe.  ``data_version``
-    says what the results depend on: a memoized result is reused while
-    it returns the same value (a planned query passes the database's
-    version token, so a warm plan keeps its reducers until a write),
-    and for the compiler's lifetime when there is none.
+    join predicate runs once, not once per probe.  ``subquery_version``
+    says what a result depends on: it is called with the names of the
+    statement parameters the subquery reads, and a memoized result is
+    reused while it returns the same value (a planned query passes the
+    database's version token with those parameters' bound values, so a
+    warm plan keeps its reducers until a write or another value), and
+    for the compiler's lifetime when there is none.
     """
 
     def __init__(
         self,
         layout: Layout,
         subquery_executor: Optional[SubqueryExecutor] = None,
-        data_version: Optional[Callable[[], Any]] = None,
+        subquery_version: Optional[Callable[[Tuple[str, ...]], Any]] = None,
     ) -> None:
         self._layout = layout
         self._subquery_executor = subquery_executor
-        self._data_version = data_version
+        self._subquery_version = subquery_version
         self._subqueries: Dict[int, SubqueryResult] = {}
+        #: The parameter names each subquery reads, collected once.
+        self._subquery_params: Dict[int, Tuple[str, ...]] = {}
 
     # ------------------------------------------------------------------
     def compile(self, expr: ast.Expr) -> Compiled:
@@ -302,7 +306,14 @@ class ExpressionCompiler:
     def _subquery(self, subquery: ast.Select) -> SubqueryResult:
         if self._subquery_executor is None:
             raise PlanningError("subqueries are not supported in this context")
-        version = self._data_version() if self._data_version is not None else None
+        version = None
+        if self._subquery_version is not None:
+            names = self._subquery_params.get(id(subquery))
+            if names is None:
+                names = self._subquery_params[id(subquery)] = ast.parameter_names(
+                    subquery
+                )
+            version = self._subquery_version(names)
         result = self._subqueries.get(id(subquery))
         if result is None or result.version != version:
             result = SubqueryResult(version, self._subquery_executor(subquery))
@@ -370,15 +381,6 @@ class ExpressionCompiler:
             return None
 
         return case
-
-
-def compile_predicate(
-    expr: ast.Expr,
-    layout: Layout,
-    subquery_executor: Optional[SubqueryExecutor] = None,
-) -> Compiled:
-    """Convenience: compile a boolean expression against ``layout``."""
-    return ExpressionCompiler(layout, subquery_executor).compile(expr)
 
 
 # ---------------------------------------------------------------------------

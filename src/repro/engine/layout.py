@@ -117,14 +117,6 @@ class Layout:
         except PlanningError:
             return None
 
-    def positions_for_alias(self, alias: str) -> List[int]:
-        alias = alias.lower()
-        return [
-            position
-            for position, (slot_alias, _) in enumerate(self._slots)
-            if slot_alias == alias
-        ]
-
     def aliases(self) -> Tuple[str, ...]:
         seen: List[str] = []
         for alias, _ in self._slots:

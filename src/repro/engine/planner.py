@@ -349,11 +349,17 @@ class PlanEnv:
         default_factory=dict
     )
     ctx_holder: "_ThreadLocalCtx" = field(default_factory=lambda: _ThreadLocalCtx())
+    #: ``id(select)`` → ``(version token, select, plan)``: each
+    #: uncorrelated subquery is planned once per database version and
+    #: re-run with the values bound at each evaluation.  Two executions
+    #: missing together both plan it; either plan is valid.
+    subquery_plans: Dict[int, Tuple[Any, ast.Select, Any]] = field(default_factory=dict)
 
     def compiler(self, layout: Layout) -> ExpressionCompiler:
         """An expression compiler whose subqueries run in this
-        environment and stay memoized for one database version."""
-        return ExpressionCompiler(layout, self.subquery_executor, self.data_version)
+        environment and stay memoized for one database version and one
+        set of the values they read."""
+        return ExpressionCompiler(layout, self.subquery_executor, self.subquery_version)
 
     def data_version(self) -> Tuple[int, ...]:
         """``db.version_token()``, read once per execution.
@@ -369,18 +375,35 @@ class PlanEnv:
             token = ctx.materialized["data_version"] = self.db.version_token()
         return token
 
+    def subquery_version(self, names: Tuple[str, ...]) -> Any:
+        """What the rows of a subquery reading the parameters ``names``
+        depend on: the version token, and the values the installed
+        context binds to ``names``."""
+        token = self.data_version()
+        if not names:
+            return token
+        ctx = self.ctx_holder.get("ctx")
+        params = ctx.params if ctx is not None else {}
+        return token, tuple(params.get(name) for name in names)
+
     def subquery_executor(self, select: ast.Select) -> List[Tuple[Any, ...]]:
-        """Plan and run an uncorrelated scalar/IN subquery lazily.
+        """Run an uncorrelated scalar/IN subquery lazily.
 
         Called at *execution* time from compiled expressions; uses the
         context installed by the executor so its work is charged to the
-        outer query's stats.
+        outer query's stats, and its parameters read the values bound
+        there.  The subquery is planned at its first evaluation under
+        each version token.
         """
         ctx = self.ctx_holder.get("ctx")
         if ctx is None:
             ctx = ops.ExecutionContext()
-        plan, _ = plan_select(select, self)
-        return ops.materialize(plan, ctx)
+        token = self.data_version()
+        planned = self.subquery_plans.get(id(select))
+        if planned is None or planned[0] != token:
+            plan, _ = plan_select(select, self)
+            planned = self.subquery_plans[id(select)] = (token, select, plan)
+        return ops.materialize(planned[2], ctx)
 
 
 @dataclass

@@ -103,9 +103,6 @@ class Span:
                 values[index] -= value
         return dict(zip(STAT_FIELDS, values))
 
-    def exclusive_seconds(self) -> float:
-        return self.wall_seconds - sum(c.wall_seconds for c in self.children)
-
     def walk(self) -> Iterator["Span"]:
         yield self
         for child in self.children:

@@ -1,9 +1,21 @@
-"""Shared, version-validated plan cache for prepared statements.
+"""Shared, version-validated plan cache for statement templates.
 
 Optimizing a statement is the expensive part of serving it — parsing,
 the Appendix D technique loop, planning, verification.  The cache
-stores one :class:`~repro.core.optimizer.OptimizedQuery` per
-``(SQL, technique mask)`` pair, shared by every session of a server.
+stores :class:`~repro.core.optimizer.OptimizedQuery` objects per
+``(template, technique mask)`` pair, shared by every session of a
+server.  The template is the statement with its HAVING thresholds
+lifted into parameters (:mod:`repro.serve.templates`), so the
+statements of a threshold sweep share one key.
+
+**Guards.**  A plan is built at the values its first statement binds,
+and the one decision those values can sway (is an a-priori reducer
+trivial?) is recorded on it as guards
+(:class:`~repro.core.optimizer.PlanGuard`).  A lookup serves a plan
+only to values its guards decide the same way; other values miss and
+plan a second entry under the same key.  Reducers never change rows
+(Theorem 2), so the guards keep every statement on the plan its own
+values would get, not merely on a correct one.
 
 Plan staleness is handled with **version tokens**, not notification
 hooks: the cache key's entry remembers ``Database.version_token()`` — a
@@ -26,9 +38,9 @@ never on the HAVING threshold, so :class:`MemoStore` keeps one
 :class:`~repro.core.cache.PayloadStore` per *meaning* of a payload:
 the rendered Q_R with the bodies of the CTEs it reads, the values of
 the statement parameters those read, the cache settings and the
-technique mask.  Every plan with that meaning — a threshold sweep is
-one plan per threshold — reads and fills the same slot; each plan
-keeps its own prune view, which decides its own Φ on the payloads
+technique mask.  Every plan with that meaning reads and fills the same
+slot; each plan keeps its own prune views, one per set of Φ's parameter
+values it ran with, which decide its Φ on the payloads
 (:mod:`repro.core.cache`).  A slot is not keyed on the database version:
 its store records which version of each table its payloads read and is
 caught up by the execution that finds it behind, under the slot's lock
@@ -72,7 +84,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Hashable, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 CacheKey = Tuple[str, FrozenSet[str]]
 
@@ -81,6 +93,7 @@ CacheKey = Tuple[str, FrozenSet[str]]
 class PlanCacheEntry:
     """One cached optimized plan plus its validity token."""
 
+    #: The template the plan was optimized from.
     sql: str
     techniques: FrozenSet[str]
     token: Tuple[int, ...]
@@ -95,10 +108,35 @@ class PlanCacheEntry:
     #: reads (:meth:`repro.core.nljp.NLJPOperator.memo_meaning`), which
     #: pick its :class:`MemoSlot`; ``None``, the plan shares no memo.
     memo: Optional[Tuple[Any, Tuple[str, ...]]] = None
+    #: The plan's guards: it serves the values every one of them holds at.
+    guards: Tuple[Any, ...] = ()
+    #: The parameter values the plan was optimized at.
+    params: Optional[Dict[str, Any]] = None
+
+    def serves(self, params: Optional[Dict[str, Any]]) -> bool:
+        return all(guard.holds(params or {}) for guard in self.guards)
+
+
+class TemplatePlans:
+    """The plans cached under one key, one per way their guards decide
+    (almost always one), and the hits any of them took."""
+
+    __slots__ = ("plans", "hits")
+
+    def __init__(self) -> None:
+        self.plans: List[PlanCacheEntry] = []  # guarded-by: PlanCache._lock
+        self.hits = 0  # guarded-by: PlanCache._lock
+
+    def serving(self, params: Optional[Dict[str, Any]]) -> Optional[PlanCacheEntry]:  # requires-lock: PlanCache._lock
+        """The plan whose guards hold at ``params``, if one is cached."""
+        for entry in self.plans:
+            if entry.serves(params):
+                return entry
+        return None
 
 
 class PlanCache:
-    """LRU map of ``(sql, techniques)`` → :class:`PlanCacheEntry`.
+    """LRU map of ``(template, techniques)`` → :class:`TemplatePlans`.
 
     Scan-resistant: see :meth:`store` for the never-hit allowance.
     """
@@ -120,7 +158,7 @@ class PlanCache:
         # repro.testing.lockwatch) so every per-plan execution lock is
         # born instrumented — there is no store-then-wrap race window.
         self._lock_factory = lock_factory
-        self._entries: "OrderedDict[CacheKey, PlanCacheEntry]" = OrderedDict()  # guarded-by: self._lock
+        self._entries: "OrderedDict[CacheKey, TemplatePlans]" = OrderedDict()  # guarded-by: self._lock
         self._in_flight: Dict[CacheKey, threading.Event] = {}  # guarded-by: self._lock
         self._lock = threading.RLock()
         self.hits = 0  # guarded-by: self._lock
@@ -135,27 +173,37 @@ class PlanCache:
         return (sql, techniques)
 
     def lookup(
-        self, sql: str, techniques: FrozenSet[str], live_token: Tuple[int, ...]
+        self,
+        sql: str,
+        techniques: FrozenSet[str],
+        live_token: Tuple[int, ...],
+        params: Optional[Dict[str, Any]] = None,
     ) -> Optional[PlanCacheEntry]:
-        """A valid cached entry, or ``None`` (miss or stale).
+        """A valid cached entry serving ``params``, or ``None`` (miss,
+        stale, or no plan whose guards hold there).
 
-        A stale entry — its recorded token differs from ``live_token``
-        — is dropped and counted as an invalidation *and* a miss: the
-        caller re-optimizes and stores the fresh plan.
+        A stale key — its plans' recorded token differs from
+        ``live_token`` — is dropped and counted as an invalidation
+        *and* a miss: the caller re-optimizes and stores the fresh plan.
         """
         cache_key = self.key(sql, techniques)
         with self._lock:
-            entry = self._entries.get(cache_key)
-            if entry is None:
+            plans = self._entries.get(cache_key)
+            if plans is None:
                 self.misses += 1
                 return None
-            if entry.token != live_token:
+            if plans.plans[0].token != live_token:
                 del self._entries[cache_key]
                 self.invalidations += 1
                 self.misses += 1
                 return None
+            entry = plans.serving(params)
+            if entry is None:
+                self.misses += 1
+                return None
             self._entries.move_to_end(cache_key)
             self.hits += 1
+            plans.hits += 1
             entry.hits += 1
             return entry
 
@@ -198,8 +246,13 @@ class PlanCache:
         optimized: Any,
         fingerprint: str = "",
         memo: Optional[Tuple[Any, Tuple[str, ...]]] = None,
+        guards: Tuple[Any, ...] = (),
+        params: Optional[Dict[str, Any]] = None,
     ) -> PlanCacheEntry:
-        """Insert (or replace) the plan for this key, evicting on overflow.
+        """Add the plan for this key and its guards, evicting on overflow.
+
+        It joins the key's other plans when they hold the same token
+        and decide other guards, and replaces them otherwise.
 
         Never-hit entries beyond the allowance go first, oldest first;
         then plain LRU.  Ad hoc statements therefore cycle through a
@@ -221,9 +274,18 @@ class PlanCache:
             fingerprint=fingerprint,
             lock=self._lock_factory(),
             memo=memo,
+            guards=tuple(guards),
+            params=params,
         )
         with self._lock:
-            self._entries[cache_key] = entry
+            plans = self._entries.get(cache_key)
+            if plans is None:
+                plans = self._entries[cache_key] = TemplatePlans()
+            plans.plans = [
+                other
+                for other in plans.plans
+                if other.token == token and other.guards != entry.guards
+            ] + [entry]
             self._entries.move_to_end(cache_key)
             self.evictions += _evict(
                 self._entries, self.never_hit_allowance, self.max_entries
@@ -231,7 +293,8 @@ class PlanCache:
         return entry
 
     def discard(self, sql: str, techniques: FrozenSet[str]) -> bool:
-        """Drop one entry if present (counted as an invalidation).
+        """Drop a key and every plan under it, if present (counted as an
+        invalidation).
 
         The server uses this when an execution of the cached plan
         reported technique degradation: the plan was built under a
@@ -257,6 +320,11 @@ class PlanCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+    def plans(self) -> List[PlanCacheEntry]:
+        """Every cached plan, least recently used key first."""
+        with self._lock:
+            return [entry for plans in self._entries.values() for entry in plans.plans]
 
     def stats(self) -> Dict[str, int]:
         with self._lock:

@@ -8,10 +8,14 @@ this package provides:
   :class:`~repro.serve.admission.AdmissionController` (bounded
   concurrency, bounded queue, governor-headroom load shedding).
 * **Plan cache** — statements are optimized once per
-  ``(SQL, technique mask)`` and shared across sessions via the
-  version-validated :class:`~repro.serve.plan_cache.PlanCache`;
-  inserts and ANALYZE invalidate lazily through the database's version
-  token.  Prepared statements are just named handles onto this cache.
+  ``(template, technique mask)`` and shared across sessions via the
+  version-validated :class:`~repro.serve.plan_cache.PlanCache`; the
+  template is the statement with its HAVING thresholds lifted into
+  parameters (:mod:`repro.serve.templates`), looked up through a
+  text → template memo so a text is lexed once, and a plan is built at
+  the values of the statement that first needs it.  Inserts and
+  ANALYZE invalidate lazily through the database's version token.
+  Prepared statements are just named handles onto this cache.
 * **Retry** — each call runs under the
   :class:`~repro.serve.retry.RetryPolicy`: transient typed errors
   (injected faults, admission rejections, open circuits) back off on
@@ -43,13 +47,15 @@ from repro.core.system import SmartIceberg
 from repro.engine.executor import Result
 from repro.engine.operators import HashAggregate
 from repro.engine.planner import FEEDBACK_MODES
-from repro.errors import CircuitOpenError, SessionClosedError
+from repro.errors import CircuitOpenError, ParseError, SessionClosedError
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.querylog import QueryLog, stable_fingerprint
 from repro.serve.admission import AdmissionController
 from repro.serve.circuit import CircuitBreaker
 from repro.serve.plan_cache import MemoStore, PlanCache, PlanCacheEntry
 from repro.serve.retry import BackoffSchedule, RetryPolicy
+from repro.serve.templates import TemplateMemo
+from repro.sql.parser import parse
 from repro.storage.catalog import Database
 
 #: The serving layer's view of the paper's techniques, as breaker-
@@ -238,6 +244,7 @@ class IcebergServer:
             clock=clock,
         )
         self.plan_cache = PlanCache(max_entries=plan_cache_entries)
+        self.templates = TemplateMemo()
         self.memo = MemoStore(max_entries=plan_cache_entries)
         self.retry = RetryPolicy(
             max_attempts=max_attempts,
@@ -406,19 +413,26 @@ class IcebergServer:
             if fault_plan is not None:
                 fault_plan.observe("plan-cache")
             mask = self._technique_mask()
+            template = self.templates.template(sql)
+            bound = template.bind(params)
             try:
-                entry, cache_hit = self._lookup_or_build(sql, mask)
+                try:
+                    entry, cache_hit = self._lookup_or_build(template.sql, mask, bound)
+                except ParseError:
+                    if template.lifted:
+                        parse(sql)  # the error at the statement's own offsets
+                    raise
 
                 def run() -> Result:
                     return entry.optimized.execute(
-                        params,
+                        bound,
                         cancel_token=cancel_token,
                         fault_plan=fault_plan,
                         deadline_seconds=session.deadline_seconds,
                         trace_label=f"{session.session_id}:{sql[:40]}",
                     )
 
-                result = self._run_locked(entry, mask, params, run)
+                result = self._run_locked(entry, mask, bound, run)
             except BaseException:
                 # The techniques were never fully exercised: hand back
                 # any half-open probe slots without judging them.
@@ -462,9 +476,10 @@ class IcebergServer:
                     nljp.release_memo()
 
     def _lookup_or_build(
-        self, sql: str, mask: FrozenSet[str]
+        self, sql: str, mask: FrozenSet[str], params: Optional[Dict]
     ) -> Tuple[PlanCacheEntry, bool]:
-        """The cached (or freshly built) plan entry plus a hit flag.
+        """The cached (or freshly built) plan of template ``sql`` serving
+        ``params``, plus a hit flag.
 
         ``hit`` is ``True`` when the entry came from the shared cache
         (including waiting out another session's in-flight build) and
@@ -478,7 +493,7 @@ class IcebergServer:
         hit = True
         while True:
             live_token = self.db.version_token()
-            entry = self.plan_cache.lookup(sql, mask, live_token)
+            entry = self.plan_cache.lookup(sql, mask, live_token, params)
             if entry is not None:
                 break
             leader, latch = self.plan_cache.claim(sql, mask)
@@ -487,7 +502,7 @@ class IcebergServer:
                 continue
             hit = False
             try:
-                optimized = self._engine(mask).optimize(sql)
+                optimized = self._engine(mask).optimize(sql, params)
                 nljp = optimized.nljp
                 # The NLJP memo outlives this execution and this plan:
                 # every plan whose payloads mean the same reads and
@@ -501,6 +516,8 @@ class IcebergServer:
                     sql, mask, live_token, optimized,
                     fingerprint=stable_fingerprint(optimized.planned.explain()),
                     memo=memo,
+                    guards=optimized.report.guards,
+                    params=dict(params or {}),
                 )
             finally:
                 self.plan_cache.release(sql, mask)
@@ -599,7 +616,7 @@ class IcebergServer:
             # (and its degradation log) for life; drop it so the next
             # execution — possibly a half-open probe after the cause
             # cleared — re-optimizes instead of replaying the failure.
-            self.plan_cache.discard(sql, mask)
+            self.plan_cache.discard(entry.sql, mask)
         for technique in mask:
             breaker = self.breakers[technique]
             if technique in charged:

@@ -324,6 +324,14 @@ def column_refs(node: Any, into_subqueries: bool = False) -> Tuple[ColumnRef, ..
     )
 
 
+def parameter_names(node: Any) -> Tuple[str, ...]:
+    """The distinct :class:`Parameter` names under ``node``, subqueries
+    included, in sorted order."""
+    return tuple(
+        sorted({n.name for n in walk(node) if isinstance(n, Parameter)})
+    )
+
+
 def aggregate_calls(node: Any) -> Tuple[FuncCall, ...]:
     """All aggregate :class:`FuncCall` nodes in this query block."""
     return tuple(

@@ -1,4 +1,4 @@
-"""A hand-written lexer for the SQL subset used by the paper.
+"""The lexer for the SQL subset used by the paper: one compiled pattern.
 
 Produces a flat list of :class:`Token`.  Keywords are case-insensitive
 and normalized to upper case; identifiers are folded to lower case
@@ -8,8 +8,8 @@ and normalized to upper case; identifiers are folded to lower case
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List
+import re
+from typing import List, NamedTuple
 
 from repro.errors import LexerError
 
@@ -34,8 +34,7 @@ class TokenType(enum.Enum):
     EOF = "EOF"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     value: str
     position: int
@@ -47,107 +46,70 @@ class Token:
         return f"Token({self.type.name}, {self.value!r})"
 
 
-_OPERATORS = ("<=", ">=", "<>", "!=", "||", "=", "<", ">", "+", "-", "*", "/", "%")
-_PUNCTUATION = frozenset("(),.;")
+#: One alternative per token kind, each followed by the whitespace
+#: after it.  At each position the first alternative that matches wins;
+#: the order keeps every choice the kinds overlap on (``--`` and ``/*``
+#: before the operators, a number before ``.``).  ``error`` is the start
+#: of a token that never ends, ``bad`` any other character.
+_MASTER = re.compile(
+    r"""
+    (?: (?P<word>[^\W\d]\w*)
+      | (?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE](?:[+-]\d*|\d+))?)
+      | (?P<punctuation>[(),.;])
+      | (?P<skip>\s+|--[^\n]*\n?|/\*.*?\*/)
+      | (?P<string>'(?:[^']|'')*+')
+      | (?P<quoted>"[^"]*")
+      | (?P<error>/\*|'|")
+      | (?P<operator><=|>=|<>|!=|\|\||[=<>+\-*/%])
+      | (?P<parameter>:[^\W\d]\w*)
+      | (?P<bad>.)
+    )\s*+
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_WORD, _NUMBER, _PUNCTUATION, _SKIP, _STRING, _QUOTED, _ERROR, _OPERATOR, _PARAMETER = range(1, 10)
+_SIMPLE = {
+    _NUMBER: TokenType.NUMBER,
+    _PUNCTUATION: TokenType.PUNCTUATION,
+    _OPERATOR: TokenType.OPERATOR,
+}
+_UNTERMINATED = {
+    "/": "unterminated block comment",
+    "'": "unterminated string literal",
+    '"': "unterminated quoted identifier",
+}
 
 
 def tokenize(text: str) -> List[Token]:
     """Tokenize SQL ``text``; raises :class:`LexerError` on bad input."""
     tokens: List[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("--", i):
-            newline = text.find("\n", i)
-            i = n if newline < 0 else newline + 1
-            continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise LexerError("unterminated block comment", i)
-            i = end + 2
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            seen_dot = False
-            seen_exp = False
-            while i < n:
-                c = text[i]
-                if c.isdigit():
-                    i += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    i += 1
-                elif c in "eE" and not seen_exp and i + 1 < n and (
-                    text[i + 1].isdigit() or text[i + 1] in "+-"
-                ):
-                    seen_exp = True
-                    i += 2 if text[i + 1] in "+-" else 1
-                else:
-                    break
-            tokens.append(Token(TokenType.NUMBER, text[start:i], start))
-            continue
-        if ch == "'":
-            start = i
-            i += 1
-            pieces: List[str] = []
-            while True:
-                if i >= n:
-                    raise LexerError("unterminated string literal", start)
-                if text[i] == "'":
-                    if i + 1 < n and text[i + 1] == "'":  # escaped quote
-                        pieces.append("'")
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                pieces.append(text[i])
-                i += 1
-            tokens.append(Token(TokenType.STRING, "".join(pieces), start))
-            continue
-        if ch == '"':
-            start = i
-            end = text.find('"', i + 1)
-            if end < 0:
-                raise LexerError("unterminated quoted identifier", start)
-            tokens.append(Token(TokenType.IDENTIFIER, text[i + 1 : end], start))
-            i = end + 1
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            upper = word.upper()
+    append = tokens.append
+    new = tuple.__new__  # Token(...) without the keyword-argument layer
+    keyword, identifier = TokenType.KEYWORD, TokenType.IDENTIFIER
+    for match in _MASTER.finditer(text):
+        kind = match.lastindex
+        if kind == _WORD:
+            value = match[_WORD]
+            upper = value.upper()
             if upper in KEYWORDS:
-                tokens.append(Token(TokenType.KEYWORD, upper, start))
+                append(new(Token, (keyword, upper, match.start())))
             else:
-                tokens.append(Token(TokenType.IDENTIFIER, word.lower(), start))
+                append(new(Token, (identifier, value.lower(), match.start())))
+        elif kind in _SIMPLE:
+            append(new(Token, (_SIMPLE[kind], match[kind], match.start())))
+        elif kind == _SKIP:
             continue
-        if ch == ":" and i + 1 < n and (text[i + 1].isalpha() or text[i + 1] == "_"):
-            start = i
-            i += 1
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(Token(TokenType.PARAMETER, text[start + 1 : i].lower(), start))
-            continue
-        matched = False
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token(TokenType.OPERATOR, op, i))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in _PUNCTUATION:
-            tokens.append(Token(TokenType.PUNCTUATION, ch, i))
-            i += 1
-            continue
-        raise LexerError(f"unexpected character {ch!r}", i)
-    tokens.append(Token(TokenType.EOF, "", n))
+        elif kind == _PARAMETER:
+            name = match[kind][1:].lower()
+            append(new(Token, (TokenType.PARAMETER, name, match.start())))
+        elif kind == _STRING:
+            value = match[kind][1:-1].replace("''", "'")
+            append(new(Token, (TokenType.STRING, value, match.start())))
+        elif kind == _QUOTED:
+            append(new(Token, (identifier, match[kind][1:-1], match.start())))
+        elif kind == _ERROR:
+            raise LexerError(_UNTERMINATED[match[kind][0]], match.start())
+        else:
+            raise LexerError(f"unexpected character {match[kind]!r}", match.start())
+    append(Token(TokenType.EOF, "", len(text)))
     return tokens

@@ -21,7 +21,7 @@ treated as USING.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from repro.errors import ParseError
 from repro.sql import ast
@@ -39,6 +39,14 @@ def parse_expression(sql: str) -> ast.Expr:
     expr = parser._expr()
     parser._expect_eof()
     return expr
+
+
+def number_value(text: str) -> Union[int, float]:
+    """The value of a NUMBER token: a float when written with a point or
+    an exponent, else an int."""
+    if "." in text or "e" in text or "E" in text:
+        return float(text)
+    return int(text)
 
 
 class _Parser:
@@ -347,10 +355,7 @@ class _Parser:
         token = self._peek()
         if token.type is TokenType.NUMBER:
             self._advance()
-            text = token.value
-            if "." in text or "e" in text or "E" in text:
-                return ast.Literal(float(text))
-            return ast.Literal(int(text))
+            return ast.Literal(number_value(token.value))
         if token.type is TokenType.STRING:
             self._advance()
             return ast.Literal(token.value)

@@ -145,11 +145,6 @@ class SortedIndex:
             stop = bisect.bisect_right(self._keys, (high,), key=lambda k: k[:1])
         return start, max(start, stop)
 
-    def row_id_at(self, position: int) -> int:
-        """The row id at one index-order position (after a flush)."""
-        self._flush()
-        return self._row_ids[position]
-
     def row_id_array(self) -> Any:
         """Row ids in index order, as an ``int64`` ndarray (columnar
         readers only: they run where NumPy imports).  Cached until the

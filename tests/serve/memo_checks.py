@@ -6,6 +6,7 @@ import sqlite3
 
 from repro.core.cache import entry_bytes
 from repro.engine.operators import ExecutionContext
+from repro.serve.templates import lift
 
 
 def normalized(rows):
@@ -41,33 +42,58 @@ class Mirror:
         return normalized(self.connection.execute(sql).fetchall())
 
 
+def served_entry(server, sql, params=None, mask=None):
+    """The cached plan ``server`` serves ``sql`` at ``params`` with: an
+    entry of its template's key whose guards hold at the values bound."""
+    template = lift(sql)
+    mask = server._technique_mask() if mask is None else mask
+    entry = server.plan_cache._entries[(template.sql, mask)].serving(
+        template.bind(params)
+    )
+    assert entry is not None, sql
+    return entry
+
+
+def memo_slot_key(server, sql, params=None, mask=None):
+    """``(meaning, values)`` of the memo slot serving ``sql`` reads and
+    fills (``None``: its plan shares no memo)."""
+    entry = served_entry(server, sql, params, mask)
+    if entry.memo is None:
+        return None
+    meaning, reads = entry.memo
+    bound = lift(sql).bind(params) or {}
+    return meaning, tuple(bound.get(name) for name in reads)
+
+
 def fresh_payloads_agree(server):
     """Assert that every entry of every memo slot a cached plan reads,
     and a read has caught up with the data since the last write, holds
-    what Q_R evaluates to for its binding on the data as it stands --
-    the same groups, in the same order, with the same states -- and
-    that the store's bytes are its entries'; returns how many entries
-    were checked."""
+    what Q_R evaluates to for its binding, at the slot's parameter
+    values, on the data as it stands -- the same groups, in the same
+    order, with the same states -- and that the store's bytes are its
+    entries'; returns how many entries were checked."""
     checked = 0
-    seen = set()
-    for (sql, mask), entry in list(server.plan_cache._entries.items()):
-        if entry.memo is None:
-            continue
-        meaning, reads = entry.memo
-        assert reads == ()
-        key = (mask, meaning, ())
-        slot = server.memo._slots.get(key)
-        if slot is None or key in seen:
+    plans = [entry for entry in server.plan_cache.plans() if entry.memo is not None]
+    for (mask, meaning, values), slot in list(server.memo._slots.items()):
+        entry = next(
+            (e for e in plans if e.techniques == mask and e.memo[0] == meaning), None
+        )
+        if entry is None:
             continue
         if slot.store.watermark() != entry.optimized.nljp._watermark():
             continue  # no read has met the last write yet
-        seen.add(key)
-        nljp = server._engine(mask).optimize(sql).nljp
+        params = dict(entry.params or {}, **dict(zip(entry.memo[1], values)))
+        nljp = server._engine(mask).optimize(entry.sql, params).nljp
         store = slot.store
         held = store.entries()
         for cached in held:
-            fresh = nljp._run_inner(ExecutionContext(), cached.binding)
-            assert cached.payload == fresh, (sql, cached.binding)
+            ctx = ExecutionContext(params=dict(params))
+            nljp.env.ctx_holder["ctx"] = ctx
+            try:
+                fresh = nljp._run_inner(ctx, cached.binding)
+            finally:
+                nljp.env.ctx_holder.pop("ctx", None)
+            assert cached.payload == fresh, (entry.sql, cached.binding)
         assert store.estimated_bytes() == sum(entry_bytes(e) for e in held)
         checked += len(held)
     return checked

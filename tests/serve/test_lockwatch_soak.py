@@ -109,7 +109,7 @@ def test_watch_server_covers_entry_locks(db):
     session = server.session()
     session.execute(next(iter(figure1_queries().values())).sql)
     entry_locks = [
-        entry.lock for entry in server.plan_cache._entries.values()
+        entry.lock for entry in server.plan_cache.plans()
     ]
     assert entry_locks, "execution should have cached a plan"
     assert all(lock.name == "PlanCacheEntry.lock" for lock in entry_locks)

@@ -28,7 +28,13 @@ from repro.testing.faults import FaultPlan, FaultSpec
 from repro.testing.lockwatch import LockOrderWatchdog, watch_server, watch_session
 from repro.workloads import pairs_query, player_skyband_query, skyband_query
 from repro.workloads.baseball import batting_db
-from tests.serve.memo_checks import Mirror, fresh_payloads_agree, normalized
+from tests.serve.memo_checks import (
+    Mirror,
+    fresh_payloads_agree,
+    memo_slot_key,
+    normalized,
+    served_entry,
+)
 
 #: The statements whose payloads an append to batting patches (the
 #: last one merges SUM, MIN and MAX states too) ...
@@ -132,7 +138,7 @@ def test_every_entry_is_exact_after(event, numpy):
             served = _served(session, mirror, sql)
             fresh = IcebergServer(db).session().execute(sql).stats.inner_evaluations
             # Only the first read of a slot after the event meets it.
-            meaning = server.plan_cache._entries[(sql, server._technique_mask())].memo
+            meaning = memo_slot_key(server, sql)
             if meaning in first_reads:
                 assert served <= fresh, sql
             elif untouched:
@@ -158,7 +164,7 @@ def test_describe_reports_the_last_catch_up():
     session.execute(cte)
 
     def memo_line(statement):
-        nljp = server.plan_cache._entries[(statement, server._technique_mask())].optimized.nljp
+        nljp = served_entry(server, statement).optimized.nljp
         return next(line for line in nljp.describe() if line.startswith("  memo:"))
 
     line = memo_line(sql)
@@ -199,7 +205,7 @@ def test_a_float_sum_is_cleared_not_patched():
     fresh = IcebergServer(db).session().execute(sql)
     assert normalized(served.rows) == normalized(fresh.rows)
     assert served.stats.inner_evaluations == fresh.stats.inner_evaluations
-    nljp = server.plan_cache._entries[(sql, server._technique_mask())].optimized.nljp
+    nljp = served_entry(server, sql).optimized.nljp
     assert any(
         line.endswith("cleared: SUM(r.w) does not merge exactly)") for line in nljp.describe()
     )

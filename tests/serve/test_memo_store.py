@@ -26,6 +26,8 @@ from repro.serve.server import FULL_MASK
 from repro.testing.faults import FaultPlan, FaultSpec
 from repro.workloads import figure1_queries, pairs_query, skyband_query
 from repro.workloads.baseball import batting_db
+from repro.serve.templates import lift
+from tests.serve.memo_checks import memo_slot_key, served_entry
 
 
 @pytest.fixture(scope="module")
@@ -33,14 +35,15 @@ def db():
     return batting_db(400, seed=5)
 
 
-def _entry(server, sql, mask=FULL_MASK):
-    return server.plan_cache._entries[(sql, mask)]
+def _entry(server, sql, mask=FULL_MASK, params=None):
+    return served_entry(server, sql, params, mask)
 
 
 def _store(server, sql, mask=FULL_MASK):
-    """The payload store the last execution of ``sql`` ran against (the
-    plan's view holds it weakly)."""
-    return _entry(server, sql, mask).optimized.nljp.prune_view._store()
+    """The payload store of the memo slot ``sql`` reads and fills (its
+    plan's views hold it weakly)."""
+    meaning, values = memo_slot_key(server, sql, mask=mask)
+    return server.memo._slots[(mask, meaning, values)].store
 
 
 def _run(server, sql, params=None):
@@ -171,18 +174,23 @@ class TestSlotLifetime:
         assert _store(server, hot) is store
 
     def test_a_sweep_of_one_shot_plans_keeps_its_slot(self, db):
-        # Each statement of the sweep is new, and nine new statements of
-        # another sweep follow it, so its plan has left the plan cache
-        # before the next one runs; its slot, hit by every statement
-        # after the first, stays.
+        # Nine new templates of another sweep follow each statement (a
+        # WHERE literal is part of a template; on the outer side it
+        # leaves Q_R, so the nine share one slot), so the sweep's plan
+        # has left the plan cache before its next statement runs; its
+        # slot, hit by every statement after the first, stays.
         server = IcebergServer(db, plan_cache_entries=16)
         sweep = [skyband_query("b_h", "b_hr", k) for k in (60, 120, 40, 90, 150)]
         evaluations = []
         for step, sql in enumerate(sweep):
             evaluations.append(_run(server, sql).stats.inner_evaluations)
             for k in range(9):
-                _run(server, skyband_query("b_hr", "b_sb", 20 + 10 * step + k))
-            assert (sql, FULL_MASK) not in server.plan_cache._entries
+                other = skyband_query("b_hr", "b_sb", 20).replace(
+                    "GROUP BY", f"AND L.b_h >= -{10 * step + k} GROUP BY"
+                )
+                _run(server, other)
+            assert (lift(sql).sql, FULL_MASK) not in server.plan_cache._entries
+        assert len(server.memo) == 2
         fresh = [_run(IcebergServer(db), sql).stats.inner_evaluations for sql in sweep]
         assert evaluations[0] == fresh[0]
         assert 2 * sum(evaluations[1:]) < sum(fresh[1:])
@@ -196,7 +204,7 @@ class TestSlotLifetime:
         server.memo._slots.clear()  # as an eviction leaves it
         _run(server, second)  # the same meaning, a new slot
         gc.collect()
-        assert (first, FULL_MASK) in server.plan_cache._entries
+        assert (lift(first).sql, FULL_MASK) in server.plan_cache._entries
         assert store() is None
         assert len(server.memo) == 1
 
@@ -267,23 +275,25 @@ def assert_consistent(server):
         entries = list(store._entries.values())
         assert sorted(e.seq for e in entries) == list(store._in_order)
         assert store.estimated_bytes() == sum(entry_bytes(e) for e in entries)
-    for entry in server.plan_cache._entries.values():
+    for entry in server.plan_cache.plans():
         nljp = entry.optimized.nljp
-        view = None if nljp is None else nljp.prune_view
-        store = None if view is None else view._store()
-        if store is None:
-            continue
+        views = {} if nljp is None else nljp._views
+        for phi_key, view in list(views.items()):
+            store = view._store()
+            if store is None:
+                continue
+            params = dict(zip(nljp.phi_params, phi_key))
 
-        def decide(payload, nljp=nljp):
-            return nljp._is_unpromising(payload, {})
+            def decide(payload, nljp=nljp, params=params):
+                return nljp._is_unpromising(payload, params)
 
-        store.attach(view, decide, ())
-        expected = [e for e in store._in_order.values() if decide(e.payload)]
-        assert list(view._unpromising.values()) == expected
-        assert [item[2] for item in view._order] == sorted(
-            (e for e in expected if e.binding[nljp._order_bound[0]] is not None),
-            key=lambda e: (e.binding[nljp._order_bound[0]], e.seq),
-        )
+            store.attach(view, decide, phi_key)
+            expected = [e for e in store._in_order.values() if decide(e.payload)]
+            assert list(view._unpromising.values()) == expected
+            assert [item[2] for item in view._order] == sorted(
+                (e for e in expected if e.binding[nljp._order_bound[0]] is not None),
+                key=lambda e: (e.binding[nljp._order_bound[0]], e.seq),
+            )
 
 
 class CancelAfter(CancelToken):

@@ -53,11 +53,11 @@ class TestServerSingleFlight:
             def __init__(self, engine):
                 self._engine = engine
 
-            def optimize(self, statement):
+            def optimize(self, statement, params=None):
                 calls.append(statement)
                 entered.set()
                 assert proceed.wait(10)
-                return self._engine.optimize(statement)
+                return self._engine.optimize(statement, params)
 
             def __getattr__(self, name):
                 return getattr(self._engine, name)

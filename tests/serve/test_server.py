@@ -1,5 +1,7 @@
 """IcebergServer end-to-end: sessions, plan cache, breakers, lifetimes."""
 
+import json
+
 import pytest
 
 from repro import CancelToken, IcebergServer, SmartIceberg
@@ -12,6 +14,7 @@ from repro.errors import (
 )
 from repro.serve.circuit import CLOSED, HALF_OPEN, OPEN
 from repro.serve.server import FULL_MASK, _breaker_for_degradation
+from repro.serve.templates import lift
 from repro.testing import FaultPlan, FaultSpec
 from repro.workloads import BaseballConfig, figure1_queries, make_batting_db
 
@@ -141,6 +144,21 @@ class TestSessionLifetimes:
             session.execute(QUERIES["Q1"])
 
 
+    def test_export_trace_writes_one_chrome_trace(self, db, tmp_path):
+        server = IcebergServer(db, trace="counters")
+        session = server.session()
+        assert session.export_trace(str(tmp_path / "none.json")) == 0
+        assert not (tmp_path / "none.json").exists()
+        session.execute(QUERIES["Q1"])
+        session.execute(QUERIES["Q8"])
+        path = tmp_path / "trace.json"
+        assert session.export_trace(str(path)) == 2
+        with open(path) as handle:
+            document = json.load(handle)
+        events = document["traceEvents"] if isinstance(document, dict) else document
+        assert len({event["pid"] for event in events if "pid" in event}) == 2
+
+
 class TestServingFaultSites:
     def test_admission_fault_is_retried(self, db):
         server = IcebergServer(db)
@@ -213,7 +231,7 @@ class TestCircuitBreakers:
         open_result = session.execute(QUERIES["Q4"])
         assert open_result.sorted_rows() == baseline
         assert not open_result.stats.degradations
-        assert (QUERIES["Q4"], FULL_MASK) not in server.plan_cache._entries
+        assert (lift(QUERIES["Q4"]).sql, FULL_MASK) not in server.plan_cache._entries
 
         # After the recovery window a half-open probe re-enables the
         # technique; the fault still has one firing left, so the probe

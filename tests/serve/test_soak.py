@@ -22,6 +22,7 @@ import pytest
 from repro import IcebergServer, SmartIceberg
 from repro.errors import ReproError
 from repro.serve.retry import FATAL, RETRYABLE, classify_error
+from repro.serve.templates import lift
 from repro.testing import FaultPlan, FaultSpec
 from repro.workloads import BaseballConfig, figure1_queries, make_batting_db
 
@@ -112,9 +113,11 @@ def test_soak_concurrent_sessions_bit_identical(db, serial_baselines):
 
     # The shared plan cache did its job: the vast majority of the
     # server's 64 executions were cache hits.  Misses can exceed the
-    # statement count but never the per-session worst case, and the
-    # cache converges to one entry per statement.
+    # template count but never the per-session worst case, and the
+    # cache converges to one entry per template (Q4/Q5 and Q6/Q7 differ
+    # only in their HAVING thresholds).
+    templates = {lift(sql).sql for sql in queries.values()}
     stats = server.plan_cache.stats()
     assert stats["hits"] > stats["misses"]
-    assert len(queries) <= stats["misses"] <= N_SESSIONS * len(queries)
-    assert stats["entries"] == len(queries)
+    assert len(templates) <= stats["misses"] <= N_SESSIONS * len(queries)
+    assert stats["entries"] == len(templates) == len(queries) - 2

@@ -31,7 +31,7 @@ from repro.engine.layout import numpy_or_none
 from repro.serve.server import FULL_MASK
 from repro.workloads import pairs_query, skyband_query
 from repro.workloads.baseball import batting_db
-from tests.serve.memo_checks import Mirror, fresh_payloads_agree, normalized
+from tests.serve.memo_checks import Mirror, fresh_payloads_agree, memo_slot_key, normalized
 
 ATTRIBUTE_PAIRS = (("b_h", "b_hr"), ("b_hr", "b_sb"))
 SKYBAND_KS = (10, 25, 40, 60, 60, 40, 25, 10, 35, 5, 50, 15)
@@ -101,7 +101,7 @@ def test_inserts_between_thresholds_leave_no_stale_payload(db):
         for _ in range(ROWS_PER_WRITE):
             next_player += 1
             rows.append((next_player,) + rng.choice(base)[1:])
-        filled = {entry.memo for entry in server.plan_cache._entries.values()}
+        filled = set(server.memo._slots)
         db.table("batting").insert_many(rows)
         mirror.insert(rows)
         # The first read after the write: a skyband slot filled before
@@ -110,7 +110,7 @@ def test_inserts_between_thresholds_leave_no_stale_payload(db):
         served = _checked(session, mirror, sql)
         fresh = IcebergServer(db).session().execute(sql).stats.inner_evaluations
         patchable = numpy_or_none() is not None and "WITH pair" not in sql
-        if not patchable or server.plan_cache._entries[(sql, FULL_MASK)].memo not in filled:
+        if not patchable or (FULL_MASK, *memo_slot_key(server, sql)) not in filled:
             assert served == fresh, sql
         else:
             assert served < fresh, sql
