@@ -38,7 +38,7 @@ QUERY_LOG_FIELDS = (
     "execution_mode",      # "row" | "columnar"
     "feedback_mode",       # "off" | "observe"
     "outcome",             # "ok" | "error:<ErrorClass>"
-    "plan_cache_hit",      # True on a shared-plan-cache hit
+    "plan_cache_hit",      # True when served by a cached plan (its template's too)
     "admission_wait_seconds",
     "latency_seconds",
     "rows",                # result rows (None on error)

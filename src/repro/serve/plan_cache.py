@@ -6,7 +6,8 @@ stores :class:`~repro.core.optimizer.OptimizedQuery` objects per
 ``(template, technique mask)`` pair, shared by every session of a
 server.  The template is the statement with its HAVING thresholds
 lifted into parameters (:mod:`repro.serve.templates`), so the
-statements of a threshold sweep share one key.
+statements of a threshold sweep share one key.  Hits and misses are
+still counted by statement text (:meth:`PlanCache.stats`).
 
 **Guards.**  A plan is built at the values its first statement binds,
 and the one decision those values can sway (is an a-priori reducer
@@ -110,8 +111,6 @@ class PlanCacheEntry:
     memo: Optional[Tuple[Any, Tuple[str, ...]]] = None
     #: The plan's guards: it serves the values every one of them holds at.
     guards: Tuple[Any, ...] = ()
-    #: The parameter values the plan was optimized at.
-    params: Optional[Dict[str, Any]] = None
 
     def serves(self, params: Optional[Dict[str, Any]]) -> bool:
         return all(guard.holds(params or {}) for guard in self.guards)
@@ -163,6 +162,7 @@ class PlanCache:
         self._lock = threading.RLock()
         self.hits = 0  # guarded-by: self._lock
         self.misses = 0  # guarded-by: self._lock
+        self.template_hits = 0  # guarded-by: self._lock
         self.invalidations = 0  # guarded-by: self._lock
         self.evictions = 0  # guarded-by: self._lock
         self.flights = 0  # guarded-by: self._lock
@@ -178,9 +178,14 @@ class PlanCache:
         techniques: FrozenSet[str],
         live_token: Tuple[int, ...],
         params: Optional[Dict[str, Any]] = None,
+        new_text: bool = False,
     ) -> Optional[PlanCacheEntry]:
         """A valid cached entry serving ``params``, or ``None`` (miss,
         stale, or no plan whose guards hold there).
+
+        ``new_text`` says the statement's text has not been served
+        before: a plan found for it counts as a miss and a template hit
+        (see :meth:`stats`).
 
         A stale key — its plans' recorded token differs from
         ``live_token`` — is dropped and counted as an invalidation
@@ -202,7 +207,11 @@ class PlanCache:
                 self.misses += 1
                 return None
             self._entries.move_to_end(cache_key)
-            self.hits += 1
+            if new_text:
+                self.misses += 1
+                self.template_hits += 1
+            else:
+                self.hits += 1
             plans.hits += 1
             entry.hits += 1
             return entry
@@ -247,7 +256,6 @@ class PlanCache:
         fingerprint: str = "",
         memo: Optional[Tuple[Any, Tuple[str, ...]]] = None,
         guards: Tuple[Any, ...] = (),
-        params: Optional[Dict[str, Any]] = None,
     ) -> PlanCacheEntry:
         """Add the plan for this key and its guards, evicting on overflow.
 
@@ -275,7 +283,6 @@ class PlanCache:
             lock=self._lock_factory(),
             memo=memo,
             guards=tuple(guards),
-            params=params,
         )
         with self._lock:
             plans = self._entries.get(cache_key)
@@ -327,11 +334,24 @@ class PlanCache:
             return [entry for plans in self._entries.values() for entry in plans.plans]
 
     def stats(self) -> Dict[str, int]:
+        """Counters since the cache was made.
+
+        ``hits`` and ``misses`` count lookups by statement text: a hit
+        is a text served before whose plan is still cached, and every
+        other lookup is a miss.  ``template_hits`` counts the misses a
+        plan cached for the text's template served, unoptimized; the
+        other misses built a plan (or waited for one).  So the first
+        execution of a statement is always a miss, and a threshold
+        sweep reads misses and template hits, not hits.  (The query
+        log's ``plan_cache_hit`` is true for a template hit too: no
+        plan was built.)
+        """
         with self._lock:
             return {
                 "entries": len(self._entries),
                 "hits": self.hits,
                 "misses": self.misses,
+                "template_hits": self.template_hits,
                 "invalidations": self.invalidations,
                 "evictions": self.evictions,
                 "flights": self.flights,

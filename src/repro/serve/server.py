@@ -413,11 +413,13 @@ class IcebergServer:
             if fault_plan is not None:
                 fault_plan.observe("plan-cache")
             mask = self._technique_mask()
-            template = self.templates.template(sql)
+            template, new_text = self.templates.template(sql)
             bound = template.bind(params)
             try:
                 try:
-                    entry, cache_hit = self._lookup_or_build(template.sql, mask, bound)
+                    entry, cache_hit = self._lookup_or_build(
+                        template.sql, mask, bound, new_text
+                    )
                 except ParseError:
                     if template.lifted:
                         parse(sql)  # the error at the statement's own offsets
@@ -476,10 +478,11 @@ class IcebergServer:
                     nljp.release_memo()
 
     def _lookup_or_build(
-        self, sql: str, mask: FrozenSet[str], params: Optional[Dict]
+        self, sql: str, mask: FrozenSet[str], params: Optional[Dict], new_text: bool
     ) -> Tuple[PlanCacheEntry, bool]:
         """The cached (or freshly built) plan of template ``sql`` serving
-        ``params``, plus a hit flag.
+        ``params``, plus a hit flag; ``new_text``, the statement's text
+        has not been served before (it is counted as a miss).
 
         ``hit`` is ``True`` when the entry came from the shared cache
         (including waiting out another session's in-flight build) and
@@ -493,12 +496,13 @@ class IcebergServer:
         hit = True
         while True:
             live_token = self.db.version_token()
-            entry = self.plan_cache.lookup(sql, mask, live_token, params)
+            entry = self.plan_cache.lookup(sql, mask, live_token, params, new_text)
             if entry is not None:
                 break
             leader, latch = self.plan_cache.claim(sql, mask)
             if not leader:
                 latch.wait()
+                new_text = False  # this text's miss is counted
                 continue
             hit = False
             try:
@@ -517,7 +521,6 @@ class IcebergServer:
                     fingerprint=stable_fingerprint(optimized.planned.explain()),
                     memo=memo,
                     guards=optimized.report.guards,
-                    params=dict(params or {}),
                 )
             finally:
                 self.plan_cache.release(sql, mask)

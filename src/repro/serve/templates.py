@@ -157,21 +157,24 @@ MEMO_TEXTS = 1024
 class TemplateMemo:
     """Text → :class:`Template`, least recently used out first: a text
     is lexed the first time it is served, and never again while it is
-    remembered."""
+    remembered.  It also tells the plan cache which texts are new, which
+    it counts as misses (:meth:`repro.serve.plan_cache.PlanCache.stats`)."""
 
     def __init__(self) -> None:
         self._templates: "OrderedDict[str, Template]" = OrderedDict()  # guarded-by: self._lock
         self._lock = threading.Lock()
 
-    def template(self, sql: str) -> Template:
+    def template(self, sql: str) -> Tuple[Template, bool]:
+        """``sql``'s template, and whether it was lifted just now (a
+        text not seen before, or forgotten since)."""
         with self._lock:
             template = self._templates.get(sql)
             if template is not None:
                 self._templates.move_to_end(sql)
-                return template
+                return template, False
         template = lift(sql)
         with self._lock:
             self._templates[sql] = template
             while len(self._templates) > MEMO_TEXTS:
                 self._templates.popitem(last=False)
-        return template
+        return template, True

@@ -49,21 +49,23 @@ class Token(NamedTuple):
 #: One alternative per token kind, each followed by the whitespace
 #: after it.  At each position the first alternative that matches wins;
 #: the order keeps every choice the kinds overlap on (``--`` and ``/*``
-#: before the operators, a number before ``.``).  ``error`` is the start
-#: of a token that never ends, ``bad`` any other character.
+#: before the operators, a number before ``.``).  A string ends at a
+#: quote no quote follows (``''`` is an escaped quote), so ``'ab''`` is
+#: unterminated from its first quote on.  ``error`` is the start of a
+#: token that never ends, ``bad`` any other character.
 _MASTER = re.compile(
     r"""
     (?: (?P<word>[^\W\d]\w*)
       | (?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE](?:[+-]\d*|\d+))?)
       | (?P<punctuation>[(),.;])
       | (?P<skip>\s+|--[^\n]*\n?|/\*.*?\*/)
-      | (?P<string>'(?:[^']|'')*+')
+      | (?P<string>'[^']*(?:''[^']*)*'(?!'))
       | (?P<quoted>"[^"]*")
       | (?P<error>/\*|'|")
       | (?P<operator><=|>=|<>|!=|\|\||[=<>+\-*/%])
       | (?P<parameter>:[^\W\d]\w*)
       | (?P<bad>.)
-    )\s*+
+    )\s*
     """,
     re.VERBOSE | re.DOTALL,
 )

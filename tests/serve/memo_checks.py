@@ -82,7 +82,7 @@ def fresh_payloads_agree(server):
             continue
         if slot.store.watermark() != entry.optimized.nljp._watermark():
             continue  # no read has met the last write yet
-        params = dict(entry.params or {}, **dict(zip(entry.memo[1], values)))
+        params = _values_served(server, entry, dict(zip(entry.memo[1], values)))
         nljp = server._engine(mask).optimize(entry.sql, params).nljp
         store = slot.store
         held = store.entries()
@@ -97,3 +97,17 @@ def fresh_payloads_agree(server):
         assert store.estimated_bytes() == sum(entry_bytes(e) for e in held)
         checked += len(held)
     return checked
+
+
+def _values_served(server, entry, reads):
+    """Parameter values ``entry`` serves, with ``reads`` for the
+    parameters its Q_R reads: the lifted values of a text the server
+    served from it."""
+    with server.templates._lock:
+        known = list(server.templates._templates.values())
+    for template in known:
+        if template.sql == entry.sql:
+            params = dict(template.bind(None) or {}, **reads)
+            if entry.serves(params):
+                return params
+    raise AssertionError(f"no text served from {entry.sql!r}")

@@ -17,9 +17,21 @@ def test_miss_store_hit():
     assert found.optimized == "plan"
     assert found.hits == 1
     assert cache.stats() == {
-        "entries": 1, "hits": 1, "misses": 1, "invalidations": 0, "evictions": 0,
-        "flights": 0, "flight_waits": 0,
+        "entries": 1, "hits": 1, "misses": 1, "template_hits": 0, "invalidations": 0,
+        "evictions": 0, "flights": 0, "flight_waits": 0,
     }
+
+
+def test_a_new_text_found_by_its_template_is_a_miss_and_a_template_hit():
+    cache = PlanCache(max_entries=4)
+    token = (1, 0, 0)
+    entry = cache.store("SELECT 1", MASK, token, optimized="plan")
+    assert cache.lookup("SELECT 1", MASK, token, new_text=True) is entry
+    assert cache.lookup("SELECT 1", MASK, token) is entry
+    stats = cache.stats()
+    assert (stats["hits"], stats["misses"], stats["template_hits"]) == (1, 1, 1)
+    # Either lookup is a hit of the plan, for eviction.
+    assert entry.hits == 2
 
 
 def test_stale_token_invalidates_lazily():

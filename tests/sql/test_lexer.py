@@ -126,3 +126,22 @@ class TestErrors:
         with pytest.raises(LexerError) as excinfo:
             tokenize("a ? b")
         assert excinfo.value.position == 2
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            # The doubled quote is an escape, so the string never ends.
+            ("'ab''", "unterminated string literal", 0),
+            ("x = 'ab''", "unterminated string literal", 4),
+            ("'a' '", "unterminated string literal", 4),
+            ('a "b', "unterminated quoted identifier", 2),
+            ("a /* b", "unterminated block comment", 2),
+        ],
+    )
+    def test_an_unterminated_token_is_reported_where_it_starts(self, text, message, position):
+        with pytest.raises(LexerError, match=message) as excinfo:
+            tokenize(text)
+        assert excinfo.value.position == position
+
+    def test_a_string_ends_at_a_quote_no_quote_follows(self):
+        assert kinds("'ab''' 'c'") == [(TokenType.STRING, "ab'"), (TokenType.STRING, "c")]
