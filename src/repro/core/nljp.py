@@ -71,11 +71,12 @@ _MAX_BLOCK = 1024
 #: The prune views one plan keeps over a shared store, one per set of
 #: Φ's parameter values.  Two: Q4 and Q5 share a template and alternate
 #: on one plan, so with one view every other request re-decided the
-#: whole store.  Served ad hoc streams reuse a view older than the
-#: last one on about 15% of their executions and save no measurable
-#: time with more (a view catches up on the entries added since it
-#: last ran anyway), and a view that is not the store's current one
-#: keeps the entries the store drops until it runs again.
+#: whole store.  With eight, a served pairs sweep reuses a view older
+#: than the last one on about 15% of its executions and saves no
+#: measurable time (a view catches up on the entries added since it
+#: last ran anyway); the other workloads never reuse an older view.
+#: And a view that is not the store's current one keeps the entries
+#: the store drops until it runs again.
 _MAX_VIEWS = 2
 
 
